@@ -18,9 +18,10 @@
 //! Prints criterion-style lines and emits machine-readable results to
 //! `BENCH_query.json` in the workspace root. Doubles as the CI query
 //! smoke: `--check <baseline.json>` re-measures the core-lane and
-//! compile medians and fails on regression past the tolerance; the
-//! three lanes are also asserted row-identical on both shapes before
-//! anything is timed.
+//! compile medians and fails on regression past the tolerance, and
+//! fails if the closure's core lane takes more than twice its
+//! relational lane in that same run; the three lanes are also asserted
+//! row-identical on both shapes before anything is timed.
 
 use good_bench::instance_of;
 use good_core::instance::Instance;
@@ -36,6 +37,9 @@ const TARGET_SAMPLE_NANOS: u128 = 40_000_000; // ~40ms per sample
                                               // so the tolerance is wider and the floor higher.
 const CHECK_TOLERANCE: f64 = 1.25;
 const CHECK_SLACK_NANOS: u128 = 20_000;
+/// Ceiling on `closure@100/core` over `closure@100/relational`, both
+/// measured in the checking run (ROADMAP's semi-naive target).
+const CLOSURE_CORE_OVER_RELATIONAL: f64 = 2.0;
 
 const FILTER_QUERY: &str = "MATCH (a:Info)-[:links-to]->(b:Info), \
                             (b)-[:name]->(n:String) \
@@ -213,8 +217,29 @@ fn run_check(baseline_arg: &str) -> ! {
             }
         }
     }
+    // The semi-naive fixpoint's standing gate, fresh against fresh: the
+    // core lane's starred edge addition must stay within 2x of the
+    // relational lane's BFS on the same closure, measured in this run.
+    let ns_of = |name: &str| {
+        let found = current.iter().find(|m| m.name == name);
+        found.unwrap_or_else(|| panic!("{name} not measured")).ns
+    };
+    let (core, relational) = (ns_of("closure@100/core"), ns_of("closure@100/relational"));
+    let ratio = core as f64 / relational as f64;
+    let verdict = if ratio > CLOSURE_CORE_OVER_RELATIONAL {
+        failed = true;
+        "TOO SLOW"
+    } else {
+        "ok"
+    };
+    println!(
+        "closure@100 core/relational {ratio:.2}  (limit {CLOSURE_CORE_OVER_RELATIONAL:.1})  {verdict}"
+    );
     if failed {
-        eprintln!("query medians regressed more than 25% vs baseline");
+        eprintln!(
+            "query medians regressed more than 25% vs baseline, or the closure core lane \
+             fell behind 2x the relational lane"
+        );
         std::process::exit(1);
     }
     println!("query medians within tolerance of baseline");

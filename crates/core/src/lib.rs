@@ -34,6 +34,7 @@
 
 pub mod browse;
 pub mod error;
+mod fixpoint;
 pub mod gen;
 pub mod inheritance;
 pub mod instance;

@@ -8,11 +8,16 @@
 //! "augmented with a crossed part that corresponds to the starred part:
 //! this expresses the stopping condition for the recursion" (Figure 29).
 //!
+//! The star runs on the delta-driven evaluator in `fixpoint.rs`
+//! (DESIGN.md, "Fixpoint evaluation"); the Figure 29 method is kept as
+//! the paper-fidelity construction, not an execution path.
+//!
 //! The canonical instance is transitive closure of a multivalued
 //! property (`links-to` ⇒ `rec-links-to`), which the paper proves is
 //! "impossible using only the basic five operations".
 
 use crate::error::Result;
+use crate::fixpoint::{fixpoint, FixRule};
 use crate::instance::Instance;
 use crate::label::{Label, RECEIVER_EDGE};
 use crate::method::{Method, MethodCall, MethodSpec};
@@ -36,20 +41,21 @@ impl RecursiveEdgeAddition {
         RecursiveEdgeAddition { base }
     }
 
-    /// Iterate to fixpoint. Each round burns one unit of fuel, so a
-    /// (theoretically impossible for EA, but cheap to guard) runaway
-    /// loop is caught by the environment.
+    /// Iterate to fixpoint: single-rule saturation by the semi-naive
+    /// evaluator (DESIGN.md, "Fixpoint evaluation"). Round 1 matches the
+    /// whole pattern; every later round matches only embeddings that use
+    /// an edge added in the round before. Each round burns one unit of
+    /// fuel, the final quiescent one included, so a (theoretically
+    /// impossible for EA, but cheap to guard) runaway loop is caught by
+    /// the environment.
+    ///
+    /// In the returned report `edges_added` is the number of edges the
+    /// star added; `matchings` counts the matchings the rounds actually
+    /// enumerated (round 1 in full, later rounds delta-seeded), not the
+    /// pattern's matchings in the final instance.
     pub fn apply(&self, db: &mut Instance, env: &mut Env) -> Result<OpReport> {
-        let mut total = OpReport::default();
-        loop {
-            env.burn_fuel()?;
-            let report = self.base.apply(db)?;
-            let progressed = report.edges_added > 0;
-            total.absorb(&report);
-            if !progressed {
-                return Ok(total);
-            }
-        }
+        let mut outcome = fixpoint(&[FixRule::EdgeAdd(&self.base)], db, env)?;
+        Ok(outcome.reports.remove(0))
     }
 }
 
@@ -211,8 +217,11 @@ mod tests {
         let (mut db, nodes) = chain(5);
         let (seed, star) = transitive_closure_star("Info", "links-to", "rec-links-to");
         let mut env = Env::new();
-        seed.apply(&mut db).unwrap();
-        star.apply(&mut db, &mut env).unwrap();
+        let seeded = seed.apply(&mut db).unwrap();
+        let starred = star.apply(&mut db, &mut env).unwrap();
+        // `edges_added` is the star's contract; `matchings` only counts
+        // what the delta-seeded rounds enumerated.
+        assert_eq!((seeded.edges_added, starred.edges_added), (4, 6));
         assert_eq!(closure_pairs(&db), expected_closure(&db));
         assert_eq!(closure_pairs(&db).len(), 10); // C(5,2) ordered pairs on a chain
         assert!(closure_pairs(&db).contains(&(nodes[0], nodes[4])));
@@ -226,8 +235,9 @@ mod tests {
         let (seed, star) = transitive_closure_star("Info", "links-to", "rec-links-to");
         let mut env = Env::new();
         seed.apply(&mut db).unwrap();
-        star.apply(&mut db, &mut env).unwrap();
+        let starred = star.apply(&mut db, &mut env).unwrap();
         // On a cycle everything reaches everything, including itself.
+        assert_eq!(starred.edges_added, 6);
         assert_eq!(closure_pairs(&db).len(), 9);
         assert_eq!(closure_pairs(&db), expected_closure(&db));
     }

@@ -41,6 +41,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// through the adjacency index (mirrors `Instance::has_edge`).
 const SCAN_LIMIT: usize = 8;
 
+/// An instance edge `(src, λ, dst)` by value — what an edge addition
+/// adds and the fixpoint evaluator's delta log holds.
+pub(crate) type EdgeTriple = (NodeId, Label, NodeId);
+
 /// A matching: a total mapping from pattern nodes to instance nodes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Matching(BTreeMap<NodeId, NodeId>);
@@ -587,6 +591,50 @@ impl<'a> Search<'a> {
         true
     }
 
+    /// Enumerate, unsorted and possibly with repeats, every matching of
+    /// this search's (positive) pattern that maps at least one pattern
+    /// edge onto an edge of `delta`: each occurrence of a delta edge's
+    /// label in the pattern is seeded in turn by pre-binding that
+    /// pattern edge's endpoints to the delta edge's, and [`Search::solve`]
+    /// extends the frame. A self-loop pattern edge binds one node and so
+    /// only takes delta edges whose endpoints coincide.
+    fn enumerate_seeded(&self, delta: &[EdgeTriple]) -> Vec<Matching> {
+        let graph = self.pattern.graph();
+        let mut results = Vec::new();
+        let mut frame = self.frame();
+        let mut steps = 0u64;
+        for edge in graph.edges() {
+            let src_data = graph.node(edge.src).expect("live pattern node");
+            let dst_data = graph.node(edge.dst).expect("live pattern node");
+            for (src, label, dst) in delta {
+                if *label != edge.payload.label
+                    || (edge.src == edge.dst && src != dst)
+                    || !node_compatible(self.instance, src_data, *src)
+                    || !node_compatible(self.instance, dst_data, *dst)
+                {
+                    continue;
+                }
+                frame.bind(edge.src, *src);
+                if edge.dst != edge.src {
+                    frame.bind(edge.dst, *dst);
+                }
+                if self.edges_consistent(edge.src, &frame)
+                    && self.edges_consistent(edge.dst, &frame)
+                {
+                    self.solve(&mut frame, &mut steps, &mut |complete| {
+                        results.push(self.to_matching(complete));
+                        true
+                    });
+                }
+                if edge.dst != edge.src {
+                    frame.unbind(edge.dst);
+                }
+                frame.unbind(edge.src);
+            }
+        }
+        results
+    }
+
     /// Enumerate every matching of this search's (positive) pattern,
     /// unsorted. The root node — the cost-based planner's choice when
     /// `root_override` is given, the most-constrained node otherwise —
@@ -762,6 +810,40 @@ pub fn find_matchings_with(
     instance: &Instance,
     config: MatchConfig,
 ) -> Result<Vec<Matching>> {
+    matchings_of(pattern, instance, config, None)
+}
+
+/// The matchings of `pattern` that map at least one positive pattern
+/// edge onto an edge of `delta` — the later rounds of the fixpoint
+/// evaluator (`fixpoint.rs`). Validation, canonical order and the
+/// crossed-part filter are [`find_matchings_with`]'s; only the
+/// enumeration differs (seeded from the delta's endpoints instead of
+/// planned from a root). When no delta label occurs on an uncrossed
+/// pattern edge there is nothing to seed and the pattern is not matched
+/// at all.
+pub(crate) fn matchings_using(
+    pattern: &Pattern,
+    instance: &Instance,
+    delta: &[EdgeTriple],
+) -> Result<Vec<Matching>> {
+    let occurs = |label: &Label| {
+        let mut edges = pattern.graph().edges();
+        edges.any(|e| !e.payload.negated && e.payload.label == *label)
+    };
+    if !delta.iter().any(|(_, label, _)| occurs(label)) {
+        return Ok(Vec::new());
+    }
+    matchings_of(pattern, instance, MatchConfig::sequential(), Some(delta))
+}
+
+/// Shared body of [`find_matchings_with`] (`delta` absent: plan and
+/// enumerate everything) and [`matchings_using`] (`delta` present).
+fn matchings_of(
+    pattern: &Pattern,
+    instance: &Instance,
+    config: MatchConfig,
+    delta: Option<&[EdgeTriple]>,
+) -> Result<Vec<Matching>> {
     if pattern.has_method_head() {
         return Err(GoodError::InvalidPattern(
             "patterns with method-head nodes must be rewritten by a method call before matching"
@@ -776,23 +858,38 @@ pub fn find_matchings_with(
     let positive = pattern.positive_part();
     let nodes: Vec<NodeId> = positive.graph().node_ids().collect();
     let pattern_nodes = nodes.len();
-    // Cost-based planning: rank binding orders on the incrementally
-    // maintained statistics and pick the evaluation strategy. Pure
-    // arithmetic over per-edge scalars — cheap enough for point queries.
-    let choice = planner::plan(&positive, instance);
-    let mut results = match choice.strategy {
-        JoinStrategy::GenericJoin => {
-            good_trace::counter_add("planner.wcoj", 1);
-            wcoj::enumerate_generic(&positive, instance, &choice.order, None)
-        }
-        JoinStrategy::Expand => {
-            good_trace::counter_add("planner.expand", 1);
+    let mut planned = None;
+    let mut results = match delta {
+        Some(delta) => {
             let search = Search {
                 pattern: &positive,
                 instance,
                 nodes,
             };
-            search.enumerate(config, choice.order.first().copied())
+            search.enumerate_seeded(delta)
+        }
+        None => {
+            // Cost-based planning: rank binding orders on the
+            // incrementally maintained statistics and pick the evaluation
+            // strategy. Pure arithmetic over per-edge scalars — cheap
+            // enough for point queries.
+            let choice = planner::plan(&positive, instance);
+            planned = Some((choice.strategy.name(), choice.est_rows));
+            match choice.strategy {
+                JoinStrategy::GenericJoin => {
+                    good_trace::counter_add("planner.wcoj", 1);
+                    wcoj::enumerate_generic(&positive, instance, &choice.order, None)
+                }
+                JoinStrategy::Expand => {
+                    good_trace::counter_add("planner.expand", 1);
+                    let search = Search {
+                        pattern: &positive,
+                        instance,
+                        nodes,
+                    };
+                    search.enumerate(config, choice.order.first().copied())
+                }
+            }
         }
     };
     results.sort();
@@ -806,8 +903,13 @@ pub fn find_matchings_with(
         find_span.arg("pattern_nodes", pattern_nodes);
         find_span.arg("matchings", results.len());
         find_span.arg("negation", pattern.has_negation());
-        find_span.arg("strategy", choice.strategy.name());
-        find_span.arg("est_rows", choice.est_rows);
+        if let Some((strategy, est_rows)) = planned {
+            find_span.arg("strategy", strategy);
+            find_span.arg("est_rows", est_rows);
+        }
+        if let Some(delta) = delta {
+            find_span.arg("delta_edges", delta.len());
+        }
         good_trace::counter_add("match.calls", 1);
         good_trace::counter_add(
             "match.negation_filtered",

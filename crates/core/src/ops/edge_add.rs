@@ -14,7 +14,7 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::{EdgeKind, Label};
-use crate::matching::find_matchings;
+use crate::matching::{find_matchings, EdgeTriple, Matching};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -90,6 +90,21 @@ impl EdgeAddition {
     /// extended, which is harmless and matches the paper: `S′` depends
     /// only on the operation).
     pub fn apply(&self, db: &mut Instance) -> Result<OpReport> {
+        let (report, _) = self.apply_with(db, find_matchings)?;
+        Ok(report)
+    }
+
+    /// [`EdgeAddition::apply`] with the matchings supplied by `matcher`
+    /// (the full `find_matchings`, or the fixpoint evaluator's
+    /// delta-seeded one), so validation, scheme extension, the
+    /// pre-mutation check and the report stay one code path. Also
+    /// returns the edges that were not there before, in the order they
+    /// were added.
+    pub(crate) fn apply_with(
+        &self,
+        db: &mut Instance,
+        matcher: impl FnOnce(&Pattern, &Instance) -> Result<Vec<Matching>>,
+    ) -> Result<(OpReport, Vec<EdgeTriple>)> {
         // Validate bold endpoints.
         for edge in &self.edges {
             for node in [edge.src, edge.dst] {
@@ -105,7 +120,7 @@ impl EdgeAddition {
             }
         }
 
-        let matchings = find_matchings(&self.pattern, db)?;
+        let matchings = matcher(&self.pattern, db)?;
 
         // Minimal scheme extension.
         for edge in &self.edges {
@@ -136,7 +151,7 @@ impl EdgeAddition {
         }
 
         // Gather the concrete edges (a set: duplicates collapse).
-        let mut to_add: BTreeSet<(NodeId, Label, NodeId)> = BTreeSet::new();
+        let mut to_add: BTreeSet<EdgeTriple> = BTreeSet::new();
         for matching in &matchings {
             for edge in &self.edges {
                 to_add.insert((
@@ -148,13 +163,16 @@ impl EdgeAddition {
         }
 
         // Pre-mutation consistency check (the "result is undefined"
-        // conditions), against existing ∪ new edges.
+        // conditions), against existing ∪ new edges. One existing target
+        // stands for all of them: the instance invariants (enforced by
+        // `Instance::add_edge`) give a functional λ at most one target
+        // and all λ-successors of a node the same label.
         let mut grouped: BTreeMap<(NodeId, &Label), BTreeSet<NodeId>> = BTreeMap::new();
         for (src, label, dst) in &to_add {
             grouped.entry((*src, label)).or_default().insert(*dst);
         }
         for ((src, label), mut targets) in grouped {
-            targets.extend(db.targets(src, label));
+            targets.extend(db.targets(src, label).next());
             let kind = db.scheme().edge_kind(label).expect("registered above");
             if kind == EdgeKind::Functional && targets.len() > 1 {
                 return Err(GoodError::FunctionalConflict {
@@ -176,18 +194,20 @@ impl EdgeAddition {
             }
         }
 
-        let mut report = OpReport {
-            matchings: matchings.len(),
-            ..OpReport::default()
-        };
+        let mut added = Vec::new();
         for (src, label, dst) in to_add {
             if !db.has_edge(src, &label, dst) {
-                db.add_edge(src, label, dst)?;
-                report.edges_added += 1;
+                db.add_edge(src, label.clone(), dst)?;
+                added.push((src, label, dst));
             }
         }
         db.debug_assert_indexes();
-        Ok(report)
+        let report = OpReport {
+            matchings: matchings.len(),
+            edges_added: added.len(),
+            ..OpReport::default()
+        };
+        Ok((report, added))
     }
 }
 
@@ -369,6 +389,35 @@ mod tests {
         let err = ea.apply(&mut db).unwrap_err();
         assert!(matches!(err, GoodError::TargetLabelConflict { .. }));
         db.validate().unwrap();
+    }
+
+    #[test]
+    fn conflict_with_preexisting_target_label() {
+        // `a` already has an `m`-successor labeled B; adding one labeled
+        // C must fail although the new edges agree among themselves.
+        let s = SchemeBuilder::new()
+            .object("A")
+            .object("B")
+            .object("C")
+            .multivalued("A", "m", "B")
+            .multivalued("A", "to-c", "C")
+            .build();
+        let mut db = Instance::new(s);
+        let a = db.add_object("A").unwrap();
+        let b = db.add_object("B").unwrap();
+        let c = db.add_object("C").unwrap();
+        db.add_edge(a, "m", b).unwrap();
+        db.add_edge(a, "to-c", c).unwrap();
+
+        let mut p = Pattern::new();
+        let pa = p.node("A");
+        let pc = p.node("C");
+        p.edge(pa, "to-c", pc);
+        let ea = EdgeAddition::multivalued(p, pa, "m", pc);
+        let edges = db.edge_count();
+        let err = ea.apply(&mut db).unwrap_err();
+        assert!(matches!(err, GoodError::TargetLabelConflict { .. }));
+        assert_eq!(db.edge_count(), edges);
     }
 
     #[test]

@@ -57,6 +57,14 @@ pub struct OpReport {
 }
 
 impl OpReport {
+    /// True if the operation created or deleted anything.
+    pub fn changed(&self) -> bool {
+        !self.created_nodes.is_empty()
+            || self.edges_added > 0
+            || self.nodes_deleted > 0
+            || self.edges_deleted > 0
+    }
+
     /// Merge another report into this one (used by programs/methods).
     pub fn absorb(&mut self, other: &OpReport) {
         self.matchings += other.matchings;

@@ -102,17 +102,25 @@ impl Operation {
             Operation::Abstract(op) => op.apply(db),
             Operation::Call(op) => execute_call(op, db, env),
         };
-        if op_span.is_live() {
-            good_trace::counter_add("op.applied", 1);
-            if let Ok(report) = &result {
-                op_span.arg("matchings", report.matchings);
-                op_span.arg("nodes_added", report.created_nodes.len());
-                op_span.arg("edges_added", report.edges_added);
-                op_span.arg("nodes_deleted", report.nodes_deleted);
-                op_span.arg("edges_deleted", report.edges_deleted);
-            }
-        }
+        record_report(&mut op_span, &result);
         result
+    }
+}
+
+/// Close an `op/*` span over `result`: count the application and attach
+/// the report's numbers. Shared with the fixpoint evaluator, which
+/// applies edge-addition rules without going through
+/// [`Operation::apply`].
+pub(crate) fn record_report(op_span: &mut good_trace::SpanGuard, result: &Result<OpReport>) {
+    if op_span.is_live() {
+        good_trace::counter_add("op.applied", 1);
+        if let Ok(report) = result {
+            op_span.arg("matchings", report.matchings);
+            op_span.arg("nodes_added", report.created_nodes.len());
+            op_span.arg("edges_added", report.edges_added);
+            op_span.arg("nodes_deleted", report.nodes_deleted);
+            op_span.arg("edges_deleted", report.edges_deleted);
+        }
     }
 }
 

@@ -18,8 +18,13 @@
 //! the number of derivable facts). Deletion rules make fixpoints
 //! non-monotone, as in Datalog¬; the engine still detects saturation
 //! and oscillating sets are caught by the fuel bound.
+//!
+//! Saturation runs on the delta-driven evaluator in `fixpoint.rs`
+//! (DESIGN.md, "Fixpoint evaluation"), the same loop as the starred
+//! edge addition of [`crate::macros::recursion`].
 
 use crate::error::Result;
+use crate::fixpoint::{fixpoint, FixRule};
 use crate::instance::Instance;
 use crate::ops::OpReport;
 use crate::program::{Env, Operation};
@@ -51,7 +56,10 @@ pub struct SaturationReport {
     /// Number of full rounds executed (including the final, quiescent
     /// one).
     pub rounds: usize,
-    /// Per-rule totals across all rounds, in rule order.
+    /// Per-rule totals across all rounds, in rule order. `edges_added`
+    /// and the node counts are what the rule did; for an edge-addition
+    /// rule `matchings` sums the matchings its rounds actually
+    /// enumerated (first round in full, later rounds delta-seeded).
     pub per_rule: Vec<(String, OpReport)>,
 }
 
@@ -85,40 +93,24 @@ impl RuleSet {
         &self.rules
     }
 
-    /// Apply every rule once, in order. Returns true if anything
-    /// changed.
-    pub fn step(
-        &self,
-        db: &mut Instance,
-        env: &mut Env,
-        report: &mut SaturationReport,
-    ) -> Result<bool> {
-        let mut changed = false;
-        for (index, rule) in self.rules.iter().enumerate() {
-            let rule_report = rule.op.apply(db, env)?;
-            changed |= !rule_report.created_nodes.is_empty()
-                || rule_report.edges_added > 0
-                || rule_report.nodes_deleted > 0
-                || rule_report.edges_deleted > 0;
-            if report.per_rule.len() <= index {
-                report
-                    .per_rule
-                    .push((rule.name.clone(), OpReport::default()));
-            }
-            report.per_rule[index].1.absorb(&rule_report);
-        }
-        Ok(changed)
-    }
-
-    /// Run rounds until a full round changes nothing (saturation).
+    /// Run rounds — every rule once, in order — until a full round
+    /// changes nothing (saturation). The n-rule case of the semi-naive
+    /// evaluator behind the starred edge addition: an edge-addition rule
+    /// is fully matched in its first round and afterwards only against
+    /// the edges added since it last ran, unless a node creation,
+    /// deletion, abstraction or method call happened in between.
     pub fn saturate(&self, db: &mut Instance, env: &mut Env) -> Result<SaturationReport> {
-        let mut report = SaturationReport::default();
-        loop {
-            report.rounds += 1;
-            if !self.step(db, env, &mut report)? {
-                return Ok(report);
-            }
-        }
+        let rules: Vec<FixRule<'_>> = self.rules.iter().map(|rule| (&rule.op).into()).collect();
+        let outcome = fixpoint(&rules, db, env)?;
+        Ok(SaturationReport {
+            rounds: outcome.rounds,
+            per_rule: self
+                .rules
+                .iter()
+                .map(|rule| rule.name.clone())
+                .zip(outcome.reports)
+                .collect(),
+        })
     }
 }
 

@@ -554,12 +554,7 @@ impl CompiledQuery {
     /// additions plus starred edge additions) that materialize each
     /// derived path label into a scratch instance.
     pub fn core_steps(&self) -> Vec<Step> {
-        let mut steps = Vec::new();
-        let mut labels = BTreeSet::new();
-        for path in &self.paths {
-            path_steps(path, &mut steps, &mut labels);
-        }
-        steps
+        self.lowering().0
     }
 
     /// Every derived edge label the compiled program mints, paired with
@@ -568,16 +563,21 @@ impl CompiledQuery {
     /// pre-register these so a derivation that happens to add zero
     /// edges (empty seed) still leaves the match pattern valid.
     pub fn derived_triples(&self) -> Vec<(Label, Label)> {
-        let mut out = Vec::new();
+        self.lowering().1
+    }
+
+    /// One pass over the property paths: the derivation program and the
+    /// `(class, label)` pairs it mints ([`CompiledQuery::core_steps`],
+    /// [`CompiledQuery::derived_triples`]).
+    pub(crate) fn lowering(&self) -> (Vec<Step>, Vec<(Label, Label)>) {
+        let mut steps = Vec::new();
+        let mut triples = Vec::new();
         for path in &self.paths {
-            let mut steps = Vec::new();
             let mut labels = BTreeSet::new();
             path_steps(path, &mut steps, &mut labels);
-            for label in labels {
-                out.push((path.class.clone(), label));
-            }
+            triples.extend(labels.into_iter().map(|label| (path.class.clone(), label)));
         }
-        out
+        (steps, triples)
     }
 
     /// Render the compiled program — derivation steps plus the final
@@ -605,8 +605,6 @@ impl CompiledQuery {
             }
         }
         let (pattern, nodes) = self.pattern(true);
-        let by_node: BTreeMap<NodeId, &String> =
-            nodes.iter().map(|(var, node)| (*node, var)).collect();
         out.push_str("match J where J =\n");
         out.push_str(&format_pattern(&pattern));
         out.push_str("variables:");
@@ -614,7 +612,6 @@ impl CompiledQuery {
             write!(out, " {var}={:?}", nodes[var]).expect("write");
         }
         out.push('\n');
-        let _ = by_node;
         out
     }
 }

@@ -159,11 +159,12 @@ fn materialize_core(db: &Instance, compiled: &CompiledQuery) -> Result<Instance,
     // Pre-register every derived label: a derivation whose seed matches
     // nothing never reaches the minimal scheme extension, but the match
     // pattern still references the label.
-    for (class, label) in compiled.derived_triples() {
+    let (steps, derived) = compiled.lowering();
+    for (class, label) in derived {
         scratch.extend_multivalued(class.clone(), label, class)?;
     }
     let mut env = Env::new();
-    for step in compiled.core_steps() {
+    for step in steps {
         match step {
             Step::Op(op) => {
                 op.apply(&mut scratch, &mut env)?;

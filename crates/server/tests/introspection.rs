@@ -220,6 +220,11 @@ fn stats_roundtrip_reports_slow_query_with_plan_rows() {
         .expect("commit");
     let (_, _, rows) = client.query("{ o: Obj1; }", None).expect("query");
     assert_eq!(rows.len(), 1);
+    // A GOODQL closure runs the starred edge addition on the reader
+    // thread: one (quiescent) fixpoint round even with no Info to link.
+    client
+        .query("MATCH (a:Info)-[:links-to*]->(b:Info) RETURN a, b", None)
+        .expect("closure query");
 
     let stats = client.stats().expect("stats round-trip");
     let parsed: serde_json::Value = serde_json::from_str(&stats)
@@ -240,6 +245,10 @@ fn stats_roundtrip_reports_slow_query_with_plan_rows() {
     assert!(metrics["counters"]["net/frames/submit"].as_u64().unwrap() >= 1);
     assert!(metrics["counters"]["net/frames/query"].as_u64().unwrap() >= 1);
     assert!(metrics["counters"]["server/committed"].as_u64().unwrap() >= 1);
+    assert!(metrics["counters"]["fixpoint.rounds"].as_u64().unwrap() >= 1);
+    assert!(metrics["counters"]["fixpoint.delta_edges"]
+        .as_u64()
+        .is_some());
     let query_hist = &metrics["histograms"]["net/query_ns"];
     assert!(query_hist["count"].as_u64().unwrap() >= 1);
     assert!(!query_hist["buckets"].as_seq().unwrap().is_empty());
