@@ -1,11 +1,15 @@
 //! E20 — GOODQL query throughput: the text front end end to end
 //! (EXPERIMENTS.md §E20).
 //!
-//! Two query shapes over the deterministic `instance_of` workloads:
+//! Three query shapes over the deterministic `instance_of` workloads:
 //!
 //! * **filter** — a two-hop predicate query (name lookup joined
 //!   through `links-to`), the point-ish shape interactive sessions
 //!   run, at 400 Infos.
+//! * **join** — the `e2e` benchmark's `join` query: a date-filtered
+//!   two-hop `links-to` join returning hundreds of rows, where the
+//!   matcher's row emission and the id-level projection do the work,
+//!   at 1600 Infos.
 //! * **closure** — a transitive-closure property path
 //!   (`-[:links-to*]->`), the shape that exercises the starred
 //!   edge-addition fixpoint, at 100 Infos.
@@ -21,7 +25,7 @@
 //! compile medians and fails on regression past the tolerance, and
 //! fails if the closure's core lane takes more than twice its
 //! relational lane in that same run; the three lanes are also asserted
-//! row-identical on both shapes before anything is timed.
+//! row-identical on every shape before anything is timed.
 
 use good_bench::instance_of;
 use good_core::instance::Instance;
@@ -44,6 +48,9 @@ const CLOSURE_CORE_OVER_RELATIONAL: f64 = 2.0;
 const FILTER_QUERY: &str = "MATCH (a:Info)-[:links-to]->(b:Info), \
                             (b)-[:name]->(n:String) \
                             WHERE n STARTS WITH \"info-1\" RETURN a, n";
+const JOIN_QUERY: &str = "MATCH (a:Info)-[:created]->(d:Date), (a)-[:links-to]->(b:Info), \
+                          (b)-[:links-to]->(c:Info) \
+                          WHERE d = date(1990-01-03) RETURN a, c";
 const CLOSURE_QUERY: &str = "MATCH (a:Info)-[:links-to*]->(b:Info) RETURN DISTINCT a, b";
 
 struct Measurement {
@@ -148,6 +155,7 @@ fn measure_shape(db: &Instance, shape: &str, infos: usize, text: &str) -> Vec<Me
 
 fn measure_all() -> Vec<Measurement> {
     let filter_db = instance_of(400);
+    let join_db = instance_of(1600);
     let closure_db = instance_of(100);
 
     // Front-end overhead: parse + compile, no execution.
@@ -161,6 +169,7 @@ fn measure_all() -> Vec<Measurement> {
         rows: 0,
     }];
     measurements.extend(measure_shape(&filter_db, "filter", 400, FILTER_QUERY));
+    measurements.extend(measure_shape(&join_db, "join", 1600, JOIN_QUERY));
     measurements.extend(measure_shape(&closure_db, "closure", 100, CLOSURE_QUERY));
     measurements
 }
@@ -190,7 +199,12 @@ fn run_check(baseline_arg: &str) -> ! {
     // Only the deterministic-cost lanes gate CI (the relational and
     // Tarski lanes are reference implementations, tracked but not
     // gated).
-    let gated = ["compile/filter", "filter@400/core", "closure@100/core"];
+    let gated = [
+        "compile/filter",
+        "filter@400/core",
+        "join@1600/core",
+        "closure@100/core",
+    ];
     let current = measure_all();
     let mut failed = false;
     for m in current.iter().filter(|m| gated.contains(&m.name.as_str())) {

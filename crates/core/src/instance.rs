@@ -45,7 +45,7 @@ pub struct EdgeData {
 
 /// Per-key postings of the adjacency index: anchor node → sorted
 /// neighbour set.
-type Postings = PMap<NodeId, PSet<NodeId>>;
+pub type Postings = PMap<NodeId, PSet<NodeId>>;
 
 /// Batched deletions at least this large (and dooming a sizable graph
 /// fraction) rebuild the adjacency index wholesale instead of
@@ -609,7 +609,20 @@ impl Instance {
         edge: &Label,
         dst: NodeId,
     ) -> Option<&PSet<NodeId>> {
-        nested_get(&self.adjacency.sources, src_label, edge).and_then(|postings| postings.get(&dst))
+        self.source_postings(src_label, edge)?.get(&dst)
+    }
+
+    /// All of [`Instance::indexed_sources`] for one `(src_label, λ)`:
+    /// target node → its sorted `src_label`-labeled `λ`-sources. Lets a
+    /// caller probing many targets pay the two label hashes once.
+    pub fn source_postings(&self, src_label: &Label, edge: &Label) -> Option<&Postings> {
+        nested_get(&self.adjacency.sources, src_label, edge)
+    }
+
+    /// All of [`Instance::indexed_targets`] for one `(dst_label, λ)`:
+    /// source node → its sorted `dst_label`-labeled `λ`-targets.
+    pub fn target_postings(&self, dst_label: &Label, edge: &Label) -> Option<&Postings> {
+        nested_get(&self.adjacency.targets, dst_label, edge)
     }
 
     /// Index postings: the sorted set of `dst_label`-labeled nodes `src`
@@ -620,7 +633,7 @@ impl Instance {
         edge: &Label,
         src: NodeId,
     ) -> Option<&PSet<NodeId>> {
-        nested_get(&self.adjacency.targets, dst_label, edge).and_then(|postings| postings.get(&src))
+        self.target_postings(dst_label, edge)?.get(&src)
     }
 
     /// The sorted set of `label`-labeled nodes with at least one outgoing

@@ -7,16 +7,19 @@
 //!
 //! Two engines are provided:
 //!
-//! * [`find_matchings`] — the production engine: backtracking search
-//!   over a dense [`Frame`] with dynamic most-constrained-node
-//!   selection. Candidate sets come from the instance's adjacency
-//!   index — `(node label, edge label)` postings for bound neighbours,
-//!   support-set intersections for unanchored nodes — instead of
-//!   whole-label scans. Large searches are split into *morsels* of
-//!   root-node candidates and solved on multiple threads (see
-//!   [`MatchConfig`]); the canonical sort makes the result bit-for-bit
-//!   identical at any thread count. Crossed (negated) parts use the
-//!   paper's extension semantics; printable predicates are supported.
+//! * [`find_matchings`] — the production engine: one backtracking loop
+//!   over *steps compiled once per call* from the cost-based planner's
+//!   binding order. Each step knows its class label, its print value or
+//!   predicate, the one pattern edge it expands along (the neighbours
+//!   of an already bound image, read off the adjacency index's
+//!   `(class, λ)` postings) and the remaining edges to probe; unanchored
+//!   steps intersect support sets instead of scanning a label. Every
+//!   complete frame is one row of a flat [`MatchTable`]; large searches
+//!   split the first step's candidates into *morsels* solved on
+//!   multiple threads (see [`MatchConfig`]), and the table's canonical
+//!   sort makes the result bit-for-bit identical at any thread count.
+//!   Crossed (negated) parts use the paper's extension semantics;
+//!   printable predicates are supported.
 //! * [`find_matchings_naive`] — candidate cross-product enumeration with
 //!   a post-hoc edge filter. Exponential; kept as differential-testing
 //!   ground truth and as the baseline of benchmark E1.
@@ -25,21 +28,15 @@
 //! set-oriented operations of Section 3 are reproducible run to run.
 
 use crate::error::{GoodError, Result};
-use crate::instance::Instance;
+use crate::instance::{Instance, Postings};
 use crate::label::Label;
 use crate::pattern::{Pattern, PatternNode, PatternNodeKind};
 use crate::persist::PSet;
 use crate::planner::{self, JoinStrategy};
-use crate::wcoj;
 use good_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Bound-neighbour images with at most this many incident edges are
-/// scanned directly during candidate derivation instead of probed
-/// through the adjacency index (mirrors `Instance::has_edge`).
-const SCAN_LIMIT: usize = 8;
 
 /// An instance edge `(src, λ, dst)` by value — what an edge addition
 /// adds and the fixpoint evaluator's delta log holds.
@@ -82,6 +79,131 @@ impl Matching {
     /// Build from pairs (for tests).
     pub fn from_pairs(pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
         Matching(pairs.into_iter().collect())
+    }
+}
+
+// ---- match table --------------------------------------------------------
+
+/// The matchings of one pattern as a flat table: one fixed-width row of
+/// images per matching, columns in ascending pattern-node order. Every
+/// enumeration loop emits this; [`Matching`]s are built from it only at
+/// the public `find_matchings*` boundary.
+///
+/// Rows compare as slices, which is exactly how the `Matching`s they
+/// stand for compare (same keys, values in key order), so the canonical
+/// order of a table is the canonical order of its matchings.
+#[derive(Debug, Clone)]
+pub struct MatchTable {
+    domain: Vec<NodeId>,
+    images: Vec<NodeId>,
+    /// Row count — kept beside `images` because the empty pattern has
+    /// one matching of width zero.
+    rows: usize,
+}
+
+impl MatchTable {
+    /// An empty table over the pattern nodes `domain`.
+    pub(crate) fn new(mut domain: Vec<NodeId>) -> Self {
+        domain.sort_unstable();
+        MatchTable {
+            domain,
+            images: Vec::new(),
+            rows: 0,
+        }
+    }
+
+    /// The pattern nodes the rows bind, ascending — one per column.
+    pub fn domain(&self) -> &[NodeId] {
+        &self.domain
+    }
+
+    /// The column holding the images of `pattern_node`, if it is bound.
+    pub fn column(&self, pattern_node: NodeId) -> Option<usize> {
+        self.domain.binary_search(&pattern_node).ok()
+    }
+
+    /// Number of rows (matchings).
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when there is no matching.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Row `index`: the images of [`MatchTable::domain`], in order.
+    pub fn row(&self, index: usize) -> &[NodeId] {
+        let width = self.domain.len();
+        &self.images[index * width..(index + 1) * width]
+    }
+
+    /// All rows, in table order.
+    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        (0..self.rows).map(|index| self.row(index))
+    }
+
+    /// Append one row; `images` yields one image per domain node.
+    pub(crate) fn push_row(&mut self, images: impl IntoIterator<Item = NodeId>) {
+        self.images.extend(images);
+        self.rows += 1;
+        debug_assert_eq!(self.images.len(), self.rows * self.domain.len());
+    }
+
+    /// Append the row a complete binding frame (pattern-node slot →
+    /// image) holds.
+    pub(crate) fn push_frame(&mut self, frame: &[Option<NodeId>]) {
+        let images = self.domain.iter().map(|n| frame[n.index()]);
+        self.images
+            .extend(images.map(|image| image.expect("complete frame")));
+        self.rows += 1;
+    }
+
+    /// Sort the rows and drop repeats: the canonical order.
+    fn canonicalize(&mut self) {
+        // Steps emit candidates in ascending order, so a search whose
+        // binding order is the column order arrives canonical.
+        if (1..self.rows).all(|index| self.row(index - 1) < self.row(index)) {
+            return;
+        }
+        let mut order: Vec<usize> = (0..self.rows).collect();
+        order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+        order.dedup_by(|a, b| self.row(*a) == self.row(*b));
+        self.gather(&order);
+    }
+
+    /// Keep the rows `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&[NodeId]) -> bool) {
+        let kept: Vec<usize> = (0..self.rows)
+            .filter(|&index| keep(self.row(index)))
+            .collect();
+        if kept.len() < self.rows {
+            self.gather(&kept);
+        }
+    }
+
+    fn gather(&mut self, order: &[usize]) {
+        let mut images = Vec::with_capacity(order.len() * self.domain.len());
+        for &index in order {
+            images.extend_from_slice(self.row(index));
+        }
+        self.images = images;
+        self.rows = order.len();
+    }
+
+    /// One [`Matching`] per row, in row order.
+    pub fn into_matchings(self) -> Vec<Matching> {
+        self.rows()
+            .map(|row| {
+                Matching(
+                    self.domain
+                        .iter()
+                        .copied()
+                        .zip(row.iter().copied())
+                        .collect(),
+                )
+            })
+            .collect()
     }
 }
 
@@ -165,47 +287,18 @@ impl MatchConfig {
     }
 }
 
-// ---- binding frame ------------------------------------------------------
+// ---- compiled search ----------------------------------------------------
 
-/// A dense partial binding: pattern-node arena index → instance node.
-///
-/// Replaces the `BTreeMap<NodeId, NodeId>` of the original engine; bind,
-/// unbind, and lookup are all a single vector access. Sized by the
-/// pattern graph's `node_index_bound`, which `positive_part`/`unnegated`
-/// preserve, so one frame layout serves both the positive search and the
-/// negation-extension search.
-#[derive(Debug, Clone)]
-struct Frame {
-    slots: Vec<Option<NodeId>>,
-    bound: usize,
-}
-
-impl Frame {
-    fn new(capacity: usize) -> Self {
-        Frame {
-            slots: vec![None; capacity],
-            bound: 0,
-        }
+/// The shared refusals of every engine: method heads must have been
+/// rewritten away, and the pattern must be an instance over the scheme.
+pub(crate) fn check_matchable(pattern: &Pattern, instance: &Instance) -> Result<()> {
+    if pattern.has_method_head() {
+        return Err(GoodError::InvalidPattern(
+            "patterns with method-head nodes must be rewritten by a method call before matching"
+                .into(),
+        ));
     }
-
-    #[inline]
-    fn get(&self, node: NodeId) -> Option<NodeId> {
-        self.slots[node.index()]
-    }
-
-    #[inline]
-    fn bind(&mut self, node: NodeId, image: NodeId) {
-        debug_assert!(self.slots[node.index()].is_none());
-        self.slots[node.index()] = Some(image);
-        self.bound += 1;
-    }
-
-    #[inline]
-    fn unbind(&mut self, node: NodeId) {
-        debug_assert!(self.slots[node.index()].is_some());
-        self.slots[node.index()] = None;
-        self.bound -= 1;
-    }
+    pattern.validate(instance.scheme())
 }
 
 /// Does the instance node `candidate` satisfy `node`'s local constraints
@@ -231,494 +324,322 @@ pub(crate) fn node_compatible(instance: &Instance, node: &PatternNode, candidate
     true
 }
 
-/// The backtracking core: extend a [`Frame`] to cover all of `nodes`,
-/// invoking `on_match` for each complete assignment. Shared immutably
-/// across worker threads by the parallel driver.
+/// One compiled binding step: everything the loop needs to enumerate
+/// and check the candidates of one pattern node, resolved once per call.
+/// Every candidate base is read off an index keyed by the node's class
+/// label, so the label is never re-checked per candidate.
+struct Step<'a> {
+    node: NodeId,
+    data: &'a PatternNode,
+    class: &'a Label,
+    /// The edges to bound nodes: the node at the other end and the
+    /// `(class, λ)` postings that map its image to that image's
+    /// neighbours of this class (the label hashes are paid here, once).
+    /// The candidates are read off the smallest of the neighbour sets
+    /// and probed against the others — the expansion edge is never
+    /// re-checked, and with two or more links this is the generic
+    /// join's intersection.
+    links: Vec<(NodeId, &'a Postings)>,
+    /// Labels of the node's self-loops, checked per candidate.
+    loops: Vec<&'a Label>,
+    /// Support sets of the edges to nodes not bound yet, every
+    /// candidate must be in — resolved only where they are wanted: for
+    /// a step with no link and no print value, whose candidate base is
+    /// their intersection (complete but over-approximate, made exact by
+    /// the later steps' links), and for every step when pruning.
+    supports: Vec<&'a PSet<NodeId>>,
+}
+
+/// The backtracking search, compiled: a binding order as [`Step`]s over
+/// an instance. Built once per `find_matchings*` call (or once per
+/// pre-bound frame shape) and shared immutably across worker threads.
 struct Search<'a> {
-    pattern: &'a Pattern,
     instance: &'a Instance,
-    nodes: Vec<NodeId>,
+    steps: Vec<Step<'a>>,
+    /// Positive edges among the pre-bound nodes, probed once per frame.
+    bound_edges: Vec<(NodeId, &'a Label, NodeId)>,
+    /// Some pattern edge's `(class, λ)` is missing from the adjacency
+    /// index altogether: nothing can match.
+    dead: bool,
+    capacity: usize,
+}
+
+/// A search's mutable state: the binding frame (pattern-node slot →
+/// image), the candidate stack (each depth's candidates sit above its
+/// parent's and are popped when the depth is done), a scratch list of
+/// neighbour sets, and the number of frames visited at each depth.
+struct Cursor<'a> {
+    frame: Vec<Option<NodeId>>,
+    candidates: Vec<NodeId>,
+    sets: Vec<&'a PSet<NodeId>>,
+    visited: Vec<u64>,
 }
 
 impl<'a> Search<'a> {
-    /// One frame sized for this search's pattern.
-    fn frame(&self) -> Frame {
-        Frame::new(self.pattern.graph().node_index_bound())
-    }
-
-    /// Materialize a complete frame as a [`Matching`].
-    fn to_matching(&self, frame: &Frame) -> Matching {
-        Matching(
-            self.nodes
-                .iter()
-                .map(|&n| (n, frame.get(n).expect("complete frame")))
-                .collect(),
-        )
-    }
-
-    /// Candidate instance nodes for `pnode` given the current partial
-    /// `frame`, derived from the adjacency index.
+    /// Compile the steps binding `order` — every node of `pattern`
+    /// outside `prebound`, each once — for frames in which the nodes of
+    /// `prebound` are bound before the walk starts. `pattern` is a
+    /// positive or unnegated pattern that passed [`check_matchable`].
     ///
-    /// (`SCAN_LIMIT` mirrors `Instance::has_edge`: below it a direct
-    /// edge-list scan beats the two label hashes an index probe costs.)
-    ///
-    /// Priority: exact printable value (one probe) → smallest postings
-    /// set of an edge to a bound neighbour (exact) → intersection of the
-    /// support sets of all incident edge labels (complete
-    /// over-approximation; exactness is restored by `edges_consistent`
-    /// as neighbours get bound) → whole label extent (isolated nodes).
-    fn candidates(&self, pnode: NodeId, frame: &Frame) -> Vec<NodeId> {
-        let data = self.pattern.graph().node(pnode).expect("live pattern node");
-        let PatternNodeKind::Class(label) = &data.kind else {
-            return Vec::new();
-        };
-        // Exact printable value: at most one candidate via the index.
-        if let Some(value) = &data.print {
-            return match self.instance.find_printable(label, value) {
-                Some(node) => vec![node],
-                None => Vec::new(),
+    /// With `prune`, every step also drops candidates outside any
+    /// support set of an edge to a node not bound yet — the generic
+    /// join's "every relation holding the variable", which keeps a
+    /// cyclic pattern's dead branches from being entered; a membership
+    /// probe per candidate that acyclic plans are better off without.
+    fn compile(
+        pattern: &'a Pattern,
+        instance: &'a Instance,
+        prebound: &[NodeId],
+        order: &[NodeId],
+        prune: bool,
+    ) -> Self {
+        let graph = pattern.graph();
+        let capacity = graph.node_index_bound();
+        let mut bound = vec![false; capacity];
+        for node in prebound {
+            bound[node.index()] = true;
+        }
+        let bound_edges = graph
+            .edges()
+            .filter(|e| bound[e.src.index()] && bound[e.dst.index()])
+            .map(|e| (e.src, &e.payload.label, e.dst))
+            .collect();
+        let mut dead = false;
+        let mut steps = Vec::with_capacity(order.len());
+        for &node in order {
+            let data = graph.node(node).expect("live pattern node");
+            let PatternNodeKind::Class(class) = &data.kind else {
+                unreachable!("method heads are rejected before compiling");
             };
-        }
-        // Bound neighbour: candidates are the neighbours of its image
-        // along the connecting edge. A low-degree image is scanned
-        // directly (cheaper than hashing two labels for an index probe);
-        // a high-degree one uses the postings under (λ(pnode), edge
-        // label), which are exact and degree-independent. A probed
-        // anchor with no postings means no candidate at all.
-        enum Anchor<'i> {
-            Postings(&'i PSet<NodeId>),
-            ScanSources(NodeId),
-            ScanTargets(NodeId),
-        }
-        let mut best: Option<(usize, Anchor<'_>, &Label)> = None;
-        let mut anchored = false;
-        for edge in self.pattern.graph().out_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            if let Some(bound) = frame.get(edge.dst) {
-                anchored = true;
-                let elabel = &edge.payload.label;
-                let degree = self.instance.in_degree(bound);
-                if degree <= SCAN_LIMIT {
-                    if best.as_ref().is_none_or(|(len, _, _)| degree < *len) {
-                        best = Some((degree, Anchor::ScanSources(bound), elabel));
-                    }
+            let (mut links, mut loops, mut open) = (Vec::new(), Vec::new(), Vec::new());
+            for edge in graph.out_edges(node) {
+                let label = &edge.payload.label;
+                if edge.dst == node {
+                    loops.push(label);
+                } else if bound[edge.dst.index()] {
+                    let postings = instance.source_postings(class, label);
+                    links.extend(postings.map(|postings| (edge.dst, postings)));
+                    dead |= postings.is_none();
                 } else {
-                    match self.instance.indexed_sources(label, elabel, bound) {
-                        Some(set) => {
-                            if best.as_ref().is_none_or(|(len, _, _)| set.len() < *len) {
-                                best = Some((set.len(), Anchor::Postings(set), elabel));
-                            }
-                        }
-                        None => return Vec::new(),
-                    }
+                    open.push((label, true));
                 }
             }
-        }
-        for edge in self.pattern.graph().in_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            if let Some(bound) = frame.get(edge.src) {
-                anchored = true;
-                let elabel = &edge.payload.label;
-                let degree = self.instance.out_degree(bound);
-                if degree <= SCAN_LIMIT {
-                    if best.as_ref().is_none_or(|(len, _, _)| degree < *len) {
-                        best = Some((degree, Anchor::ScanTargets(bound), elabel));
-                    }
+            // Self-loops were taken by the outgoing pass.
+            for edge in graph.in_edges(node).filter(|e| e.src != node) {
+                let label = &edge.payload.label;
+                if bound[edge.src.index()] {
+                    let postings = instance.target_postings(class, label);
+                    links.extend(postings.map(|postings| (edge.src, postings)));
+                    dead |= postings.is_none();
                 } else {
-                    match self.instance.indexed_targets(label, elabel, bound) {
-                        Some(set) => {
-                            if best.as_ref().is_none_or(|(len, _, _)| set.len() < *len) {
-                                best = Some((set.len(), Anchor::Postings(set), elabel));
-                            }
-                        }
-                        None => return Vec::new(),
-                    }
+                    open.push((label, false));
                 }
             }
-        }
-        if anchored {
-            let (_, anchor, elabel) = best.expect("anchored search has an anchor");
-            return match anchor {
-                Anchor::Postings(set) => set
-                    .iter()
-                    .copied()
-                    .filter(|c| node_compatible(self.instance, data, *c))
-                    .collect(),
-                Anchor::ScanSources(bound) => {
-                    let mut cands: Vec<NodeId> = self
-                        .instance
-                        .sources(bound, elabel)
-                        .filter(|c| node_compatible(self.instance, data, *c))
-                        .collect();
-                    cands.sort_unstable();
-                    cands.dedup();
-                    cands
+            // Support sets are looked up only where `fill` reads them.
+            let mut supports = Vec::new();
+            if prune || (links.is_empty() && data.print.is_none()) {
+                for (label, outgoing) in open {
+                    let support = match outgoing {
+                        true => instance.out_support(class, label),
+                        false => instance.in_support(class, label),
+                    };
+                    supports.extend(support);
+                    dead |= support.is_none();
                 }
-                Anchor::ScanTargets(bound) => {
-                    let mut cands: Vec<NodeId> = self
-                        .instance
-                        .targets(bound, elabel)
-                        .filter(|c| node_compatible(self.instance, data, *c))
-                        .collect();
-                    cands.sort_unstable();
-                    cands.dedup();
-                    cands
-                }
-            };
-        }
-        // No bound neighbour: intersect the support sets of every
-        // incident edge label, smallest first.
-        let mut supports: Vec<&PSet<NodeId>> = Vec::new();
-        for edge in self.pattern.graph().out_edges(pnode) {
-            if edge.payload.negated {
-                continue;
             }
-            match self.instance.out_support(label, &edge.payload.label) {
-                Some(set) => supports.push(set),
-                None => return Vec::new(),
-            }
+            steps.push(Step {
+                node,
+                data,
+                class,
+                links,
+                loops,
+                supports,
+            });
+            bound[node.index()] = true;
         }
-        for edge in self.pattern.graph().in_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            match self.instance.in_support(label, &edge.payload.label) {
-                Some(set) => supports.push(set),
-                None => return Vec::new(),
-            }
+        Search {
+            instance,
+            steps,
+            bound_edges,
+            dead,
+            capacity,
         }
-        if !supports.is_empty() {
-            supports.sort_by_key(|set| set.len());
-            let (first, rest) = supports.split_first().expect("non-empty");
-            return first
-                .iter()
-                .copied()
-                .filter(|c| rest.iter().all(|set| set.contains(c)))
-                .filter(|c| node_compatible(self.instance, data, *c))
-                .collect();
-        }
-        // Isolated pattern node: fall back to the label extent.
-        self.instance
-            .nodes_with_label(label)
-            .filter(|c| node_compatible(self.instance, data, *c))
-            .collect()
     }
 
-    /// All (non-negated) pattern edges between bound nodes must exist in
-    /// the instance once both endpoints are bound. We check edges
-    /// incident to the node just bound.
-    fn edges_consistent(&self, pnode: NodeId, frame: &Frame) -> bool {
-        let image = frame.get(pnode).expect("pnode just bound");
-        for edge in self.pattern.graph().out_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            if let Some(dst) = frame.get(edge.dst) {
-                if !self.instance.has_edge(image, &edge.payload.label, dst) {
-                    return false;
-                }
-            }
-        }
-        for edge in self.pattern.graph().in_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            // Self-loops were handled by the out_edges pass.
-            if edge.src == pnode {
-                continue;
-            }
-            if let Some(src) = frame.get(edge.src) {
-                if !self.instance.has_edge(src, &edge.payload.label, image) {
-                    return false;
-                }
-            }
-        }
-        true
+    /// The search [`planner::plan`] chose for the positive pattern.
+    fn planned(pattern: &'a Pattern, instance: &'a Instance, choice: &planner::PlanChoice) -> Self {
+        let prune = choice.strategy == JoinStrategy::GenericJoin;
+        Search::compile(pattern, instance, &[], &choice.order, prune)
     }
 
-    /// A cheap upper-bound estimate of `pnode`'s candidate count under
-    /// the current frame, without materializing the list. Used for
-    /// most-constrained-node selection: full lists are built only for
-    /// the node actually chosen. All numbers are O(1) — index set sizes
-    /// or neighbour degrees, never an edge-list traversal.
-    fn candidate_estimate(&self, pnode: NodeId, frame: &Frame) -> usize {
-        let data = self.pattern.graph().node(pnode).expect("live pattern node");
-        let PatternNodeKind::Class(label) = &data.kind else {
-            return 0;
+    fn cursor(&self) -> Cursor<'a> {
+        Cursor {
+            frame: vec![None; self.capacity],
+            candidates: Vec::new(),
+            sets: Vec::new(),
+            visited: vec![0; self.steps.len() + 1],
+        }
+    }
+
+    /// Append to `out` the candidates of `self.steps[depth]` under the
+    /// cursor's frame, in ascending order: the base set — print-value
+    /// probe, else the smallest neighbour set among the links, else
+    /// support intersection, else the label extent — filtered by the
+    /// node's predicate, its self-loops, every other link and the
+    /// step's support sets.
+    fn fill(&self, depth: usize, cursor: &mut Cursor<'a>, out: &mut Vec<NodeId>) {
+        if self.dead {
+            return;
+        }
+        let (instance, step) = (self.instance, &self.steps[depth]);
+        let sets = &mut cursor.sets;
+        sets.clear();
+        for (other, postings) in &step.links {
+            let image = cursor.frame[other.index()].expect("bound earlier in the order");
+            match postings.get(&image) {
+                Some(set) => sets.push(set),
+                None => return,
+            }
+        }
+        // The neighbour set to iterate; its members need no probe
+        // against it. An exact print value is its own base.
+        let base = (0..sets.len())
+            .filter(|_| step.data.print.is_none())
+            .min_by_key(|&at| sets[at].len());
+        let admit = |candidate: &NodeId| {
+            (step.data.predicate.is_none() || node_compatible(instance, step.data, *candidate))
+                && (step.loops.iter()).all(|label| instance.has_edge(*candidate, label, *candidate))
+                && (0..sets.len()).all(|at| Some(at) == base || sets[at].contains(candidate))
+                && step.supports.iter().all(|set| set.contains(candidate))
         };
-        if data.print.is_some() {
-            return 1;
-        }
-        let mut best = self.instance.label_count(label);
-        for edge in self.pattern.graph().out_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            let size = match frame.get(edge.dst) {
-                Some(bound) => {
-                    let degree = self.instance.in_degree(bound);
-                    if degree <= SCAN_LIMIT {
-                        degree
-                    } else {
-                        self.instance
-                            .indexed_sources(label, &edge.payload.label, bound)
-                            .map_or(0, PSet::len)
-                    }
-                }
-                None => self
-                    .instance
-                    .out_support(label, &edge.payload.label)
-                    .map_or(0, PSet::len),
-            };
-            best = best.min(size);
-        }
-        for edge in self.pattern.graph().in_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            let size = match frame.get(edge.src) {
-                Some(bound) => {
-                    let degree = self.instance.out_degree(bound);
-                    if degree <= SCAN_LIMIT {
-                        degree
-                    } else {
-                        self.instance
-                            .indexed_targets(label, &edge.payload.label, bound)
-                            .map_or(0, PSet::len)
-                    }
-                }
-                None => self
-                    .instance
-                    .in_support(label, &edge.payload.label)
-                    .map_or(0, PSet::len),
-            };
-            best = best.min(size);
-        }
-        best
-    }
-
-    /// Human description of the access path [`Search::candidates`] would
-    /// take for `pnode` once every node in `planned` is bound. Used by
-    /// [`explain_plan`]; mirrors the candidate-derivation priority.
-    fn describe_access(&self, pnode: NodeId, planned: &BTreeSet<NodeId>) -> String {
-        let data = self.pattern.graph().node(pnode).expect("live pattern node");
-        let PatternNodeKind::Class(label) = &data.kind else {
-            return "method head (not matchable)".into();
-        };
-        let predicate_note = if data.predicate.is_some() {
-            " + predicate filter"
+        if let Some(value) = &step.data.print {
+            out.extend(instance.find_printable(step.class, value).filter(admit));
+        } else if let Some(at) = base {
+            out.extend(sets[at].iter().copied().filter(admit));
+        } else if let Some(smallest) = step.supports.iter().min_by_key(|set| set.len()) {
+            out.extend(smallest.iter().copied().filter(admit));
         } else {
-            ""
-        };
-        if let Some(value) = &data.print {
-            return format!("printable probe ({label} = {value})");
-        }
-        let mut anchors: Vec<String> = Vec::new();
-        let mut unanchored = 0usize;
-        for edge in self.pattern.graph().out_edges(pnode) {
-            if edge.payload.negated {
-                continue;
-            }
-            if planned.contains(&edge.dst) {
-                anchors.push(format!("-[{}]->", edge.payload.label));
-            } else {
-                unanchored += 1;
-            }
-        }
-        for edge in self.pattern.graph().in_edges(pnode) {
-            if edge.payload.negated || edge.src == pnode {
-                continue;
-            }
-            if planned.contains(&edge.src) {
-                anchors.push(format!("<-[{}]-", edge.payload.label));
-            } else {
-                unanchored += 1;
-            }
-        }
-        if !anchors.is_empty() {
-            format!(
-                "index probe: smallest ({label}, edge) postings of a bound neighbour \
-                 via {}{predicate_note} (anchors with degree <= {SCAN_LIMIT} scan edge lists)",
-                anchors.join(" / ")
-            )
-        } else if unanchored > 0 {
-            format!(
-                "support intersection over {unanchored} incident edge label(s) \
-                 on {label}{predicate_note}"
-            )
-        } else {
-            format!("label extent scan of {label}{predicate_note}")
+            out.extend(instance.nodes_with_label(step.class).filter(admit));
         }
     }
 
-    /// The most constrained unbound node, by candidate estimate.
-    fn most_constrained(&self, frame: &Frame) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| frame.get(**n).is_none())
-            .map(|&n| (self.candidate_estimate(n, frame), n))
-            .min()
-            .map(|(_, n)| n)
-    }
-
+    /// Extend `cursor`'s frame over steps `depth..`, calling `on_match`
+    /// with every complete frame until it returns `false`; the return
+    /// value is `false` iff the walk was stopped.
     fn solve(
         &self,
-        frame: &mut Frame,
-        steps: &mut u64,
-        on_match: &mut impl FnMut(&Frame) -> bool,
+        depth: usize,
+        cursor: &mut Cursor<'a>,
+        on_match: &mut impl FnMut(&[Option<NodeId>]) -> bool,
     ) -> bool {
-        *steps += 1;
-        if frame.bound == self.nodes.len() {
-            return on_match(frame);
-        }
-        // Most-constrained-node selection on cheap estimates; only the
-        // winner's candidate list is materialized.
-        let next = self
-            .most_constrained(frame)
-            .expect("at least one unbound node");
-        let candidates = self.candidates(next, frame);
-        for candidate in candidates {
-            frame.bind(next, candidate);
-            if self.edges_consistent(next, frame) && !self.solve(frame, steps, on_match) {
-                return false;
-            }
-            frame.unbind(next);
-        }
-        true
-    }
-
-    /// Enumerate, unsorted and possibly with repeats, every matching of
-    /// this search's (positive) pattern that maps at least one pattern
-    /// edge onto an edge of `delta`: each occurrence of a delta edge's
-    /// label in the pattern is seeded in turn by pre-binding that
-    /// pattern edge's endpoints to the delta edge's, and [`Search::solve`]
-    /// extends the frame. A self-loop pattern edge binds one node and so
-    /// only takes delta edges whose endpoints coincide.
-    fn enumerate_seeded(&self, delta: &[EdgeTriple]) -> Vec<Matching> {
-        let graph = self.pattern.graph();
-        let mut results = Vec::new();
-        let mut frame = self.frame();
-        let mut steps = 0u64;
-        for edge in graph.edges() {
-            let src_data = graph.node(edge.src).expect("live pattern node");
-            let dst_data = graph.node(edge.dst).expect("live pattern node");
-            for (src, label, dst) in delta {
-                if *label != edge.payload.label
-                    || (edge.src == edge.dst && src != dst)
-                    || !node_compatible(self.instance, src_data, *src)
-                    || !node_compatible(self.instance, dst_data, *dst)
-                {
-                    continue;
-                }
-                frame.bind(edge.src, *src);
-                if edge.dst != edge.src {
-                    frame.bind(edge.dst, *dst);
-                }
-                if self.edges_consistent(edge.src, &frame)
-                    && self.edges_consistent(edge.dst, &frame)
-                {
-                    self.solve(&mut frame, &mut steps, &mut |complete| {
-                        results.push(self.to_matching(complete));
-                        true
-                    });
-                }
-                if edge.dst != edge.src {
-                    frame.unbind(edge.dst);
-                }
-                frame.unbind(edge.src);
-            }
-        }
-        results
-    }
-
-    /// Enumerate every matching of this search's (positive) pattern,
-    /// unsorted. The root node — the cost-based planner's choice when
-    /// `root_override` is given, the most-constrained node otherwise —
-    /// seeds the search; splits its candidate list into morsels claimed
-    /// by worker threads via an atomic cursor when the list is large
-    /// enough; the caller's canonical sort makes the merged result
-    /// independent of scheduling.
-    fn enumerate(&self, config: MatchConfig, root_override: Option<NodeId>) -> Vec<Matching> {
-        let threads = config.resolved_threads();
-        if self.nodes.is_empty() {
-            // The empty pattern has exactly one (empty) matching.
-            return vec![self.to_matching(&self.frame())];
-        }
-        let empty = self.frame();
-        let (root, root_candidates) = {
-            let mut plan_span = good_trace::span("match", "match/plan");
-            let root = root_override
-                .filter(|n| self.nodes.contains(n))
-                .unwrap_or_else(|| self.most_constrained(&empty).expect("non-empty pattern"));
-            let root_candidates = self.candidates(root, &empty);
-            plan_span.arg("root_candidates", root_candidates.len());
-            (root, root_candidates)
+        cursor.visited[depth] += 1;
+        let Some(step) = self.steps.get(depth) else {
+            return on_match(&cursor.frame);
         };
-        if threads <= 1 || root_candidates.len() < config.parallel_threshold {
-            let mut roots_span = good_trace::span("match", "match/roots");
-            let mut steps = 0u64;
-            let mut results = Vec::new();
-            let mut frame = self.frame();
-            for &candidate in &root_candidates {
-                frame.bind(root, candidate);
-                if self.edges_consistent(root, &frame) {
-                    self.solve(&mut frame, &mut steps, &mut |complete| {
-                        results.push(self.to_matching(complete));
+        let mut stack = std::mem::take(&mut cursor.candidates);
+        let bottom = stack.len();
+        self.fill(depth, cursor, &mut stack);
+        let top = stack.len();
+        cursor.candidates = stack;
+        let mut go = true;
+        for at in bottom..top {
+            // Deeper steps push above `top` and pop back to it.
+            cursor.frame[step.node.index()] = Some(cursor.candidates[at]);
+            go = self.solve(depth + 1, cursor, on_match);
+            if !go {
+                break;
+            }
+        }
+        cursor.candidates.truncate(bottom);
+        go
+    }
+
+    /// Do the pre-bound images in `frame` carry every pattern edge
+    /// among themselves?
+    fn bound_edges_hold(&self, frame: &[Option<NodeId>]) -> bool {
+        let image = |node: NodeId| frame[node.index()].expect("pre-bound");
+        self.bound_edges
+            .iter()
+            .all(|&(src, label, dst)| self.instance.has_edge(image(src), label, image(dst)))
+    }
+
+    /// Can the pre-bound frame in `cursor` be completed at all? Stops
+    /// at the first witness.
+    fn extends(&self, cursor: &mut Cursor<'a>) -> bool {
+        self.bound_edges_hold(&cursor.frame) && !self.solve(0, cursor, &mut |_| false)
+    }
+
+    /// Enumerate every matching into `table`, unsorted. The first
+    /// step's candidates seed the search; when there are enough of them
+    /// they are split into morsels claimed by worker threads via an
+    /// atomic cursor. The caller's canonical sort makes the merged
+    /// result independent of scheduling.
+    fn enumerate(&self, config: MatchConfig, table: &mut MatchTable) {
+        let threads = config.resolved_threads();
+        let mut cursor = self.cursor();
+        let Some(root) = self.steps.first() else {
+            // The empty pattern has exactly one (empty) matching.
+            table.push_frame(&cursor.frame);
+            return;
+        };
+        let mut roots = Vec::new();
+        {
+            let mut plan_span = good_trace::span("match", "match/plan");
+            self.fill(0, &mut cursor, &mut roots);
+            plan_span.arg("root_candidates", roots.len());
+        }
+        let slot = root.node.index();
+        // Solve the subtrees under `roots[range]` into `table`.
+        let solve_roots =
+            |range: std::ops::Range<usize>, cursor: &mut Cursor<'a>, table: &mut MatchTable| {
+                let visited = |cursor: &Cursor<'_>| cursor.visited.iter().sum::<u64>();
+                let (before, steps) = (table.len(), visited(cursor));
+                for &candidate in &roots[range] {
+                    cursor.frame[slot] = Some(candidate);
+                    self.solve(1, cursor, &mut |complete| {
+                        table.push_frame(complete);
                         true
                     });
                 }
-                frame.unbind(root);
-            }
-            roots_span.arg("roots", root_candidates.len());
-            roots_span.arg("matchings", results.len());
+                (table.len() - before, visited(cursor) - steps)
+            };
+        if threads <= 1 || roots.len() < config.parallel_threshold {
+            let mut roots_span = good_trace::span("match", "match/roots");
+            let (matchings, steps) = solve_roots(0..roots.len(), &mut cursor, table);
+            roots_span.arg("roots", roots.len());
+            roots_span.arg("matchings", matchings);
             roots_span.arg("steps", steps);
-            return results;
+            return;
         }
         // Morsel-driven: workers claim contiguous chunks of the root
         // candidate list with a fetch_add cursor, so fast morsels steal
         // the slack left by slow ones.
-        let morsel = (root_candidates.len() / (threads * 8)).clamp(1, 1024);
-        let cursor = AtomicUsize::new(0);
-        let mut merged: Vec<Matching> = Vec::new();
+        let morsel = (roots.len() / (threads * 8)).clamp(1, 1024);
+        let next = AtomicUsize::new(0);
+        let domain = &table.domain.clone();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let cursor = &cursor;
-                    let root_candidates = &root_candidates;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut frame = self.frame();
+                    scope.spawn(|| {
+                        let mut local = MatchTable::new(domain.clone());
+                        let mut cursor = self.cursor();
                         loop {
-                            let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                            if start >= root_candidates.len() {
+                            let start = next.fetch_add(morsel, Ordering::Relaxed);
+                            if start >= roots.len() {
                                 break;
                             }
-                            let end = (start + morsel).min(root_candidates.len());
+                            let end = (start + morsel).min(roots.len());
                             // Morsel spans are worker-thread roots. Their
                             // args (chunk bounds, matchings, steps) are
                             // deterministic even though worker assignment
                             // is not; `SpanTree::canonicalize` erases the
                             // scheduling order.
                             let mut morsel_span = good_trace::span("match", "match/morsel");
-                            let mut steps = 0u64;
-                            let before = local.len();
-                            for &candidate in &root_candidates[start..end] {
-                                frame.bind(root, candidate);
-                                if self.edges_consistent(root, &frame) {
-                                    self.solve(&mut frame, &mut steps, &mut |complete| {
-                                        local.push(self.to_matching(complete));
-                                        true
-                                    });
-                                }
-                                frame.unbind(root);
-                            }
+                            let (matchings, steps) =
+                                solve_roots(start..end, &mut cursor, &mut local);
                             morsel_span.arg("start", start);
                             morsel_span.arg("len", end - start);
-                            morsel_span.arg("matchings", local.len() - before);
+                            morsel_span.arg("matchings", matchings);
                             morsel_span.arg("steps", steps);
                         }
                         local
@@ -726,43 +647,91 @@ impl<'a> Search<'a> {
                 })
                 .collect();
             for handle in handles {
-                merged.extend(handle.join().expect("matching worker panicked"));
+                let local = handle.join().expect("matching worker panicked");
+                table.images.extend_from_slice(&local.images);
+                table.rows += local.rows;
             }
         });
-        merged
     }
 }
 
-/// Can `matching` (over the positive part) be extended to a matching of
-/// the complete (unnegated) pattern?
-pub(crate) fn extends_to_full(pattern: &Pattern, instance: &Instance, matching: &Matching) -> bool {
-    let full = pattern.unnegated();
-    let nodes: Vec<NodeId> = full.graph().node_ids().collect();
-    let search = Search {
-        pattern: &full,
-        instance,
-        nodes,
-    };
-    // `positive_part`/`unnegated` preserve the node arena layout, so the
-    // matching's pattern-node ids index the full pattern's frame.
-    let mut frame = search.frame();
-    for (pnode, image) in matching.iter() {
-        frame.bind(pnode, image);
-    }
-    // Pre-bound part must already satisfy the full pattern's edges among
-    // bound nodes (crossed edges between positive nodes).
-    for (pnode, _) in matching.iter() {
-        if !search.edges_consistent(pnode, &frame) {
-            return false;
+/// Enumerate into `table`, unsorted and possibly with repeats, every
+/// matching of the positive pattern `pattern` that maps at least one
+/// pattern edge onto an edge of `delta`: each occurrence of a delta
+/// edge's label in the pattern is seeded in turn by pre-binding that
+/// pattern edge's endpoints to the delta edge's, and the search compiled
+/// for that pre-bound pair extends the frame. A self-loop pattern edge
+/// binds one node and so only takes delta edges whose endpoints
+/// coincide.
+fn enumerate_seeded(
+    pattern: &Pattern,
+    instance: &Instance,
+    delta: &[EdgeTriple],
+    table: &mut MatchTable,
+) {
+    let graph = pattern.graph();
+    for edge in graph.edges() {
+        if !delta
+            .iter()
+            .any(|(_, label, _)| *label == edge.payload.label)
+        {
+            continue;
+        }
+        let src_data = graph.node(edge.src).expect("live pattern node");
+        let dst_data = graph.node(edge.dst).expect("live pattern node");
+        let mut prebound = vec![edge.src, edge.dst];
+        prebound.dedup();
+        let order = planner::order_from(pattern, instance, &prebound);
+        let search = Search::compile(pattern, instance, &prebound, &order, false);
+        let mut cursor = search.cursor();
+        for (src, label, dst) in delta {
+            if *label != edge.payload.label
+                || (edge.src == edge.dst && src != dst)
+                || !node_compatible(instance, src_data, *src)
+                || !node_compatible(instance, dst_data, *dst)
+            {
+                continue;
+            }
+            cursor.frame[edge.src.index()] = Some(*src);
+            cursor.frame[edge.dst.index()] = Some(*dst);
+            if search.bound_edges_hold(&cursor.frame) {
+                search.solve(0, &mut cursor, &mut |complete| {
+                    table.push_frame(complete);
+                    true
+                });
+            }
         }
     }
-    let mut found = false;
-    let mut steps = 0u64;
-    search.solve(&mut frame, &mut steps, &mut |_| {
-        found = true;
-        false // stop at first witness
+}
+
+/// The tail every engine shares: canonical order, no repeats, crossed
+/// parts filtered.
+pub(crate) fn finish(pattern: &Pattern, instance: &Instance, mut table: MatchTable) -> MatchTable {
+    table.canonicalize();
+    drop_extendable(pattern, instance, &mut table);
+    table
+}
+
+/// The crossed-part filter: a matching of the positive part survives iff
+/// it *cannot* be enlarged to the complete (unnegated) pattern. The
+/// extension search is compiled once, for frames with the table's domain
+/// pre-bound (`positive_part`/`unnegated` preserve the node arena
+/// layout, so a row's columns index the full pattern's frame).
+fn drop_extendable(pattern: &Pattern, instance: &Instance, table: &mut MatchTable) {
+    if !pattern.has_negation() {
+        return;
+    }
+    let full = pattern.unnegated();
+    let domain = table.domain.clone();
+    let order = planner::order_from(&full, instance, &domain);
+    let search = Search::compile(&full, instance, &domain, &order, false);
+    let mut cursor = search.cursor();
+    table.retain(|row| {
+        for (node, image) in domain.iter().zip(row) {
+            cursor.frame[node.index()] = Some(*image);
+        }
+        !search.extends(&mut cursor)
     });
-    found
 }
 
 /// Find all matchings of `pattern` in `instance`, in canonical order,
@@ -810,7 +779,17 @@ pub fn find_matchings_with(
     instance: &Instance,
     config: MatchConfig,
 ) -> Result<Vec<Matching>> {
-    matchings_of(pattern, instance, config, None)
+    find_match_table(pattern, instance, config).map(MatchTable::into_matchings)
+}
+
+/// [`find_matchings_with`] as the flat [`MatchTable`] the engine builds
+/// — for callers that read columns and never need a map per matching.
+pub fn find_match_table(
+    pattern: &Pattern,
+    instance: &Instance,
+    config: MatchConfig,
+) -> Result<MatchTable> {
+    table_of(pattern, instance, config, None)
 }
 
 /// The matchings of `pattern` that map at least one positive pattern
@@ -833,41 +812,28 @@ pub(crate) fn matchings_using(
     if !delta.iter().any(|(_, label, _)| occurs(label)) {
         return Ok(Vec::new());
     }
-    matchings_of(pattern, instance, MatchConfig::sequential(), Some(delta))
+    table_of(pattern, instance, MatchConfig::sequential(), Some(delta))
+        .map(MatchTable::into_matchings)
 }
 
-/// Shared body of [`find_matchings_with`] (`delta` absent: plan and
+/// Shared body of [`find_match_table`] (`delta` absent: plan and
 /// enumerate everything) and [`matchings_using`] (`delta` present).
-fn matchings_of(
+fn table_of(
     pattern: &Pattern,
     instance: &Instance,
     config: MatchConfig,
     delta: Option<&[EdgeTriple]>,
-) -> Result<Vec<Matching>> {
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten by a method call before matching"
-                .into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
+) -> Result<MatchTable> {
+    check_matchable(pattern, instance)?;
 
     let mut find_span = good_trace::span("match", "match/find");
     let started = find_span.is_live().then(std::time::Instant::now);
 
     let positive = pattern.positive_part();
-    let nodes: Vec<NodeId> = positive.graph().node_ids().collect();
-    let pattern_nodes = nodes.len();
+    let mut table = MatchTable::new(positive.graph().node_ids().collect());
     let mut planned = None;
-    let mut results = match delta {
-        Some(delta) => {
-            let search = Search {
-                pattern: &positive,
-                instance,
-                nodes,
-            };
-            search.enumerate_seeded(delta)
-        }
+    match delta {
+        Some(delta) => enumerate_seeded(&positive, instance, delta, &mut table),
         None => {
             // Cost-based planning: rank binding orders on the
             // incrementally maintained statistics and pick the evaluation
@@ -875,33 +841,16 @@ fn matchings_of(
             // enough for point queries.
             let choice = planner::plan(&positive, instance);
             planned = Some((choice.strategy.name(), choice.est_rows));
-            match choice.strategy {
-                JoinStrategy::GenericJoin => {
-                    good_trace::counter_add("planner.wcoj", 1);
-                    wcoj::enumerate_generic(&positive, instance, &choice.order, None)
-                }
-                JoinStrategy::Expand => {
-                    good_trace::counter_add("planner.expand", 1);
-                    let search = Search {
-                        pattern: &positive,
-                        instance,
-                        nodes,
-                    };
-                    search.enumerate(config, choice.order.first().copied())
-                }
-            }
+            good_trace::counter_add(choice.strategy.counter(), 1);
+            Search::planned(&positive, instance, &choice).enumerate(config, &mut table);
         }
-    };
-    results.sort();
-    results.dedup();
-
-    let positive_results = results.len();
-    if pattern.has_negation() {
-        results.retain(|m| !extends_to_full(pattern, instance, m));
     }
+    table.canonicalize();
+    let positive_results = table.len();
+    drop_extendable(pattern, instance, &mut table);
     if find_span.is_live() {
-        find_span.arg("pattern_nodes", pattern_nodes);
-        find_span.arg("matchings", results.len());
+        find_span.arg("pattern_nodes", table.domain.len());
+        find_span.arg("matchings", table.len());
         find_span.arg("negation", pattern.has_negation());
         if let Some((strategy, est_rows)) = planned {
             find_span.arg("strategy", strategy);
@@ -913,13 +862,13 @@ fn matchings_of(
         good_trace::counter_add("match.calls", 1);
         good_trace::counter_add(
             "match.negation_filtered",
-            (positive_results - results.len()) as u64,
+            (positive_results - table.len()) as u64,
         );
         if let Some(t0) = started {
             good_trace::observe_ns("match.find_ns", t0.elapsed().as_nanos() as u64);
         }
     }
-    Ok(results)
+    Ok(table)
 }
 
 // ---- EXPLAIN -------------------------------------------------------------
@@ -1112,58 +1061,47 @@ fn explain(
     config: MatchConfig,
     profile: bool,
 ) -> Result<Plan> {
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten by a method call before matching"
-                .into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
+    check_matchable(pattern, instance)?;
     let positive = pattern.positive_part();
-    let nodes: Vec<NodeId> = positive.graph().node_ids().collect();
-    let search = Search {
-        pattern: &positive,
-        instance,
-        nodes,
-    };
-    let empty = search.frame();
     let threads = config.resolved_threads();
     let choice = planner::plan(&positive, instance);
 
-    // Profile: execute the planned order once, counting the partial
-    // matchings that survive each depth. The generic enumerator walks
-    // exactly the planned static order, so its per-depth counts are the
-    // per-step actuals for both strategies.
+    // Profile: walk the planned order once, sequentially and pruning
+    // (whatever the strategy, so a step's actual is what survives every
+    // constraint decidable at it): the frames the loop visits at each
+    // depth are the partial matchings that survived the step before.
     let (actuals, actual_matchings) = if profile {
         let mut span = good_trace::span("match", "match/explain");
-        let mut counts = vec![0u64; choice.order.len()];
-        let mut results =
-            wcoj::enumerate_generic(&positive, instance, &choice.order, Some(&mut counts));
-        results.sort();
-        results.dedup();
-        if pattern.has_negation() {
-            results.retain(|m| !extends_to_full(pattern, instance, m));
-        }
-        span.arg("matchings", results.len());
+        let search = Search::compile(&positive, instance, &[], &choice.order, true);
+        let mut cursor = search.cursor();
+        let mut table = MatchTable::new(choice.order.clone());
+        search.solve(0, &mut cursor, &mut |complete| {
+            table.push_frame(complete);
+            true
+        });
+        let matchings = finish(pattern, instance, table).len();
+        span.arg("matchings", matchings);
         span.arg("strategy", choice.strategy.name());
-        (Some(counts), Some(results.len()))
+        (Some(cursor.visited.split_off(1)), Some(matchings))
     } else {
         (None, None)
     };
 
+    let search = Search::planned(&positive, instance, &choice);
+    let mut roots = Vec::new();
+    if !search.steps.is_empty() {
+        search.fill(0, &mut search.cursor(), &mut roots);
+    }
+    let root_candidates = roots.len();
     let mut planned: BTreeSet<NodeId> = BTreeSet::new();
     let mut steps = Vec::new();
-    let mut root_candidates = 0usize;
     for (index, step) in choice.steps.iter().enumerate() {
         let node = step.node;
-        if planned.is_empty() {
-            root_candidates = search.candidates(node, &empty).len();
-        }
         let label = match &positive.graph().node(node).expect("live pattern node").kind {
             PatternNodeKind::Class(label) => label.to_string(),
             _ => "?".into(),
         };
-        let access = search.describe_access(node, &planned);
+        let access = describe_access(&positive, node, &planned);
         let actual_rows = actuals.as_ref().map(|counts| counts[index]);
         if let Some(actual) = actual_rows {
             let estimated = step.est_rows.max(0.0);
@@ -1184,10 +1122,8 @@ fn explain(
         });
         planned.insert(node);
     }
-    let parallel = choice.strategy == JoinStrategy::Expand
-        && !choice.order.is_empty()
-        && threads > 1
-        && root_candidates >= config.parallel_threshold;
+    let parallel =
+        !choice.order.is_empty() && threads > 1 && root_candidates >= config.parallel_threshold;
     let morsel = if parallel {
         (root_candidates / (threads * 8)).clamp(1, 1024)
     } else {
@@ -1209,87 +1145,104 @@ fn explain(
     })
 }
 
-/// True if the pattern matches at least once (early-exit variant).
-pub fn matches_once(pattern: &Pattern, instance: &Instance) -> Result<bool> {
-    // Negation requires full enumeration of the positive part anyway
-    // only per-matching; reuse find_matchings for simplicity there.
-    if pattern.has_negation() {
-        return Ok(!find_matchings(pattern, instance)?.is_empty());
-    }
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten before matching".into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
-    let nodes: Vec<NodeId> = pattern.graph().node_ids().collect();
-    let search = Search {
-        pattern,
-        instance,
-        nodes,
+/// Human description of the access path a step takes for `pnode` once
+/// every node in `planned` is bound. Used by [`explain_plan`]; mirrors
+/// the candidate-derivation priority of the compiled steps.
+fn describe_access(pattern: &Pattern, pnode: NodeId, planned: &BTreeSet<NodeId>) -> String {
+    let data = pattern.graph().node(pnode).expect("live pattern node");
+    let PatternNodeKind::Class(label) = &data.kind else {
+        return "method head (not matchable)".into();
     };
-    let mut found = false;
-    let mut frame = search.frame();
-    let mut steps = 0u64;
-    search.solve(&mut frame, &mut steps, &mut |_| {
-        found = true;
-        false
-    });
-    Ok(found)
+    let predicate_note = if data.predicate.is_some() {
+        " + predicate filter"
+    } else {
+        ""
+    };
+    if let Some(value) = &data.print {
+        return format!("printable probe ({label} = {value})");
+    }
+    let mut anchors: Vec<String> = Vec::new();
+    let mut unanchored = 0usize;
+    for edge in pattern.graph().out_edges(pnode) {
+        if edge.payload.negated {
+            continue;
+        }
+        if planned.contains(&edge.dst) {
+            anchors.push(format!("-[{}]->", edge.payload.label));
+        } else {
+            unanchored += 1;
+        }
+    }
+    for edge in pattern.graph().in_edges(pnode) {
+        if edge.payload.negated || edge.src == pnode {
+            continue;
+        }
+        if planned.contains(&edge.src) {
+            anchors.push(format!("<-[{}]-", edge.payload.label));
+        } else {
+            unanchored += 1;
+        }
+    }
+    if !anchors.is_empty() {
+        format!(
+            "index probe: ({label}, edge) postings of a bound neighbour via {}{predicate_note}",
+            anchors.join(" / ")
+        )
+    } else if unanchored > 0 {
+        format!(
+            "support intersection over {unanchored} incident edge label(s) \
+             on {label}{predicate_note}"
+        )
+    } else {
+        format!("label extent scan of {label}{predicate_note}")
+    }
 }
 
-/// Ablation variant of [`find_matchings`]: backtracking with the same
-/// candidate derivation but a *static* node order (pattern-node id
-/// order) instead of dynamic most-constrained-node selection. Exists to
-/// quantify, in benchmark E1, how much the selection heuristic buys.
+/// True if the pattern matches at least once (early-exit variant).
+pub fn matches_once(pattern: &Pattern, instance: &Instance) -> Result<bool> {
+    // A crossed part is decided per matching of the positive part, so
+    // there is no first witness to stop at: enumerate.
+    if pattern.has_negation() {
+        let table = find_match_table(pattern, instance, MatchConfig::default())?;
+        return Ok(!table.is_empty());
+    }
+    check_matchable(pattern, instance)?;
+    let order = planner::plan(pattern, instance).order;
+    let search = Search::compile(pattern, instance, &[], &order, false);
+    Ok(search.extends(&mut search.cursor()))
+}
+
+/// Ablation variant of [`find_matchings`]: the same compiled-step loop
+/// given pattern-node id order instead of the planner's costed order,
+/// sequentially. Exists to quantify, in benchmark E1, what the planned
+/// order buys.
 pub fn find_matchings_static_order(
     pattern: &Pattern,
     instance: &Instance,
 ) -> Result<Vec<Matching>> {
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten before matching".into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
+    matchings_in_order(pattern, instance, false, |positive| {
+        let mut order: Vec<NodeId> = positive.graph().node_ids().collect();
+        order.sort_unstable();
+        order
+    })
+}
+
+/// The one loop over a caller-chosen shape — binding order and pruning —
+/// run sequentially: the body of [`find_matchings_static_order`] and of
+/// `wcoj::find_matchings_wcoj`.
+pub(crate) fn matchings_in_order(
+    pattern: &Pattern,
+    instance: &Instance,
+    prune: bool,
+    order: impl FnOnce(&Pattern) -> Vec<NodeId>,
+) -> Result<Vec<Matching>> {
+    check_matchable(pattern, instance)?;
     let positive = pattern.positive_part();
-    let mut order: Vec<NodeId> = positive.graph().node_ids().collect();
-    order.sort();
-    let search = Search {
-        pattern: &positive,
-        instance,
-        nodes: order.clone(),
-    };
-
-    fn solve_static(
-        search: &Search<'_>,
-        order: &[NodeId],
-        depth: usize,
-        frame: &mut Frame,
-        results: &mut Vec<Matching>,
-    ) {
-        if depth == order.len() {
-            results.push(search.to_matching(frame));
-            return;
-        }
-        let next = order[depth];
-        for candidate in search.candidates(next, frame) {
-            frame.bind(next, candidate);
-            if search.edges_consistent(next, frame) {
-                solve_static(search, order, depth + 1, frame, results);
-            }
-            frame.unbind(next);
-        }
-    }
-
-    let mut results = Vec::new();
-    solve_static(&search, &order, 0, &mut search.frame(), &mut results);
-    results.sort();
-    results.dedup();
-    if pattern.has_negation() {
-        results.retain(|m| !extends_to_full(pattern, instance, m));
-    }
-    Ok(results)
+    let order = order(&positive);
+    let mut table = MatchTable::new(order.clone());
+    Search::compile(&positive, instance, &[], &order, prune)
+        .enumerate(MatchConfig::sequential(), &mut table);
+    Ok(finish(pattern, instance, table).into_matchings())
 }
 
 /// Naive enumeration: per-node candidate lists, full cross product,
@@ -1297,58 +1250,41 @@ pub fn find_matchings_static_order(
 /// baseline of benchmark E1. Negation is evaluated the same way as the
 /// planned engine.
 pub fn find_matchings_naive(pattern: &Pattern, instance: &Instance) -> Result<Vec<Matching>> {
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten before matching".into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
+    check_matchable(pattern, instance)?;
     let positive = pattern.positive_part();
-    let nodes: Vec<NodeId> = positive.graph().node_ids().collect();
+    let mut table = MatchTable::new(positive.graph().node_ids().collect());
+    let nodes = table.domain.clone();
 
-    let mut candidate_lists: Vec<Vec<NodeId>> = Vec::with_capacity(nodes.len());
-    for &node in &nodes {
-        let data = positive.graph().node(node).expect("live");
-        let PatternNodeKind::Class(label) = &data.kind else {
-            return Err(GoodError::InvalidPattern(
-                "method head in positive part".into(),
-            ));
-        };
-        let cands: Vec<NodeId> = instance
-            .nodes_with_label(label)
-            .filter(|c| node_compatible(instance, data, *c))
-            .collect();
-        candidate_lists.push(cands);
-    }
+    let candidate_lists: Vec<Vec<NodeId>> = nodes
+        .iter()
+        .map(|&node| {
+            let data = positive.graph().node(node).expect("live");
+            let label = positive
+                .node_label(node)
+                .expect("method heads are rejected");
+            instance
+                .nodes_with_label(label)
+                .filter(|c| node_compatible(instance, data, *c))
+                .collect()
+        })
+        .collect();
 
-    let mut results = Vec::new();
+    let column = |node: NodeId| nodes.binary_search(&node).expect("pattern node");
     let mut assignment: Vec<usize> = vec![0; nodes.len()];
-    'outer: loop {
-        // Build the binding for the current assignment.
-        if candidate_lists.iter().all(|c| !c.is_empty()) || nodes.is_empty() {
-            let binding: BTreeMap<NodeId, NodeId> = nodes
-                .iter()
-                .enumerate()
-                .map(|(k, &n)| (n, candidate_lists[k][assignment[k]]))
-                .collect();
-            let ok = positive.graph().edges().all(|edge| {
-                edge.payload.negated
-                    || instance.has_edge(
-                        binding[&edge.src],
-                        &edge.payload.label,
-                        binding[&edge.dst],
-                    )
-            });
-            if ok {
-                results.push(Matching(binding));
-            }
-        } else {
-            break;
+    // An empty candidate list empties the product; the empty pattern has
+    // the one empty row.
+    'outer: while candidate_lists.iter().all(|c| !c.is_empty()) {
+        let row: Vec<NodeId> = (0..nodes.len())
+            .map(|k| candidate_lists[k][assignment[k]])
+            .collect();
+        let ok = positive.graph().edges().all(|edge| {
+            let (src, dst) = (row[column(edge.src)], row[column(edge.dst)]);
+            instance.has_edge(src, &edge.payload.label, dst)
+        });
+        if ok {
+            table.push_row(row);
         }
         // Advance the odometer.
-        if nodes.is_empty() {
-            break;
-        }
         let mut k = nodes.len();
         loop {
             if k == 0 {
@@ -1362,12 +1298,7 @@ pub fn find_matchings_naive(pattern: &Pattern, instance: &Instance) -> Result<Ve
             assignment[k] = 0;
         }
     }
-    results.sort();
-    results.dedup();
-    if pattern.has_negation() {
-        results.retain(|m| !extends_to_full(pattern, instance, m));
-    }
-    Ok(results)
+    Ok(finish(pattern, instance, table).into_matchings())
 }
 
 #[cfg(test)]
@@ -1657,6 +1588,106 @@ mod tests {
         let mut p = Pattern::new();
         p.node("Nope");
         assert!(find_matchings(&p, &db).is_err());
+    }
+
+    proptest::proptest! {
+        /// Canonical tables stand for canonical matching lists: sorting
+        /// and deduplicating rows is sorting and deduplicating the
+        /// `BTreeMap`s they would have been.
+        #[test]
+        fn table_roundtrip_equals_map_construction(
+            width in 0usize..=3,
+            rows in proptest::collection::vec(proptest::collection::vec(0usize..6, 3), 0..12),
+        ) {
+            use proptest::prelude::*;
+            let mut db = Instance::new(scheme());
+            let pool: Vec<NodeId> = (0..6).map(|_| db.add_object("Info").unwrap()).collect();
+            // Columns in descending id order on purpose: `new` sorts.
+            let mut table = MatchTable::new(pool[..width].iter().rev().copied().collect());
+            let mut maps = Vec::new();
+            for row in &rows {
+                let images = || row[..width].iter().map(|&at| pool[at]);
+                table.push_row(images());
+                maps.push(Matching::from_pairs(table.domain().iter().copied().zip(images())));
+            }
+            maps.sort();
+            maps.dedup();
+            table.canonicalize();
+            prop_assert_eq!(table.len(), maps.len());
+            for (row, map) in table.rows().zip(&maps) {
+                for (column, node) in table.domain().iter().enumerate() {
+                    prop_assert_eq!(table.column(*node), Some(column));
+                    prop_assert_eq!(row[column], map.image(*node));
+                }
+            }
+            prop_assert_eq!(table.into_matchings(), maps);
+        }
+    }
+
+    /// A pre-bound frame is completed to the same rows whichever order
+    /// its remaining nodes are compiled in.
+    #[test]
+    fn prebound_frames_agree_across_compiled_orders() {
+        let db = crate::gen::random_instance(&crate::gen::GenConfig {
+            infos: 24,
+            avg_links: 2.0,
+            distinct_dates: 3,
+            seed: 7,
+        });
+        let links = Label::new("links-to");
+
+        // A seeded edge: x -links-to-> y pre-bound to every links-to edge
+        // in turn, z and d still to bind. Every matching maps the seeded
+        // pattern edge somewhere, so the union is `find_matchings`.
+        let mut p = Pattern::new();
+        let (x, y, z) = (p.node("Info"), p.node("Info"), p.node("Info"));
+        let d = p.node("Date");
+        p.edge(x, "links-to", y);
+        p.edge(y, "links-to", z);
+        p.edge(x, "created", d);
+        let mut seeded = Vec::new();
+        for order in [[z, d], [d, z]] {
+            let search = Search::compile(&p, &db, &[x, y], &order, false);
+            let mut cursor = search.cursor();
+            let mut table = MatchTable::new(vec![x, y, z, d]);
+            for src in db.nodes_with_label(&Label::new("Info")) {
+                for dst in db.targets(src, &links) {
+                    cursor.frame[x.index()] = Some(src);
+                    cursor.frame[y.index()] = Some(dst);
+                    assert!(search.bound_edges_hold(&cursor.frame));
+                    search.solve(0, &mut cursor, &mut |complete| {
+                        table.push_frame(complete);
+                        true
+                    });
+                }
+            }
+            table.canonicalize();
+            seeded.push(table.into_matchings());
+        }
+        assert_eq!(seeded[0], seeded[1]);
+        assert_eq!(seeded[0], find_matchings(&p, &db).unwrap());
+        assert!(!seeded[0].is_empty());
+
+        // A negation extension: a pre-bound, the crossed chain b, c to
+        // find. `[c, b]` starts at a node with no bound neighbour.
+        let mut q = Pattern::new();
+        let a = q.node("Info");
+        let (b, c) = (q.negated_node("Info"), q.negated_node("Info"));
+        q.edge(a, "links-to", b);
+        q.edge(b, "links-to", c);
+        let full = q.unnegated();
+        let survivors: Vec<NodeId> = (find_matchings(&q, &db).unwrap().iter())
+            .map(|m| m.image(a))
+            .collect();
+        for order in [[b, c], [c, b]] {
+            let search = Search::compile(&full, &db, &[a], &order, false);
+            let mut cursor = search.cursor();
+            for image in db.nodes_with_label(&Label::new("Info")) {
+                cursor.frame[a.index()] = Some(image);
+                assert_eq!(search.extends(&mut cursor), !survivors.contains(&image));
+            }
+        }
+        assert!(!survivors.is_empty() && survivors.len() < 24);
     }
 
     #[test]

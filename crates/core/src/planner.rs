@@ -26,9 +26,9 @@
 //! pattern edge: a 3-node anchored point query plans in well under a
 //! microsecond, protecting the matcher's hot path.
 
-use crate::error::{GoodError, Result};
+use crate::error::Result;
 use crate::instance::Instance;
-use crate::matching::{extends_to_full, node_compatible, Matching};
+use crate::matching::{check_matchable, finish, node_compatible, MatchTable, Matching};
 use crate::pattern::{Pattern, PatternNodeKind};
 use good_graph::NodeId;
 use std::collections::BTreeMap;
@@ -55,6 +55,14 @@ pub enum JoinStrategy {
 }
 
 impl JoinStrategy {
+    /// The trace counter that tallies plans of this strategy.
+    pub(crate) fn counter(&self) -> &'static str {
+        match self {
+            JoinStrategy::Expand => "planner.expand",
+            JoinStrategy::GenericJoin => "planner.wcoj",
+        }
+    }
+
     /// Short lowercase name for rendering and span args.
     pub fn name(&self) -> &'static str {
         match self {
@@ -295,13 +303,18 @@ impl<'a> Planner<'a> {
         (width, factor)
     }
 
-    /// Grow a full binding order greedily from `root`, propagating the
-    /// cardinality estimate: at every step the unbound node with the
-    /// smallest estimated row count after binding wins (connected nodes
-    /// before disconnected ones, pattern-node id breaking ties).
-    fn greedy(&self, root: NodeId) -> GreedyRun {
+    /// Grow a binding order over the nodes outside `prebound` greedily,
+    /// starting at `root` (or, without one, at the cheapest node given
+    /// the pre-bound set), propagating the cardinality estimate: at
+    /// every step the unbound node with the smallest estimated row count
+    /// after binding wins (connected nodes before disconnected ones,
+    /// pattern-node id breaking ties).
+    fn greedy(&self, prebound: &[NodeId], root: Option<NodeId>) -> GreedyRun {
         let capacity = self.pattern.graph().node_index_bound();
         let mut bound = vec![false; capacity];
+        for node in prebound {
+            bound[node.index()] = true;
+        }
         let mut run = GreedyRun {
             order: Vec::with_capacity(self.nodes.len()),
             steps: Vec::with_capacity(self.nodes.len()),
@@ -309,7 +322,7 @@ impl<'a> Planner<'a> {
             est_peak: 0.0,
             est_cost: 0.0,
         };
-        let mut next = Some(root);
+        let mut next = root.or_else(|| self.cheapest_unbound(&bound, run.est_rows));
         while let Some(node) = next {
             let (width, factor) = self.step_estimate(node, &bound);
             run.est_cost += run.est_rows * width;
@@ -322,30 +335,33 @@ impl<'a> Planner<'a> {
                 est_rows: run.est_rows,
             });
             bound[node.index()] = true;
-            // Pick the cheapest next node: any connected candidate beats
-            // any disconnected one (a cross product multiplies rows by a
-            // whole extent).
-            next = self
-                .nodes
-                .iter()
-                .filter(|n| !bound[n.index()])
-                .map(|&n| {
-                    let connected = self.incident[n.index()].iter().any(|&index| {
-                        let edge = &self.edges[index];
-                        let other = if edge.src == n { edge.dst } else { edge.src };
-                        bound[other.index()]
-                    });
-                    let (_, factor) = self.step_estimate(n, &bound);
-                    (!connected, run.est_rows * factor, n)
-                })
-                .min_by(|a, b| {
-                    // Lexicographic: connectedness first, then estimated
-                    // rows, then node id for determinism.
-                    a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2))
-                })
-                .map(|(_, _, n)| n);
+            next = self.cheapest_unbound(&bound, run.est_rows);
         }
         run
+    }
+
+    /// The cheapest node to bind next: any connected candidate beats any
+    /// disconnected one (a cross product multiplies rows by a whole
+    /// extent).
+    fn cheapest_unbound(&self, bound: &[bool], rows: f64) -> Option<NodeId> {
+        self.nodes
+            .iter()
+            .filter(|n| !bound[n.index()])
+            .map(|&n| {
+                let connected = self.incident[n.index()].iter().any(|&index| {
+                    let edge = &self.edges[index];
+                    let other = if edge.src == n { edge.dst } else { edge.src };
+                    bound[other.index()]
+                });
+                let (_, factor) = self.step_estimate(n, bound);
+                (!connected, rows * factor, n)
+            })
+            .min_by(|a, b| {
+                // Lexicographic: connectedness first, then estimated
+                // rows, then node id for determinism.
+                a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2))
+            })
+            .map(|(_, _, n)| n)
     }
 
     /// Is any connected component of the positive pattern cyclic
@@ -412,7 +428,7 @@ pub fn plan(pattern: &Pattern, instance: &Instance) -> PlanChoice {
     let best = planner
         .nodes
         .iter()
-        .map(|&root| planner.greedy(root))
+        .map(|&root| planner.greedy(&[], Some(root)))
         .min_by(|a, b| a.est_cost.total_cmp(&b.est_cost))
         .expect("non-empty pattern");
     let cyclic = planner.cyclic();
@@ -435,6 +451,18 @@ pub fn plan(pattern: &Pattern, instance: &Instance) -> PlanChoice {
     }
 }
 
+/// The binding order for the nodes of `pattern` outside `prebound`, by
+/// the same greedy routine [`plan`] runs from every root, started from
+/// the bound set instead — the order a pre-bound frame (a delta-seeded
+/// edge, a matching being extended over crossed parts) is completed in.
+pub(crate) fn order_from(
+    pattern: &Pattern,
+    instance: &Instance,
+    prebound: &[NodeId],
+) -> Vec<NodeId> {
+    Planner::new(pattern, instance).greedy(prebound, None).order
+}
+
 // ---- binary (edge-at-a-time) join baseline --------------------------------
 
 /// Find all matchings by *materializing* edge-at-a-time binary joins:
@@ -450,12 +478,7 @@ pub fn plan(pattern: &Pattern, instance: &Instance) -> PlanChoice {
 /// tests and benchmark E18; results are canonical (sorted, deduped,
 /// negation post-filtered) and bit-identical to every other engine.
 pub fn find_matchings_binary(pattern: &Pattern, instance: &Instance) -> Result<Vec<Matching>> {
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten before matching".into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
+    check_matchable(pattern, instance)?;
     let positive = pattern.positive_part();
     let graph = positive.graph();
     let capacity = graph.node_index_bound();
@@ -632,27 +655,19 @@ pub fn find_matchings_binary(pattern: &Pattern, instance: &Instance) -> Result<V
         rows = expanded;
     }
 
-    let mut results: Vec<Matching> = if !started {
+    let mut table = MatchTable::new(all_nodes);
+    if !started {
         // The empty pattern has exactly one (empty) matching.
-        vec![Matching::from_pairs([])]
+        table.push_row([]);
     } else {
-        rows.chunks(columns)
-            .map(|row| {
-                Matching::from_pairs(all_nodes.iter().map(|&node| {
-                    (
-                        node,
-                        row[column[node.index()].expect("every positive node joined")],
-                    )
-                }))
-            })
-            .collect()
-    };
-    results.sort();
-    results.dedup();
-    if pattern.has_negation() {
-        results.retain(|m| !extends_to_full(pattern, instance, m));
+        let columns_of: Vec<usize> = (table.domain().iter())
+            .map(|node| column[node.index()].expect("every positive node joined"))
+            .collect();
+        for row in rows.chunks(columns) {
+            table.push_row(columns_of.iter().map(|&at| row[at]));
+        }
     }
-    Ok(results)
+    Ok(finish(pattern, instance, table).into_matchings())
 }
 
 #[cfg(test)]

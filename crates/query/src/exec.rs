@@ -23,14 +23,20 @@
 //! GOODQL literal for printables and `label#index` for objects; rows
 //! sort lexicographically; `DISTINCT` dedups; `LIMIT` truncates after
 //! the sort. Identical `QueryOutput`s therefore mean identical answer
-//! sets.
+//! sets. The projection works on node ids: every lane hands it the
+//! RETURN columns as a flat id table, each cell gets an integer sort key
+//! that orders as its text would (see [`index_key`]; printables are
+//! rendered once per distinct node and ranked), rows are ordered,
+//! deduplicated and truncated as key tuples, and `String`s are
+//! allocated only for the rows that survive ([`RowSet::into_output`]).
 
 use crate::ast::render_value;
 use crate::compile::{compile, CompiledQuery, PathDerivation, Step};
 use crate::parser::parse_query;
 use crate::QueryError;
 use good_core::instance::Instance;
-use good_core::matching::{explain_plan_profiled, find_matchings_with, MatchConfig, Matching};
+use good_core::label::Label;
+use good_core::matching::{explain_plan_profiled, find_match_table, MatchConfig, Matching};
 use good_core::pattern::Pattern;
 use good_core::program::Env;
 use good_graph::NodeId;
@@ -84,6 +90,92 @@ pub struct QueryOutput {
     pub rows: Vec<Vec<String>>,
 }
 
+/// A canonicalized answer before its cells become `String`s. Lets a
+/// caller size a reply ([`RowSet::cell_bytes`]) before paying for it.
+#[derive(Debug, Clone)]
+pub struct RowSet {
+    columns: Vec<String>,
+    /// What each column's cells hold — a variable has one class, so a
+    /// column is all objects of one label or all printables.
+    kinds: Vec<ColumnKind>,
+    /// Row-major cells of the surviving rows, in canonical order.
+    cells: Vec<u64>,
+}
+
+#[derive(Debug, Clone)]
+enum ColumnKind {
+    /// Objects of this class; a cell is the node's arena index and
+    /// renders `class#index`.
+    Objects(Label),
+    /// Printables; a cell indexes these literals, the column's distinct
+    /// rendered values in ascending order.
+    Printables(Vec<String>),
+}
+
+impl RowSet {
+    /// The RETURN variables, in RETURN order.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.cells.len() / self.columns.len().max(1)
+    }
+
+    /// True for the empty answer.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[u64]> {
+        self.cells.chunks(self.columns.len().max(1))
+    }
+
+    /// Total bytes of rendered cell text over all rows.
+    pub fn cell_bytes(&self) -> usize {
+        let cell_len = |(kind, &cell): (&ColumnKind, &u64)| match kind {
+            ColumnKind::Objects(class) => {
+                class.as_str().len() + 1 + cell.checked_ilog10().map_or(1, |log| log as usize + 1)
+            }
+            ColumnKind::Printables(literals) => literals[cell as usize].len(),
+        };
+        self.rows()
+            .flat_map(|row| self.kinds.iter().zip(row).map(cell_len))
+            .sum()
+    }
+
+    /// Render the rows: one exact-size allocation per cell, no
+    /// `format!`.
+    pub fn into_output(self) -> QueryOutput {
+        let render = |(kind, &cell): (&ColumnKind, &u64)| match kind {
+            ColumnKind::Objects(class) => {
+                let mut digits = [0u8; 20];
+                let (mut at, mut rest) = (digits.len(), cell);
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                let digits = std::str::from_utf8(&digits[at..]).expect("ascii digits");
+                [class.as_str(), "#", digits].concat()
+            }
+            ColumnKind::Printables(literals) => literals[cell as usize].clone(),
+        };
+        let rows = self
+            .rows()
+            .map(|row| self.kinds.iter().zip(row).map(render).collect())
+            .collect();
+        QueryOutput {
+            columns: self.columns,
+            rows,
+        }
+    }
+}
+
 /// Parse, compile, and execute `text` against `db` on one backend.
 pub fn run(db: &Instance, text: &str, backend: Backend) -> Result<QueryOutput, QueryError> {
     let query = parse_query(text)?;
@@ -97,12 +189,21 @@ pub fn execute(
     compiled: &CompiledQuery,
     backend: Backend,
 ) -> Result<QueryOutput, QueryError> {
-    let tuples = match backend {
-        Backend::Core => core_tuples(db, compiled)?,
-        Backend::Relational => relational_tuples(db, compiled)?,
-        Backend::Tarski => tarski_tuples(db, compiled)?,
+    execute_rows(db, compiled, backend).map(RowSet::into_output)
+}
+
+/// [`execute`], stopping before the row `String`s are allocated.
+pub fn execute_rows(
+    db: &Instance,
+    compiled: &CompiledQuery,
+    backend: Backend,
+) -> Result<RowSet, QueryError> {
+    let cells = match backend {
+        Backend::Core => core_cells(db, compiled)?,
+        Backend::Relational => returned(compiled, &relational_tuples(db, compiled)?),
+        Backend::Tarski => returned(compiled, &tarski_tuples(db, compiled)?),
     };
-    Ok(project(db, compiled, tuples))
+    Ok(project(db, compiled, &cells))
 }
 
 /// Execute on all three backends and require bit-identical outputs —
@@ -177,11 +278,19 @@ fn materialize_core(db: &Instance, compiled: &CompiledQuery) -> Result<Instance,
     Ok(scratch)
 }
 
-fn core_tuples(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<Vec<NodeId>>, QueryError> {
+/// The RETURN columns of the core lane's answer, row-major, read
+/// straight off the match table by column index.
+fn core_cells(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<NodeId>, QueryError> {
     let scratch = materialize_core(db, compiled)?;
     let (pattern, nodes) = compiled.pattern(true);
-    let matchings = find_matchings_with(&pattern, &scratch, MatchConfig::default())?;
-    Ok(to_tuples(&matchings, &nodes, &compiled.vars))
+    let table = find_match_table(&pattern, &scratch, MatchConfig::default())?;
+    let columns: Vec<usize> = (compiled.ast.returns.iter())
+        .map(|var| table.column(nodes[var]).expect("variables are positive"))
+        .collect();
+    Ok(table
+        .rows()
+        .flat_map(|row| columns.iter().map(|&column| row[column]))
+        .collect())
 }
 
 // ---- relational lane ------------------------------------------------------
@@ -412,59 +521,122 @@ fn to_tuples(
     nodes: &BTreeMap<String, NodeId>,
     vars: &[String],
 ) -> Vec<Vec<NodeId>> {
+    let var_nodes: Vec<NodeId> = vars.iter().map(|var| nodes[var]).collect();
     matchings
         .iter()
-        .map(|matching| vars.iter().map(|var| matching.image(nodes[var])).collect())
+        .map(|matching| var_nodes.iter().map(|&n| matching.image(n)).collect())
         .collect()
 }
 
-/// Project tuples onto the RETURN variables and canonicalize rows.
-fn project(db: &Instance, compiled: &CompiledQuery, tuples: Vec<Vec<NodeId>>) -> QueryOutput {
-    let indices: Vec<usize> = compiled
-        .ast
-        .returns
-        .iter()
+/// Var tuples → their RETURN columns, row-major.
+fn returned(compiled: &CompiledQuery, tuples: &[Vec<NodeId>]) -> Vec<NodeId> {
+    let indices: Vec<usize> = (compiled.ast.returns.iter())
         .map(|var| {
-            compiled
-                .vars
-                .iter()
-                .position(|v| v == var)
-                .expect("RETURN variables are bound")
+            let at = compiled.vars.iter().position(|v| v == var);
+            at.expect("RETURN variables are bound")
         })
         .collect();
-    let mut rows: Vec<Vec<String>> = tuples
+    tuples
         .iter()
-        .map(|tuple| {
-            indices
-                .iter()
-                .map(|&index| render_cell(db, tuple[index]))
-                .collect()
-        })
-        .collect();
-    rows.sort();
+        .flat_map(|tuple| indices.iter().map(|&index| tuple[index]))
+        .collect()
+}
+
+/// Canonicalize rows of RETURN-column node ids (`cells`, row-major):
+/// give every cell an integer key that orders, within its column, as
+/// its rendered text does — equal exactly when the texts are — then
+/// sort the rows as key tuples and apply DISTINCT and LIMIT.
+fn project(db: &Instance, compiled: &CompiledQuery, cells: &[NodeId]) -> RowSet {
+    let returns = &compiled.ast.returns;
+    let width = returns.len().max(1);
+    let mut keys = vec![0u64; cells.len()];
+    let mut kinds = Vec::with_capacity(returns.len());
+    for (column, var) in returns.iter().enumerate() {
+        let slots = (column..cells.len()).step_by(width);
+        let class = &compiled.labels[var];
+        if !db.scheme().is_printable_label(class) {
+            // `Info#10` sorts before `Info#9`: digit strings, not numbers.
+            for slot in slots {
+                keys[slot] = index_key(cells[slot].index());
+            }
+            kinds.push(ColumnKind::Objects(class.clone()));
+            continue;
+        }
+        // Printables: render each distinct node once and rank the texts
+        // (distinct values can render alike — every `Bytes` does).
+        let mut nodes: Vec<NodeId> = slots.clone().map(|slot| cells[slot]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut texts: Vec<(String, usize)> = (nodes.iter().enumerate())
+            .map(|(at, &node)| (render_printable(db, node), at))
+            .collect();
+        texts.sort_unstable();
+        let mut rank = vec![0u64; nodes.len()];
+        let mut literals: Vec<String> = Vec::new();
+        for (text, at) in texts {
+            if literals.last() != Some(&text) {
+                literals.push(text);
+            }
+            rank[at] = literals.len() as u64 - 1;
+        }
+        for slot in slots {
+            let at = nodes.binary_search(&cells[slot]).expect("collected above");
+            keys[slot] = rank[at];
+        }
+        kinds.push(ColumnKind::Printables(literals));
+    }
+    let row_keys = |row: usize| &keys[row * width..(row + 1) * width];
+    let mut order: Vec<usize> = (0..cells.len() / width).collect();
+    order.sort_unstable_by_key(|&row| row_keys(row));
     if compiled.ast.distinct {
-        rows.dedup();
+        order.dedup_by_key(|row| row_keys(*row));
     }
     if let Some(limit) = compiled.ast.limit {
-        rows.truncate(limit as usize);
+        order.truncate(limit as usize);
     }
-    QueryOutput {
-        columns: compiled.ast.returns.clone(),
-        rows,
+    // A surviving object cell is its arena index, a printable cell its
+    // rank, which is its key.
+    let cell = |slot: usize| match kinds[slot % width] {
+        ColumnKind::Objects(_) => cells[slot].index() as u64,
+        ColumnKind::Printables(_) => keys[slot],
+    };
+    let cells = order
+        .iter()
+        .flat_map(|&row| (row * width..(row + 1) * width).map(cell))
+        .collect();
+    RowSet {
+        columns: returns.clone(),
+        kinds,
+        cells,
     }
 }
 
-/// One cell: the literal for printables, `label#index` for objects.
-fn render_cell(db: &Instance, node: NodeId) -> String {
-    match db.print_value(node) {
-        Some(value) => render_value(value),
-        None => {
-            let label = db
-                .node_label(node)
-                .map_or_else(|| "?".to_string(), |label| label.to_string());
-            format!("{label}#{}", node.index())
-        }
-    }
+/// A key that orders node indices as their decimal strings order: the
+/// digits left-aligned in a fixed width (`9` → 9000000000, `10` →
+/// 1000000000), ties — one string a prefix of the other, the rest
+/// zeros — broken by length, shorter first.
+fn index_key(index: usize) -> u64 {
+    const LEFT_ALIGN: [u64; 10] = [
+        1_000_000_000,
+        100_000_000,
+        10_000_000,
+        1_000_000,
+        100_000,
+        10_000,
+        1_000,
+        100,
+        10,
+        1,
+    ];
+    let index = u32::try_from(index).expect("arena slots are u32");
+    let digits = index.checked_ilog10().map_or(1, |log| log as usize + 1);
+    u64::from(index) * LEFT_ALIGN[digits - 1] * 16 + digits as u64
+}
+
+/// The GOODQL literal of a printable node.
+fn render_printable(db: &Instance, node: NodeId) -> String {
+    db.print_value(node)
+        .map_or_else(|| "?".to_string(), render_value)
 }
 
 #[cfg(test)]
@@ -498,6 +670,148 @@ mod tests {
         db.add_edge(infos[0], links.clone(), infos[3])
             .expect("edge");
         db
+    }
+
+    /// The projection `project` replaced, kept as its reference: render
+    /// every cell (`format!` and all), sort the rows of strings, dedup,
+    /// truncate.
+    fn reference_project(db: &Instance, compiled: &CompiledQuery, cells: &[NodeId]) -> QueryOutput {
+        let render_cell = |node: &NodeId| match db.print_value(*node) {
+            Some(value) => render_value(value),
+            None => {
+                let label = db.node_label(*node).map_or("?".into(), |l| l.to_string());
+                format!("{label}#{}", node.index())
+            }
+        };
+        let width = compiled.ast.returns.len();
+        let mut rows: Vec<Vec<String>> = cells
+            .chunks(width)
+            .map(|row| row.iter().map(render_cell).collect())
+            .collect();
+        rows.sort();
+        if compiled.ast.distinct {
+            rows.dedup();
+        }
+        if let Some(limit) = compiled.ast.limit {
+            rows.truncate(limit as usize);
+        }
+        QueryOutput {
+            columns: compiled.ast.returns.clone(),
+            rows,
+        }
+    }
+
+    /// `project` ≡ `reference_project` on the core lane's cells, under
+    /// every DISTINCT/LIMIT combination asked for.
+    fn assert_projection_matches(db: &Instance, query: &crate::ast::Query) -> QueryOutput {
+        let mut last = None;
+        for distinct in [false, true] {
+            for limit in [None, Some(0), Some(1), Some(3), Some(1000)] {
+                let mut query = query.clone();
+                query.distinct = distinct;
+                query.limit = limit;
+                let compiled = compile(&query, db.scheme()).expect("compiles");
+                let cells = core_cells(db, &compiled).expect("executes");
+                let projected = project(db, &compiled, &cells);
+                let expected = reference_project(db, &compiled, &cells);
+                let bytes: usize = expected.rows.iter().flatten().map(String::len).sum();
+                assert_eq!(projected.len(), expected.rows.len(), "{query}");
+                assert_eq!(projected.cell_bytes(), bytes, "{query}");
+                assert_eq!(projected.into_output(), expected, "{query}");
+                last = Some(expected);
+            }
+        }
+        last.expect("ran")
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn projection_equals_reference_on_generated_queries(seed in 0u64..1_000_000) {
+            let db = good_core::gen::random_instance(&good_core::gen::GenConfig {
+                infos: 2 + (seed % 23) as usize,
+                avg_links: 2.0,
+                distinct_dates: 1 + (seed % 4) as usize,
+                seed,
+            });
+            assert_projection_matches(&db, &crate::gen::random_query(seed));
+        }
+
+        #[test]
+        fn index_keys_order_as_decimal_strings(a in proptest::prelude::any::<u32>(), b in 0u32..2000) {
+            for (x, y) in [(a, b), (a, a / 10), (a, a.wrapping_mul(10)), (b, b + 1)] {
+                let by_key = index_key(x as usize).cmp(&index_key(y as usize));
+                proptest::prop_assert_eq!(by_key, x.to_string().cmp(&y.to_string()), "{} vs {}", x, y);
+            }
+        }
+    }
+
+    #[test]
+    fn projection_orders_objects_as_strings_and_keeps_bags() {
+        let mut db = small_instance();
+        for _ in 0..12 {
+            db.add_object("Info").expect("node");
+        }
+        let all = parse_query("MATCH (a:Info) RETURN a").expect("parses");
+        let out = assert_projection_matches(&db, &all);
+        let at = |text: &str| out.rows.iter().position(|row| row[0] == text);
+        assert!(at("Info#10").expect("present") < at("Info#9").expect("present"));
+        // Rows that differ only in a variable that is not returned:
+        // kept without DISTINCT, collapsed with it — and the empty answer.
+        for text in [
+            "MATCH (a:Info)-[:links-to]->(b:Info) RETURN a",
+            "MATCH (a:Info)-[:links-to]->(b:Info), (b)-[:name]->(n:String) RETURN n, a",
+            "MATCH (a:Info)-[:name]->(n:String = \"nobody\") RETURN a, n",
+        ] {
+            assert_projection_matches(&db, &parse_query(text).expect("parses"));
+        }
+    }
+
+    #[test]
+    fn projection_handles_values_that_render_alike() {
+        use good_core::scheme::SchemeBuilder;
+        use good_core::value::ValueType;
+        // Two printable classes over one domain (`Age` 7 and `Count` 7
+        // both render `7`), and a class of byte strings, which all
+        // render `"<bytes>"`.
+        let scheme = SchemeBuilder::new()
+            .object("Person")
+            .printable("Age", ValueType::Int)
+            .printable("Count", ValueType::Int)
+            .printable("Blob", ValueType::Bytes)
+            .functional("Person", "age", "Age")
+            .functional("Person", "count", "Count")
+            .functional("Person", "blob", "Blob")
+            .build();
+        let mut db = Instance::new(scheme);
+        for (age, count, blob) in [(7, 7, 1u8), (7, 30, 2), (30, 7, 3), (100, 7, 3)] {
+            let person = db.add_object("Person").expect("node");
+            let age = db.add_printable("Age", Value::Int(age)).expect("printable");
+            let count = db
+                .add_printable("Count", Value::Int(count))
+                .expect("printable");
+            let blob = db
+                .add_printable("Blob", Value::bytes(vec![blob]))
+                .expect("printable");
+            db.add_edge(person, "age", age).expect("edge");
+            db.add_edge(person, "count", count).expect("edge");
+            db.add_edge(person, "blob", blob).expect("edge");
+        }
+        for text in [
+            "MATCH (p:Person)-[:age]->(x:Age), (p)-[:count]->(y:Count) RETURN x, y",
+            "MATCH (p:Person)-[:age]->(x:Age), (p)-[:count]->(y:Count) RETURN y, x, p",
+            "MATCH (p:Person)-[:blob]->(b:Blob) RETURN b",
+        ] {
+            assert_projection_matches(&db, &parse_query(text).expect("parses"));
+        }
+        let blobs = run(
+            &db,
+            "MATCH (p:Person)-[:blob]->(b:Blob) RETURN DISTINCT b",
+            Backend::Core,
+        );
+        assert_eq!(
+            blobs.expect("runs").rows,
+            vec![vec!["\"<bytes>\"".to_string()]]
+        );
     }
 
     fn agreed(db: &Instance, text: &str) -> QueryOutput {

@@ -221,7 +221,8 @@ pub struct SlowEntry {
     /// estimated vs actual rows) — queries only.
     pub plan_json: Option<String>,
     /// Named stage timings in nanoseconds (queue-wait, execute,
-    /// publish for commits; parse/match for queries).
+    /// publish for commits; parse/match for pattern queries;
+    /// parse/compile/execute plus the `rows` count for GOODQL).
     pub stages: Vec<(&'static str, u64)>,
 }
 

@@ -54,7 +54,8 @@
 //! every span.
 
 use crate::proto::{
-    encode, read_frame, write_frame, ErrCode, Frame, ProtoError, SnapshotInfo, VERSION,
+    encode, read_frame, rows_payload_len, write_frame, ErrCode, Frame, ProtoError, SnapshotInfo,
+    MAX_PAYLOAD, VERSION,
 };
 use crate::{Server, ServerError, SlowEntry, SlowKind, Ticket};
 use good_core::instance::Instance;
@@ -714,7 +715,16 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                     frame_span.arg("trace", trace_id);
                 }
                 let reply = run_query(&shared, session, request, at, &pattern, trace);
-                if writer.send(&reply).is_err() {
+                let sent = match writer.send(&reply) {
+                    // Refused before a byte was written (a textual
+                    // pattern's reply is sized only here): the stream
+                    // is intact, so answer and carry on.
+                    Err(ProtoError::Oversized { len, .. }) => {
+                        writer.send(&oversized_reply(request, len as usize))
+                    }
+                    sent => sent,
+                };
+                if sent.is_err() {
                     break;
                 }
             }
@@ -778,6 +788,20 @@ fn snapshot_for(shared: &NetShared, at: Option<u64>) -> Result<Snapshot, Frame> 
     }
 }
 
+/// The typed refusal of a `Rows` reply whose payload would exceed the
+/// frame cap. Nothing was written, so the session stays usable.
+fn oversized_reply(request: u64, payload: usize) -> Frame {
+    Frame::Err {
+        request,
+        code: ErrCode::BadRequest,
+        retry_after_ms: 0,
+        detail: format!(
+            "reply of {payload} bytes exceeds the {} MiB frame cap; add LIMIT",
+            MAX_PAYLOAD >> 20
+        ),
+    }
+}
+
 fn with_request(frame: Frame, request: u64) -> Frame {
     match frame {
         Frame::Err {
@@ -825,22 +849,37 @@ fn run_query(
         Err(err) => return with_request(err, request),
     };
     if looks_like_goodql(pattern_text) {
-        let output =
-            match good_query::run(snapshot.instance(), pattern_text, good_query::Backend::Core) {
-                Ok(output) => output,
-                Err(err) => {
-                    return Frame::Err {
-                        request,
-                        code: ErrCode::BadRequest,
-                        retry_after_ms: 0,
-                        detail: format!("query: {}", err.render(pattern_text)),
-                    }
-                }
-            };
-        let total_ns = started.elapsed().as_nanos() as u64;
+        let refuse = |err: good_query::QueryError| Frame::Err {
+            request,
+            code: ErrCode::BadRequest,
+            retry_after_ms: 0,
+            detail: format!("query: {}", err.render(pattern_text)),
+        };
+        let query = match good_query::parse_query(pattern_text) {
+            Ok(query) => query,
+            Err(err) => return refuse(err),
+        };
+        let parsed = Instant::now();
+        let compiled = match good_query::compile(&query, snapshot.instance().scheme()) {
+            Ok(compiled) => compiled,
+            Err(err) => return refuse(err),
+        };
+        let compiled_at = Instant::now();
+        let rows = match good_query::execute_rows(
+            snapshot.instance(),
+            &compiled,
+            good_query::Backend::Core,
+        ) {
+            Ok(rows) => rows,
+            Err(err) => return refuse(err),
+        };
+        let executed = Instant::now();
+        let total_ns = executed.duration_since(started).as_nanos() as u64;
         LIVE_QUERY_NS.observe(total_ns);
         let (slow_query_ns, _) = shared.server.slow_thresholds();
         if total_ns >= slow_query_ns {
+            let since =
+                |later: Instant, earlier: Instant| later.duration_since(earlier).as_nanos() as u64;
             shared.server.slow_log().push(SlowEntry {
                 seq: 0, // assigned by the log
                 kind: SlowKind::Query,
@@ -850,9 +889,22 @@ fn run_query(
                 epoch: snapshot.epoch,
                 detail: pattern_text.to_string(),
                 plan_json: None,
-                stages: vec![("query_ns", total_ns)],
+                stages: vec![
+                    ("parse_ns", since(parsed, started)),
+                    ("compile_ns", since(compiled_at, parsed)),
+                    ("execute_ns", since(executed, compiled_at)),
+                    ("rows", rows.len() as u64),
+                ],
             });
         }
+        // Size the reply before allocating its strings: a frame past the
+        // cap would be refused by `write_frame` after the work was done.
+        let width = rows.columns().len();
+        let payload = rows_payload_len(rows.columns(), rows.len(), width, rows.cell_bytes());
+        if payload > MAX_PAYLOAD {
+            return oversized_reply(request, payload);
+        }
+        let output = rows.into_output();
         return Frame::Rows {
             request,
             epoch: snapshot.epoch,

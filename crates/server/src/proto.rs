@@ -540,6 +540,14 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// The payload length [`encode`] gives a [`Frame::Rows`] of `rows` rows
+/// of `width` cells holding `cell_bytes` bytes of text in all — what a
+/// server checks against [`MAX_PAYLOAD`] before building the rows.
+pub fn rows_payload_len(columns: &[String], rows: usize, width: usize, cell_bytes: usize) -> usize {
+    let names: usize = columns.iter().map(|column| 4 + column.len()).sum();
+    8 + 8 + 4 + names + 4 + rows * (4 + 4 * width) + cell_bytes
+}
+
 /// Encode one frame: header + payload, ready for the wire.
 pub fn encode(frame: &Frame) -> Vec<u8> {
     frame_bytes(frame.type_byte(), encode_payload(frame))

@@ -262,6 +262,16 @@ fn stats_roundtrip_reports_slow_query_with_plan_rows() {
         .expect("slow ring must hold the probe query");
     assert_eq!(slow_query["detail"].as_str(), Some("{ o: Obj1; }"));
     assert!(slow_query["stages"]["match_ns"].as_u64().is_some());
+    // A GOODQL query names its layer: the three front-end stages and
+    // the size of the answer.
+    let goodql = entries
+        .iter()
+        .find(|e| e["detail"].as_str().is_some_and(|d| d.starts_with("MATCH")))
+        .expect("slow ring must hold the GOODQL query");
+    for stage in ["parse_ns", "compile_ns", "execute_ns"] {
+        assert!(goodql["stages"][stage].as_u64().is_some(), "{goodql:?}");
+    }
+    assert_eq!(goodql["stages"]["rows"].as_u64(), Some(0));
     let plan = &slow_query["plan"];
     assert!(plan["strategy"].as_str().is_some(), "plan: {plan:?}");
     let steps = plan["steps"].as_seq().expect("plan steps");

@@ -184,6 +184,62 @@ fn goodql_queries_ride_the_query_frame() {
     net.shutdown().expect("shutdown");
 }
 
+/// A reply past the frame cap is a typed refusal sized before any row
+/// string exists — not a dropped connection — and the session goes on.
+#[test]
+fn oversized_goodql_reply_is_a_typed_error_and_the_session_survives() {
+    let (net, _vfs) = start_net(ServerConfig::default(), NetConfig::default());
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    // Ten Infos: each round gives the newest, still childless Info a
+    // child.
+    client
+        .submit_wait(&labeled_program("Info"))
+        .expect("commit");
+    let mut pattern = Pattern::new();
+    let parent = pattern.node("Info");
+    let grow = Program::from_ops([Operation::NodeAdd(NodeAddition::new(
+        pattern,
+        "Info",
+        [("parent".into(), parent)],
+    ))]);
+    for _ in 0..9 {
+        client.submit_wait(&grow).expect("commit");
+    }
+    let (_, _, rows) = client.query("MATCH (a:Info) RETURN a", None).expect("ten");
+    assert_eq!(rows.len(), 10);
+
+    // 10^5 rows of five cells: 5.4 MB of payload against a 4 MiB cap.
+    let cross = "MATCH (a:Info), (b:Info), (c:Info), (d:Info), (e:Info) RETURN a, b, c, d, e";
+    match client.query(cross, None) {
+        Err(ClientError::Rejected {
+            code: ErrCode::BadRequest,
+            detail,
+            ..
+        }) => {
+            assert!(detail.contains("exceeds the 4 MiB frame cap"), "{detail}");
+            assert!(detail.contains("add LIMIT"), "{detail}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    // Same connection, same query under the cap, then a textual pattern
+    // whose reply is refused at the write instead.
+    let (_, _, rows) = client
+        .query(&format!("{cross} LIMIT 7"), None)
+        .expect("limited");
+    assert_eq!(rows.len(), 7);
+    let textual = "{ a: Info; b: Info; c: Info; d: Info; e: Info; }";
+    assert!(matches!(
+        client.query(textual, None),
+        Err(ClientError::Rejected {
+            code: ErrCode::BadRequest,
+            ..
+        })
+    ));
+    client.query("{ o: Info; }", None).expect("still served");
+    client.goodbye().expect("goodbye");
+    net.shutdown().expect("shutdown");
+}
+
 #[test]
 fn pipelined_submits_ack_in_submission_order() {
     let (net, _vfs) = start_net(

@@ -7,8 +7,8 @@
 
 use good_core::gen::random_workload;
 use good_server::proto::{
-    decode, encode, ErrCode, Frame, ProtoError, SnapshotInfo, HEADER_LEN, MAGIC, MAX_PAYLOAD,
-    VERSION,
+    decode, encode, rows_payload_len, ErrCode, Frame, ProtoError, SnapshotInfo, HEADER_LEN, MAGIC,
+    MAX_PAYLOAD, VERSION,
 };
 use proptest::prelude::*;
 
@@ -104,6 +104,12 @@ fn assert_round_trips(frame: &Frame) {
         "{} round-trip must be byte-identical",
         frame.type_name()
     );
+    // The size a server predicts for a reply is the size it encodes to.
+    if let Frame::Rows { columns, rows, .. } = frame {
+        let cell_bytes = rows.iter().flatten().map(String::len).sum();
+        let predicted = rows_payload_len(columns, rows.len(), columns.len(), cell_bytes);
+        assert_eq!(predicted, bytes.len() - HEADER_LEN);
+    }
 }
 
 #[test]
