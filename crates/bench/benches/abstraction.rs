@@ -2,72 +2,37 @@
 //! few large groups. Validates that duplicate elimination is driven by
 //! β-set hashing (cost ≈ Σ|β-sets|), not pairwise comparison (≈ n²).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use good_bench::grouped_instance;
+use good_bench::harness::Bench;
+use good_core::instance::Instance;
 use good_core::ops::Abstraction;
 use good_core::pattern::Pattern;
-use std::time::Duration;
 
-fn abstraction() -> (Pattern, good_graph::NodeId) {
+fn abstract_links(mut db: Instance) -> Instance {
     let mut p = Pattern::new();
     let info = p.node("Info");
-    (p, info)
+    Abstraction::new(p, info, "Grp", "member", "links-to")
+        .apply(&mut db)
+        .expect("applies");
+    db
 }
 
-fn bench_group_count(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E3/group-count");
-    // Constant total population (~240 members), varying partitioning.
-    for groups in [4usize, 16, 64] {
-        let members = 240 / groups;
-        group.bench_with_input(BenchmarkId::from_parameter(groups), &groups, |b, _| {
-            b.iter_batched(
-                || grouped_instance(groups, members),
-                |mut db| {
-                    let (p, info) = abstraction();
-                    Abstraction::new(p, info, "Grp", "member", "links-to")
-                        .apply(&mut db)
-                        .expect("applies")
-                },
-                criterion::BatchSize::LargeInput,
+fn main() {
+    Bench::run("abstraction", &[], |bench| {
+        // Constant total population (~240 members), varying partitioning.
+        for groups in [4usize, 16, 64] {
+            bench.time_with_setup(
+                &format!("group-count/{groups}"),
+                || grouped_instance(groups, 240 / groups),
+                abstract_links,
             );
-        });
-    }
-    group.finish();
+        }
+        for members in [10usize, 40, 160] {
+            bench.time_with_setup(
+                &format!("population/{}", members * 8),
+                || grouped_instance(8, members),
+                abstract_links,
+            );
+        }
+    });
 }
-
-fn bench_population(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E3/population");
-    for members in [10usize, 40, 160] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(members * 8),
-            &members,
-            |b, &members| {
-                b.iter_batched(
-                    || grouped_instance(8, members),
-                    |mut db| {
-                        let (p, info) = abstraction();
-                        Abstraction::new(p, info, "Grp", "member", "links-to")
-                            .apply(&mut db)
-                            .expect("applies")
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_group_count, bench_population
-}
-criterion_main!(benches);

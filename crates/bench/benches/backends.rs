@@ -4,73 +4,41 @@
 //! relation backend (the Indiana route). Also measures load time into
 //! each store.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_bench::{chain_pattern, instance_of, SIZES};
+use good_core::label::Label;
 use good_core::matching::find_matchings;
 use good_relational::backend::RelBackend;
 use good_tarski::TarskiBackend;
-use std::time::Duration;
 
-fn bench_match(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E7/match");
-    for size in SIZES {
-        let db = instance_of(size);
+fn main() {
+    Bench::run("backends", &[], |bench| {
         let (pattern, _) = chain_pattern(3);
-        let relational = RelBackend::from_instance(&db);
-        let tarski = TarskiBackend::from_instance(&db);
-        group.bench_with_input(BenchmarkId::new("native", size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-        group.bench_with_input(BenchmarkId::new("relational", size), &size, |b, _| {
-            b.iter(|| relational.match_pattern(&pattern).expect("matches"));
-        });
-        group.bench_with_input(BenchmarkId::new("tarski", size), &size, |b, _| {
-            b.iter(|| tarski.match_pattern(&pattern).expect("matches"));
-        });
-    }
-    group.finish();
+        let classes = vec![Label::new("Info"); 3];
+        let edges = vec![Label::new("links-to"); 2];
+        for size in SIZES {
+            let db = instance_of(size);
+            let relational = RelBackend::from_instance(&db);
+            let tarski = TarskiBackend::from_instance(&db);
+            bench.time(&format!("match/native/{size}"), || {
+                find_matchings(&pattern, &db).expect("matches")
+            });
+            bench.time(&format!("match/relational/{size}"), || {
+                relational.match_pattern(&pattern).expect("matches")
+            });
+            bench.time(&format!("match/tarski/{size}"), || {
+                tarski.match_pattern(&pattern).expect("matches")
+            });
+            bench.time(&format!("load/relational/{size}"), || {
+                RelBackend::from_instance(&db)
+            });
+            bench.time(&format!("load/tarski/{size}"), || {
+                TarskiBackend::from_instance(&db)
+            });
+            // Tarski's native strength: pure composition chains.
+            bench.time(&format!("path-expression/tarski-compose/{size}"), || {
+                tarski.eval_path(&classes, &edges).expect("path")
+            });
+        }
+    });
 }
-
-fn bench_load(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E7/load");
-    for size in SIZES {
-        let db = instance_of(size);
-        group.bench_with_input(BenchmarkId::new("relational", size), &size, |b, _| {
-            b.iter(|| RelBackend::from_instance(&db));
-        });
-        group.bench_with_input(BenchmarkId::new("tarski", size), &size, |b, _| {
-            b.iter(|| TarskiBackend::from_instance(&db));
-        });
-    }
-    group.finish();
-}
-
-fn bench_path_expression(c: &mut Criterion) {
-    // Tarski's native strength: pure composition chains.
-    use good_core::label::Label;
-    let mut group = c.benchmark_group("E7/path-expression");
-    for size in SIZES {
-        let db = instance_of(size);
-        let tarski = TarskiBackend::from_instance(&db);
-        let classes = vec![Label::new("Info"), Label::new("Info"), Label::new("Info")];
-        let edges = vec![Label::new("links-to"), Label::new("links-to")];
-        group.bench_with_input(BenchmarkId::new("tarski-compose", size), &size, |b, _| {
-            b.iter(|| tarski.eval_path(&classes, &edges).expect("path"));
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_match, bench_load, bench_path_expression
-}
-criterion_main!(benches);

@@ -3,94 +3,41 @@
 //! isomorphism checking, and serde round-trips. Validates that
 //! invariant enforcement stays O(1) amortized per mutation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_bench::{instance_of, SIZES};
 use good_core::gen::bench_scheme;
 use good_core::instance::Instance;
 use good_core::value::Value;
-use std::time::Duration;
 
-fn bench_bulk_load(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E10/bulk-load");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter(|| instance_of(size));
-        });
-    }
-    group.finish();
-}
-
-fn bench_printable_dedup(c: &mut Criterion) {
-    // Heavy dedup: many inserts of the same few values.
-    let mut group = c.benchmark_group("E10/printable-dedup");
-    for inserts in [1_000usize, 4_000, 16_000] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(inserts),
-            &inserts,
-            |b, &inserts| {
-                b.iter(|| {
-                    let mut db = Instance::new(bench_scheme());
-                    for index in 0..inserts {
-                        db.add_printable("String", Value::str(format!("v{}", index % 16)))
-                            .expect("dedups");
-                    }
-                    db
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_validate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E10/validate");
-    for size in SIZES {
-        let db = instance_of(size);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| db.validate().expect("valid"));
-        });
-    }
-    group.finish();
-}
-
-fn bench_isomorphism(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E10/isomorphism");
-    for size in [50usize, 100, 200] {
-        let a = instance_of(size);
-        let b2 = instance_of(size);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| assert!(a.isomorphic_to(&b2)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_serde_roundtrip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E10/serde-roundtrip");
-    for size in SIZES {
-        let db = instance_of(size);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| {
-                let json = serde_json::to_string(&db).expect("serializes");
-                let back: Instance = serde_json::from_str(&json).expect("deserializes");
-                back
+fn main() {
+    Bench::run("instance", &[], |bench| {
+        for size in SIZES {
+            bench.time(&format!("bulk-load/{size}"), || instance_of(size));
+            let db = instance_of(size);
+            bench.time(&format!("validate/{size}"), || {
+                db.validate().expect("valid")
             });
-        });
-    }
-    group.finish();
+            bench.time(&format!("serde-roundtrip/{size}"), || {
+                let json = serde_json::to_string(&db).expect("serializes");
+                serde_json::from_str::<Instance>(&json).expect("deserializes")
+            });
+        }
+        // Heavy dedup: many inserts of the same few values.
+        for inserts in [1_000usize, 4_000, 16_000] {
+            bench.time(&format!("printable-dedup/{inserts}"), || {
+                let mut db = Instance::new(bench_scheme());
+                for index in 0..inserts {
+                    db.add_printable("String", Value::str(format!("v{}", index % 16)))
+                        .expect("dedups");
+                }
+                db
+            });
+        }
+        for size in [50usize, 100, 200] {
+            let (a, b) = (instance_of(size), instance_of(size));
+            bench.time(&format!("isomorphism/{size}"), || {
+                assert!(a.isomorphic_to(&b))
+            });
+        }
+    });
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_bulk_load, bench_printable_dedup, bench_validate,
-              bench_isomorphism, bench_serde_roundtrip
-}
-criterion_main!(benches);

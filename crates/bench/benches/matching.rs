@@ -3,96 +3,56 @@
 //! length. Validates the qualitative claim that candidate-driven
 //! matching makes patterns a tractable end-user primitive.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_bench::{anchored_pattern, chain_pattern, instance_of, SIZES};
 use good_core::matching::{find_matchings, find_matchings_naive, find_matchings_static_order};
-use std::time::Duration;
 
-fn bench_planned_by_size(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E1/planned-by-instance-size");
-    for size in SIZES {
-        let db = instance_of(size);
-        let (pattern, _) = chain_pattern(3);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
-}
+fn main() {
+    Bench::run("matching", &[], |bench| {
+        for size in SIZES {
+            let db = instance_of(size);
+            let (pattern, _) = chain_pattern(3);
+            bench.time(&format!("planned-by-instance-size/{size}"), || {
+                find_matchings(&pattern, &db).expect("matches")
+            });
+        }
 
-fn bench_planned_by_pattern_length(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E1/planned-by-pattern-length");
-    let db = instance_of(400);
-    for length in [1usize, 2, 3, 4] {
-        let (pattern, _) = chain_pattern(length);
-        group.bench_with_input(BenchmarkId::from_parameter(length), &length, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
-}
+        let db = instance_of(400);
+        for length in [1usize, 2, 3, 4] {
+            let (pattern, _) = chain_pattern(length);
+            bench.time(&format!("planned-by-pattern-length/{length}"), || {
+                find_matchings(&pattern, &db).expect("matches")
+            });
+        }
 
-fn bench_naive_baseline(c: &mut Criterion) {
-    // The naive engine is exponential in pattern size; keep it small.
-    let mut group = c.benchmark_group("E1/naive-baseline");
-    for size in [30usize, 60, 120] {
-        let db = instance_of(size);
-        let (pattern, _) = chain_pattern(2);
-        group.bench_with_input(BenchmarkId::new("naive", size), &size, |b, _| {
-            b.iter(|| find_matchings_naive(&pattern, &db).expect("matches"));
-        });
-        group.bench_with_input(BenchmarkId::new("planned", size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
-}
+        // The naive engine is exponential in pattern size; keep it small.
+        for size in [30usize, 60, 120] {
+            let db = instance_of(size);
+            let (pattern, _) = chain_pattern(2);
+            bench.time(&format!("naive-baseline/naive/{size}"), || {
+                find_matchings_naive(&pattern, &db).expect("matches")
+            });
+            bench.time(&format!("naive-baseline/planned/{size}"), || {
+                find_matchings(&pattern, &db).expect("matches")
+            });
+        }
 
-fn bench_selection_ablation(c: &mut Criterion) {
-    // Ablation: dynamic most-constrained-node selection vs a static
-    // id-order schedule, same candidate derivation. The pattern is
-    // adversarial for the static order: the selective printable anchor
-    // is declared LAST, so the static schedule starts from the
-    // unconstrained Info nodes while the dynamic one starts at the
-    // anchor.
-    let mut group = c.benchmark_group("E1/selection-ablation");
-    for size in SIZES {
-        let db = instance_of(size);
-        let (pattern, _, _) = anchored_pattern("info-7");
-        group.bench_with_input(BenchmarkId::new("dynamic", size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-        group.bench_with_input(BenchmarkId::new("static", size), &size, |b, _| {
-            b.iter(|| find_matchings_static_order(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
+        // Ablation: dynamic most-constrained-node selection vs a static
+        // id-order schedule, same candidate derivation. The pattern is
+        // adversarial for the static order: the selective printable anchor
+        // is declared LAST, so the static schedule starts from the
+        // unconstrained Info nodes while the dynamic one starts at the
+        // anchor. The dynamic lane doubles as the anchored point query:
+        // printable anchors should make it near-O(answer).
+        for size in SIZES {
+            let db = instance_of(size);
+            let (pattern, _, _) = anchored_pattern("info-7");
+            bench.time(&format!("selection-ablation/dynamic/{size}"), || {
+                find_matchings(&pattern, &db).expect("matches")
+            });
+            bench.time(&format!("selection-ablation/static/{size}"), || {
+                find_matchings_static_order(&pattern, &db).expect("matches")
+            });
+        }
+    });
 }
-
-fn bench_anchored_point_query(c: &mut Criterion) {
-    // Printable anchors should make the query near-O(answer).
-    let mut group = c.benchmark_group("E1/anchored-point-query");
-    for size in SIZES {
-        let db = instance_of(size);
-        let (pattern, _, _) = anchored_pattern("info-7");
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_planned_by_size, bench_planned_by_pattern_length,
-              bench_naive_baseline, bench_selection_ablation, bench_anchored_point_query
-}
-criterion_main!(benches);

@@ -2,15 +2,15 @@
 //! body length, and the price of interface filtering (temporaries
 //! created and then restricted away).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_bench::instance_of;
+use good_core::instance::Instance;
 use good_core::label::{receiver_label, Label};
 use good_core::method::{execute_call, Method, MethodCall, MethodSpec};
 use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
 use good_core::program::{Env, Operation};
 use good_core::scheme::Scheme;
-use std::time::Duration;
 
 /// A method whose body is `body_len` no-op-ish node additions tagging
 /// the receiver with temp classes (filtered by the empty interface).
@@ -30,92 +30,54 @@ fn temp_tagging_method(body_len: usize) -> Method {
     Method::new(MethodSpec::new("Tagger", "Info", []), body, Scheme::new())
 }
 
-fn bench_body_length(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E8/body-length");
-    for body_len in [1usize, 4, 16] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(body_len),
-            &body_len,
-            |b, &body_len| {
-                b.iter_batched(
-                    || instance_of(100),
-                    |mut db| {
-                        let mut env = Env::with_fuel(1_000_000);
-                        env.register(temp_tagging_method(body_len));
-                        let mut p = Pattern::new();
-                        let info = p.node("Info");
-                        let name = p.printable("String", "info-3");
-                        p.edge(info, "name", name);
-                        execute_call(&MethodCall::new("Tagger", p, info, []), &mut db, &mut env)
-                            .expect("call")
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
+/// Register `method` and call it on every Info (`anchor` absent) or on
+/// the one Info named `anchor`.
+fn call(mut db: Instance, method: Method, anchor: Option<&str>) -> Instance {
+    let name = method.spec.name.clone();
+    let mut env = Env::with_fuel(1_000_000);
+    env.register(method);
+    let mut p = Pattern::new();
+    let info = p.node("Info");
+    if let Some(anchor) = anchor {
+        let printable = p.printable("String", anchor);
+        p.edge(info, "name", printable);
     }
-    group.finish();
+    execute_call(&MethodCall::new(name, p, info, []), &mut db, &mut env).expect("call");
+    db
 }
 
-fn bench_receiver_fanout(c: &mut Criterion) {
-    // One call, many receivers: the set-oriented frame construction.
-    let mut group = c.benchmark_group("E8/receiver-fanout");
-    for size in [50usize, 200, 800] {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
-                || instance_of(size),
-                |mut db| {
-                    let mut env = Env::with_fuel(1_000_000);
-                    env.register(temp_tagging_method(2));
-                    let mut p = Pattern::new();
-                    let info = p.node("Info");
-                    execute_call(&MethodCall::new("Tagger", p, info, []), &mut db, &mut env)
-                        .expect("call")
-                },
-                criterion::BatchSize::LargeInput,
+fn main() {
+    Bench::run("methods", &[], |bench| {
+        for body_len in [1usize, 4, 16] {
+            bench.time_with_setup(
+                &format!("body-length/{body_len}"),
+                || instance_of(100),
+                |db| call(db, temp_tagging_method(body_len), Some("info-3")),
             );
-        });
-    }
-    group.finish();
-}
-
-fn bench_interface_filtering(c: &mut Criterion) {
-    // The restriction sweep alone, isolated by calling a body-less
-    // method on a large instance: cost ≈ restrict_to_scheme.
-    let mut group = c.benchmark_group("E8/interface-filtering");
-    for size in [100usize, 400, 1600] {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
+        }
+        // One call, many receivers: the set-oriented frame construction.
+        for size in [50usize, 200, 800] {
+            bench.time_with_setup(
+                &format!("receiver-fanout/{size}"),
                 || instance_of(size),
-                |mut db| {
-                    let mut env = Env::with_fuel(1_000_000);
-                    env.register(Method::new(
+                |db| call(db, temp_tagging_method(2), None),
+            );
+        }
+        // The restriction sweep alone, isolated by calling a body-less
+        // method on a large instance: cost ≈ restrict_to_scheme.
+        for size in [100usize, 400, 1600] {
+            bench.time_with_setup(
+                &format!("interface-filtering/{size}"),
+                || instance_of(size),
+                |db| {
+                    let noop = Method::new(
                         MethodSpec::new("Noop", "Info", []),
                         Vec::new(),
                         Scheme::new(),
-                    ));
-                    let mut p = Pattern::new();
-                    let info = p.node("Info");
-                    execute_call(&MethodCall::new("Noop", p, info, []), &mut db, &mut env)
-                        .expect("call")
+                    );
+                    call(db, noop, None)
                 },
-                criterion::BatchSize::LargeInput,
             );
-        });
-    }
-    group.finish();
+        }
+    });
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_body_length, bench_receiver_fanout, bench_interface_filtering
-}
-criterion_main!(benches);

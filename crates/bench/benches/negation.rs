@@ -2,13 +2,12 @@
 //! semantics vs the Figure 27 three-operation macro expansion.
 //! Validates that the macro costs roughly two extra full passes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_bench::{instance_of, SIZES};
 use good_core::macros::negation::expand_negation;
 use good_core::matching::find_matchings;
 use good_core::pattern::Pattern;
 use good_core::program::Env;
-use std::time::Duration;
 
 /// "Infos that do not link to anything" — the paper's No-Sound idiom.
 fn sink_pattern() -> Pattern {
@@ -19,62 +18,32 @@ fn sink_pattern() -> Pattern {
     p
 }
 
-fn bench_direct_negation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E5/direct-negation");
-    for size in SIZES {
-        let db = instance_of(size);
-        let pattern = sink_pattern();
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
-}
-
-fn bench_macro_expansion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E5/macro-expansion");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
+fn main() {
+    Bench::run("negation", &[], |bench| {
+        for size in SIZES {
+            let db = instance_of(size);
+            let crossed = sink_pattern();
+            bench.time(&format!("direct-negation/{size}"), || {
+                find_matchings(&crossed, &db).expect("matches")
+            });
+            bench.time_with_setup(
+                &format!("macro-expansion/{size}"),
                 || instance_of(size),
                 |mut db| {
                     let expansion =
                         expand_negation(&sink_pattern(), "Intermediate").expect("crossed");
                     expansion
                         .evaluate(&mut db, &mut Env::new())
-                        .expect("evaluates")
+                        .expect("evaluates");
+                    db
                 },
-                criterion::BatchSize::LargeInput,
             );
-        });
-    }
-    group.finish();
+            // The positive part alone, for reference.
+            let mut positive = Pattern::new();
+            positive.node("Info");
+            bench.time(&format!("positive-baseline/{size}"), || {
+                find_matchings(&positive, &db).expect("matches")
+            });
+        }
+    });
 }
-
-fn bench_positive_baseline(c: &mut Criterion) {
-    // The positive part alone, for reference.
-    let mut group = c.benchmark_group("E5/positive-baseline");
-    for size in SIZES {
-        let db = instance_of(size);
-        let mut pattern = Pattern::new();
-        pattern.node("Info");
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| find_matchings(&pattern, &db).expect("matches"));
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_direct_negation, bench_macro_expansion, bench_positive_baseline
-}
-criterion_main!(benches);

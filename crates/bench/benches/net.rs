@@ -1,114 +1,48 @@
 //! E17 — the TCP wire-protocol front end: submit round-trip latency
-//! percentiles (p50/p99/p999) as a function of concurrent loopback
-//! client count, and pipelined wire throughput against the in-process
-//! session API at a matched batch ceiling (EXPERIMENTS.md §3).
+//! (p50, p99) as a function of concurrent loopback client count, and
+//! pipelined wire throughput against the in-process session API at a
+//! matched batch ceiling (EXPERIMENTS.md §3).
 //!
-//! Hand-rolled like E15/E16: raw percentiles, criterion-style lines,
-//! machine-readable results in `BENCH_net.json` at the workspace root.
-//! `--check BENCH_net.json` re-measures and fails CI on regression:
-//! p50 latency per client count against the recorded baseline, and the
-//! wire/in-process throughput ratio against a fixed floor — both
+//! `--check` gates the round-trip p50 at the two smallest client counts
+//! against the recorded baseline (the larger counts measure queueing on
+//! however many cores the runner has, not the wire) and the
+//! wire/in-process throughput ratio against a fixed floor, both sides
 //! measured fresh so the gate compares like with like on any machine.
 
-use good_core::gen::bench_scheme;
-use good_core::ops::NodeAddition;
-use good_core::pattern::Pattern;
-use good_core::program::{Operation, Program};
+use good_bench::harness::{Bench, Bound, Gate};
+use good_bench::{
+    labeled_program, loopback, memory_server, pipelined_programs, submit_all_in_process,
+    PipelinedWire, PIPELINED_MAX_BATCH, PIPELINED_PROGRAMS,
+};
 use good_server::client::Client;
-use good_server::net::{NetConfig, NetServer};
-use good_server::{Server, ServerConfig};
-use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
-use good_store::Store;
-use std::fmt::Write as _;
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Concurrent-client sweep: each count submits TOTAL_OPS round trips.
 const CLIENT_COUNTS: [usize; 4] = [8, 32, 128, 256];
 const TOTAL_OPS: usize = 4096;
 
-/// Pipelined throughput: matched with E15's workload size and largest
-/// batch ceiling so the wire/in-process ratio is apples to apples.
-const PIPELINED_PROGRAMS: usize = 384;
-const PIPELINED_MAX_BATCH: usize = 64;
-/// Best-of-N: on the 1-core container scheduler noise only ever adds
-/// time, so the minimum is the least-noise estimate of peak capacity.
-const PIPELINED_RUNS: usize = 7;
-
-/// `--check` gate: p50 latency may drift up to 50% (+ absolute slack
-/// for scheduler spikes on shared runners) over the recorded baseline;
-/// the wire must keep at least this fraction of fresh in-process
-/// pipelined throughput.
-const CHECK_TOLERANCE: f64 = 1.5;
-const CHECK_SLACK_NANOS: u128 = 500_000;
-const CHECK_MIN_TCP_RATIO: f64 = 0.75;
-
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-fn labeled_program(label: &str) -> Program {
-    Program::from_ops([Operation::NodeAdd(NodeAddition::new(
-        Pattern::new(),
-        label,
-        [],
-    ))])
-}
-
-fn fresh_net(max_batch: usize, session_inflight: usize) -> NetServer {
-    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(42)));
-    let store =
-        Store::create_with_vfs(vfs, "/bench/db.journal", bench_scheme()).expect("create store");
-    let server = Server::start(
-        store,
-        ServerConfig {
-            queue_capacity: TOTAL_OPS.max(PIPELINED_PROGRAMS) + 1,
-            max_batch,
-            ..ServerConfig::default()
-        },
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    NetServer::start(
-        server,
-        listener,
-        NetConfig {
-            max_connections: CLIENT_COUNTS[CLIENT_COUNTS.len() - 1] + 8,
-            session_inflight,
-            ..NetConfig::default()
-        },
-    )
-    .expect("start net server")
-}
-
-struct LatencyStats {
-    clients: usize,
-    ops: usize,
-    p50_ns: u128,
-    p99_ns: u128,
-    p999_ns: u128,
-    programs_per_sec: u64,
-}
+const GATES: &[Gate] = &[
+    // p50 may drift up to 50% (+ absolute slack for scheduler spikes on
+    // shared runners) over the recorded baseline.
+    Gate::vs_baseline("round-trip/clients-8", 1.5, 500_000.0),
+    Gate::vs_baseline("round-trip/clients-32", 1.5, 500_000.0),
+    // The wire must keep at least this fraction of in-process pipelined
+    // throughput (time in-process / time over TCP, same programs).
+    Gate::same_run(
+        "pipelined/in-process",
+        "pipelined/tcp",
+        Bound::AtLeast(0.75),
+    ),
+];
 
 /// N concurrent clients each running TOTAL_OPS/N submit round trips;
-/// per-op latencies are pooled for the percentiles, wall-clock over
-/// the whole scope gives aggregate throughput.
-fn latency_run(clients: usize) -> LatencyStats {
-    let net = fresh_net(16, 64);
+/// per-op latencies are pooled.
+fn round_trips(clients: usize) -> Vec<f64> {
+    let server = memory_server(TOTAL_OPS + 1, 16);
+    let net = loopback(server, CLIENT_COUNTS[CLIENT_COUNTS.len() - 1] + 8, 64);
     let addr = net.local_addr();
     let per_client = (TOTAL_OPS / clients).max(1);
-    let start = Instant::now();
-    let mut samples: Vec<u128> = std::thread::scope(|scope| {
+    let samples = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 std::thread::Builder::new()
@@ -123,7 +57,7 @@ fn latency_run(clients: usize) -> LatencyStats {
                             client
                                 .submit_wait_retrying(&program, 64)
                                 .expect("submit round trip");
-                            times.push(begin.elapsed().as_nanos());
+                            times.push(begin.elapsed().as_nanos() as f64);
                         }
                         client.goodbye().expect("goodbye");
                         times
@@ -133,283 +67,39 @@ fn latency_run(clients: usize) -> LatencyStats {
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().unwrap())
+            .flat_map(|h| h.join().expect("bench client"))
             .collect()
     });
-    let elapsed = start.elapsed().as_nanos();
     net.shutdown().expect("shutdown");
-    samples.sort_unstable();
-    let ops = samples.len();
-    LatencyStats {
-        clients,
-        ops,
-        p50_ns: samples[ops / 2],
-        p99_ns: samples[(ops * 99 / 100).min(ops - 1)],
-        p999_ns: samples[(ops * 999 / 1000).min(ops - 1)],
-        programs_per_sec: (ops as u128 * 1_000_000_000 / elapsed.max(1)) as u64,
-    }
-}
-
-struct Pipelined {
-    transport: &'static str,
-    best_total_ns: u128,
-    programs_per_sec: u64,
-}
-
-/// One client, every submit fired before the first ack is read — the
-/// wire analogue of E15's pipelined throughput measurement.
-fn pipelined_tcp() -> Pipelined {
-    let mut samples = Vec::with_capacity(PIPELINED_RUNS);
-    for run in 0..PIPELINED_RUNS {
-        let net = fresh_net(PIPELINED_MAX_BATCH, PIPELINED_PROGRAMS + 1);
-        let mut client = Client::connect(net.local_addr()).expect("connect");
-        let programs: Vec<Program> = (0..PIPELINED_PROGRAMS)
-            .map(|i| labeled_program(&format!("P{run}x{i}")))
-            .collect();
-        let start = Instant::now();
-        let requests: Vec<u64> = programs
-            .iter()
-            .map(|p| client.submit(p).expect("submit"))
-            .collect();
-        for request in requests {
-            client.wait_ack(request).expect("ack");
-        }
-        samples.push(start.elapsed().as_nanos());
-        client.goodbye().expect("goodbye");
-        net.shutdown().expect("shutdown");
-    }
-    let best_total_ns = samples.into_iter().min().expect("at least one run");
-    Pipelined {
-        transport: "tcp",
-        best_total_ns,
-        programs_per_sec: (PIPELINED_PROGRAMS as u128 * 1_000_000_000 / best_total_ns.max(1))
-            as u64,
-    }
-}
-
-/// The in-process reference at the same batch ceiling and workload.
-fn pipelined_in_process() -> Pipelined {
-    let mut samples = Vec::with_capacity(PIPELINED_RUNS);
-    for run in 0..PIPELINED_RUNS {
-        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(42)));
-        let store =
-            Store::create_with_vfs(vfs, "/bench/db.journal", bench_scheme()).expect("create store");
-        let server = Server::start(
-            store,
-            ServerConfig {
-                queue_capacity: PIPELINED_PROGRAMS + 1,
-                max_batch: PIPELINED_MAX_BATCH,
-                ..ServerConfig::default()
-            },
-        );
-        let session = server.open_session();
-        let programs: Vec<Program> = (0..PIPELINED_PROGRAMS)
-            .map(|i| labeled_program(&format!("P{run}x{i}")))
-            .collect();
-        let start = Instant::now();
-        let tickets: Vec<_> = programs
-            .into_iter()
-            .map(|program| server.submit(session, program).expect("submit"))
-            .collect();
-        for ticket in tickets {
-            server.wait(ticket).expect("ack");
-        }
-        samples.push(start.elapsed().as_nanos());
-        drop(server);
-    }
-    let best_total_ns = samples.into_iter().min().expect("at least one run");
-    Pipelined {
-        transport: "in-process",
-        best_total_ns,
-        programs_per_sec: (PIPELINED_PROGRAMS as u128 * 1_000_000_000 / best_total_ns.max(1))
-            as u64,
-    }
-}
-
-fn workspace_path(file: &str) -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push(file);
-    path
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<u128> {
-    let start = line.find(key)? + key.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract `(clients, p50_ns)` pairs from a previously emitted
-/// `BENCH_net.json` (flat hand-formatted JSON, one result per line).
-fn parse_baseline(text: &str) -> Vec<(usize, u128)> {
-    text.lines()
-        .filter_map(|line| {
-            let clients = json_num_field(line, "\"clients\": ")? as usize;
-            let p50_ns = json_num_field(line, "\"p50_ns\": ")?;
-            Some((clients, p50_ns))
-        })
-        .collect()
-}
-
-/// CI smoke: re-measure the wire round-trip p50s and the wire vs
-/// in-process throughput ratio; fail on regression.
-fn run_check(baseline_arg: &str) -> ! {
-    let path = if std::path::Path::new(baseline_arg).is_absolute() {
-        PathBuf::from(baseline_arg)
-    } else {
-        workspace_path(baseline_arg)
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read baseline {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        eprintln!("no results found in baseline {}", path.display());
-        std::process::exit(1);
-    }
-    println!("E17 net smoke — wire p50 latency vs {}", path.display());
-    let mut failed = false;
-    // Only the two smallest client counts: enough signal for a gate,
-    // cheap enough for every push.
-    for &clients in &CLIENT_COUNTS[..2] {
-        // Best of two: damp scheduler spikes on shared runners.
-        let fresh = latency_run(clients).p50_ns.min(latency_run(clients).p50_ns);
-        match baseline.iter().find(|(c, _)| *c == clients) {
-            Some((_, base_ns)) => {
-                let ratio = fresh as f64 / *base_ns as f64;
-                let allowed = (*base_ns as f64 * CHECK_TOLERANCE) as u128 + CHECK_SLACK_NANOS;
-                let verdict = if fresh > allowed {
-                    failed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "net@{clients:<4} clients p50 {:>12}  baseline {:>12}  ratio {ratio:.3}  {verdict}",
-                    format_nanos(fresh),
-                    format_nanos(*base_ns),
-                );
-            }
-            None => {
-                failed = true;
-                println!("net@{clients:<4} clients missing from baseline");
-            }
-        }
-    }
-    // Throughput ratio, both sides measured fresh on this machine;
-    // best of two interleaved attempts damps load spikes further.
-    let (mut tcp_rate, mut ref_rate, mut ratio) = (0, 0, 0.0);
-    for _ in 0..2 {
-        let tcp = pipelined_tcp();
-        let reference = pipelined_in_process();
-        let attempt = tcp.programs_per_sec as f64 / reference.programs_per_sec as f64;
-        if attempt > ratio {
-            (tcp_rate, ref_rate, ratio) =
-                (tcp.programs_per_sec, reference.programs_per_sec, attempt);
-        }
-    }
-    let verdict = if ratio < CHECK_MIN_TCP_RATIO {
-        failed = true;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    println!(
-        "pipelined tcp {tcp_rate} prog/s vs in-process {ref_rate} prog/s  ratio {ratio:.3} \
-         (floor {CHECK_MIN_TCP_RATIO})  {verdict}"
-    );
-    if failed {
-        eprintln!("wire-protocol performance regressed vs baseline");
-        std::process::exit(1);
-    }
-    println!("wire-protocol performance within tolerance");
-    std::process::exit(0);
+    samples
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(position) = args.iter().position(|a| a == "--check") {
-        let Some(baseline) = args.get(position + 1) else {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(1);
-        };
-        run_check(baseline);
-    }
+    Bench::run("net", GATES, |bench| {
+        for clients in CLIENT_COUNTS {
+            bench.latencies(
+                &format!("round-trip/clients-{clients}"),
+                round_trips(clients),
+            );
+        }
 
-    println!("E17 net — wire round-trip latency and pipelined throughput (1-core container)");
-
-    let stats: Vec<LatencyStats> = CLIENT_COUNTS.iter().map(|&c| latency_run(c)).collect();
-    for s in &stats {
-        println!(
-            "{:<60} time: [p50 {}] (p99 {}, p999 {}, {} programs/s)",
-            format!("E17-net/round-trip/clients-{}", s.clients),
-            format_nanos(s.p50_ns),
-            format_nanos(s.p99_ns),
-            format_nanos(s.p999_ns),
-            s.programs_per_sec
-        );
-    }
-
-    let pipelined = [pipelined_tcp(), pipelined_in_process()];
-    for p in &pipelined {
-        println!(
-            "{:<60} time: [best {}] ({} programs/s)",
-            format!(
-                "E17-net/pipelined/{}/max-batch-{}",
-                p.transport, PIPELINED_MAX_BATCH
-            ),
-            format_nanos(p.best_total_ns),
-            p.programs_per_sec
-        );
-    }
-    println!(
-        "wire keeps {:.1}% of in-process pipelined throughput",
-        100.0 * pipelined[0].programs_per_sec as f64 / pipelined[1].programs_per_sec as f64
-    );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E17-net\",");
-    json.push_str("  \"round_trip\": [\n");
-    for (index, s) in stats.iter().enumerate() {
-        let comma = if index + 1 == stats.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"clients\": {}, \"ops\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"programs_per_sec\": {}}}{comma}",
-            s.clients, s.ops, s.p50_ns, s.p99_ns, s.p999_ns, s.programs_per_sec
-        );
-    }
-    json.push_str("  ],\n  \"pipelined\": [\n");
-    for (index, p) in pipelined.iter().enumerate() {
-        let comma = if index + 1 == pipelined.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"transport\": \"{}\", \"max_batch\": {}, \"programs\": {}, \
-             \"best_total_ns\": {}, \"programs_per_sec\": {}}}{comma}",
-            p.transport,
-            PIPELINED_MAX_BATCH,
-            PIPELINED_PROGRAMS,
-            p.best_total_ns,
-            p.programs_per_sec
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = workspace_path("BENCH_net.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+        bench
+            .time_with_setup(
+                "pipelined/tcp",
+                PipelinedWire::start,
+                PipelinedWire::submit_all,
+            )
+            .note("programs", PIPELINED_PROGRAMS as f64);
+        // The in-process reference at the same batch ceiling and workload.
+        bench
+            .time_with_setup(
+                "pipelined/in-process",
+                || {
+                    let server = memory_server(PIPELINED_PROGRAMS + 1, PIPELINED_MAX_BATCH);
+                    (server, pipelined_programs())
+                },
+                |(server, programs)| submit_all_in_process(server, programs),
+            )
+            .note("programs", PIPELINED_PROGRAMS as f64);
+    });
 }

@@ -4,342 +4,64 @@
 //! round-trip latency of `Frame::Stats` against a warm server
 //! (EXPERIMENTS.md §3).
 //!
-//! Hand-rolled like E15–E18: raw numbers, criterion-style lines,
-//! machine-readable results in `BENCH_obs.json` at the workspace root.
-//! `--check BENCH_obs.json` re-measures and fails CI when the live
-//! metrics cost more than the overhead budget of E17-pipelined
-//! throughput, or when the stats round-trip p50 regresses past the
-//! recorded baseline (plus generous shared-runner slack) or an
-//! absolute ceiling.
+//! `--check` fails when the live metrics cost more than the overhead
+//! budget of E17-pipelined throughput, or when the stats round-trip
+//! p50 regresses past the recorded baseline (plus generous
+//! shared-runner slack).
 
-use good_core::gen::bench_scheme;
-use good_core::ops::NodeAddition;
-use good_core::pattern::Pattern;
-use good_core::program::{Operation, Program};
-use good_server::client::Client;
-use good_server::net::{NetConfig, NetServer};
-use good_server::{Server, ServerConfig};
-use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
-use good_store::Store;
-use std::fmt::Write as _;
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::sync::Arc;
+use good_bench::harness::{Bench, Bound, Gate};
+use good_bench::{labeled_program, PipelinedWire, PIPELINED_PROGRAMS};
 use std::time::Instant;
-
-/// Matched with E17's pipelined measurement so the A/B is the same
-/// workload the ≤2% budget is quoted against.
-const PIPELINED_PROGRAMS: usize = 384;
-const PIPELINED_MAX_BATCH: usize = 64;
-/// Best-of-N per arm: on the 1-core container scheduler noise only
-/// ever adds time, so the minimum estimates peak capacity.
-const PIPELINED_RUNS: usize = 7;
 
 /// Stats round trips timed against a warm server.
 const STATS_OPS: usize = 512;
 
-/// `--check` gates: the live-metrics overhead budget as a fraction of
-/// disabled-path throughput (the tentpole's ≤2% requirement), the
-/// stats p50 drift allowance over the recorded baseline, and an
-/// absolute stats p50 ceiling for machines with no usable baseline.
-const CHECK_MAX_OVERHEAD: f64 = 0.02;
-const CHECK_STATS_TOLERANCE: f64 = 3.0;
-const CHECK_STATS_SLACK_NANOS: u128 = 2_000_000;
-const CHECK_STATS_CEILING_NANOS: u128 = 20_000_000;
-/// Interleaved A/B attempts; the best (lowest-overhead) attempt is
-/// judged, damping asymmetric scheduler spikes between the two arms.
-const CHECK_ATTEMPTS: usize = 3;
+const GATES: &[Gate] = &[
+    // The live-metrics overhead budget: the enabled arm keeps at least
+    // 98% of the disabled arm's throughput (time off / time on).
+    Gate::same_run(
+        "pipelined/live-off",
+        "pipelined/live-on",
+        Bound::AtLeast(0.98),
+    ),
+    Gate::vs_baseline("stats-round-trip", 3.0, 2_000_000.0),
+];
 
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-fn labeled_program(label: &str) -> Program {
-    Program::from_ops([Operation::NodeAdd(NodeAddition::new(
-        Pattern::new(),
-        label,
-        [],
-    ))])
-}
-
-fn fresh_net() -> NetServer {
-    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(42)));
-    let store =
-        Store::create_with_vfs(vfs, "/bench/db.journal", bench_scheme()).expect("create store");
-    let server = Server::start(
-        store,
-        ServerConfig {
-            queue_capacity: PIPELINED_PROGRAMS + 1,
-            max_batch: PIPELINED_MAX_BATCH,
-            ..ServerConfig::default()
-        },
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    NetServer::start(
-        server,
-        listener,
-        NetConfig {
-            session_inflight: PIPELINED_PROGRAMS + 1,
-            ..NetConfig::default()
-        },
-    )
-    .expect("start net server")
-}
-
-struct Pipelined {
-    live_metrics: &'static str,
-    best_total_ns: u128,
-    programs_per_sec: u64,
-}
-
-/// E17's pipelined wire throughput with the live-metrics path held in
-/// the given state for the duration.
-fn pipelined_with_live(enabled: bool) -> Pipelined {
-    good_trace::set_live_metrics(enabled);
-    let mut samples = Vec::with_capacity(PIPELINED_RUNS);
-    for run in 0..PIPELINED_RUNS {
-        let net = fresh_net();
-        let mut client = Client::connect(net.local_addr()).expect("connect");
-        let programs: Vec<Program> = (0..PIPELINED_PROGRAMS)
-            .map(|i| labeled_program(&format!("P{run}x{i}")))
-            .collect();
-        let start = Instant::now();
-        let requests: Vec<u64> = programs
-            .iter()
-            .map(|p| client.submit(p).expect("submit"))
-            .collect();
-        for request in requests {
-            client.wait_ack(request).expect("ack");
-        }
-        samples.push(start.elapsed().as_nanos());
-        client.goodbye().expect("goodbye");
-        net.shutdown().expect("shutdown");
-    }
-    good_trace::set_live_metrics(true);
-    let best_total_ns = samples.into_iter().min().expect("at least one run");
-    Pipelined {
-        live_metrics: if enabled { "on" } else { "off" },
-        best_total_ns,
-        programs_per_sec: (PIPELINED_PROGRAMS as u128 * 1_000_000_000 / best_total_ns.max(1))
-            as u64,
-    }
-}
-
-/// Fractional throughput lost to the live-metrics path (negative when
-/// the enabled arm happened to run faster — noise, clamped at 0 for
-/// the gate).
-fn overhead_fraction(on: &Pipelined, off: &Pipelined) -> f64 {
-    1.0 - on.programs_per_sec as f64 / off.programs_per_sec as f64
-}
-
-struct StatsRoundTrip {
-    ops: usize,
-    p50_ns: u128,
-    p99_ns: u128,
-}
-
-/// Stats round trips against a server warmed with one pipelined
-/// workload, so the snapshot carries live counters, histograms, the
-/// MVCC ring, and nonempty slow-log bookkeeping — the realistic
-/// serving cost, not an empty-registry best case.
-fn stats_round_trip() -> StatsRoundTrip {
-    let net = fresh_net();
-    let mut client = Client::connect(net.local_addr()).expect("connect");
+/// Stats round trips against a server warmed with 64 commits, so the
+/// snapshot carries live counters, histograms, the MVCC ring, and
+/// nonempty slow-log bookkeeping — the realistic serving cost, not an
+/// empty-registry best case.
+fn stats_round_trips() -> Vec<f64> {
+    let mut wire = PipelinedWire::start();
+    let client = wire.client();
     for i in 0..64 {
         client
             .submit_wait(&labeled_program(&format!("W{i}")))
             .expect("warm");
     }
-    let mut samples = Vec::with_capacity(STATS_OPS);
-    for _ in 0..STATS_OPS {
-        let begin = Instant::now();
-        let json = client.stats().expect("stats round trip");
-        samples.push(begin.elapsed().as_nanos());
-        assert!(json.starts_with('{'), "stats reply must be JSON");
-    }
-    client.goodbye().expect("goodbye");
-    net.shutdown().expect("shutdown");
-    samples.sort_unstable();
-    StatsRoundTrip {
-        ops: samples.len(),
-        p50_ns: samples[samples.len() / 2],
-        p99_ns: samples[(samples.len() * 99 / 100).min(samples.len() - 1)],
-    }
-}
-
-fn workspace_path(file: &str) -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push(file);
-    path
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<u128> {
-    let start = line.find(key)? + key.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// CI smoke: fresh A/B overhead within budget, fresh stats p50 within
-/// baseline drift and the absolute ceiling.
-fn run_check(baseline_arg: &str) -> ! {
-    let path = if std::path::Path::new(baseline_arg).is_absolute() {
-        PathBuf::from(baseline_arg)
-    } else {
-        workspace_path(baseline_arg)
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read baseline {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let baseline_p50 = text
-        .lines()
-        .find(|line| line.contains("\"stats_round_trip\""))
-        .and_then(|line| json_num_field(line, "\"p50_ns\": "));
-    let Some(baseline_p50) = baseline_p50 else {
-        eprintln!("no stats_round_trip p50 in baseline {}", path.display());
-        std::process::exit(1);
-    };
-
-    println!(
-        "E19 obs smoke — live-metrics overhead vs {}",
-        path.display()
-    );
-    let mut failed = false;
-
-    // Interleaved A/B, best (lowest) overhead of the attempts.
-    let mut best: Option<(Pipelined, Pipelined, f64)> = None;
-    for _ in 0..CHECK_ATTEMPTS {
-        let off = pipelined_with_live(false);
-        let on = pipelined_with_live(true);
-        let overhead = overhead_fraction(&on, &off);
-        if best.as_ref().is_none_or(|(_, _, prior)| overhead < *prior) {
-            best = Some((on, off, overhead));
-        }
-    }
-    let (on, off, overhead) = best.expect("at least one attempt");
-    let verdict = if overhead.max(0.0) > CHECK_MAX_OVERHEAD {
-        failed = true;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    println!(
-        "pipelined live-on {} prog/s vs live-off {} prog/s  overhead {:.2}% \
-         (budget {:.0}%)  {verdict}",
-        on.programs_per_sec,
-        off.programs_per_sec,
-        overhead * 100.0,
-        CHECK_MAX_OVERHEAD * 100.0,
-    );
-
-    // Stats round-trip p50: bounded by the baseline with drift + slack,
-    // and by the absolute ceiling.
-    let fresh = stats_round_trip();
-    let allowed = ((baseline_p50 as f64 * CHECK_STATS_TOLERANCE) as u128 + CHECK_STATS_SLACK_NANOS)
-        .min(CHECK_STATS_CEILING_NANOS);
-    let verdict = if fresh.p50_ns > allowed {
-        failed = true;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    println!(
-        "stats round-trip p50 {:>12}  baseline {:>12}  allowed {:>12}  {verdict}",
-        format_nanos(fresh.p50_ns),
-        format_nanos(baseline_p50),
-        format_nanos(allowed),
-    );
-
-    if failed {
-        eprintln!("observability overhead regressed vs baseline");
-        std::process::exit(1);
-    }
-    println!("observability overhead within budget");
-    std::process::exit(0);
+    (0..STATS_OPS)
+        .map(|_| {
+            let begin = Instant::now();
+            let json = client.stats().expect("stats round trip");
+            let elapsed = begin.elapsed().as_nanos() as f64;
+            assert!(json.starts_with('{'), "stats reply must be JSON");
+            elapsed
+        })
+        .collect()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(position) = args.iter().position(|a| a == "--check") {
-        let Some(baseline) = args.get(position + 1) else {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(1);
-        };
-        run_check(baseline);
-    }
-
-    println!("E19 obs — always-on metrics overhead and stats round-trip (1-core container)");
-
-    let off = pipelined_with_live(false);
-    let on = pipelined_with_live(true);
-    for p in [&off, &on] {
-        println!(
-            "{:<60} time: [best {}] ({} programs/s)",
-            format!("E19-obs/pipelined/live-{}", p.live_metrics),
-            format_nanos(p.best_total_ns),
-            p.programs_per_sec
-        );
-    }
-    let overhead = overhead_fraction(&on, &off);
-    println!(
-        "always-on live metrics cost {:.2}% of pipelined wire throughput",
-        overhead * 100.0
-    );
-
-    let stats = stats_round_trip();
-    println!(
-        "{:<60} time: [p50 {}] (p99 {}, {} ops)",
-        "E19-obs/stats-round-trip",
-        format_nanos(stats.p50_ns),
-        format_nanos(stats.p99_ns),
-        stats.ops
-    );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E19-obs\",");
-    json.push_str("  \"pipelined\": [\n");
-    for (index, p) in [&off, &on].into_iter().enumerate() {
-        let comma = if index == 1 { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"live_metrics\": \"{}\", \"max_batch\": {}, \"programs\": {}, \
-             \"best_total_ns\": {}, \"programs_per_sec\": {}}}{comma}",
-            p.live_metrics,
-            PIPELINED_MAX_BATCH,
-            PIPELINED_PROGRAMS,
-            p.best_total_ns,
-            p.programs_per_sec
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"overhead_pct\": {:.2},", overhead * 100.0);
-    let _ = writeln!(
-        json,
-        "  \"stats_round_trip\": {{\"ops\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-        stats.ops, stats.p50_ns, stats.p99_ns
-    );
-    json.push_str("}\n");
-
-    let path = workspace_path("BENCH_obs.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+    Bench::run("obs", GATES, |bench| {
+        for (arm, enabled) in [("live-off", false), ("live-on", true)] {
+            good_trace::set_live_metrics(enabled);
+            bench
+                .time_with_setup(
+                    &format!("pipelined/{arm}"),
+                    PipelinedWire::start,
+                    PipelinedWire::submit_all,
+                )
+                .note("programs", PIPELINED_PROGRAMS as f64);
+        }
+        bench.latencies("stats-round-trip", stats_round_trips());
+    });
 }

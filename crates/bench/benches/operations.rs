@@ -2,130 +2,82 @@
 //! Validates that operations are set-oriented: cost tracks the number
 //! of matchings, applied "in parallel" per the paper's Section 5.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_bench::{instance_of, SIZES};
+use good_core::instance::Instance;
 use good_core::label::Label;
 use good_core::ops::{Abstraction, EdgeAddition, EdgeDeletion, NodeAddition, NodeDeletion};
 use good_core::pattern::Pattern;
-use std::time::Duration;
+use good_graph::NodeId;
 
-fn bench_node_addition(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E2/node-addition");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
-                || instance_of(size),
-                |mut db| {
-                    let mut p = Pattern::new();
-                    let info = p.node("Info");
-                    let date = p.node("Date");
-                    p.edge(info, "created", date);
-                    NodeAddition::new(p, "Tag", [(Label::new("of"), info)])
-                        .apply(&mut db)
-                        .expect("applies")
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
+/// `a -links-to-> b` over Infos: the pattern four of the five share.
+fn link_pattern() -> (Pattern, NodeId, NodeId) {
+    let mut p = Pattern::new();
+    let a = p.node("Info");
+    let b = p.node("Info");
+    p.edge(a, "links-to", b);
+    (p, a, b)
 }
 
-fn bench_edge_addition(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E2/edge-addition");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
-                || instance_of(size),
-                |mut db| {
-                    let mut p = Pattern::new();
-                    let a = p.node("Info");
-                    let b2 = p.node("Info");
-                    p.edge(a, "links-to", b2);
-                    EdgeAddition::multivalued(p, b2, "rec-links-to", a)
-                        .apply(&mut db)
-                        .expect("applies")
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
+fn node_addition(db: &mut Instance) {
+    let mut p = Pattern::new();
+    let info = p.node("Info");
+    let date = p.node("Date");
+    p.edge(info, "created", date);
+    NodeAddition::new(p, "Tag", [(Label::new("of"), info)])
+        .apply(db)
+        .expect("applies");
 }
 
-fn bench_node_deletion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E2/node-deletion");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
-                || instance_of(size),
-                |mut db| {
-                    let mut p = Pattern::new();
-                    let a = p.node("Info");
-                    let b2 = p.node("Info");
-                    p.edge(a, "links-to", b2);
-                    NodeDeletion::new(p, b2).apply(&mut db).expect("applies")
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
+fn edge_addition(db: &mut Instance) {
+    let (p, a, b) = link_pattern();
+    EdgeAddition::multivalued(p, b, "rec-links-to", a)
+        .apply(db)
+        .expect("applies");
 }
 
-fn bench_edge_deletion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E2/edge-deletion");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
-                || instance_of(size),
-                |mut db| {
-                    let mut p = Pattern::new();
-                    let a = p.node("Info");
-                    let b2 = p.node("Info");
-                    p.edge(a, "links-to", b2);
-                    EdgeDeletion::single(p, a, "links-to", b2)
-                        .apply(&mut db)
-                        .expect("applies")
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
+fn node_deletion(db: &mut Instance) {
+    let (p, _, b) = link_pattern();
+    NodeDeletion::new(p, b).apply(db).expect("applies");
 }
 
-fn bench_abstraction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E2/abstraction");
-    for size in SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            b.iter_batched(
-                || instance_of(size),
-                |mut db| {
-                    let mut p = Pattern::new();
-                    let info = p.node("Info");
-                    Abstraction::new(p, info, "Grp", "member", "links-to")
-                        .apply(&mut db)
-                        .expect("applies")
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
+fn edge_deletion(db: &mut Instance) {
+    let (p, a, b) = link_pattern();
+    EdgeDeletion::single(p, a, "links-to", b)
+        .apply(db)
+        .expect("applies");
 }
 
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(150))
+fn abstraction(db: &mut Instance) {
+    let mut p = Pattern::new();
+    let info = p.node("Info");
+    Abstraction::new(p, info, "Grp", "member", "links-to")
+        .apply(db)
+        .expect("applies");
 }
 
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_node_addition, bench_edge_addition, bench_node_deletion,
-              bench_edge_deletion, bench_abstraction
+type Apply = fn(&mut Instance);
+
+fn main() {
+    Bench::run("operations", &[], |bench| {
+        let operations: [(&str, Apply); 5] = [
+            ("node-addition", node_addition),
+            ("edge-addition", edge_addition),
+            ("node-deletion", node_deletion),
+            ("edge-deletion", edge_deletion),
+            ("abstraction", abstraction),
+        ];
+        for (name, apply) in operations {
+            for size in SIZES {
+                bench.time_with_setup(
+                    &format!("{name}/{size}"),
+                    || instance_of(size),
+                    |mut db| {
+                        apply(&mut db);
+                        db
+                    },
+                );
+            }
+        }
+    });
 }
-criterion_main!(benches);

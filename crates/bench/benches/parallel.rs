@@ -2,134 +2,41 @@
 //!
 //! Runs the planned matcher over the 10 000-object stress instance at
 //! 1/2/4/8 worker threads on three patterns (the anchored Figure-4
-//! point query and 2-/3-node link chains), asserts bit-for-bit result
-//! equality across thread counts, prints criterion-style lines, and
-//! emits machine-readable results to `BENCH_parallel.json` in the
-//! workspace root so scaling numbers can be tracked across commits.
-//!
-//! This bench hand-rolls its measurement loop instead of going through
-//! the criterion harness because it needs the raw medians for the JSON
-//! report.
+//! point query and 2-/3-node link chains) and asserts bit-for-bit
+//! result equality across thread counts. The envelope's `cores` says
+//! how many of those threads could actually run at once.
 
+use good_bench::harness::Bench;
 use good_bench::{anchored_pattern, chain_pattern, stress_instance};
 use good_core::matching::{find_matchings_with, MatchConfig};
-use good_core::pattern::Pattern;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const SAMPLES: usize = 7;
-const TARGET_SAMPLE_NANOS: u128 = 60_000_000; // ~60ms per sample
-
-struct Measurement {
-    pattern: String,
-    threads: usize,
-    median_ns: u128,
-    matchings: usize,
-}
-
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-/// Median per-iteration time of `routine` over `SAMPLES` samples, each
-/// sized to roughly `TARGET_SAMPLE_NANOS`.
-fn measure(mut routine: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    routine();
-    let once = start.elapsed().as_nanos().max(1);
-    let iterations = (TARGET_SAMPLE_NANOS / once).clamp(1, 10_000);
-    let mut samples: Vec<u128> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        samples.push(start.elapsed().as_nanos() / iterations);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("E12 parallel scaling — {cores} core(s) available");
-    let db = stress_instance();
-
-    let patterns: Vec<(&str, Pattern)> = vec![
-        ("figure4-anchored", anchored_pattern("info-0").0),
-        ("chain-2", chain_pattern(2).0),
-        ("chain-3", chain_pattern(3).0),
-    ];
-
-    let mut measurements: Vec<Measurement> = Vec::new();
-    for (name, pattern) in &patterns {
-        let baseline =
-            find_matchings_with(pattern, &db, MatchConfig::sequential()).expect("valid pattern");
-        for threads in THREAD_COUNTS {
-            let config = MatchConfig {
-                threads,
-                parallel_threshold: 128,
-            };
-            // Determinism contract: identical results at every count.
-            let result = find_matchings_with(pattern, &db, config).expect("valid pattern");
-            assert_eq!(baseline, result, "{name} differs at {threads} threads");
-            let median_ns = measure(|| {
-                find_matchings_with(pattern, &db, config).expect("valid pattern");
-            });
-            let label = format!("E12-parallel-scaling/{name}/threads-{threads}");
-            println!(
-                "{label:<60} time: [median {}] ({} matchings)",
-                format_nanos(median_ns),
-                baseline.len(),
-            );
-            measurements.push(Measurement {
-                pattern: (*name).to_string(),
-                threads,
-                median_ns,
-                matchings: baseline.len(),
-            });
+    Bench::run("parallel", &[], |bench| {
+        let db = stress_instance();
+        let patterns = [
+            ("figure4-anchored", anchored_pattern("info-0").0),
+            ("chain-2", chain_pattern(2).0),
+            ("chain-3", chain_pattern(3).0),
+        ];
+        for (name, pattern) in &patterns {
+            let sequential = find_matchings_with(pattern, &db, MatchConfig::sequential())
+                .expect("valid pattern");
+            for threads in THREAD_COUNTS {
+                let config = MatchConfig {
+                    threads,
+                    parallel_threshold: 128,
+                };
+                // Determinism contract: identical results at every count.
+                let result = find_matchings_with(pattern, &db, config).expect("valid pattern");
+                assert_eq!(sequential, result, "{name} differs at {threads} threads");
+                bench
+                    .time(&format!("{name}/threads-{threads}"), || {
+                        find_matchings_with(pattern, &db, config).expect("valid pattern")
+                    })
+                    .note("matchings", sequential.len() as f64);
+            }
         }
-    }
-
-    // Machine-readable emission: BENCH_parallel.json at the workspace
-    // root (flat hand-formatted JSON — the report has no nesting worth a
-    // serializer).
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E12-parallel-scaling\",");
-    let _ = writeln!(json, "  \"instance_objects\": 10000,");
-    let _ = writeln!(json, "  \"machine_cores\": {cores},");
-    json.push_str("  \"results\": [\n");
-    for (index, m) in measurements.iter().enumerate() {
-        let comma = if index + 1 == measurements.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"pattern\": \"{}\", \"threads\": {}, \"median_ns\": {}, \"matchings\": {}}}{comma}",
-            m.pattern, m.threads, m.median_ns, m.matchings
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push("BENCH_parallel.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+    });
 }

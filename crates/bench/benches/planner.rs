@@ -17,297 +17,73 @@
 //! Plus planned medians for the acyclic regression canaries (chain-3
 //! and the Figure-4 anchored pattern at 1 600 Infos) to catch planner
 //! overhead creeping into point-ish queries.
-//!
-//! Prints criterion-style lines and emits machine-readable results to
-//! `BENCH_planner.json` in the workspace root. Doubles as the CI
-//! planner smoke: `--check <baseline.json>` re-measures the wcoj/auto/
-//! acyclic medians, fails on >10% regression, and asserts the
-//! binary-vs-wcoj speedup still clears 10x.
 
+use good_bench::harness::{Bench, Bound, Gate};
 use good_bench::{anchored_pattern, chain_pattern, hub_instance, instance_of, triangle_pattern};
 use good_core::prelude::*;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
 
 const SPOKES: usize = 2_400;
 const HUBS: usize = 6;
-const SAMPLES: usize = 7;
-const TARGET_SAMPLE_NANOS: u128 = 40_000_000; // ~40ms per sample
-const CHECK_TOLERANCE: f64 = 1.10;
-// Acyclic planned medians sit in the tens of µs; a 2µs floor absorbs
-// timer granularity without hiding a real regression.
-const CHECK_SLACK_NANOS: u128 = 2_000;
-/// The acceptance bar: the generic join must beat the materializing
-/// binary join by at least this factor on the hub triangle.
-const REQUIRED_SPEEDUP: f64 = 10.0;
 
-struct Measurement {
-    name: &'static str,
-    ns: u128,
-    matchings: usize,
-}
-
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-/// Median per-iteration time of `routine` over `SAMPLES` samples, each
-/// sized to roughly `TARGET_SAMPLE_NANOS`.
-fn measure(mut routine: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    routine();
-    let once = start.elapsed().as_nanos().max(1);
-    let iterations = (TARGET_SAMPLE_NANOS / once).clamp(1, 10_000);
-    let mut samples: Vec<u128> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        samples.push(start.elapsed().as_nanos() / iterations);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn workspace_path(file: &str) -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push(file);
-    path
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<u128> {
-    let start = line.find(key)? + key.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract `(name, ns)` pairs from a previously emitted
-/// `BENCH_planner.json` (flat hand-formatted JSON, one result per
-/// line — no parser dependency needed).
-fn parse_baseline(text: &str) -> Vec<(String, u128)> {
-    text.lines()
-        .filter_map(|line| {
-            let start = line.find("\"name\": \"")? + "\"name\": \"".len();
-            let end = start + line[start..].find('"')?;
-            let ns = json_num_field(line, "\"ns\": ")?;
-            Some((line[start..end].to_string(), ns))
-        })
-        .collect()
-}
-
-/// The three triangle lanes plus the cross-engine agreement check;
-/// returns `(binary, wcoj, auto)` measurements.
-fn measure_triangle() -> (Measurement, Measurement, Measurement) {
-    let db = hub_instance(SPOKES, HUBS);
-    let (pattern, _) = triangle_pattern();
-
-    let choice = plan(&pattern, &db);
-    assert!(
-        matches!(choice.strategy, JoinStrategy::GenericJoin),
-        "planner must route the hub triangle to the generic join, picked {}",
-        choice.strategy.name()
-    );
-
-    let binary_rows = find_matchings_binary(&pattern, &db).expect("binary");
-    let wcoj_rows = find_matchings_wcoj(&pattern, &db).expect("wcoj");
-    let auto_rows = find_matchings(&pattern, &db).expect("auto");
-    assert_eq!(binary_rows, wcoj_rows, "engines disagree on the triangle");
-    assert_eq!(binary_rows, auto_rows, "engines disagree on the triangle");
-    let matchings = binary_rows.len();
-
-    let binary_ns = measure(|| {
-        find_matchings_binary(&pattern, &db).expect("binary");
-    });
-    let wcoj_ns = measure(|| {
-        find_matchings_wcoj(&pattern, &db).expect("wcoj");
-    });
-    let auto_ns = measure(|| {
-        find_matchings(&pattern, &db).expect("auto");
-    });
-    (
-        Measurement {
-            name: "triangle-hub/binary",
-            ns: binary_ns,
-            matchings,
-        },
-        Measurement {
-            name: "triangle-hub/wcoj",
-            ns: wcoj_ns,
-            matchings,
-        },
-        Measurement {
-            name: "triangle-hub/auto",
-            ns: auto_ns,
-            matchings,
-        },
-    )
-}
-
-/// Planned medians for the acyclic canaries at 1 600 Infos.
-fn measure_acyclic() -> Vec<Measurement> {
-    let db = instance_of(1_600);
-    let (chain, _) = chain_pattern(3);
-    let (anchored, _, _) = anchored_pattern("info-3");
-    let chain_matchings = find_matchings(&chain, &db).expect("chain").len();
-    let anchored_matchings = find_matchings(&anchored, &db).expect("anchored").len();
-    let chain_ns = measure(|| {
-        find_matchings(&chain, &db).expect("chain");
-    });
-    let anchored_ns = measure(|| {
-        find_matchings(&anchored, &db).expect("anchored");
-    });
-    vec![
-        Measurement {
-            name: "chain-3@1600/auto",
-            ns: chain_ns,
-            matchings: chain_matchings,
-        },
-        Measurement {
-            name: "anchored@1600/auto",
-            ns: anchored_ns,
-            matchings: anchored_matchings,
-        },
-    ]
-}
-
-/// CI smoke: re-measure, fail on >10% regression of the wcoj/auto/
-/// acyclic medians against the recorded baseline, and assert the
-/// binary-vs-wcoj speedup still clears `REQUIRED_SPEEDUP`.
-fn run_check(baseline_arg: &str) -> ! {
-    let path = if std::path::Path::new(baseline_arg).is_absolute() {
-        PathBuf::from(baseline_arg)
-    } else {
-        workspace_path(baseline_arg)
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read baseline {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        eprintln!("no results found in baseline {}", path.display());
-        std::process::exit(1);
-    }
-    println!("E18 planner smoke — medians vs {}", path.display());
-
-    let (binary, wcoj, auto) = measure_triangle();
-    let mut current = vec![wcoj, auto];
-    current.extend(measure_acyclic());
-
-    let speedup = binary.ns as f64 / current[0].ns as f64;
-    println!(
-        "triangle-hub binary {} / wcoj {} = {speedup:.1}x",
-        format_nanos(binary.ns),
-        format_nanos(current[0].ns),
-    );
-    let mut failed = speedup < REQUIRED_SPEEDUP;
-    if failed {
-        eprintln!("generic join no longer beats the binary join {REQUIRED_SPEEDUP}x");
-    }
-
-    for m in &current {
-        match baseline.iter().find(|(name, _)| name == m.name) {
-            Some((_, base_ns)) => {
-                let ratio = m.ns as f64 / *base_ns as f64;
-                let allowed = (*base_ns as f64 * CHECK_TOLERANCE) as u128 + CHECK_SLACK_NANOS;
-                let verdict = if m.ns > allowed {
-                    failed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{:<22} {:>12}  baseline {:>12}  ratio {ratio:.3}  {verdict}",
-                    m.name,
-                    format_nanos(m.ns),
-                    format_nanos(*base_ns),
-                );
-            }
-            None => {
-                failed = true;
-                println!("{:<22} missing from baseline", m.name);
-            }
-        }
-    }
-    if failed {
-        eprintln!("planner medians regressed more than 10% vs baseline");
-        std::process::exit(1);
-    }
-    println!("planner medians within 10% of baseline");
-    std::process::exit(0);
-}
+// Planned medians within 10% of the baseline; acyclic ones sit in the
+// tens of µs, so a 2µs floor absorbs timer granularity without hiding a
+// real regression.
+const GATES: &[Gate] = &[
+    Gate::vs_baseline("triangle-hub/wcoj", 1.10, 2_000.0),
+    Gate::vs_baseline("triangle-hub/auto", 1.10, 2_000.0),
+    Gate::vs_baseline("chain-3@1600/auto", 1.10, 2_000.0),
+    Gate::vs_baseline("anchored@1600/auto", 1.10, 2_000.0),
+    // The acceptance bar: the generic join must beat the materializing
+    // binary join by at least this factor on the hub triangle.
+    Gate::same_run(
+        "triangle-hub/binary",
+        "triangle-hub/wcoj",
+        Bound::AtLeast(10.0),
+    ),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(position) = args.iter().position(|a| a == "--check") {
-        let Some(baseline) = args.get(position + 1) else {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(1);
-        };
-        run_check(baseline);
-    }
-
-    println!("E18 cost-based planner — binary join vs generic join");
-    let (binary, wcoj, auto) = measure_triangle();
-    let speedup = binary.ns as f64 / wcoj.ns as f64;
-    println!(
-        "E18-planner/triangle-hub  binary: [median {:>12}]  wcoj: [median {:>12}]  auto: [median {:>12}]  speedup {speedup:.0}x  ({} matchings)",
-        format_nanos(binary.ns),
-        format_nanos(wcoj.ns),
-        format_nanos(auto.ns),
-        binary.matchings,
-    );
-    let mut measurements = vec![binary, wcoj, auto];
-    for m in measure_acyclic() {
-        println!(
-            "E18-planner/{:<18} planned: [median {:>12}]  ({} matchings)",
-            m.name,
-            format_nanos(m.ns),
-            m.matchings,
+    Bench::run("planner", GATES, |bench| {
+        let db = hub_instance(SPOKES, HUBS);
+        let (triangle, _) = triangle_pattern();
+        let choice = plan(&triangle, &db);
+        assert!(
+            matches!(choice.strategy, JoinStrategy::GenericJoin),
+            "planner must route the hub triangle to the generic join, picked {}",
+            choice.strategy.name()
         );
-        measurements.push(m);
-    }
+        let binary_rows = find_matchings_binary(&triangle, &db).expect("binary");
+        let wcoj_rows = find_matchings_wcoj(&triangle, &db).expect("wcoj");
+        let auto_rows = find_matchings(&triangle, &db).expect("auto");
+        assert_eq!(binary_rows, wcoj_rows, "engines disagree on the triangle");
+        assert_eq!(binary_rows, auto_rows, "engines disagree on the triangle");
+        let matchings = binary_rows.len() as f64;
+        bench
+            .time("triangle-hub/binary", || {
+                find_matchings_binary(&triangle, &db).expect("binary")
+            })
+            .note("matchings", matchings);
+        bench
+            .time("triangle-hub/wcoj", || {
+                find_matchings_wcoj(&triangle, &db).expect("wcoj")
+            })
+            .note("matchings", matchings);
+        bench
+            .time("triangle-hub/auto", || {
+                find_matchings(&triangle, &db).expect("auto")
+            })
+            .note("matchings", matchings);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E18-planner\",");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.1},");
-    json.push_str("  \"results\": [\n");
-    for (index, m) in measurements.iter().enumerate() {
-        let comma = if index + 1 == measurements.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"ns\": {}, \"matchings\": {}}}{comma}",
-            m.name, m.ns, m.matchings
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = workspace_path("BENCH_planner.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+        let db = instance_of(1_600);
+        let canaries = [
+            ("chain-3@1600/auto", chain_pattern(3).0),
+            ("anchored@1600/auto", anchored_pattern("info-3").0),
+        ];
+        for (name, pattern) in &canaries {
+            let matchings = find_matchings(pattern, &db).expect("canary").len() as f64;
+            bench
+                .time(name, || find_matchings(pattern, &db).expect("canary"))
+                .note("matchings", matchings);
+        }
+    });
 }

@@ -10,237 +10,45 @@
 //!   essentially flat in instance size.
 //! * **clone-based** — `cell.publish(db.deep_clone())`: the
 //!   pre-persistent cost model, where every publish paid a full
-//!   structural copy of the graph and its indexes — cost grows
-//!   linearly with the instance.
-//!
-//! Prints criterion-style lines and emits machine-readable results
-//! (publish ns plus approx bytes copied per publish) to
-//! `BENCH_publish.json` in the workspace root.
-//!
-//! Doubles as the CI publish smoke: `--check <baseline.json>`
-//! re-measures only the persistent medians and exits nonzero if any
-//! size regressed more than 10% (plus a small absolute slack) against
-//! the recorded baseline.
+//!   structural copy of the graph and its indexes (`instance_bytes` of
+//!   them, noted per case) — cost grows linearly with the instance.
 
+use good_bench::harness::{Bench, Gate};
 use good_bench::instance_of;
 use good_core::snapshot::{RetentionPolicy, SnapshotCell};
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
-const SIZES: &[usize] = &[1_600, 6_400, 25_600, 100_000];
-const SAMPLES: usize = 7;
-const TARGET_SAMPLE_NANOS: u128 = 40_000_000; // ~40ms per sample
-const CHECK_TOLERANCE: f64 = 1.10;
+const SIZES: [usize; 4] = [1_600, 6_400, 25_600, 100_000];
+
 // Persistent publishes are sub-µs; a 500ns floor absorbs timer and
 // scheduler granularity without hiding a real complexity regression
 // (the clone-based path costs tens of ms at the top size).
-const CHECK_SLACK_NANOS: u128 = 500;
-
-struct Measurement {
-    nodes: usize,
-    instance_bytes: usize,
-    persist_ns: u128,
-    clone_ns: u128,
-}
-
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-/// Median per-iteration time of `routine` over `SAMPLES` samples, each
-/// sized to roughly `TARGET_SAMPLE_NANOS`.
-fn measure(mut routine: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    routine();
-    let once = start.elapsed().as_nanos().max(1);
-    let iterations = (TARGET_SAMPLE_NANOS / once).clamp(1, 10_000);
-    let mut samples: Vec<u128> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        samples.push(start.elapsed().as_nanos() / iterations);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Median cost of the persistent publish path at `nodes` Info objects.
-fn measure_persistent(nodes: usize) -> u128 {
-    let db = Arc::new(instance_of(nodes));
-    // No history: the ring would otherwise retain every iteration's
-    // publish (cheap for the persistent lane, ruinous for deep clones),
-    // and retention is not what this experiment measures.
-    let cell = SnapshotCell::new_shared(Arc::clone(&db), RetentionPolicy::none());
-    measure(move || {
-        cell.publish((*db).clone());
-    })
-}
-
-fn measure_clone_based(nodes: usize) -> u128 {
-    let db = Arc::new(instance_of(nodes));
-    let cell = SnapshotCell::new_shared(Arc::clone(&db), RetentionPolicy::none());
-    measure(move || {
-        cell.publish(db.deep_clone());
-    })
-}
-
-fn workspace_path(file: &str) -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push(file);
-    path
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<u128> {
-    let start = line.find(key)? + key.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract `(nodes, persist_ns)` pairs from a previously emitted
-/// `BENCH_publish.json` (flat hand-formatted JSON, one result per
-/// line — no parser dependency needed).
-fn parse_baseline(text: &str) -> Vec<(usize, u128)> {
-    text.lines()
-        .filter_map(|line| {
-            let nodes = json_num_field(line, "\"nodes\": ")? as usize;
-            let persist_ns = json_num_field(line, "\"persist_ns\": ")?;
-            Some((nodes, persist_ns))
-        })
-        .collect()
-}
-
-/// CI smoke: re-measure the persistent publish medians and fail on
-/// >10% regression against the recorded baseline.
-fn run_check(baseline_arg: &str) -> ! {
-    let path = if std::path::Path::new(baseline_arg).is_absolute() {
-        PathBuf::from(baseline_arg)
-    } else {
-        workspace_path(baseline_arg)
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read baseline {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        eprintln!("no results found in baseline {}", path.display());
-        std::process::exit(1);
-    }
-    println!(
-        "E16 publish smoke — persistent medians vs {}",
-        path.display()
-    );
-    let mut failed = false;
-    for &nodes in SIZES {
-        // Best of two medians: damp scheduler spikes on shared runners.
-        let persist_ns = measure_persistent(nodes).min(measure_persistent(nodes));
-        match baseline.iter().find(|(n, _)| *n == nodes) {
-            Some((_, base_ns)) => {
-                let ratio = persist_ns as f64 / *base_ns as f64;
-                let allowed = (*base_ns as f64 * CHECK_TOLERANCE) as u128 + CHECK_SLACK_NANOS;
-                let verdict = if persist_ns > allowed {
-                    failed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "publish@{nodes:<7} persistent {:>12}  baseline {:>12}  ratio {ratio:.3}  {verdict}",
-                    format_nanos(persist_ns),
-                    format_nanos(*base_ns),
-                );
-            }
-            None => {
-                failed = true;
-                println!("publish@{nodes:<7} missing from baseline");
-            }
-        }
-    }
-    if failed {
-        eprintln!("persistent publish medians regressed more than 10% vs baseline");
-        std::process::exit(1);
-    }
-    println!("persistent publish medians within 10% of baseline");
-    std::process::exit(0);
-}
+const GATES: &[Gate] = &[
+    Gate::vs_baseline("persistent@1600", 1.10, 500.0),
+    Gate::vs_baseline("persistent@6400", 1.10, 500.0),
+    Gate::vs_baseline("persistent@25600", 1.10, 500.0),
+    Gate::vs_baseline("persistent@100000", 1.10, 500.0),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(position) = args.iter().position(|a| a == "--check") {
-        let Some(baseline) = args.get(position + 1) else {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(1);
-        };
-        run_check(baseline);
-    }
-
-    println!("E16 snapshot publish — persistent vs clone-based");
-    let mut measurements: Vec<Measurement> = Vec::new();
-    for &nodes in SIZES {
-        let instance_bytes = instance_of(nodes).approx_bytes();
-        let persist_ns = measure_persistent(nodes);
-        let clone_ns = measure_clone_based(nodes);
-        let speedup = clone_ns as f64 / persist_ns as f64;
-        println!(
-            "E16-publish/@{nodes:<7} persistent: [median {:>12}]  clone-based: [median {:>12}]  speedup {speedup:.0}x  (~{:.1} MiB instance)",
-            format_nanos(persist_ns),
-            format_nanos(clone_ns),
-            instance_bytes as f64 / (1024.0 * 1024.0),
-        );
-        measurements.push(Measurement {
-            nodes,
-            instance_bytes,
-            persist_ns,
-            clone_ns,
-        });
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E16-publish\",");
-    json.push_str("  \"results\": [\n");
-    for (index, m) in measurements.iter().enumerate() {
-        let comma = if index + 1 == measurements.len() {
-            ""
-        } else {
-            ","
-        };
-        let speedup = m.clone_ns as f64 / m.persist_ns as f64;
-        // Bytes copied per publish: the clone-based lane structurally
-        // copies the whole instance; the persistent lane copies only
-        // the constant-size handle (counted as 0 here — the true cost
-        // is the O(delta log n) trie nodes the *mutation* copied).
-        let _ = writeln!(
-            json,
-            "    {{\"nodes\": {}, \"instance_bytes\": {}, \"persist_ns\": {}, \"clone_ns\": {}, \"clone_copied_bytes\": {}, \"persist_copied_bytes\": 0, \"speedup\": {speedup:.1}}}{comma}",
-            m.nodes, m.instance_bytes, m.persist_ns, m.clone_ns, m.instance_bytes
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = workspace_path("BENCH_publish.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+    Bench::run("publish", GATES, |bench| {
+        for nodes in SIZES {
+            let db = Arc::new(instance_of(nodes));
+            let instance_bytes = db.approx_bytes() as f64;
+            // No history: the ring would otherwise retain every iteration's
+            // publish (cheap for the persistent lane, ruinous for deep
+            // clones), and retention is not what this experiment measures.
+            let cell = SnapshotCell::new_shared(Arc::clone(&db), RetentionPolicy::none());
+            bench
+                .time(&format!("persistent@{nodes}"), || {
+                    cell.publish((*db).clone())
+                })
+                .note("instance_bytes", instance_bytes);
+            bench
+                .time(&format!("clone-based@{nodes}"), || {
+                    cell.publish(db.deep_clone())
+                })
+                .note("instance_bytes", instance_bytes);
+        }
+    });
 }

@@ -1,167 +1,48 @@
 //! E13 — crash-recovery cost: `Store::open` (journal replay) latency
 //! as a function of journal length, and the effect of checkpointing
 //! (EXPERIMENTS.md §3).
-//!
-//! Like the E12 bench this hand-rolls its measurement loop to get raw
-//! medians, printing criterion-style lines and emitting
-//! machine-readable results to `BENCH_store.json` in the workspace
-//! root so recovery-time regressions are visible across commits.
 
+use good_bench::harness::Bench;
+use good_bench::{labeled_program, temp_journal};
 use good_core::gen::bench_scheme;
-use good_core::ops::NodeAddition;
-use good_core::pattern::Pattern;
-use good_core::program::{Operation, Program};
 use good_store::Store;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
 
 const JOURNAL_LENGTHS: [usize; 3] = [100, 400, 1600];
-const SAMPLES: usize = 7;
-const TARGET_SAMPLE_NANOS: u128 = 60_000_000; // ~60ms per sample
-
-struct Measurement {
-    records: usize,
-    checkpointed: bool,
-    median_ns: u128,
-    nodes: usize,
-}
-
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-/// Median per-iteration time of `routine` over `SAMPLES` samples, each
-/// sized to roughly `TARGET_SAMPLE_NANOS`.
-fn measure(mut routine: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    routine();
-    let once = start.elapsed().as_nanos().max(1);
-    let iterations = (TARGET_SAMPLE_NANOS / once).clamp(1, 10_000);
-    let mut samples: Vec<u128> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        samples.push(start.elapsed().as_nanos() / iterations);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("good-e13-{name}-{}.journal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-/// Node additions are set-semantic (re-adding an identical node is a
-/// no-op), so each record introduces a distinct label to make every
-/// replayed record do real work.
-fn seed_program(index: usize) -> Program {
-    Program::from_ops([Operation::NodeAdd(NodeAddition::new(
-        Pattern::new(),
-        format!("Seed{index}").as_str(),
-        [],
-    ))])
-}
-
-fn populate(path: &PathBuf, records: usize) -> Store {
-    let mut store = Store::create(path, bench_scheme()).expect("create");
-    for index in 0..records {
-        store.execute(&seed_program(index)).expect("append");
-    }
-    store
-}
 
 fn main() {
-    println!("E13 recovery cost — journal replay latency vs length");
-    let mut measurements: Vec<Measurement> = Vec::new();
+    Bench::run("recovery", &[], |bench| {
+        for records in JOURNAL_LENGTHS {
+            let path = temp_journal("recovery");
+            let mut store = Store::create(&path, bench_scheme()).expect("create");
+            for index in 0..records {
+                store
+                    .execute(&labeled_program(&format!("Seed{index}")))
+                    .expect("append");
+            }
+            let nodes = store.instance().node_count() as f64;
+            drop(store);
+            bench
+                .time(&format!("replay/records-{records}"), || {
+                    let reopened = Store::open(&path).expect("open");
+                    assert_eq!(reopened.record_count(), records + 1);
+                })
+                .note("nodes", nodes);
 
-    for records in JOURNAL_LENGTHS {
-        let path = tmp(&format!("replay-{records}"));
-        let store = populate(&path, records);
-        let nodes = store.instance().node_count();
-        drop(store);
-        let median_ns = measure(|| {
-            let reopened = Store::open(&path).expect("open");
-            assert_eq!(reopened.record_count(), records + 1);
-        });
-        println!(
-            "{:<60} time: [median {}] ({nodes} nodes)",
-            format!("E13-recovery/replay/records-{records}"),
-            format_nanos(median_ns),
-        );
-        measurements.push(Measurement {
-            records,
-            checkpointed: false,
-            median_ns,
-            nodes,
-        });
-        let _ = std::fs::remove_file(&path);
-    }
-
-    // The checkpointed counterpart: the same state collapsed into one
-    // snapshot record — what recovery costs after housekeeping.
-    {
-        let records = *JOURNAL_LENGTHS.last().expect("lengths");
-        let path = tmp("checkpointed");
-        let mut store = populate(&path, records);
-        store.checkpoint().expect("checkpoint");
-        let nodes = store.instance().node_count();
-        drop(store);
-        let median_ns = measure(|| {
-            let reopened = Store::open(&path).expect("open");
-            assert_eq!(reopened.record_count(), 1);
-        });
-        println!(
-            "{:<60} time: [median {}] ({nodes} nodes)",
-            format!("E13-recovery/replay-checkpointed/records-{records}"),
-            format_nanos(median_ns),
-        );
-        measurements.push(Measurement {
-            records,
-            checkpointed: true,
-            median_ns,
-            nodes,
-        });
-        let _ = std::fs::remove_file(&path);
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E13-recovery\",");
-    json.push_str("  \"results\": [\n");
-    for (index, m) in measurements.iter().enumerate() {
-        let comma = if index + 1 == measurements.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"journal_records\": {}, \"checkpointed\": {}, \"median_open_ns\": {}, \"nodes\": {}}}{comma}",
-            m.records, m.checkpointed, m.median_ns, m.nodes
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push("BENCH_store.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+            // The checkpointed counterpart at the longest journal: the same
+            // state collapsed into one snapshot record — what recovery
+            // costs after housekeeping.
+            if records == JOURNAL_LENGTHS[JOURNAL_LENGTHS.len() - 1] {
+                let mut store = Store::open(&path).expect("open");
+                store.checkpoint().expect("checkpoint");
+                drop(store);
+                bench
+                    .time(&format!("replay-checkpointed/records-{records}"), || {
+                        let reopened = Store::open(&path).expect("open");
+                        assert_eq!(reopened.record_count(), 1);
+                    })
+                    .note("nodes", nodes);
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    });
 }

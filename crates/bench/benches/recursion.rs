@@ -4,86 +4,44 @@
 //! substrate baseline. Reports the overhead factor of expressing
 //! recursion through GOOD methods.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use good_bench::chain_instance;
+use good_bench::harness::Bench;
 use good_core::label::Label;
 use good_core::macros::recursion::{transitive_closure_method, transitive_closure_star};
 use good_core::method::execute_call;
 use good_core::program::Env;
-use std::time::Duration;
 
-const LENGTHS: [usize; 3] = [8, 16, 32];
-
-fn bench_recursive_method(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E4/recursive-method");
-    for length in LENGTHS {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(length),
-            &length,
-            |b, &length| {
-                b.iter_batched(
-                    || chain_instance(length),
-                    |mut db| {
-                        let (method, call) =
-                            transitive_closure_method("Info", "links-to", "rec-links-to");
-                        let mut env = Env::with_fuel(10_000_000);
-                        env.register(method);
-                        execute_call(&call, &mut db, &mut env).expect("closure")
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-    }
-    group.finish();
+fn main() {
+    Bench::run("recursion", &[], |bench| {
+        let links = Label::new("links-to");
+        for length in [8usize, 16, 32] {
+            bench.time_with_setup(
+                &format!("recursive-method/{length}"),
+                || chain_instance(length),
+                |mut db| {
+                    let (method, call) =
+                        transitive_closure_method("Info", "links-to", "rec-links-to");
+                    let mut env = Env::with_fuel(10_000_000);
+                    env.register(method);
+                    execute_call(&call, &mut db, &mut env).expect("closure");
+                    db
+                },
+            );
+            bench.time_with_setup(
+                &format!("starred-fixpoint/{length}"),
+                || chain_instance(length),
+                |mut db| {
+                    let (seed, star) = transitive_closure_star("Info", "links-to", "rec-links-to");
+                    let mut env = Env::with_fuel(10_000_000);
+                    seed.apply(&mut db).expect("seed");
+                    star.apply(&mut db, &mut env).expect("fixpoint");
+                    db
+                },
+            );
+            let db = chain_instance(length);
+            bench.time(&format!("direct-graph-closure/{length}"), || {
+                good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == links)
+            });
+        }
+    });
 }
-
-fn bench_starred_fixpoint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E4/starred-fixpoint");
-    for length in LENGTHS {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(length),
-            &length,
-            |b, &length| {
-                b.iter_batched(
-                    || chain_instance(length),
-                    |mut db| {
-                        let (seed, star) =
-                            transitive_closure_star("Info", "links-to", "rec-links-to");
-                        let mut env = Env::with_fuel(10_000_000);
-                        seed.apply(&mut db).expect("seed");
-                        star.apply(&mut db, &mut env).expect("fixpoint")
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_direct_graph_closure(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E4/direct-graph-closure");
-    let links = Label::new("links-to");
-    for length in LENGTHS {
-        let db = chain_instance(length);
-        group.bench_with_input(BenchmarkId::from_parameter(length), &length, |b, _| {
-            b.iter(|| good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == links));
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(700))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_recursive_method, bench_starred_fixpoint, bench_direct_graph_closure
-}
-criterion_main!(benches);

@@ -2,14 +2,13 @@
 //! (Section 4.3 T1), over relation cardinality. Reports the constant-
 //! factor cost of faithfulness.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_core::program::Env;
 use good_core::value::{Value, ValueType};
 use good_relational::algebra::{Predicate, RelExpr};
 use good_relational::compile::Compiler;
 use good_relational::encode::encode;
 use good_relational::relation::{RelDatabase, RelSchema, Relation};
-use std::time::Duration;
 
 const CARDINALITIES: [usize; 3] = [50, 200, 800];
 
@@ -51,62 +50,29 @@ fn query() -> RelExpr {
         .project(["name", "floor"])
 }
 
-fn bench_native(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E6/native-algebra");
-    for rows in CARDINALITIES {
-        let db = database(rows);
+fn main() {
+    Bench::run("relational", &[], |bench| {
         let expr = query();
-        group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| expr.eval(&db).expect("evaluates"));
-        });
-    }
-    group.finish();
-}
-
-fn bench_good_simulation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E6/good-simulation");
-    group.sample_size(10);
-    for rows in CARDINALITIES {
-        let db = database(rows);
-        let expr = query();
-        group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter_batched(
+        for rows in CARDINALITIES {
+            let db = database(rows);
+            bench.time(&format!("native-algebra/{rows}"), || {
+                expr.eval(&db).expect("evaluates")
+            });
+            bench.time_with_setup(
+                &format!("good-simulation/{rows}"),
                 || encode(&db).expect("encodes"),
                 |mut instance| {
                     let compiled = Compiler::new().compile(&expr, &db).expect("compiles");
                     compiled
                         .program
                         .apply(&mut instance, &mut Env::with_fuel(10_000_000))
-                        .expect("runs")
+                        .expect("runs");
+                    instance
                 },
-                criterion::BatchSize::LargeInput,
             );
-        });
-    }
-    group.finish();
+            bench.time(&format!("encode-cost/{rows}"), || {
+                encode(&db).expect("encodes")
+            });
+        }
+    });
 }
-
-fn bench_encode_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E6/encode-cost");
-    for rows in CARDINALITIES {
-        let db = database(rows);
-        group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| encode(&db).expect("encodes"));
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(700))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_native, bench_good_simulation, bench_encode_cost
-}
-criterion_main!(benches);

@@ -1,228 +1,84 @@
 //! E15 — the concurrent session server: group-commit throughput as a
 //! function of the writer's batch ceiling, and snapshot-reader latency
 //! with and without a writer flooding the queue (EXPERIMENTS.md §3).
-//!
-//! Hand-rolled like E12/E13: raw medians, criterion-style lines, and
-//! machine-readable results in `BENCH_server.json` at the workspace
-//! root. The container is 1-core, so the concurrency numbers measure
+//! On one or two cores the concurrency numbers measure
 //! scheduling/amortization effects, not parallel speedup.
 
-use good_core::gen::bench_scheme;
+use good_bench::harness::Bench;
+use good_bench::{
+    labeled_program, memory_server, pipelined_programs, submit_all_in_process, PIPELINED_PROGRAMS,
+};
 use good_core::matching::find_matchings;
-use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
-use good_core::program::{Operation, Program};
-use good_server::{Server, ServerConfig};
-use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
-use good_store::Store;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::Arc;
+use good_server::Server;
 use std::time::Instant;
 
 const BATCH_SIZES: [usize; 4] = [1, 4, 16, 64];
-const PROGRAMS: usize = 384;
-const THROUGHPUT_RUNS: usize = 5;
 const READ_SAMPLES: usize = 400;
 
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-/// A node addition under a distinct label: additions are set-semantic,
-/// so distinct labels keep every program doing real journal + model
-/// work.
-fn labeled_program(label: &str) -> Program {
-    Program::from_ops([Operation::NodeAdd(NodeAddition::new(
-        Pattern::new(),
-        label,
-        [],
-    ))])
-}
-
-fn fresh_server(max_batch: usize) -> Server {
-    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(42)));
-    let store =
-        Store::create_with_vfs(vfs, "/bench/db.journal", bench_scheme()).expect("create store");
-    Server::start(
-        store,
-        ServerConfig {
-            queue_capacity: PROGRAMS + 1,
-            max_batch,
-            ..ServerConfig::default()
-        },
-    )
-}
-
-struct Throughput {
-    max_batch: usize,
-    programs: usize,
-    median_total_ns: u128,
-    programs_per_sec: u64,
-    batches: u64,
-}
-
-/// Pipelined submission: enqueue everything, then drain the acks. The
-/// queue stays full, so the writer forms groups up to its ceiling and
-/// the fsync amortization (one sync per group, not per program) is
-/// what the sweep exposes.
-fn throughput_for(max_batch: usize) -> Throughput {
-    let mut samples: Vec<(u128, u64)> = Vec::with_capacity(THROUGHPUT_RUNS);
-    for run in 0..THROUGHPUT_RUNS {
-        let server = fresh_server(max_batch);
-        let session = server.open_session();
-        let programs: Vec<Program> = (0..PROGRAMS)
-            .map(|i| labeled_program(&format!("B{run}x{i}")))
-            .collect();
-        let start = Instant::now();
-        let tickets: Vec<_> = programs
-            .into_iter()
-            .map(|program| server.submit(session, program).expect("submit"))
-            .collect();
-        for ticket in tickets {
-            server.wait(ticket).expect("ack");
-        }
-        let elapsed = start.elapsed().as_nanos();
-        let batches = server.epoch();
-        samples.push((elapsed, batches));
-        drop(server);
-    }
-    samples.sort_unstable();
-    let (median_total_ns, batches) = samples[samples.len() / 2];
-    Throughput {
-        max_batch,
-        programs: PROGRAMS,
-        median_total_ns,
-        programs_per_sec: (PROGRAMS as u128 * 1_000_000_000 / median_total_ns.max(1)) as u64,
-        batches,
-    }
-}
-
-struct ReadLatency {
-    mode: &'static str,
-    samples: usize,
-    median_ns: u128,
-    p99_ns: u128,
-}
-
-/// One reader observation: take a fresh snapshot and run the
+/// One reader observation per sample: take a fresh snapshot and run the
 /// Info-links-to-Info pattern over it — the workload a monitoring
 /// query would run against the published state.
-fn observe(server: &Server) -> usize {
-    let snapshot = server.snapshot();
+fn read_latencies(server: &Server) -> Vec<f64> {
     let mut pattern = Pattern::new();
     let a = pattern.node("Info");
     let b = pattern.node("Info");
     pattern.edge(a, "links-to", b);
-    find_matchings(&pattern, snapshot.instance())
-        .expect("valid pattern")
-        .len()
-}
-
-fn read_latency(server: &Server, mode: &'static str, samples: usize) -> ReadLatency {
-    let mut times: Vec<u128> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        let matchings = observe(server);
-        times.push(start.elapsed().as_nanos());
-        std::hint::black_box(matchings);
-    }
-    times.sort_unstable();
-    ReadLatency {
-        mode,
-        samples,
-        median_ns: times[times.len() / 2],
-        p99_ns: times[times.len() * 99 / 100],
-    }
+    (0..READ_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            let snapshot = server.snapshot();
+            let matchings = find_matchings(&pattern, snapshot.instance()).expect("valid pattern");
+            std::hint::black_box(matchings.len());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect()
 }
 
 fn main() {
-    println!("E15 server — group-commit throughput and reader latency (1-core container)");
+    Bench::run("server", &[], |bench| {
+        // With the queue kept full the writer forms groups up to its
+        // ceiling, so the sweep exposes the fsync amortization (one sync per
+        // group, not per program).
+        for max_batch in BATCH_SIZES {
+            let mut batches = 0;
+            bench
+                .time_with_setup(
+                    &format!("throughput/max-batch-{max_batch}"),
+                    || {
+                        let server = memory_server(PIPELINED_PROGRAMS + 1, max_batch);
+                        (server, pipelined_programs())
+                    },
+                    |(server, programs)| {
+                        let server = submit_all_in_process(server, programs);
+                        batches = server.epoch();
+                        server
+                    },
+                )
+                .note("programs", PIPELINED_PROGRAMS as f64)
+                .note("batches", batches as f64);
+        }
 
-    let throughputs: Vec<Throughput> = BATCH_SIZES.iter().map(|&b| throughput_for(b)).collect();
-    for t in &throughputs {
-        println!(
-            "{:<60} time: [median {}] ({} programs/s, {} batches)",
-            format!("E15-server/throughput/max-batch-{}", t.max_batch),
-            format_nanos(t.median_total_ns),
-            t.programs_per_sec,
-            t.batches
-        );
-    }
-
-    // Reader latency: idle baseline, then the same observation while a
-    // writer floods the queue from another thread.
-    let server = fresh_server(16);
-    let session = server.open_session();
-    for i in 0..32 {
-        server
-            .submit_wait(session, labeled_program(&format!("Seed{i}")))
-            .expect("seed");
-    }
-    let idle = read_latency(&server, "idle", READ_SAMPLES);
-    let under_load = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for i in 0..2_000u32 {
-                server
-                    .submit_wait(session, labeled_program(&format!("Load{i}")))
-                    .expect("load");
-            }
+        // Reader latency: idle baseline, then the same observation while a
+        // writer floods the queue from another thread.
+        let server = memory_server(PIPELINED_PROGRAMS + 1, 16);
+        let session = server.open_session();
+        for i in 0..32 {
+            server
+                .submit_wait(session, labeled_program(&format!("Seed{i}")))
+                .expect("seed");
+        }
+        bench.latencies("read-latency/idle", read_latencies(&server));
+        let under_load = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..2_000u32 {
+                    server
+                        .submit_wait(session, labeled_program(&format!("Load{i}")))
+                        .expect("load");
+                }
+            });
+            read_latencies(&server)
         });
-        read_latency(&server, "under-write-load", READ_SAMPLES)
+        bench.latencies("read-latency/under-write-load", under_load);
     });
-    drop(server);
-    for r in [&idle, &under_load] {
-        println!(
-            "{:<60} time: [median {}] (p99 {})",
-            format!("E15-server/read-latency/{}", r.mode),
-            format_nanos(r.median_ns),
-            format_nanos(r.p99_ns)
-        );
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E15-server\",");
-    json.push_str("  \"throughput\": [\n");
-    for (index, t) in throughputs.iter().enumerate() {
-        let comma = if index + 1 == throughputs.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"max_batch\": {}, \"programs\": {}, \"median_total_ns\": {}, \
-             \"programs_per_sec\": {}, \"batches\": {}}}{comma}",
-            t.max_batch, t.programs, t.median_total_ns, t.programs_per_sec, t.batches
-        );
-    }
-    json.push_str("  ],\n  \"read_latency\": [\n");
-    let reads = [idle, under_load];
-    for (index, r) in reads.iter().enumerate() {
-        let comma = if index + 1 == reads.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{}\", \"samples\": {}, \"median_ns\": {}, \"p99_ns\": {}}}{comma}",
-            r.mode, r.samples, r.median_ns, r.p99_ns
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push("BENCH_server.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
 }

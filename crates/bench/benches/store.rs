@@ -1,30 +1,15 @@
 //! E11 — the durability layer: journal append throughput, replay
 //! (open) latency, and checkpoint cost, over journal length.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
+use good_bench::{labeled_program, temp_journal};
 use good_core::gen::bench_scheme;
 use good_core::label::Label;
 use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
 use good_core::program::{Operation, Program};
 use good_store::Store;
-use std::path::PathBuf;
-use std::time::Duration;
-
-fn tmp(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("good-bench-{name}-{}.journal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-fn seed_program(index: usize) -> Program {
-    Program::from_ops([Operation::NodeAdd(NodeAddition::new(
-        Pattern::new(),
-        format!("Seed{index}").as_str(),
-        [],
-    ))])
-}
+use std::path::Path;
 
 fn tag_program() -> Program {
     let mut pattern = Pattern::new();
@@ -36,84 +21,54 @@ fn tag_program() -> Program {
     ))])
 }
 
-fn populated(path: &PathBuf, records: usize) {
-    let mut store = Store::create(path, bench_scheme()).expect("create");
+/// A fresh store at `path`, replacing whatever journal was there.
+fn fresh(path: &Path) -> Store {
+    let _ = std::fs::remove_file(path);
+    Store::create(path, bench_scheme()).expect("create")
+}
+
+fn populated(path: &Path, records: usize) -> Store {
+    let mut store = fresh(path);
     for index in 0..records {
-        store.execute(&seed_program(index)).expect("execute");
+        store
+            .execute(&labeled_program(&format!("Seed{index}")))
+            .expect("execute");
     }
+    store
 }
 
-fn bench_append(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E11/append");
-    group.bench_function("execute+fsync", |b| {
-        let path = tmp("append");
-        let mut store = Store::create(&path, bench_scheme()).expect("create");
+fn main() {
+    Bench::run("store", &[], |bench| {
+        let path = temp_journal("store");
+        let mut store = fresh(&path);
         let mut index = 0usize;
-        b.iter(|| {
-            store.execute(&seed_program(index)).expect("execute");
+        bench.time("append/execute+fsync", || {
             index += 1;
+            store
+                .execute(&labeled_program(&format!("Seed{index}")))
+                .expect("execute")
+        });
+        let mut store = fresh(&path);
+        let tag = tag_program();
+        bench.time("append/execute-with-matching", || {
+            store.execute(&tag).expect("execute")
         });
         drop(store);
+
+        for records in [10usize, 100, 400] {
+            drop(populated(&path, records));
+            bench.time(&format!("open-replay/{records}"), || {
+                Store::open(&path).expect("open")
+            });
+            bench.time_with_setup(
+                &format!("checkpoint/{records}"),
+                || populated(&path, records),
+                |mut store| {
+                    store.checkpoint().expect("checkpoint");
+                    store
+                },
+            );
+        }
         let _ = std::fs::remove_file(&path);
     });
-    group.bench_function("execute-with-matching", |b| {
-        let path = tmp("append-match");
-        let mut store = Store::create(&path, bench_scheme()).expect("create");
-        b.iter(|| store.execute(&tag_program()).expect("execute"));
-        drop(store);
-        let _ = std::fs::remove_file(&path);
-    });
-    group.finish();
 }
-
-fn bench_open_replay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E11/open-replay");
-    for records in [10usize, 100, 400] {
-        let path = tmp(&format!("open-{records}"));
-        populated(&path, records);
-        group.bench_with_input(BenchmarkId::from_parameter(records), &records, |b, _| {
-            b.iter(|| Store::open(&path).expect("open"));
-        });
-        let _ = std::fs::remove_file(&path);
-    }
-    group.finish();
-}
-
-fn bench_checkpoint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E11/checkpoint");
-    for records in [10usize, 100, 400] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(records),
-            &records,
-            |b, &records| {
-                b.iter_batched(
-                    || {
-                        let path = tmp(&format!("ckpt-{records}"));
-                        populated(&path, records);
-                        (Store::open(&path).expect("open"), path)
-                    },
-                    |(mut store, path)| {
-                        store.checkpoint().expect("checkpoint");
-                        let _ = std::fs::remove_file(&path);
-                    },
-                    criterion::BatchSize::PerIteration,
-                );
-            },
-        );
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(800))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_append, bench_open_replay, bench_checkpoint
-}
-criterion_main!(benches);

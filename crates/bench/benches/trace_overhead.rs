@@ -3,307 +3,95 @@
 //! Measures matcher and operation workloads twice: with no recorder
 //! installed (the shipping default — every span site must collapse to
 //! one relaxed atomic load) and with a `Collector` attached (full
-//! capture). Prints criterion-style lines and emits machine-readable
-//! results to `BENCH_trace.json` in the workspace root.
-//!
-//! Doubles as the CI overhead smoke: `--check <baseline.json>`
-//! re-measures only the tracing-off medians and exits nonzero if any
-//! workload regressed more than 10% against the recorded baseline.
-//!
-//! Hand-rolled measurement loop (same idiom as `parallel.rs`) because
-//! the report needs the raw medians.
+//! capture). `--check` gates only the tracing-off cases.
 
+use good_bench::harness::{Bench, Gate};
 use good_bench::{anchored_pattern, chain_pattern, instance_of, tag_addition};
 use good_core::matching::{find_matchings_with, MatchConfig};
 use good_core::program::{Env, Operation, Program};
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
-const SAMPLES: usize = 7;
-const TARGET_SAMPLE_NANOS: u128 = 60_000_000; // ~60ms per sample
-const CHECK_TOLERANCE: f64 = 1.10;
 // Absolute slack on top of the 10%: µs-scale workloads jitter by more
 // than 10% from timer granularity alone, yet an accidental always-on
 // capture costs several µs there — so a 1µs floor keeps the gate
-// meaningful without false alarms.
-const CHECK_SLACK_NANOS: u128 = 1_000;
+// meaningful without false alarms. The morsel-parallel workload is
+// reported but not gated: its median swings with scheduler noise on
+// shared runners.
+const GATES: &[Gate] = &[
+    Gate::vs_baseline("match-chain2-seq@1600/off", 1.10, 1_000.0),
+    Gate::vs_baseline("match-anchored-seq@400/off", 1.10, 1_000.0),
+    Gate::vs_baseline("program-tag-na@400/off", 1.10, 1_000.0),
+];
 
-struct Measurement {
-    workload: &'static str,
-    off_ns: u128,
-    on_ns: u128,
-    spans_per_iter: usize,
-}
-
-fn format_nanos(nanos: u128) -> String {
-    let nanos = nanos as f64;
-    if nanos < 1_000.0 {
-        format!("{nanos:.2} ns")
-    } else if nanos < 1_000_000.0 {
-        format!("{:.2} µs", nanos / 1_000.0)
-    } else if nanos < 1_000_000_000.0 {
-        format!("{:.2} ms", nanos / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos / 1_000_000_000.0)
-    }
-}
-
-/// Median per-iteration time of `routine` over `SAMPLES` samples, each
-/// sized to roughly `TARGET_SAMPLE_NANOS`.
-fn measure(mut routine: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    routine();
-    let once = start.elapsed().as_nanos().max(1);
-    let iterations = (TARGET_SAMPLE_NANOS / once).clamp(1, 10_000);
-    let mut samples: Vec<u128> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        samples.push(start.elapsed().as_nanos() / iterations);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
+type Workload = (&'static str, Box<dyn FnMut()>);
 
 /// The measured workloads. Each closure is self-contained and safe to
 /// call repeatedly: the mutation workload re-applies an idempotent
 /// node addition, so every timed iteration after the first exercises
-/// the dedup path in both modes. The `checked` flag marks workloads
-/// stable enough for the 10% CI gate — the morsel-parallel one is
-/// reported but not gated, since its median swings with scheduler
-/// noise on shared runners.
-struct Workload {
-    name: &'static str,
-    checked: bool,
-    routine: Box<dyn FnMut()>,
-}
-
+/// the dedup path in both modes.
 fn workloads() -> Vec<Workload> {
     let chain_db = instance_of(1600);
     let chain_db_par = chain_db.clone();
     let chain = chain_pattern(2).0;
-    let chain_par = chain_pattern(2).0;
+    let chain_par = chain.clone();
     let anchored_db = instance_of(400);
     let anchored = anchored_pattern("info-0").0;
     let mut tag_db = instance_of(400);
     let tag_program = Program::from_ops([Operation::NodeAdd(tag_addition(2))]);
+    let parallel = MatchConfig {
+        threads: 4,
+        parallel_threshold: 128,
+    };
     vec![
-        Workload {
-            name: "match-chain2-seq@1600",
-            checked: true,
-            routine: Box::new(move || {
+        (
+            "match-chain2-seq@1600",
+            Box::new(move || {
                 find_matchings_with(&chain, &chain_db, MatchConfig::sequential())
                     .expect("valid pattern");
             }),
-        },
-        Workload {
-            name: "match-anchored-seq@400",
-            checked: true,
-            routine: Box::new(move || {
+        ),
+        (
+            "match-anchored-seq@400",
+            Box::new(move || {
                 find_matchings_with(&anchored, &anchored_db, MatchConfig::sequential())
                     .expect("valid pattern");
             }),
-        },
-        Workload {
-            name: "match-chain2-par4@1600",
-            checked: false,
-            routine: Box::new(move || {
-                let config = MatchConfig {
-                    threads: 4,
-                    parallel_threshold: 128,
-                };
-                find_matchings_with(&chain_par, &chain_db_par, config).expect("valid pattern");
+        ),
+        (
+            "match-chain2-par4@1600",
+            Box::new(move || {
+                find_matchings_with(&chain_par, &chain_db_par, parallel).expect("valid pattern");
             }),
-        },
-        Workload {
-            name: "program-tag-na@400",
-            checked: true,
-            routine: Box::new(move || {
+        ),
+        (
+            "program-tag-na@400",
+            Box::new(move || {
                 let mut env = Env::with_fuel(1_000_000);
                 tag_program.apply(&mut tag_db, &mut env).expect("applies");
             }),
-        },
+        ),
     ]
 }
 
-fn workspace_path(file: &str) -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/
-    path.pop(); // workspace root
-    path.push(file);
-    path
-}
-
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<u128> {
-    let start = line.find(key)? + key.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract `(workload, off_ns)` pairs from a previously emitted
-/// `BENCH_trace.json` (flat hand-formatted JSON, one result per line —
-/// no parser dependency needed).
-fn parse_baseline(text: &str) -> Vec<(String, u128)> {
-    text.lines()
-        .filter_map(|line| {
-            let workload = json_str_field(line, "\"workload\": \"")?;
-            let off_ns = json_num_field(line, "\"off_ns\": ")?;
-            Some((workload, off_ns))
-        })
-        .collect()
-}
-
-/// CI smoke: re-measure the tracing-off medians and fail on >10%
-/// regression against the recorded baseline.
-fn run_check(baseline_arg: &str) -> ! {
-    let path = if std::path::Path::new(baseline_arg).is_absolute() {
-        PathBuf::from(baseline_arg)
-    } else {
-        // cargo bench runs with the package as cwd; resolve relative
-        // baselines against the workspace root where the bench emits.
-        workspace_path(baseline_arg)
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read baseline {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        eprintln!("no results found in baseline {}", path.display());
-        std::process::exit(1);
-    }
-    println!("E14 overhead smoke — tracing-off vs {}", path.display());
-    let mut failed = false;
-    for workload in workloads() {
-        if !workload.checked {
-            continue;
-        }
-        let Workload {
-            name, mut routine, ..
-        } = workload;
-        good_trace::uninstall();
-        // Best of two medians: the gate compares against a recorded
-        // median, so damping scheduler spikes here trades a slightly
-        // lenient gate for no false alarms on shared runners.
-        let off_ns = measure(&mut *routine).min(measure(&mut *routine));
-        match baseline.iter().find(|(w, _)| w == name) {
-            Some((_, base_ns)) => {
-                let ratio = off_ns as f64 / *base_ns as f64;
-                let allowed = (*base_ns as f64 * CHECK_TOLERANCE) as u128 + CHECK_SLACK_NANOS;
-                let verdict = if off_ns > allowed {
-                    failed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{name:<28} off {:>12}  baseline {:>12}  ratio {ratio:.3}  {verdict}",
-                    format_nanos(off_ns),
-                    format_nanos(*base_ns),
-                );
-            }
-            None => {
-                failed = true;
-                println!("{name:<28} missing from baseline");
-            }
-        }
-    }
-    if failed {
-        eprintln!("tracing-off medians regressed more than 10% vs baseline");
-        std::process::exit(1);
-    }
-    println!("tracing-off medians within 10% of baseline");
-    std::process::exit(0);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(position) = args.iter().position(|a| a == "--check") {
-        let Some(baseline) = args.get(position + 1) else {
-            eprintln!("error: --check requires a baseline path");
-            std::process::exit(1);
-        };
-        run_check(baseline);
-    }
+    Bench::run("trace", GATES, |bench| {
+        for (workload, mut routine) in workloads() {
+            // Tracing off: the shipping default. No recorder installed, so
+            // every span site is a single relaxed load.
+            good_trace::uninstall();
+            bench.time(&format!("{workload}/off"), &mut routine);
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("E14 trace overhead — {cores} core(s) available");
-
-    let mut measurements: Vec<Measurement> = Vec::new();
-    for Workload {
-        name: workload,
-        mut routine,
-        ..
-    } in workloads()
-    {
-        // Tracing off: the shipping default. No recorder installed, so
-        // every span site is a single relaxed load.
-        good_trace::uninstall();
-        let off_ns = measure(&mut *routine);
-
-        // Tracing on: full capture into a collector. One extra run
-        // counts spans per iteration; the capture is drained afterward
-        // so the timed runs only pay recording, not unbounded growth.
-        let collector = Arc::new(good_trace::Collector::new());
-        good_trace::swap_recorder(Some(collector.clone()));
-        routine();
-        let spans_per_iter = collector.take().len();
-        let on_ns = measure(&mut *routine);
-        good_trace::uninstall();
-        collector.take();
-
-        let overhead_pct = (on_ns as f64 / off_ns as f64 - 1.0) * 100.0;
-        println!(
-            "E14-trace-overhead/{workload:<28} off: [median {:>12}]  on: [median {:>12}]  overhead {overhead_pct:+.2}% ({spans_per_iter} spans/iter)",
-            format_nanos(off_ns),
-            format_nanos(on_ns),
-        );
-        measurements.push(Measurement {
-            workload,
-            off_ns,
-            on_ns,
-            spans_per_iter,
-        });
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"E14-trace-overhead\",");
-    let _ = writeln!(json, "  \"machine_cores\": {cores},");
-    json.push_str("  \"results\": [\n");
-    for (index, m) in measurements.iter().enumerate() {
-        let comma = if index + 1 == measurements.len() {
-            ""
-        } else {
-            ","
-        };
-        let overhead_pct = (m.on_ns as f64 / m.off_ns as f64 - 1.0) * 100.0;
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"off_ns\": {}, \"on_ns\": {}, \"spans_per_iter\": {}, \"overhead_pct\": {overhead_pct:.2}}}{comma}",
-            m.workload, m.off_ns, m.on_ns, m.spans_per_iter
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = workspace_path("BENCH_trace.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
+            // Tracing on: full capture into a collector. One extra run
+            // counts spans per iteration; the capture is dropped after the
+            // case, so its growth is bounded by one case's iterations.
+            let collector = Arc::new(good_trace::Collector::new());
+            good_trace::swap_recorder(Some(collector.clone()));
+            routine();
+            let spans_per_iter = collector.take().len() as f64;
+            bench
+                .time(&format!("{workload}/on"), &mut routine)
+                .note("spans_per_iter", spans_per_iter);
+            good_trace::uninstall();
+        }
+    });
 }

@@ -1,46 +1,21 @@
 //! E9 — per-step cost of the GOOD Turing machine simulation vs the
 //! direct interpreter, over input length (binary increment).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use good_bench::harness::Bench;
 use good_turing::machine::binary_increment;
 use good_turing::run_in_good;
-use std::time::Duration;
 
-fn bench_interpreter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E9/interpreter");
-    let machine = binary_increment();
-    for bits in [4usize, 8, 16] {
-        let input = "1".repeat(bits);
-        group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, _| {
-            b.iter(|| machine.run(&input, 100_000));
-        });
-    }
-    group.finish();
+fn main() {
+    Bench::run("turing", &[], |bench| {
+        let machine = binary_increment();
+        for bits in [4usize, 8, 16] {
+            let input = "1".repeat(bits);
+            bench.time(&format!("interpreter/{bits}"), || {
+                machine.run(&input, 100_000)
+            });
+            bench.time(&format!("good-simulation/{bits}"), || {
+                run_in_good(&machine, &input, 10_000_000).expect("halts")
+            });
+        }
+    });
 }
-
-fn bench_good_simulation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E9/good-simulation");
-    group.sample_size(10);
-    let machine = binary_increment();
-    for bits in [4usize, 8, 16] {
-        let input = "1".repeat(bits);
-        group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, _| {
-            b.iter(|| run_in_good(&machine, &input, 10_000_000).expect("halts"));
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(800))
-        .warm_up_time(Duration::from_millis(150))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_interpreter, bench_good_simulation
-}
-criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! `good-bench` — shared workload builders for the benchmark harness
-//! (EXPERIMENTS.md E1–E10) and the `repro` figure-regeneration binary.
+//! `good-bench` — the bench harness ([`harness`]), the workload builders
+//! its twenty targets share (EXPERIMENTS.md E1–E20) and the `repro`
+//! figure-regeneration binary.
 //!
 //! The paper has no quantitative evaluation, so these workloads
 //! characterize the implementation on synthetic hyper-media-shaped
@@ -9,12 +10,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
+
 use good_core::gen::{random_instance, GenConfig};
 use good_core::instance::Instance;
 use good_core::label::Label;
 use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
+use good_core::program::{Operation, Program};
 use good_graph::NodeId;
+use good_server::client::Client;
+use good_server::net::{NetConfig, NetServer};
+use good_server::{Server, ServerConfig};
+use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
+use good_store::Store;
+use std::net::TcpListener;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The instance sizes the sweeps run over (number of Info objects).
 pub const SIZES: [usize; 3] = [100, 400, 1600];
@@ -149,6 +161,140 @@ pub fn chain_instance(length: usize) -> Instance {
         db.add_edge(window[0], "links-to", window[1]).expect("edge");
     }
     db
+}
+
+/// A one-operation program adding an isolated node labelled `label`.
+/// Node additions are set-semantic (re-adding an identical node is a
+/// no-op), so callers pass distinct labels to make every journaled or
+/// replayed record do real work.
+pub fn labeled_program(label: &str) -> Program {
+    Program::from_ops([Operation::NodeAdd(NodeAddition::new(
+        Pattern::new(),
+        label,
+        [],
+    ))])
+}
+
+/// A journal path in the temp directory, unique to this process and
+/// `name`, with any previous file removed.
+pub fn temp_journal(name: &str) -> PathBuf {
+    let mut path = std::env::temp_dir();
+    path.push(format!("good-bench-{name}-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// The pipelined-submission workload E15, E17 and E19 share, so their
+/// throughput numbers compare like with like.
+pub const PIPELINED_PROGRAMS: usize = 384;
+/// The writer batch ceiling E17 and E19 run it at: E15's largest.
+pub const PIPELINED_MAX_BATCH: usize = 64;
+
+/// [`PIPELINED_PROGRAMS`] distinct programs.
+pub fn pipelined_programs() -> Vec<Program> {
+    (0..PIPELINED_PROGRAMS)
+        .map(|i| labeled_program(&format!("P{i}")))
+        .collect()
+}
+
+/// A session server over an empty bench-scheme store on the in-memory
+/// fault-free VFS (no disk in the measurement).
+pub fn memory_server(queue_capacity: usize, max_batch: usize) -> Server {
+    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(42)));
+    let store = Store::create_with_vfs(vfs, "/bench/db.journal", good_core::gen::bench_scheme())
+        .expect("create store");
+    Server::start(
+        store,
+        ServerConfig {
+            queue_capacity,
+            max_batch,
+            ..ServerConfig::default()
+        },
+    )
+}
+
+/// Pipelined submission through the in-process session API: enqueue
+/// everything, then drain the acks. The queue stays full, so the
+/// writer forms groups up to its batch ceiling.
+pub fn submit_all_in_process(server: Server, programs: Vec<Program>) -> Server {
+    let session = server.open_session();
+    let tickets: Vec<_> = programs
+        .into_iter()
+        .map(|program| server.submit(session, program).expect("submit"))
+        .collect();
+    for ticket in tickets {
+        server.wait(ticket).expect("ack");
+    }
+    server
+}
+
+/// `server` behind the TCP front end on an ephemeral loopback port.
+pub fn loopback(server: Server, max_connections: usize, session_inflight: usize) -> NetServer {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let config = NetConfig {
+        max_connections,
+        session_inflight,
+        ..NetConfig::default()
+    };
+    NetServer::start(server, listener, config).expect("start net server")
+}
+
+/// A loopback server sized for the pipelined workload, one connected
+/// client and the programs it will send. Dropping it says goodbye and
+/// joins the server, so back-to-back samples never overlap.
+pub struct PipelinedWire {
+    net: Option<NetServer>,
+    client: Option<Client>,
+    programs: Vec<Program>,
+}
+
+impl PipelinedWire {
+    /// Start the server and connect.
+    pub fn start() -> PipelinedWire {
+        let server = memory_server(PIPELINED_PROGRAMS + 1, PIPELINED_MAX_BATCH);
+        let net = loopback(
+            server,
+            NetConfig::default().max_connections,
+            PIPELINED_PROGRAMS + 1,
+        );
+        let client = Client::connect(net.local_addr()).expect("connect");
+        PipelinedWire {
+            net: Some(net),
+            client: Some(client),
+            programs: pipelined_programs(),
+        }
+    }
+
+    /// The connected client.
+    pub fn client(&mut self) -> &mut Client {
+        self.client.as_mut().expect("live until drop")
+    }
+
+    /// Fire every submit before reading the first ack — the wire
+    /// analogue of E15's pipelined throughput measurement.
+    pub fn submit_all(mut self) -> PipelinedWire {
+        let client = self.client.as_mut().expect("live until drop");
+        let requests: Vec<u64> = self
+            .programs
+            .iter()
+            .map(|program| client.submit(program).expect("submit"))
+            .collect();
+        for request in requests {
+            client.wait_ack(request).expect("ack");
+        }
+        self
+    }
+}
+
+impl Drop for PipelinedWire {
+    fn drop(&mut self) {
+        if let Some(client) = self.client.take() {
+            client.goodbye().expect("goodbye");
+        }
+        if let Some(net) = self.net.take() {
+            net.shutdown().expect("shutdown");
+        }
+    }
 }
 
 /// Every DOT rendering the `repro` binary emits for the paper's

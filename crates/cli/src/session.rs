@@ -526,11 +526,9 @@ impl Session {
                 .expect("write");
             }
         }
-        // With a recorder installed (e.g. under --profile), append the
-        // runtime metrics accumulated so far.
-        if good_trace::enabled() {
-            writeln!(out, "metrics: {}", good_trace::metrics_snapshot_json()).expect("write");
-        }
+        // The process's runtime metrics so far (the same document the
+        // server's `Stats` frame carries under "metrics").
+        writeln!(out, "metrics: {}", good_trace::metrics_snapshot().to_json()).expect("write");
         Ok(out)
     }
 
@@ -866,10 +864,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_appends_metrics_only_when_tracing() {
+    fn stats_prints_planner_statistics_and_the_metrics_snapshot() {
         let mut session = bootstrapped();
+        session.execute("match { i: Info; }").unwrap();
         let out = session.execute("stats").unwrap();
-        assert!(!out.contains("metrics:"));
+        // No recorder is installed: the one registry is always on.
+        assert!(out.contains("metrics: {\"counters\":{"), "{out}");
+        assert!(out.contains("\"match.calls\":"), "{out}");
         assert!(
             out.contains("planner statistics (3 edge triples):"),
             "{out}"

@@ -387,7 +387,7 @@ fn profile_flag_writes_parseable_chrome_trace_with_match_spans() {
         .output()
         .expect("binary runs");
     assert!(output.status.success(), "{output:?}");
-    // With the recorder installed, `stats` appends a metrics snapshot.
+    // `stats` appends the metrics snapshot.
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("metrics:"), "{stdout}");
     assert!(stdout.contains("match.calls"), "{stdout}");

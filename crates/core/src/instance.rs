@@ -23,8 +23,15 @@ use crate::stats::InstanceStats;
 use crate::value::Value;
 use good_graph::dot::{DotEdge, DotNode};
 use good_graph::{EdgeId, Graph, NodeId};
+use good_trace::LiveCounter;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+// Which deletion strategy batched deletes took (see `delete_nodes`).
+static LIVE_NODE_DEL_BULK: LiveCounter = LiveCounter::new("instance.node_del.bulk_rebuild");
+static LIVE_NODE_DEL_INCREMENTAL: LiveCounter = LiveCounter::new("instance.node_del.incremental");
+static LIVE_EDGE_DEL_BULK: LiveCounter = LiveCounter::new("instance.edge_del.bulk_rebuild");
+static LIVE_EDGE_DEL_INCREMENTAL: LiveCounter = LiveCounter::new("instance.edge_del.incremental");
 
 /// Payload of an instance node: its class label, plus the print constant
 /// for printable nodes.
@@ -902,7 +909,7 @@ impl Instance {
     pub fn delete_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> usize {
         let doomed: Vec<NodeId> = nodes.into_iter().collect();
         if doomed.len() >= BULK_REBUILD_MIN && doomed.len() * 8 >= self.graph.node_count() {
-            good_trace::counter_add("instance.node_del.bulk_rebuild", 1);
+            LIVE_NODE_DEL_BULK.incr();
             let removed = doomed
                 .into_iter()
                 .filter(|node| self.remove_node_untracked(*node))
@@ -911,7 +918,7 @@ impl Instance {
             self.stats = InstanceStats::build(&self.graph);
             removed
         } else {
-            good_trace::counter_add("instance.node_del.incremental", 1);
+            LIVE_NODE_DEL_INCREMENTAL.incr();
             doomed
                 .into_iter()
                 .filter(|node| self.delete_node(*node))
@@ -1007,7 +1014,7 @@ impl Instance {
             }
         }
         if doomed.len() >= BULK_REBUILD_MIN && doomed.len() * 2 >= self.graph.edge_count() {
-            good_trace::counter_add("instance.edge_del.bulk_rebuild", 1);
+            LIVE_EDGE_DEL_BULK.incr();
             let removed = doomed
                 .into_iter()
                 .filter(|edge| self.graph.remove_edge(*edge).is_some())
@@ -1016,7 +1023,7 @@ impl Instance {
             self.stats = InstanceStats::build(&self.graph);
             removed
         } else {
-            good_trace::counter_add("instance.edge_del.incremental", 1);
+            LIVE_EDGE_DEL_INCREMENTAL.incr();
             doomed
                 .into_iter()
                 .filter(|edge| self.delete_edge(*edge))

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::instance::Instance;
     pub use crate::label::{EdgeKind, Label, NodeKind};
     pub use crate::matching::{
-        default_threads, explain_plan, explain_plan_profiled, find_match_table, find_matchings,
+        default_threads, explain_plan_profiled, find_match_table, find_matchings,
         find_matchings_with, set_default_threads, MatchConfig, MatchTable, Matching, Plan,
         PlanStep,
     };

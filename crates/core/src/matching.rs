@@ -34,9 +34,18 @@ use crate::pattern::{Pattern, PatternNode, PatternNodeKind};
 use crate::persist::PSet;
 use crate::planner::{self, JoinStrategy};
 use good_graph::NodeId;
+use good_trace::{LiveCounter, LiveHistogram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE_CALLS: LiveCounter = LiveCounter::new("match.calls");
+/// Positive matchings dropped because a crossed part extended them.
+static LIVE_NEGATION_FILTERED: LiveCounter = LiveCounter::new("match.negation_filtered");
+static LIVE_FIND_NS: LiveHistogram = LiveHistogram::new("match.find_ns");
+/// Per plan step, |estimated − actual| rows as a percentage of actual
+/// (recorded by profiled EXPLAIN).
+static LIVE_EST_ERROR_PCT: LiveHistogram = LiveHistogram::new("match.plan.est_error_pct");
 
 /// An instance edge `(src, λ, dst)` by value — what an edge addition
 /// adds and the fixpoint evaluator's delta log holds.
@@ -841,7 +850,7 @@ fn table_of(
             // enough for point queries.
             let choice = planner::plan(&positive, instance);
             planned = Some((choice.strategy.name(), choice.est_rows));
-            good_trace::counter_add(choice.strategy.counter(), 1);
+            choice.strategy.counter().incr();
             Search::planned(&positive, instance, &choice).enumerate(config, &mut table);
         }
     }
@@ -859,15 +868,14 @@ fn table_of(
         if let Some(delta) = delta {
             find_span.arg("delta_edges", delta.len());
         }
-        good_trace::counter_add("match.calls", 1);
-        good_trace::counter_add(
-            "match.negation_filtered",
-            (positive_results - table.len()) as u64,
-        );
+        // Timed on the span's clock, so only while a recorder is
+        // installed; the counters below are always on.
         if let Some(t0) = started {
-            good_trace::observe_ns("match.find_ns", t0.elapsed().as_nanos() as u64);
+            LIVE_FIND_NS.observe(t0.elapsed().as_nanos() as u64);
         }
     }
+    LIVE_CALLS.incr();
+    LIVE_NEGATION_FILTERED.add((positive_results - table.len()) as u64);
     Ok(table)
 }
 
@@ -895,10 +903,9 @@ pub struct PlanStep {
     pub actual_rows: Option<u64>,
 }
 
-/// A static description of the plan [`find_matchings_with`] would run
-/// for a pattern against an instance — produced by [`explain_plan`]
-/// without executing the search, or by [`explain_plan_profiled`] with
-/// per-step actual row counts.
+/// A description of the plan [`find_matchings_with`] would run for a
+/// pattern against an instance, produced by [`explain_plan_profiled`]
+/// with per-step actual row counts.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Binding steps in the cost-based planner's order — the exact
@@ -1032,34 +1039,20 @@ impl Plan {
     }
 }
 
-/// Describe, without running it, the plan [`find_matchings_with`] would
-/// choose for `pattern` against `instance` under `config`: the
-/// cost-based binding order with per-step access paths and cardinality
-/// estimates, the expand-vs-generic-join strategy decision, the exact
-/// root candidate count, and the sequential-vs-morsel decision.
-pub fn explain_plan(pattern: &Pattern, instance: &Instance, config: MatchConfig) -> Result<Plan> {
-    explain(pattern, instance, config, false)
-}
-
-/// [`explain_plan`] plus execution: runs the planned order once,
-/// filling each step's `actual_rows` with the number of partial
-/// matchings that survived it and the plan's `actual_matchings` with
-/// the final (negation-filtered) count, so per-step estimate error is
-/// visible. Observes the estimate error into the
-/// `match.plan.est_error_pct` trace histogram when tracing is live.
+/// Describe the plan [`find_matchings_with`] would choose for `pattern`
+/// against `instance` under `config` — the cost-based binding order
+/// with per-step access paths and cardinality estimates, the
+/// expand-vs-generic-join strategy decision, the exact root candidate
+/// count, and the sequential-vs-morsel decision — and run the planned
+/// order once, filling each step's `actual_rows` with the number of
+/// partial matchings that survived it and the plan's
+/// `actual_matchings` with the final (negation-filtered) count, so
+/// per-step estimate error is visible. Observes the estimate error
+/// into the `match.plan.est_error_pct` histogram.
 pub fn explain_plan_profiled(
     pattern: &Pattern,
     instance: &Instance,
     config: MatchConfig,
-) -> Result<Plan> {
-    explain(pattern, instance, config, true)
-}
-
-fn explain(
-    pattern: &Pattern,
-    instance: &Instance,
-    config: MatchConfig,
-    profile: bool,
 ) -> Result<Plan> {
     check_matchable(pattern, instance)?;
     let positive = pattern.positive_part();
@@ -1070,7 +1063,7 @@ fn explain(
     // (whatever the strategy, so a step's actual is what survives every
     // constraint decidable at it): the frames the loop visits at each
     // depth are the partial matchings that survived the step before.
-    let (actuals, actual_matchings) = if profile {
+    let (actuals, actual_matchings) = {
         let mut span = good_trace::span("match", "match/explain");
         let search = Search::compile(&positive, instance, &[], &choice.order, true);
         let mut cursor = search.cursor();
@@ -1082,9 +1075,7 @@ fn explain(
         let matchings = finish(pattern, instance, table).len();
         span.arg("matchings", matchings);
         span.arg("strategy", choice.strategy.name());
-        (Some(cursor.visited.split_off(1)), Some(matchings))
-    } else {
-        (None, None)
+        (cursor.visited.split_off(1), matchings)
     };
 
     let search = Search::planned(&positive, instance, &choice);
@@ -1102,23 +1093,21 @@ fn explain(
             _ => "?".into(),
         };
         let access = describe_access(&positive, node, &planned);
-        let actual_rows = actuals.as_ref().map(|counts| counts[index]);
-        if let Some(actual) = actual_rows {
-            let estimated = step.est_rows.max(0.0);
-            let error_pct = if actual == 0 {
-                (estimated * 100.0) as u64
-            } else {
-                ((estimated - actual as f64).abs() / actual as f64 * 100.0) as u64
-            };
-            good_trace::observe("match.plan.est_error_pct", error_pct);
-        }
+        let actual = actuals[index];
+        let estimated = step.est_rows.max(0.0);
+        let error_pct = if actual == 0 {
+            (estimated * 100.0) as u64
+        } else {
+            ((estimated - actual as f64).abs() / actual as f64 * 100.0) as u64
+        };
+        LIVE_EST_ERROR_PCT.observe(error_pct);
         steps.push(PlanStep {
             node,
             label,
             access,
             estimate: step.est_scanned.round() as usize,
             est_rows: step.est_rows,
-            actual_rows,
+            actual_rows: Some(actual),
         });
         planned.insert(node);
     }
@@ -1141,13 +1130,13 @@ fn explain(
         cyclic: choice.cyclic,
         est_rows: choice.est_rows,
         est_cost: choice.est_cost,
-        actual_matchings,
+        actual_matchings: Some(actual_matchings),
     })
 }
 
 /// Human description of the access path a step takes for `pnode` once
-/// every node in `planned` is bound. Used by [`explain_plan`]; mirrors
-/// the candidate-derivation priority of the compiled steps.
+/// every node in `planned` is bound. Used by [`explain_plan_profiled`];
+/// mirrors the candidate-derivation priority of the compiled steps.
 fn describe_access(pattern: &Pattern, pnode: NodeId, planned: &BTreeSet<NodeId>) -> String {
     let data = pattern.graph().node(pnode).expect("live pattern node");
     let PatternNodeKind::Class(label) = &data.kind else {
@@ -1196,20 +1185,6 @@ fn describe_access(pattern: &Pattern, pnode: NodeId, planned: &BTreeSet<NodeId>)
     } else {
         format!("label extent scan of {label}{predicate_note}")
     }
-}
-
-/// True if the pattern matches at least once (early-exit variant).
-pub fn matches_once(pattern: &Pattern, instance: &Instance) -> Result<bool> {
-    // A crossed part is decided per matching of the positive part, so
-    // there is no first witness to stop at: enumerate.
-    if pattern.has_negation() {
-        let table = find_match_table(pattern, instance, MatchConfig::default())?;
-        return Ok(!table.is_empty());
-    }
-    check_matchable(pattern, instance)?;
-    let order = planner::plan(pattern, instance).order;
-    let search = Search::compile(pattern, instance, &[], &order, false);
-    Ok(search.extends(&mut search.cursor()))
 }
 
 /// Ablation variant of [`find_matchings`]: the same compiled-step loop
@@ -1435,7 +1410,6 @@ mod tests {
         let name = p.printable("String", "Mozart");
         p.edge(info, "name", name);
         assert!(find_matchings(&p, &db).unwrap().is_empty());
-        assert!(!matches_once(&p, &db).unwrap());
     }
 
     #[test]
@@ -1688,13 +1662,5 @@ mod tests {
             }
         }
         assert!(!survivors.is_empty() && survivors.len() < 24);
-    }
-
-    #[test]
-    fn matches_once_early_exit() {
-        let (db, _) = small_instance();
-        let mut p = Pattern::new();
-        p.node("Info");
-        assert!(matches_once(&p, &db).unwrap());
     }
 }

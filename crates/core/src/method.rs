@@ -41,8 +41,12 @@ use crate::pattern::{Pattern, PatternNodeKind};
 use crate::program::{Env, Operation};
 use crate::scheme::Scheme;
 use good_graph::NodeId;
+use good_trace::LiveCounter;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// Method calls executed, recursive ones included.
+static LIVE_CALLS: LiveCounter = LiveCounter::new("method.calls");
 
 /// A method specification: name, parameter labels with node labels, and
 /// receiver label.
@@ -307,9 +311,9 @@ pub fn execute_call(call: &MethodCall, db: &mut Instance, env: &mut Env) -> Resu
     } else {
         good_trace::SpanGuard::disabled()
     };
+    LIVE_CALLS.incr();
     if method_span.is_live() {
         method_span.arg("depth", env.method_depth());
-        good_trace::counter_add("method.calls", 1);
     }
     let fuel_before = env.fuel_left();
     let result = run_call(&method, call, receiver_label, db, env);

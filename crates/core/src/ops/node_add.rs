@@ -20,8 +20,12 @@ use crate::matching::find_matchings;
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
+use good_trace::LiveCounter;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
+
+/// Matchings whose node already existed (the Figure 9 "if not exists").
+static LIVE_DEDUP_HITS: LiveCounter = LiveCounter::new("op.na.dedup_hits");
 
 /// A node addition operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -123,7 +127,7 @@ impl NodeAddition {
             }
             pending.push(key);
         }
-        good_trace::counter_add("op.na.dedup_hits", dedup_hits);
+        LIVE_DEDUP_HITS.add(dedup_hits);
         for key in pending {
             let fresh = db.add_object(self.label.clone())?;
             for ((edge_label, _), target) in self.edges.iter().zip(&key) {

@@ -31,6 +31,7 @@ use crate::instance::Instance;
 use crate::matching::{check_matchable, finish, node_compatible, MatchTable, Matching};
 use crate::pattern::{Pattern, PatternNodeKind};
 use good_graph::NodeId;
+use good_trace::LiveCounter;
 use std::collections::BTreeMap;
 
 /// Peak-to-final estimate ratio beyond which a cyclic pattern is routed
@@ -55,11 +56,13 @@ pub enum JoinStrategy {
 }
 
 impl JoinStrategy {
-    /// The trace counter that tallies plans of this strategy.
-    pub(crate) fn counter(&self) -> &'static str {
+    /// The counter that tallies plans of this strategy.
+    pub(crate) fn counter(&self) -> &'static LiveCounter {
+        static LIVE_EXPAND: LiveCounter = LiveCounter::new("planner.expand");
+        static LIVE_WCOJ: LiveCounter = LiveCounter::new("planner.wcoj");
         match self {
-            JoinStrategy::Expand => "planner.expand",
-            JoinStrategy::GenericJoin => "planner.wcoj",
+            JoinStrategy::Expand => &LIVE_EXPAND,
+            JoinStrategy::GenericJoin => &LIVE_WCOJ,
         }
     }
 
@@ -85,7 +88,7 @@ pub struct StepEstimate {
 }
 
 /// The planner's output: a costed binding order plus the strategy
-/// decision, consumed by `find_matchings_with` and `explain_plan`.
+/// decision, consumed by `find_matchings_with` and `explain_plan_profiled`.
 #[derive(Debug, Clone)]
 pub struct PlanChoice {
     /// Binding order (all positive pattern nodes).

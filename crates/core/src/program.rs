@@ -14,9 +14,13 @@ use crate::instance::Instance;
 use crate::method::{execute_call, Method, MethodCall};
 use crate::ops::{Abstraction, EdgeAddition, EdgeDeletion, NodeAddition, NodeDeletion, OpReport};
 use crate::pattern::Pattern;
+use good_trace::LiveCounter;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+
+/// Basic operations applied (directly or as a fixpoint rule).
+static LIVE_APPLIED: LiveCounter = LiveCounter::new("op.applied");
 
 /// One step of a GOOD program: a basic operation or a method call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -112,8 +116,8 @@ impl Operation {
 /// applies edge-addition rules without going through
 /// [`Operation::apply`].
 pub(crate) fn record_report(op_span: &mut good_trace::SpanGuard, result: &Result<OpReport>) {
+    LIVE_APPLIED.incr();
     if op_span.is_live() {
-        good_trace::counter_add("op.applied", 1);
         if let Ok(report) = result {
             op_span.arg("matchings", report.matchings);
             op_span.arg("nodes_added", report.created_nodes.len());

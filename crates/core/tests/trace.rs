@@ -105,7 +105,7 @@ fn traced_star(n: usize) -> (good_trace::SpanTree, u64) {
     let (seed, star) = transitive_closure_star("Info", "links-to", "rec-links-to");
     seed.apply(&mut db).expect("seed");
     let rounds = || {
-        good_trace::live_metrics_snapshot()
+        good_trace::metrics_snapshot()
             .counter("fixpoint.rounds")
             .unwrap_or(0)
     };
@@ -151,6 +151,6 @@ fn fixpoint_rounds_are_traced_deterministically_and_counted_live() {
     assert!(first.starts_with("op/EA"), "{first}");
     assert!(first.contains("\n  fixpoint/round"), "{first}");
     assert!(first.contains("\n    match/find"), "{first}");
-    let delta = good_trace::live_metrics_snapshot().counter("fixpoint.delta_edges");
+    let delta = good_trace::metrics_snapshot().counter("fixpoint.delta_edges");
     assert!(delta.is_some_and(|edges| edges >= 10), "{delta:?}");
 }

@@ -34,7 +34,7 @@
 //!
 //! Observability (DESIGN.md "Observability"): `server/enqueue`,
 //! `server/batch`, per-request `server/commit`, and `server/publish`
-//! spans feed the recorder-gated `good-trace` layer; a parallel set of
+//! spans go to the installed `good-trace` recorder, if any; a set of
 //! **always-on live metrics** (queue depth and session gauges,
 //! enqueue/commit counters, queue-wait / execute / publish / commit
 //! latency histograms) records whether or not a recorder is installed.
@@ -70,11 +70,18 @@ static LIVE_REJECTED: LiveCounter = LiveCounter::new("server/rejected");
 static LIVE_QUEUE_FULL: LiveCounter = LiveCounter::new("server/queue_full");
 static LIVE_QUEUE_DEPTH: LiveGauge = LiveGauge::new("server/queue_depth");
 static LIVE_SESSIONS: LiveGauge = LiveGauge::new("server/sessions");
+static LIVE_SESSIONS_OPENED: LiveCounter = LiveCounter::new("server/sessions_opened");
 static LIVE_BATCH_SIZE: LiveHistogram = LiveHistogram::new("server/batch_size");
 static LIVE_QUEUE_WAIT_NS: LiveHistogram = LiveHistogram::new("server/queue_wait_ns");
 static LIVE_EXEC_NS: LiveHistogram = LiveHistogram::new("server/exec_ns");
 static LIVE_PUBLISH_NS: LiveHistogram = LiveHistogram::new("server/publish_ns");
 static LIVE_COMMIT_NS: LiveHistogram = LiveHistogram::new("server/commit_ns");
+
+/// Version of the stats document ([`Server::stats_json`], the `Stats`
+/// wire reply): its first key, `"schema"`. Bump it when a section, a
+/// metric name or a histogram field is renamed or removed; the golden
+/// in `tests/introspection.rs` pins what version 1 contains.
+pub const STATS_SCHEMA: u32 = 1;
 
 /// Identifies one open session.
 pub type SessionId = u64;
@@ -386,7 +393,6 @@ impl Shared {
             return Err(ServerError::UnknownSession(session));
         }
         if state.queue.len() >= self.config.queue_capacity {
-            good_trace::counter_add("server/queue_full", 1);
             LIVE_QUEUE_FULL.incr();
             return Err(ServerError::QueueFull {
                 capacity: self.config.queue_capacity,
@@ -402,7 +408,6 @@ impl Shared {
             enqueued: Instant::now(),
         });
         let depth = state.queue.len();
-        good_trace::gauge_set("server/queue_depth", depth as i64);
         LIVE_ENQUEUED.incr();
         LIVE_QUEUE_DEPTH.set(depth as i64);
         span.arg("session", session);
@@ -515,7 +520,7 @@ impl Server {
         let id = state.next_session;
         state.next_session += 1;
         state.sessions.insert(id);
-        good_trace::counter_add("server/sessions_opened", 1);
+        LIVE_SESSIONS_OPENED.incr();
         LIVE_SESSIONS.set(state.sessions.len() as i64);
         id
     }
@@ -646,15 +651,8 @@ impl Server {
             out.push_str(&epoch.to_string());
         }
         out.push_str("]}");
-        // Live metrics always; fold in the recorder-gated registry too
-        // when a recorder happens to be installed (its names are
-        // disjoint in practice; first writer wins on collision).
-        let mut metrics = good_trace::live_metrics_snapshot();
-        if good_trace::enabled() {
-            metrics.merge(good_trace::metrics_snapshot());
-        }
         out.push_str(",\"metrics\":");
-        out.push_str(&metrics.to_json());
+        out.push_str(&good_trace::metrics_snapshot().to_json());
         out.push_str(",\"slow\":");
         out.push_str(&self.shared.slow.to_json());
         out
@@ -662,7 +660,7 @@ impl Server {
 
     /// The full in-process introspection snapshot as one JSON object.
     pub fn stats_json(&self) -> String {
-        format!("{{{}}}", self.stats_sections())
+        format!("{{\"schema\":{STATS_SCHEMA},{}}}", self.stats_sections())
     }
 
     /// Block until the writer acks `ticket`. Each ticket may be waited
@@ -757,7 +755,6 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
             }
             let take = state.queue.len().min(shared.config.max_batch);
             let batch: Vec<Request> = state.queue.drain(..take).collect();
-            good_trace::gauge_set("server/queue_depth", state.queue.len() as i64);
             LIVE_QUEUE_DEPTH.set(state.queue.len() as i64);
             batch
         };
@@ -765,9 +762,6 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
         let drained = Instant::now();
         let mut batch_span = good_trace::span("server", "server/batch");
         batch_span.arg("programs", batch.len());
-        // The trace histogram entry point is u64-valued; batch size
-        // reuses it as a plain count histogram.
-        good_trace::observe_ns("server/batch_size", batch.len() as u64);
         LIVE_BATCH_SIZE.observe(batch.len() as u64);
         for req in &batch {
             LIVE_QUEUE_WAIT_NS.observe(duration_ns(req.enqueued, drained));
@@ -864,7 +858,6 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
                 while let Some(req) = state.queue.pop_front() {
                     state.completions.insert(req.ticket, Err(reason.clone()));
                 }
-                good_trace::gauge_set("server/queue_depth", 0);
                 LIVE_QUEUE_DEPTH.set(0);
                 drop(state);
                 shared.done.notify_all();

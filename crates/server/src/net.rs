@@ -43,8 +43,8 @@
 //! prefix.
 //!
 //! Observability (DESIGN.md "Observability"): `net/accept`,
-//! `net/conn`, `net/frame`, and per-ack `net/ack` spans feed the
-//! recorder-gated `good-trace` layer; always-on live metrics
+//! `net/conn`, `net/frame`, and per-ack `net/ack` spans go to the
+//! installed `good-trace` recorder, if any; always-on live metrics
 //! (per-frame-type counters, a connections gauge, query/ack latency
 //! histograms, shed/quota/bad-frame counters) record regardless. The
 //! reader thread serves `Stats` frames with the full introspection
@@ -77,6 +77,7 @@ use std::time::{Duration, Instant};
 // Always-on front-end metrics (see `good_trace` live metrics): frame
 // counts by type, admission events, connection gauge, read latencies.
 static LIVE_CONNECTIONS: LiveGauge = LiveGauge::new("net/connections");
+static LIVE_INFLIGHT: LiveGauge = LiveGauge::new("net/inflight");
 static LIVE_ACCEPTED: LiveCounter = LiveCounter::new("net/accepted");
 static LIVE_SHED: LiveCounter = LiveCounter::new("net/shed");
 static LIVE_QUOTA_REJECT: LiveCounter = LiveCounter::new("net/quota_reject");
@@ -160,7 +161,6 @@ impl NetShared {
         if let Some(handle) = registry.active.remove(&id) {
             registry.finished.push(handle);
         }
-        good_trace::gauge_set("net/connections", registry.streams.len() as i64);
         LIVE_CONNECTIONS.set(registry.streams.len() as i64);
     }
 
@@ -176,7 +176,11 @@ impl NetShared {
             self.config.session_inflight,
             self.draining(),
         );
-        format!("{{{net},{}}}", self.server.stats_sections())
+        format!(
+            "{{\"schema\":{},{net},{}}}",
+            crate::STATS_SCHEMA,
+            self.server.stats_sections()
+        )
     }
 }
 
@@ -356,7 +360,6 @@ fn accept_loop(shared: Arc<NetShared>, listener: TcpListener) {
         let active = shared.active_connections();
         span.arg("active", active);
         if active >= shared.config.max_connections {
-            good_trace::counter_add("net/shed", 1);
             LIVE_SHED.incr();
             span.arg("shed", true);
             let _ = shed(
@@ -384,14 +387,12 @@ fn accept_loop(shared: Arc<NetShared>, listener: TcpListener) {
                 registry.streams.insert(id, registered);
                 registry.active.insert(id, handle);
                 shared.total_accepted.fetch_add(1, Ordering::Relaxed);
-                good_trace::gauge_set("net/connections", registry.streams.len() as i64);
                 LIVE_CONNECTIONS.set(registry.streams.len() as i64);
                 LIVE_ACCEPTED.incr();
             }
             Err(_) => {
                 // Spawn failure is load: shed like a full house (the
                 // registered clone still points at the same socket).
-                good_trace::counter_add("net/shed", 1);
                 LIVE_SHED.incr();
                 let _ = shed(
                     &registered,
@@ -540,7 +541,6 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
             return;
         }
         Err(err) => {
-            good_trace::counter_add("net/bad_frame", 1);
             LIVE_BAD_FRAME.incr();
             let _ = writer.send(&Frame::Err {
                 request: 0,
@@ -630,10 +630,7 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                             None
                         };
                     }
-                    good_trace::gauge_set(
-                        "net/inflight",
-                        pump_inflight.load(Ordering::SeqCst) as i64,
-                    );
+                    LIVE_INFLIGHT.set(pump_inflight.load(Ordering::SeqCst) as i64);
                     // The client may already be gone; tickets must be
                     // redeemed regardless so completions don't leak.
                     let _ = pump_writer.send_bytes(&buffer);
@@ -654,7 +651,6 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
             }
             Err(err) => {
                 // Framing is lost; nothing after this can be trusted.
-                good_trace::counter_add("net/bad_frame", 1);
                 LIVE_BAD_FRAME.incr();
                 let _ = writer.send(&Frame::Err {
                     request: 0,
@@ -679,7 +675,6 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                     frame_span.arg("trace", trace_id);
                 }
                 if inflight.load(Ordering::SeqCst) >= shared.config.session_inflight {
-                    good_trace::counter_add("net/quota_reject", 1);
                     LIVE_QUOTA_REJECT.incr();
                     let _ = writer.send(&Frame::Err {
                         request,

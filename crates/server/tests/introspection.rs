@@ -369,3 +369,152 @@ fn newer_version_hello_is_refused_with_typed_error_not_a_drop() {
 
     net.shutdown().expect("shutdown");
 }
+
+/// Object keys of `value`, in document order.
+fn keys(value: &serde_json::Value) -> Vec<&str> {
+    let entries = value.as_map().expect("a JSON object");
+    entries
+        .iter()
+        .map(|(key, _)| key.as_str().expect("string key"))
+        .collect()
+}
+
+/// The golden for schema 1 of the stats document: its sections and
+/// their fields, the metric names a fixed scripted exchange must
+/// produce, the full catalogue a server process may produce, and the
+/// histogram field names. Renaming or dropping any of them is a
+/// `STATS_SCHEMA` bump, not a silent edit — `good-db top` and every
+/// dashboard scraping `Stats` read these names.
+#[test]
+fn stats_document_schema_1_is_pinned() {
+    // Present after the exchange below, whatever else this process ran.
+    const REQUIRED_COUNTERS: &[&str] = &[
+        "fixpoint.delta_edges",
+        "fixpoint.rounds",
+        "match.calls",
+        "match.negation_filtered",
+        "net/accepted",
+        "net/acks",
+        "net/frames/query",
+        "net/frames/snapshot",
+        "net/frames/stats",
+        "net/frames/submit",
+        "op.applied",
+        "op.na.dedup_hits",
+        "planner.expand",
+        "server/committed",
+        "server/enqueued",
+        "server/sessions_opened",
+    ];
+    const REQUIRED_GAUGES: &[&str] = &[
+        "net/connections",
+        "net/inflight",
+        "server/queue_depth",
+        "server/sessions",
+    ];
+    const REQUIRED_HISTOGRAMS: &[&str] = &[
+        "net/query_ns",
+        "net/stats_ns",
+        "server/batch_size",
+        "server/commit_ns",
+        "server/exec_ns",
+        "server/publish_ns",
+        "server/queue_wait_ns",
+        "store/fsync_ns",
+    ];
+    // Every other name the workspace registers: touched only by other
+    // paths (refusals, deletions, methods, tracing, profiled EXPLAIN).
+    const OTHER_COUNTERS: &[&str] = &[
+        "instance.edge_del.bulk_rebuild",
+        "instance.edge_del.incremental",
+        "instance.node_del.bulk_rebuild",
+        "instance.node_del.incremental",
+        "method.calls",
+        "net/bad_frame",
+        "net/frames/other",
+        "net/quota_reject",
+        "net/shed",
+        "net/version_reject",
+        "planner.wcoj",
+        "server/queue_full",
+        "server/rejected",
+    ];
+    const OTHER_HISTOGRAMS: &[&str] = &["match.find_ns", "match.plan.est_error_pct"];
+
+    let net = start_net(ServerConfig::default());
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    client
+        .submit_wait(&labeled_program("Pin1"))
+        .expect("commit");
+    client.query("{ o: Pin1; }", None).expect("pattern query");
+    client
+        .query("MATCH (a:Info)-[:links-to*]->(b:Info) RETURN a, b", None)
+        .expect("closure query");
+    client.snapshot(None, false).expect("snapshot");
+    client.stats().expect("first stats");
+    let stats = client.stats().expect("second stats");
+    client.goodbye().expect("goodbye");
+    net.shutdown().expect("shutdown");
+
+    assert!(stats.starts_with("{\"schema\":1,"), "{stats}");
+    let doc: serde_json::Value = serde_json::from_str(&stats).expect("parseable stats");
+    assert_eq!(
+        keys(&doc),
+        ["schema", "net", "server", "mvcc", "metrics", "slow"]
+    );
+    assert_eq!(
+        doc["schema"].as_u64(),
+        Some(u64::from(good_server::STATS_SCHEMA))
+    );
+    assert_eq!(
+        keys(&doc["net"]),
+        [
+            "connections",
+            "max_connections",
+            "total_accepted",
+            "session_inflight",
+            "draining"
+        ]
+    );
+    assert_eq!(
+        keys(&doc["server"]),
+        [
+            "epoch",
+            "queue_depth",
+            "queue_capacity",
+            "max_batch",
+            "sessions",
+            "draining",
+            "failed"
+        ]
+    );
+    assert_eq!(keys(&doc["mvcc"]), ["epoch", "retain_versions", "retained"]);
+    assert_eq!(keys(&doc["slow"]), ["dropped", "entries"]);
+    assert_eq!(keys(&doc["metrics"]), ["counters", "gauges", "histograms"]);
+
+    let pinned = |section: &str, required: &[&str], other: &[&str]| {
+        let present = keys(&doc["metrics"][section]);
+        for name in required {
+            assert!(
+                present.contains(name),
+                "{section}: {name} missing from {present:?}"
+            );
+        }
+        for name in &present {
+            assert!(
+                required.contains(name) || other.contains(name),
+                "{section}: {name} is not in the schema-1 catalogue"
+            );
+        }
+    };
+    pinned("counters", REQUIRED_COUNTERS, OTHER_COUNTERS);
+    pinned("gauges", REQUIRED_GAUGES, &[]);
+    pinned("histograms", REQUIRED_HISTOGRAMS, OTHER_HISTOGRAMS);
+    for (name, histogram) in doc["metrics"]["histograms"].as_map().expect("histograms") {
+        assert_eq!(
+            keys(histogram),
+            ["count", "sum", "max", "buckets"],
+            "histogram {name:?}"
+        );
+    }
+}

@@ -77,7 +77,7 @@ fn live_snapshot_json_parses_against_the_same_schema() {
     // this process have recorded) parses.
     static PROBE: good_trace::LiveCounter = good_trace::LiveCounter::new("metrics_json/probe");
     PROBE.incr();
-    let doc = parse(&good_trace::live_metrics_snapshot_json());
+    let doc = parse(&good_trace::metrics_snapshot().to_json());
     assert!(doc["counters"]["metrics_json/probe"].as_u64().unwrap() >= 1);
 }
 

@@ -23,30 +23,23 @@
 //!    state, and completed spans are delivered straight to the installed
 //!    [`Recorder`], so nothing is lost when a scoped thread exits.
 //!
-//! Alongside spans there are **two** metrics registries:
-//!
-//! * the recorder-gated registry ([`counter_add`], [`gauge_set`],
-//!   [`observe_ns`]) — mutation is a no-op unless a recorder is
-//!   installed, preserving the zero-cost-off contract for
-//!   profiling-grade metrics;
-//! * the **always-on live registry** ([`LiveCounter`], [`LiveGauge`],
-//!   [`LiveHistogram`]) — lock-light atomics (counters are sharded by
-//!   thread ordinal) that record whether or not tracing is installed,
-//!   so a production server can answer "what are you doing right now"
-//!   without paying for span capture. E19 in EXPERIMENTS.md bounds the
-//!   cost at ≤2% of wire throughput; [`set_live_metrics`] is the kill
-//!   switch that makes the A/B measurable.
-//!
-//! Both registries snapshot into the same JSON shape
-//! ([`MetricsSnapshot::to_json`]), and two renderers cover spans: an
-//! indented text report and Chrome `trace_event` JSON loadable in
+//! Alongside spans there is **one** metrics registry: `static`
+//! [`LiveCounter`]s, [`LiveGauge`]s and [`LiveHistogram`]s — lock-light
+//! atomics (counters are sharded by thread ordinal) that record
+//! whether or not a recorder is installed, so a production server can
+//! answer "what are you doing right now" without paying for span
+//! capture. E19 in EXPERIMENTS.md bounds the cost at ≤2% of wire
+//! throughput; [`set_live_metrics`] is the kill switch that makes the
+//! A/B measurable. [`metrics_snapshot`] copies every metric touched so
+//! far into a [`MetricsSnapshot`], whose [`MetricsSnapshot::to_json`]
+//! is the one JSON shape, and two renderers cover spans: an indented
+//! text report and Chrome `trace_event` JSON loadable in
 //! `chrome://tracing` / Perfetto ([`chrome_trace_json`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -603,68 +596,7 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
     out
 }
 
-// ---- metrics registry ----------------------------------------------------
-
-/// Power-of-two histogram: bucket `i` counts observations in
-/// `[2^(i-1), 2^i)` (bucket 0 counts zeros).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    fn observe(&mut self, value: u64) {
-        let index = (64 - value.leading_zeros()) as usize;
-        self.buckets[index] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observed values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Non-empty buckets as `(inclusive upper bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, count)| **count > 0)
-            .map(|(index, count)| (bucket_upper(index), *count))
-            .collect()
-    }
-
-    /// Copy into the registry-independent snapshot form.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets: self.nonzero_buckets(),
-        }
-    }
-}
+// ---- metrics snapshot ---------------------------------------------------
 
 /// Inclusive ("le") upper bound of power-of-two bucket `index`: bucket
 /// 0 holds only zeros; bucket i holds `[2^(i-1), 2^i)`.
@@ -678,105 +610,14 @@ fn bucket_upper(index: usize) -> u64 {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(u64),
-    Gauge(i64),
-    Histogram(Box<Histogram>),
-}
-
-/// The process-wide metrics registry. All mutation entry points are
-/// no-ops while tracing is disabled, preserving the zero-cost-off
-/// contract.
-#[derive(Default)]
-pub struct Metrics {
-    inner: Mutex<BTreeMap<&'static str, Metric>>,
-}
-
-fn registry() -> &'static Metrics {
-    static METRICS: OnceLock<Metrics> = OnceLock::new();
-    METRICS.get_or_init(Metrics::default)
-}
-
-/// Add `delta` to the counter `name` (no-op unless tracing is enabled).
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut inner = registry().inner.lock().expect("metrics poisoned");
-    if let Metric::Counter(total) = inner.entry(name).or_insert(Metric::Counter(0)) {
-        *total += delta;
-    }
-}
-
-/// Set the gauge `name` (no-op unless tracing is enabled).
-pub fn gauge_set(name: &'static str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    let mut inner = registry().inner.lock().expect("metrics poisoned");
-    inner.insert(name, Metric::Gauge(value));
-}
-
-/// Record one observation (typically a latency in nanoseconds) into the
-/// power-of-two histogram `name` (no-op unless tracing is enabled).
-pub fn observe_ns(name: &'static str, value: u64) {
-    observe(name, value);
-}
-
-/// Record one observation of an arbitrary magnitude (row counts,
-/// estimate errors, …) into the power-of-two histogram `name` (no-op
-/// unless tracing is enabled). [`observe_ns`] is the
-/// nanosecond-flavored alias.
-pub fn observe(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut inner = registry().inner.lock().expect("metrics poisoned");
-    if let Metric::Histogram(histogram) = inner
-        .entry(name)
-        .or_insert_with(|| Metric::Histogram(Box::default()))
-    {
-        histogram.observe(value);
-    }
-}
-
-/// Clear every metric.
-pub fn metrics_reset() {
-    registry().inner.lock().expect("metrics poisoned").clear();
-}
-
-/// Snapshot the recorder-gated registry into the shared form.
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    let inner = registry().inner.lock().expect("metrics poisoned");
-    let mut snapshot = MetricsSnapshot::default();
-    for (name, metric) in inner.iter() {
-        match metric {
-            Metric::Counter(total) => snapshot.counters.push((name.to_string(), *total)),
-            Metric::Gauge(value) => snapshot.gauges.push((name.to_string(), *value)),
-            Metric::Histogram(histogram) => snapshot
-                .histograms
-                .push((name.to_string(), histogram.snapshot())),
-        }
-    }
-    snapshot
-}
-
-/// Snapshot the recorder-gated registry as a JSON object:
-/// `{"counters":{...},"gauges":{...},"histograms":{name:{"count":..,"sum":..,"max":..,"buckets":[[le,count],..]}}}`.
-pub fn metrics_snapshot_json() -> String {
-    metrics_snapshot().to_json()
-}
-
-// ---- metrics snapshot (shared JSON shape) -------------------------------
-
-/// A registry-independent histogram snapshot: total count, saturating
-/// sum, max, and the non-empty `(inclusive upper bound, count)` buckets.
+/// A point-in-time copy of a [`LiveHistogram`]: total count, sum
+/// (wrapping), max, and the non-empty `(inclusive upper bound, count)`
+/// buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
     pub count: u64,
-    /// Sum of observed values (saturating).
+    /// Sum of observed values.
     pub sum: u64,
     /// Largest observed value.
     pub max: u64,
@@ -810,10 +651,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time copy of a metrics registry — either the
-/// recorder-gated one ([`metrics_snapshot`]) or the always-on live one
-/// ([`live_metrics_snapshot`]) — that renders to the stable JSON shape
-/// consumed by the stats wire frame and the CLI.
+/// A point-in-time copy of the metrics registry ([`metrics_snapshot`])
+/// that renders to the stable JSON shape consumed by the stats wire
+/// frame and the CLI.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
@@ -825,22 +665,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fold `other` into `self` and restore name order. Entries with
-    /// the same name are kept from `self` (first writer wins).
-    pub fn merge(&mut self, other: MetricsSnapshot) {
-        fn fold<T>(into: &mut Vec<(String, T)>, from: Vec<(String, T)>) {
-            for (name, value) in from {
-                if !into.iter().any(|(existing, _)| *existing == name) {
-                    into.push((name, value));
-                }
-            }
-            into.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        fold(&mut self.counters, other.counters);
-        fold(&mut self.gauges, other.gauges);
-        fold(&mut self.histograms, other.histograms);
-    }
-
     /// Look up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -923,15 +747,15 @@ pub fn escape_json_str(text: &str) -> String {
 
 // ---- always-on live metrics ---------------------------------------------
 //
-// Unlike the recorder-gated registry above, these record even when no
-// `Recorder` is installed: a production server needs frame counts,
-// queue depth, and stage latencies at all times, not only while
-// profiling. The design keeps the hot path lock-free:
+// These record even when no `Recorder` is installed: a production
+// server needs frame counts, queue depth, and stage latencies at all
+// times, not only while profiling. The design keeps the hot path
+// lock-free:
 //
 //   * counters are sharded `AtomicU64`s (indexed by thread ordinal) so
 //     concurrent connection threads never contend on one cache line;
-//   * histograms are fixed arrays of atomics (pow2 buckets, same shape
-//     as `Histogram`);
+//   * histograms are fixed arrays of atomics (pow2 buckets: bucket `i`
+//     counts observations in `[2^(i-1), 2^i)`, bucket 0 counts zeros);
 //   * metrics are `static`s registered lazily into a global list on
 //     first touch — one mutex acquisition per metric per process, then
 //     never again (a relaxed flag short-circuits).
@@ -1077,8 +901,8 @@ impl LiveGauge {
     }
 }
 
-/// A power-of-two histogram of atomics: same bucket layout as
-/// [`Histogram`], safe to observe into from any thread without locks.
+/// A power-of-two histogram of atomics, safe to observe into from any
+/// thread without locks.
 pub struct LiveHistogram {
     name: &'static str,
     registered: AtomicBool,
@@ -1114,7 +938,7 @@ impl LiveHistogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Copy into the registry-independent snapshot form. Concurrent
+    /// Copy into the snapshot form. Concurrent
     /// `observe` calls may straddle the copy; each bucket read is
     /// itself consistent, which is all the JSON consumers need.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -1143,8 +967,8 @@ impl LiveHistogram {
     }
 }
 
-/// Snapshot every live metric touched so far, sorted by name.
-pub fn live_metrics_snapshot() -> MetricsSnapshot {
+/// Snapshot every metric touched so far, sorted by name.
+pub fn metrics_snapshot() -> MetricsSnapshot {
     let registry = live_registry().lock().expect("live registry poisoned");
     let mut snapshot = MetricsSnapshot::default();
     for metric in registry.iter() {
@@ -1164,14 +988,9 @@ pub fn live_metrics_snapshot() -> MetricsSnapshot {
     snapshot
 }
 
-/// [`live_metrics_snapshot`] rendered as JSON.
-pub fn live_metrics_snapshot_json() -> String {
-    live_metrics_snapshot().to_json()
-}
-
-/// Zero every live metric (the metrics stay registered). For tests and
-/// the E19 bench; production servers never reset.
-pub fn live_metrics_reset() {
+/// Zero every metric (the metrics stay registered). For tests;
+/// production servers never reset.
+pub fn reset_metrics() {
     let registry = live_registry().lock().expect("live registry poisoned");
     for metric in registry.iter() {
         match metric {
@@ -1312,56 +1131,20 @@ mod tests {
     }
 
     #[test]
-    fn metrics_roundtrip() {
-        let _guard = lock();
-        let collector = Arc::new(Collector::new());
-        install(collector);
-        metrics_reset();
-        counter_add("test.count", 2);
-        counter_add("test.count", 3);
-        gauge_set("test.gauge", -7);
-        observe_ns("test.lat", 0);
-        observe_ns("test.lat", 1000);
-        observe_ns("test.lat", 1500);
-        let json = metrics_snapshot_json();
-        uninstall();
-        metrics_reset();
-        assert!(json.contains("\"test.count\":5"), "{json}");
-        assert!(json.contains("\"test.gauge\":-7"), "{json}");
-        assert!(json.contains("\"count\":3"), "{json}");
-        // 1000 lands in [512, 1024) (le 1023), 1500 in [1024, 2048).
-        assert!(json.contains("[1023,1]"), "{json}");
-        assert!(json.contains("[2047,1]"), "{json}");
-        assert!(json.contains("[0,1]"), "{json}");
-    }
-
-    #[test]
-    fn metrics_are_noops_when_disabled() {
-        let _guard = lock();
-        uninstall();
-        metrics_reset();
-        counter_add("test.off", 1);
-        observe_ns("test.off.lat", 5);
-        gauge_set("test.off.gauge", 5);
-        assert_eq!(
-            metrics_snapshot_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
-        );
-    }
-
-    #[test]
     fn histogram_bucket_bounds() {
-        let mut histogram = Histogram::default();
-        histogram.observe(0);
-        histogram.observe(1);
-        histogram.observe(2);
-        histogram.observe(u64::MAX);
-        let buckets = histogram.nonzero_buckets();
-        assert_eq!(buckets[0], (0, 1)); // zeros land in bucket 0 (le 0)
-        assert_eq!(buckets[1], (1, 1)); // [1, 2) → le 1
-        assert_eq!(buckets[2], (3, 1)); // [2, 4) → le 3
-        assert_eq!(buckets[3], (u64::MAX, 1));
-        assert_eq!(histogram.count(), 4);
+        let _guard = lock();
+        static BOUNDS: LiveHistogram = LiveHistogram::new("test.live.bounds");
+        reset_metrics();
+        for value in [0, 1, 2, u64::MAX] {
+            BOUNDS.observe(value);
+        }
+        let snapshot = BOUNDS.snapshot();
+        assert_eq!(snapshot.buckets[0], (0, 1)); // zeros land in bucket 0 (le 0)
+        assert_eq!(snapshot.buckets[1], (1, 1)); // [1, 2) → le 1
+        assert_eq!(snapshot.buckets[2], (3, 1)); // [2, 4) → le 3
+        assert_eq!(snapshot.buckets[3], (u64::MAX, 1));
+        assert_eq!((snapshot.count, snapshot.max), (4, u64::MAX));
+        reset_metrics();
     }
 
     #[test]
@@ -1385,7 +1168,7 @@ mod tests {
         static HITS: LiveCounter = LiveCounter::new("test.live.hits");
         static DEPTH_GAUGE: LiveGauge = LiveGauge::new("test.live.depth");
         static LAT: LiveHistogram = LiveHistogram::new("test.live.lat");
-        live_metrics_reset();
+        reset_metrics();
         HITS.add(2);
         HITS.incr();
         DEPTH_GAUGE.set(10);
@@ -1394,40 +1177,43 @@ mod tests {
         LAT.observe(1500);
         assert_eq!(HITS.get(), 3);
         assert_eq!(DEPTH_GAUGE.get(), 7);
-        let snapshot = live_metrics_snapshot();
+        let snapshot = metrics_snapshot();
         assert_eq!(snapshot.counter("test.live.hits"), Some(3));
         assert_eq!(snapshot.gauge("test.live.depth"), Some(7));
         let lat = snapshot.histogram("test.live.lat").expect("lat registered");
         assert_eq!(lat.count, 2);
         assert_eq!(lat.max, 1500);
         assert_eq!(lat.sum, 2500);
-        let json = live_metrics_snapshot_json();
+        let json = snapshot.to_json();
         assert!(json.contains("\"test.live.hits\":3"), "{json}");
-        live_metrics_reset();
+        assert!(json.contains("\"test.live.depth\":7"), "{json}");
+        // 1000 lands in [512, 1024) (le 1023), 1500 in [1024, 2048).
+        assert!(json.contains("[[1023,1],[2047,1]]"), "{json}");
+        reset_metrics();
         assert_eq!(HITS.get(), 0);
         // Reset keeps registration: the name still appears, zeroed.
-        assert_eq!(live_metrics_snapshot().counter("test.live.hits"), Some(0));
+        assert_eq!(metrics_snapshot().counter("test.live.hits"), Some(0));
     }
 
     #[test]
     fn live_metrics_kill_switch() {
         let _guard = lock();
         static OFF_HITS: LiveCounter = LiveCounter::new("test.live.off");
-        live_metrics_reset();
+        reset_metrics();
         set_live_metrics(false);
         OFF_HITS.add(5);
         set_live_metrics(true);
         assert_eq!(OFF_HITS.get(), 0);
         OFF_HITS.add(5);
         assert_eq!(OFF_HITS.get(), 5);
-        live_metrics_reset();
+        reset_metrics();
     }
 
     #[test]
     fn live_counter_shards_sum_across_threads() {
         let _guard = lock();
         static SHARDED: LiveCounter = LiveCounter::new("test.live.sharded");
-        live_metrics_reset();
+        reset_metrics();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
@@ -1438,40 +1224,23 @@ mod tests {
             }
         });
         assert_eq!(SHARDED.get(), 8000);
-        live_metrics_reset();
+        reset_metrics();
     }
 
     #[test]
     fn histogram_snapshot_quantiles() {
-        let mut histogram = Histogram::default();
-        for _ in 0..90 {
-            histogram.observe(100); // le 127
-        }
-        for _ in 0..10 {
-            histogram.observe(10_000); // le 16383
-        }
-        let snapshot = histogram.snapshot();
+        // 90 observations of 100 (le 127), 10 of 10 000 (le 16383).
+        let snapshot = HistogramSnapshot {
+            count: 100,
+            sum: 90 * 100 + 10 * 10_000,
+            max: 10_000,
+            buckets: vec![(127, 90), (16_383, 10)],
+        };
         assert_eq!(snapshot.quantile(0.5), 127);
         assert_eq!(snapshot.quantile(0.99), 10_000); // capped at max
         assert_eq!(snapshot.quantile(1.0), 10_000);
         assert_eq!(snapshot.mean(), (90 * 100 + 10 * 10_000) / 100);
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn metrics_snapshot_merge_prefers_first() {
-        let mut base = MetricsSnapshot {
-            counters: vec![("b".into(), 1), ("a".into(), 2)],
-            ..Default::default()
-        };
-        base.merge(MetricsSnapshot {
-            counters: vec![("a".into(), 99), ("c".into(), 3)],
-            ..Default::default()
-        });
-        assert_eq!(
-            base.counters,
-            vec![("a".into(), 2), ("b".into(), 1), ("c".into(), 3)]
-        );
     }
 
     #[test]
