@@ -3,14 +3,22 @@
 //! isomorphism checking, and serde round-trips. Validates that
 //! invariant enforcement stays O(1) amortized per mutation.
 
-use good_bench::harness::Bench;
+use good_bench::harness::{Bench, Bound, Gate};
 use good_bench::{instance_of, SIZES};
 use good_core::gen::bench_scheme;
 use good_core::instance::Instance;
 use good_core::value::Value;
 
+/// A JSON round trip should cost about what building the same instance
+/// through the API costs: no document tree between text and value.
+const GATES: &[Gate] = &[Gate::same_run(
+    "serde-roundtrip/1600",
+    "bulk-load/1600",
+    Bound::AtMost(2.0),
+)];
+
 fn main() {
-    Bench::run("instance", &[], |bench| {
+    Bench::run("instance", GATES, |bench| {
         for size in SIZES {
             bench.time(&format!("bulk-load/{size}"), || instance_of(size));
             let db = instance_of(size);

@@ -2,15 +2,20 @@
 //! as a function of journal length, and the effect of checkpointing
 //! (EXPERIMENTS.md §3).
 
-use good_bench::harness::Bench;
+use good_bench::harness::{Bench, Gate};
 use good_bench::{labeled_program, temp_journal};
 use good_core::gen::bench_scheme;
 use good_store::Store;
 
 const JOURNAL_LENGTHS: [usize; 3] = [100, 400, 1600];
 
+const GATES: &[Gate] = &[
+    Gate::vs_baseline("replay/records-1600", 1.25, 20_000.0),
+    Gate::vs_baseline("replay-checkpointed/records-1600", 1.25, 20_000.0),
+];
+
 fn main() {
-    Bench::run("recovery", &[], |bench| {
+    Bench::run("recovery", GATES, |bench| {
         for records in JOURNAL_LENGTHS {
             let path = temp_journal("recovery");
             let mut store = Store::create(&path, bench_scheme()).expect("create");

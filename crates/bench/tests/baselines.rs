@@ -1,6 +1,7 @@
 //! Every checked-in `BENCH_*.json` must be a schema-1 harness envelope
 //! that says where it came from — so a hand-edited or stale-format
-//! baseline fails tier-1, not a nightly `--check`.
+//! baseline fails tier-1, not a nightly `--check` — and must come back
+//! out of the typed envelope byte for byte (format identity).
 
 use good_bench::harness::{workspace_root, Envelope};
 
@@ -19,11 +20,13 @@ fn every_checked_in_baseline_is_a_schema_1_envelope() {
         else {
             continue;
         };
-        let envelope = Envelope::read(&path).unwrap_or_else(|err| panic!("{file}: {err}"));
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let envelope = Envelope::from_json(&text).unwrap_or_else(|err| panic!("{file}: {err}"));
         assert_eq!(
             envelope.bench, bench,
             "{file}: `bench` must match the file name"
         );
+        assert!(envelope.to_json() == text, "{file}: round trip differs");
         assert!(
             !envelope.commit.is_empty() && !envelope.rustc.is_empty() && envelope.cores > 0,
             "{file}: commit/rustc/cores must say where the numbers came from"

@@ -439,27 +439,14 @@ impl<K: Eq, V: Eq> Eq for PMap<K, V> {}
 
 /// Serializes exactly like a `BTreeMap` (entries in key order).
 impl<K: Serialize, V: Serialize> Serialize for PMap<K, V> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_content(), v.to_content()))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut serde::Serializer) -> Result<(), serde::Error> {
+        out.collect_map(self.iter())
     }
 }
 
 impl<K: Deserialize + Ord + Clone, V: Deserialize + Clone> Deserialize for PMap<K, V> {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        match content {
-            serde::Content::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((K::from_content(k)?, V::from_content(v)?)))
-                .collect(),
-            other => Err(serde::Error::custom(format!(
-                "invalid type: expected map, found {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        de.map()?.collect()
     }
 }
 
@@ -562,20 +549,14 @@ impl<T: Eq> Eq for PSet<T> {}
 
 /// Serializes exactly like a `BTreeSet` (a sorted sequence).
 impl<T: Serialize> Serialize for PSet<T> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize(&self, out: &mut serde::Serializer) -> Result<(), serde::Error> {
+        out.collect_seq(self.iter())
     }
 }
 
 impl<T: Deserialize + Ord + Clone> Deserialize for PSet<T> {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        match content {
-            serde::Content::Seq(items) => items.iter().map(T::from_content).collect(),
-            other => Err(serde::Error::custom(format!(
-                "invalid type: expected sequence, found {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        de.seq()?.collect()
     }
 }
 

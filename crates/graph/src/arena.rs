@@ -75,30 +75,11 @@ enum Slot<T> {
 /// graph layer exploits for `Vec`-backed side tables) and removals are
 /// O(1). Cloning is O(1) — the slot trie is structurally shared with
 /// the clone until either side writes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Arena<T> {
     slots: PVec<Slot<T>>,
     free_head: Option<u32>,
     len: usize,
-}
-
-// Manual impl because the derive would not add the `T: Clone` bound
-// that `PVec`'s deserializer (which builds by `push`) requires.
-impl<T: Deserialize + Clone> Deserialize for Arena<T> {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let entries = serde::__private::expect_map(content, "Arena")?;
-        Ok(Arena {
-            slots: Deserialize::from_content(serde::__private::map_field(
-                entries, "slots", "Arena",
-            )?)?,
-            free_head: Deserialize::from_content(serde::__private::map_field(
-                entries,
-                "free_head",
-                "Arena",
-            )?)?,
-            len: Deserialize::from_content(serde::__private::map_field(entries, "len", "Arena")?)?,
-        })
-    }
 }
 
 impl<T> Default for Arena<T> {

@@ -107,26 +107,10 @@ pub struct EdgeRef<'g, E> {
 ///
 /// Both arenas live in persistent tries, so `clone()` is O(1) and a
 /// clone shares all storage with the original until either side writes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Graph<N, E> {
     nodes: Arena<NodeSlot<N>>,
     edges: Arena<EdgeSlot<E>>,
-}
-
-// Manual impl because the arena's deserializer needs `Clone` payloads
-// (it rebuilds the persistent slot trie by `push`).
-impl<N: Deserialize + Clone, E: Deserialize + Clone> Deserialize for Graph<N, E> {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let entries = serde::__private::expect_map(content, "Graph")?;
-        Ok(Graph {
-            nodes: Deserialize::from_content(serde::__private::map_field(
-                entries, "nodes", "Graph",
-            )?)?,
-            edges: Deserialize::from_content(serde::__private::map_field(
-                entries, "edges", "Graph",
-            )?)?,
-        })
-    }
 }
 
 impl<N, E> Default for Graph<N, E> {

@@ -36,7 +36,7 @@ enum Node<T> {
     Branch(Vec<Arc<Node<T>>>),
 }
 
-impl<T: Clone> Node<T> {
+impl<T> Node<T> {
     /// A minimal path of branches down to a one-element leaf, for an
     /// index whose prefix is all zeros below `shift`.
     fn spine(shift: usize, value: T) -> Node<T> {
@@ -159,6 +159,47 @@ impl<T> PVec<T> {
     }
 }
 
+impl<T> PVec<T> {
+    /// Append an element, reaching each trie node on the way down
+    /// through `via`: copy-on-write for [`PVec::push`], plain unique
+    /// access while a vector is being built (nothing shares it yet).
+    fn push_with(&mut self, value: T, via: impl Fn(&mut Arc<Node<T>>) -> &mut Node<T>) {
+        let index = self.len;
+        self.len += 1;
+        // A full root grows the trie by one level: the old root becomes
+        // child 0 of a new root and the value goes into a fresh spine
+        // as child 1.
+        if index == WIDTH << self.shift {
+            let old = self.root.take().expect("a full root");
+            let spine = Arc::new(Node::spine(self.shift, value));
+            self.root = Some(Arc::new(Node::Branch(vec![old, spine])));
+            self.shift += BITS;
+            return;
+        }
+        let Some(root) = self.root.as_mut() else {
+            self.root = Some(Arc::new(Node::Leaf(vec![value])));
+            return;
+        };
+        let (mut node, mut shift) = (via(root), self.shift);
+        loop {
+            match node {
+                Node::Leaf(items) => {
+                    debug_assert!(items.len() < WIDTH);
+                    return items.push(value);
+                }
+                Node::Branch(children) => {
+                    let child = (index >> shift) & MASK;
+                    shift -= BITS;
+                    if child == children.len() {
+                        return children.push(Arc::new(Node::spine(shift, value)));
+                    }
+                    node = via(&mut children[child]);
+                }
+            }
+        }
+    }
+}
+
 impl<T: Clone> PVec<T> {
     /// Mutable access to the element at `index`, path-copying any
     /// shared trie nodes on the way down.
@@ -183,43 +224,7 @@ impl<T: Clone> PVec<T> {
 
     /// Append an element.
     pub fn push(&mut self, value: T) {
-        let index = self.len;
-        match self.root.as_mut() {
-            None => {
-                self.root = Some(Arc::new(Node::Leaf(vec![value])));
-            }
-            Some(root) => {
-                // A full root grows the trie by one level: the old root
-                // becomes child 0 of a new root and the value goes into
-                // a fresh spine as child 1.
-                if index == WIDTH << self.shift {
-                    let old = self.root.take().expect("non-empty");
-                    let spine = Arc::new(Node::spine(self.shift, value));
-                    self.root = Some(Arc::new(Node::Branch(vec![old, spine])));
-                    self.shift += BITS;
-                } else {
-                    Self::push_into(root, self.shift, index, value);
-                }
-            }
-        }
-        self.len += 1;
-    }
-
-    fn push_into(node: &mut Arc<Node<T>>, shift: usize, index: usize, value: T) {
-        match Arc::make_mut(node) {
-            Node::Leaf(items) => {
-                debug_assert!(items.len() < WIDTH);
-                items.push(value);
-            }
-            Node::Branch(children) => {
-                let child = (index >> shift) & MASK;
-                if child == children.len() {
-                    children.push(Arc::new(Node::spine(shift - BITS, value)));
-                } else {
-                    Self::push_into(&mut children[child], shift - BITS, index, value);
-                }
-            }
-        }
+        self.push_with(value, Arc::make_mut)
     }
 
     /// A fully unshared copy: every trie node is rebuilt, sharing
@@ -281,11 +286,11 @@ impl<'v, T> Iterator for Iter<'v, T> {
     }
 }
 
-impl<T: Clone> FromIterator<T> for PVec<T> {
+impl<T> FromIterator<T> for PVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = PVec::new();
         for item in iter {
-            v.push(item);
+            v.push_with(item, |node| Arc::get_mut(node).expect("unshared"));
         }
         v
     }
@@ -303,20 +308,14 @@ impl<T: Eq> Eq for PVec<T> {}
 /// the arena's slot storage to `PVec` left the journal/snapshot format
 /// byte-identical.
 impl<T: Serialize> Serialize for PVec<T> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize(&self, out: &mut serde::Serializer) -> Result<(), serde::Error> {
+        out.collect_seq(self.iter())
     }
 }
 
-impl<T: Clone + Deserialize> Deserialize for PVec<T> {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        match content {
-            serde::Content::Seq(items) => items.iter().map(T::from_content).collect(),
-            other => Err(serde::Error::custom(format!(
-                "invalid type: expected sequence, found {}",
-                other.kind()
-            ))),
-        }
+impl<T: Deserialize> Deserialize for PVec<T> {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        de.seq()?.collect()
     }
 }
 

@@ -650,7 +650,6 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                 break;
             }
             Err(err) => {
-                // Framing is lost; nothing after this can be trusted.
                 LIVE_BAD_FRAME.incr();
                 let _ = writer.send(&Frame::Err {
                     request: 0,
@@ -658,6 +657,11 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                     retry_after_ms: 0,
                     detail: err.to_string(),
                 });
+                // A payload that does not decode was still read whole, so
+                // the session goes on; anything else lost the framing.
+                if matches!(err, ProtoError::Malformed { .. }) {
+                    continue;
+                }
                 goodbye_reason = Some("protocol error".into());
                 break;
             }

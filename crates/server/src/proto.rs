@@ -435,13 +435,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             request,
             program,
             trace,
-        } => {
-            put_u64(&mut out, *request);
-            let json = serde_json::to_string(program)
-                .expect("programs always serialize: their serde encoding is total");
-            put_str(&mut out, &json);
-            put_trace(&mut out, *trace);
-        }
+        } => return submit_payload(*request, program, *trace),
         Frame::Ack {
             request,
             epoch,
@@ -557,13 +551,17 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 /// client's hot path, sparing the deep clone that building a
 /// [`Frame::Submit`] would take.
 pub fn encode_submit(request: u64, program: &Program, trace: Option<u64>) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, request);
+    frame_bytes(2, submit_payload(request, program, trace))
+}
+
+fn submit_payload(request: u64, program: &Program, trace: Option<u64>) -> Vec<u8> {
     let json = serde_json::to_string(program)
         .expect("programs always serialize: their serde encoding is total");
+    let mut payload = Vec::with_capacity(json.len() + 32);
+    put_u64(&mut payload, request);
     put_str(&mut payload, &json);
     put_trace(&mut payload, trace);
-    frame_bytes(2, payload)
+    payload
 }
 
 fn frame_bytes(type_byte: u8, payload: Vec<u8>) -> Vec<u8> {

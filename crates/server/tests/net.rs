@@ -79,6 +79,15 @@ impl Raw {
         read_frame(&mut self.reader).expect("read frame")
     }
 
+    /// The next frame must be `Err{BadRequest}` mentioning `needle`.
+    fn expect_bad_request(&mut self, needle: &str) {
+        let Some(Frame::Err { code, detail, .. }) = self.recv() else {
+            panic!("expected an Err frame");
+        };
+        assert_eq!(code, ErrCode::BadRequest, "detail: {detail}");
+        assert!(detail.contains(needle), "detail: {detail}");
+    }
+
     fn handshake(&mut self) -> u64 {
         self.send(&Frame::Hello { session: 0 });
         match self.recv() {
@@ -455,6 +464,32 @@ fn bad_requests_get_typed_errors_not_disconnects() {
 }
 
 #[test]
+fn depth_bomb_submit_is_refused_and_the_connection_keeps_serving() {
+    let (net, _vfs) = start_net(ServerConfig::default(), NetConfig::default());
+    let mut raw = Raw::connect(net.local_addr());
+    raw.handshake();
+    // A Submit whose program text is 100 000 `[` used to overflow the
+    // 256 KiB connection thread's stack: the whole process aborted.
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/");
+    let bomb = std::fs::read(format!("{corpus}err-submit-depth-bomb.bin")).expect("corpus");
+    raw.writer.write_all(&bomb).expect("write");
+    raw.expect_bad_request("program JSON");
+    // Same connection, next request; and the server still answers.
+    raw.send(&Frame::Snapshot {
+        request: 2,
+        at: None,
+        want_dot: false,
+        info: None,
+    });
+    assert!(matches!(
+        raw.recv(),
+        Some(Frame::Snapshot { request: 2, .. })
+    ));
+    assert!(net.stats_json().contains("\"net/bad_frame\""));
+    net.shutdown().expect("shutdown");
+}
+
+#[test]
 fn handshake_violations_are_refused() {
     let (net, _vfs) = start_net(ServerConfig::default(), NetConfig::default());
 
@@ -463,14 +498,7 @@ fn handshake_violations_are_refused() {
     raw.send(&Frame::Goodbye {
         reason: "lol".into(),
     });
-    match raw.recv() {
-        Some(Frame::Err {
-            code: ErrCode::BadRequest,
-            detail,
-            ..
-        }) => assert!(detail.contains("expected Hello"), "detail: {detail}"),
-        other => panic!("expected Err, got {other:?}"),
-    }
+    raw.expect_bad_request("expected Hello");
     assert!(matches!(raw.recv(), Some(Frame::Goodbye { .. })));
 
     // Garbage after a valid handshake: typed error, then the server
@@ -478,13 +506,7 @@ fn handshake_violations_are_refused() {
     let mut raw = Raw::connect(net.local_addr());
     raw.handshake();
     raw.writer.write_all(b"GOODBYE CRUEL WORLD").expect("write");
-    match raw.recv() {
-        Some(Frame::Err {
-            code: ErrCode::BadRequest,
-            ..
-        }) => {}
-        other => panic!("expected Err, got {other:?}"),
-    }
+    raw.expect_bad_request("");
     assert!(matches!(raw.recv(), Some(Frame::Goodbye { .. })));
 
     // A frame that is valid wire format but senseless from a client
@@ -497,14 +519,7 @@ fn handshake_violations_are_refused() {
         columns: vec![],
         rows: vec![],
     });
-    match raw.recv() {
-        Some(Frame::Err {
-            code: ErrCode::BadRequest,
-            detail,
-            ..
-        }) => assert!(detail.contains("unexpected Rows"), "detail: {detail}"),
-        other => panic!("expected Err, got {other:?}"),
-    }
+    raw.expect_bad_request("unexpected Rows");
     raw.send(&Frame::Goodbye {
         reason: "done".into(),
     });
@@ -527,13 +542,7 @@ fn timeouts_close_silent_connections() {
     );
     // Never says Hello: refused after hello_timeout.
     let mut silent = Raw::connect(net.local_addr());
-    match silent.recv() {
-        Some(Frame::Err {
-            code: ErrCode::BadRequest,
-            ..
-        }) => {}
-        other => panic!("expected timeout Err, got {other:?}"),
-    }
+    silent.expect_bad_request("");
     assert!(matches!(silent.recv(), Some(Frame::Goodbye { .. })));
 
     // Handshakes then goes quiet: Goodbye after idle_timeout.

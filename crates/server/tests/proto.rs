@@ -239,13 +239,7 @@ fn payload_trailing_bytes_are_malformed() {
 #[test]
 fn invalid_utf8_and_bad_bools_are_malformed() {
     // Goodbye with a string of 2 bytes of invalid UTF-8.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.push(VERSION);
-    bytes.push(8); // Goodbye
-    bytes.extend_from_slice(&6u32.to_le_bytes()); // payload len
-    bytes.extend_from_slice(&2u32.to_le_bytes()); // string len
-    bytes.extend_from_slice(&[0xFF, 0xFE]);
+    let bytes = frame_with(8, &[2, 0, 0, 0, 0xFF, 0xFE]);
     assert!(matches!(
         decode(&bytes),
         Err(ProtoError::Malformed {
@@ -273,22 +267,29 @@ fn invalid_utf8_and_bad_bools_are_malformed() {
     ));
 }
 
-#[test]
-fn submit_with_garbage_json_is_malformed_not_a_panic() {
-    // Hand-build a Submit whose program JSON is nonsense.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&1u64.to_le_bytes());
-    let json = b"{\"ops\": [truncated";
-    payload.extend_from_slice(&(json.len() as u32).to_le_bytes());
-    payload.extend_from_slice(json);
+/// A hand-built frame: a well-formed header around any payload.
+fn frame_with(type_byte: u8, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
     bytes.push(VERSION);
-    bytes.push(2); // Submit
+    bytes.push(type_byte);
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// A hand-built `Submit` frame whose program text is `text`.
+fn submit_with_text(request: u64, text: &str) -> Vec<u8> {
+    let mut payload = request.to_le_bytes().to_vec();
+    payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    payload.extend_from_slice(text.as_bytes());
+    frame_with(2, &payload)
+}
+
+#[test]
+fn submit_with_garbage_json_is_malformed_not_a_panic() {
     assert!(matches!(
-        decode(&bytes),
+        decode(&submit_with_text(1, "{\"ops\": [truncated")),
         Err(ProtoError::Malformed {
             frame: "Submit",
             ..
@@ -428,38 +429,23 @@ fn corpus_entries() -> Vec<(String, Vec<u8>)> {
     rows_payload.extend_from_slice(&1u64.to_le_bytes());
     rows_payload.extend_from_slice(&0u32.to_le_bytes());
     rows_payload.extend_from_slice(&u32::MAX.to_le_bytes());
-    let mut rows_bomb = Vec::new();
-    rows_bomb.extend_from_slice(&MAGIC);
-    rows_bomb.push(VERSION);
-    rows_bomb.push(6);
-    rows_bomb.extend_from_slice(&(rows_payload.len() as u32).to_le_bytes());
-    rows_bomb.extend_from_slice(&rows_payload);
+    let rows_bomb = frame_with(6, &rows_payload);
     entries.push(("err-rows-count-bomb.bin".into(), rows_bomb));
     // A Submit whose JSON is valid UTF-8 garbage.
-    let mut submit_payload = Vec::new();
-    submit_payload.extend_from_slice(&9u64.to_le_bytes());
-    let garbage = b"not json at all";
-    submit_payload.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
-    submit_payload.extend_from_slice(garbage);
-    let mut submit_garbage = Vec::new();
-    submit_garbage.extend_from_slice(&MAGIC);
-    submit_garbage.push(VERSION);
-    submit_garbage.push(2);
-    submit_garbage.extend_from_slice(&(submit_payload.len() as u32).to_le_bytes());
-    submit_garbage.extend_from_slice(&submit_payload);
+    let submit_garbage = submit_with_text(9, "not json at all");
     entries.push(("err-submit-garbage-json.bin".into(), submit_garbage));
+    // A Submit whose program text nests 100 000 deep: a typed error from
+    // the reader's depth count, where a recursive parser overflowed the
+    // connection thread's stack and took the process with it.
+    let depth_bomb = submit_with_text(13, &"[".repeat(100_000));
+    entries.push(("err-submit-depth-bomb.bin".into(), depth_bomb));
     // An Err frame carrying an unassigned error code.
     let mut err_payload = Vec::new();
     err_payload.extend_from_slice(&1u64.to_le_bytes());
     err_payload.push(0xCC); // bad code
     err_payload.extend_from_slice(&0u32.to_le_bytes());
     err_payload.extend_from_slice(&0u32.to_le_bytes());
-    let mut bad_code = Vec::new();
-    bad_code.extend_from_slice(&MAGIC);
-    bad_code.push(VERSION);
-    bad_code.push(7);
-    bad_code.extend_from_slice(&(err_payload.len() as u32).to_le_bytes());
-    bad_code.extend_from_slice(&err_payload);
+    let bad_code = frame_with(7, &err_payload);
     entries.push(("err-bad-error-code.bin".into(), bad_code));
     // A Submit spelling "no trace id" as an explicit 0 presence byte:
     // the canonical encoding is zero trailing bytes, so this variant
@@ -555,12 +541,7 @@ proptest! {
         }
         // Same soup as a claimed-valid payload of every frame type.
         for type_byte in 1u8..=10 {
-            let mut framed = Vec::with_capacity(HEADER_LEN + bytes.len());
-            framed.extend_from_slice(&MAGIC);
-            framed.push(VERSION);
-            framed.push(type_byte);
-            framed.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&bytes);
+            let framed = frame_with(type_byte, &bytes);
             match decode(&framed) {
                 Ok((frame, consumed)) => {
                     prop_assert!(consumed == framed.len());

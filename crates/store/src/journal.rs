@@ -52,11 +52,11 @@ pub enum LogRecord {
     },
 }
 
-/// The outcome of scanning a journal byte-for-byte.
+/// Where a scan ended, and what it folded the committed records into.
 #[derive(Debug)]
-pub(crate) struct JournalScan {
-    /// Intact records with their 1-based line numbers.
-    pub records: Vec<(usize, LogRecord)>,
+pub(crate) struct JournalScan<R> {
+    /// `replay`'s accumulator (the store counts the records it applies).
+    pub records: R,
     /// True if a torn tail (crash mid-append) was detected.
     pub torn_tail: bool,
     /// Byte length of the intact prefix; a torn tail is truncated to
@@ -64,15 +64,24 @@ pub(crate) struct JournalScan {
     pub intact_len: u64,
 }
 
-/// Scan raw journal bytes into records, detecting a torn tail and
-/// discarding any trailing uncommitted group (see the module docs).
+/// Scan raw journal bytes, handing each *committed unit* to `replay`
+/// as it completes, with 1-based line numbers: a self-committing record
+/// at once, a batch group (its `BatchApply` run, then the marker) when
+/// its commit marker arrives. Only the open group is held back, so
+/// recovery's memory does not grow with the journal. Detects a torn
+/// tail and discards any trailing uncommitted group (module docs).
+/// `intact_len` only advances when a committed unit completes, so a
+/// crash anywhere inside a group truncates the whole group: recovery is
+/// all-or-nothing per batch.
 ///
-/// `intact_len` only advances when a *committed unit* completes — a
-/// self-committing record, or a batch group closed by its commit
-/// marker — so a crash anywhere inside a group truncates the whole
-/// group: recovery is all-or-nothing per batch.
-pub(crate) fn scan(bytes: &[u8]) -> Result<JournalScan> {
-    let mut records = Vec::new();
+/// Errors surface in journal order: a journal that is unreplayable
+/// early *and* corrupt further on reports the replay error (`Model`,
+/// say), where a scan-everything-first reader reported `Corrupt`.
+pub(crate) fn scan<R>(
+    bytes: &[u8],
+    mut records: R,
+    mut replay: impl FnMut(&mut R, usize, LogRecord) -> Result<()>,
+) -> Result<JournalScan<R>> {
     let mut torn_tail = false;
     let mut intact_len = 0u64;
     let mut offset = 0usize;
@@ -127,8 +136,10 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<JournalScan> {
                         ),
                     });
                 }
-                records.append(&mut pending);
-                records.push((line, LogRecord::BatchCommit { count }));
+                for (line, record) in pending.drain(..) {
+                    replay(&mut records, line, record)?;
+                }
+                replay(&mut records, line, LogRecord::BatchCommit { count })?;
                 intact_len = segment_end as u64;
             }
             Ok(record) => {
@@ -141,7 +152,7 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<JournalScan> {
                         message: "non-batch record inside an uncommitted group".into(),
                     });
                 }
-                records.push((line, record));
+                replay(&mut records, line, record)?;
                 intact_len = segment_end as u64;
             }
             Err(err) => {
@@ -211,6 +222,14 @@ pub(crate) fn append_record(file: &mut dyn VfsFile, record: &LogRecord) -> Resul
 mod tests {
     use super::*;
     use good_core::scheme::Scheme;
+
+    /// A whole journal's committed records at once.
+    fn scan(bytes: &[u8]) -> Result<JournalScan<Vec<(usize, LogRecord)>>> {
+        super::scan(bytes, Vec::new(), |records, line, record| {
+            records.push((line, record));
+            Ok(())
+        })
+    }
 
     fn snapshot_line() -> String {
         let db = Instance::new(Scheme::new());

@@ -55,6 +55,7 @@ use good_core::scheme::Scheme;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vfs::{StdVfs, Vfs, VfsFile};
 
 /// Store errors: I/O, serialization, or model-level failures.
@@ -191,13 +192,15 @@ impl Store {
         let path = path.as_ref().to_path_buf();
         let mut recovery_span = good_trace::span("store", "store/recovery");
         let bytes = vfs.read(&path)?;
-        let scan = journal::scan(&bytes)?;
+        let started = Instant::now();
 
         let mut db: Option<Instance> = None;
         let mut env = Env::with_fuel(DEFAULT_FUEL);
         let mut methods: Vec<Method> = Vec::new();
-        let mut records = 0usize;
-        for (line, record) in scan.records {
+        let mut applied = false;
+        let mut replay_time = Duration::ZERO;
+        let scan = journal::scan(&bytes, 0usize, |records, line, record| {
+            let replay_started = Instant::now();
             match record {
                 LogRecord::Snapshot(instance) => {
                     if db.is_some() {
@@ -216,7 +219,7 @@ impl Store {
                     methods.push(*method);
                 }
                 LogRecord::Apply(program) | LogRecord::BatchApply(program) => {
-                    // The scanner only surfaces BatchApply records from
+                    // The scanner only hands over BatchApply records of
                     // *committed* groups, so replay treats them exactly
                     // like self-committing applies.
                     let Some(db) = db.as_mut() else {
@@ -224,6 +227,7 @@ impl Store {
                     };
                     env.refuel();
                     program.apply(db, &mut env)?;
+                    applied = true;
                 }
                 LogRecord::BatchCommit { .. } => {
                     if db.is_none() {
@@ -231,18 +235,29 @@ impl Store {
                     }
                 }
             }
-            records += 1;
-        }
+            *records += 1;
+            replay_time += replay_started.elapsed();
+            Ok(())
+        })?;
+        let scan_time = started.elapsed();
         let db = db.ok_or(StoreError::MissingSnapshot)?;
-        // Semantic invariants are always re-checked after replay; the
-        // full adjacency/label-index audit is O(nodes + edges) of
-        // redundant work in release (replay maintains the indexes
-        // incrementally through the same code paths the audit checks),
-        // so it runs only in debug builds.
-        db.validate_semantics()?;
+        // The snapshot was audited as it was read (`Instance` reads
+        // through `from_parts`), so the semantic invariants are
+        // re-checked only if replay changed it. The full index audit is
+        // O(nodes + edges) of redundant work in release (replay keeps
+        // the indexes through the code paths it checks): debug only.
+        if applied {
+            db.validate_semantics()?;
+        }
         #[cfg(debug_assertions)]
         db.validate_indexes()?;
-        recovery_span.arg("records", records);
+        // Where the time went: text to records, replay, audit.
+        let ns = |time: Duration| time.as_nanos() as u64;
+        recovery_span.arg("bytes", bytes.len());
+        recovery_span.arg("parse_ns", ns(scan_time - replay_time));
+        recovery_span.arg("replay_ns", ns(replay_time));
+        recovery_span.arg("validate_ns", ns(started.elapsed() - scan_time));
+        recovery_span.arg("records", scan.records);
         recovery_span.arg("torn_tail", scan.torn_tail);
         drop(recovery_span);
 
@@ -263,7 +278,7 @@ impl Store {
             db: Arc::new(db),
             env,
             methods,
-            records,
+            records: scan.records,
             recovered_torn_tail: scan.torn_tail,
             poisoned: None,
         })

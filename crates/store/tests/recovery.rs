@@ -106,6 +106,23 @@ fn corrupt_non_final_record_is_an_error_not_a_truncation() {
 }
 
 #[test]
+fn depth_bomb_lines_are_torn_or_corrupt_never_an_abort() {
+    // 100 000 `[`, bare and under an unknown key, where the JSON reader
+    // has to walk them. Last line: a torn tail. Earlier: corruption.
+    let deep = "[".repeat(100_000);
+    for bomb in [format!("{{\"Apply\":{{\"x\":{deep}"), deep.clone()] {
+        let (_vfs, arc) = fault_vfs(14);
+        write_raw(&arc, format!("{}{bomb}\n", snapshot_line()).as_bytes());
+        let store = Store::open_with_vfs(Arc::clone(&arc), JOURNAL).expect("reopen");
+        assert!(store.recovered_torn_tail() && store.record_count() == 1);
+        let text = format!("{}{bomb}\n{}", snapshot_line(), apply_line());
+        write_raw(&arc, text.as_bytes());
+        let reopened = Store::open_with_vfs(arc, JOURNAL);
+        assert!(matches!(reopened, Err(StoreError::Corrupt { line: 2, .. })));
+    }
+}
+
+#[test]
 fn torn_final_record_is_ignored_and_next_append_overwrites_cleanly() {
     let (vfs, arc) = fault_vfs(5);
     let committed = {

@@ -62,6 +62,11 @@ fn crash_schedule_emits_store_span_timeline() {
             "timeline lacks {expected}; got {names:?}"
         );
     }
+    // A recovery says where its time went.
+    let recovery = spans.iter().find(|s| s.name == "store/recovery").unwrap();
+    for arg in ["bytes", "parse_ns", "replay_ns", "validate_ns"] {
+        assert!(recovery.args.iter().any(|(key, _)| *key == arg), "{arg}");
+    }
     assert_per_thread_chronological(&spans);
 }
 
