@@ -7,16 +7,14 @@
 
 use good_bench::harness::{Bench, Gate};
 use good_bench::{anchored_pattern, chain_pattern, instance_of, tag_addition};
-use good_core::matching::{find_matchings_with, MatchConfig};
+use good_core::matching::find_matchings;
 use good_core::program::{Env, Operation, Program};
 use std::sync::Arc;
 
 // Absolute slack on top of the 10%: µs-scale workloads jitter by more
 // than 10% from timer granularity alone, yet an accidental always-on
 // capture costs several µs there — so a 1µs floor keeps the gate
-// meaningful without false alarms. The morsel-parallel workload is
-// reported but not gated: its median swings with scheduler noise on
-// shared runners.
+// meaningful without false alarms.
 const GATES: &[Gate] = &[
     Gate::vs_baseline("match-chain2-seq@1600/off", 1.10, 1_000.0),
     Gate::vs_baseline("match-anchored-seq@400/off", 1.10, 1_000.0),
@@ -31,36 +29,22 @@ type Workload = (&'static str, Box<dyn FnMut()>);
 /// the dedup path in both modes.
 fn workloads() -> Vec<Workload> {
     let chain_db = instance_of(1600);
-    let chain_db_par = chain_db.clone();
     let chain = chain_pattern(2).0;
-    let chain_par = chain.clone();
     let anchored_db = instance_of(400);
     let anchored = anchored_pattern("info-0").0;
     let mut tag_db = instance_of(400);
     let tag_program = Program::from_ops([Operation::NodeAdd(tag_addition(2))]);
-    let parallel = MatchConfig {
-        threads: 4,
-        parallel_threshold: 128,
-    };
     vec![
         (
             "match-chain2-seq@1600",
             Box::new(move || {
-                find_matchings_with(&chain, &chain_db, MatchConfig::sequential())
-                    .expect("valid pattern");
+                find_matchings(&chain, &chain_db).expect("valid pattern");
             }),
         ),
         (
             "match-anchored-seq@400",
             Box::new(move || {
-                find_matchings_with(&anchored, &anchored_db, MatchConfig::sequential())
-                    .expect("valid pattern");
-            }),
-        ),
-        (
-            "match-chain2-par4@1600",
-            Box::new(move || {
-                find_matchings_with(&chain_par, &chain_db_par, parallel).expect("valid pattern");
+                find_matchings(&anchored, &anchored_db).expect("valid pattern");
             }),
         ),
         (

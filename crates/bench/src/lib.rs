@@ -1,6 +1,6 @@
 //! `good-bench` — the bench harness ([`harness`]), the workload builders
-//! its twenty targets share (EXPERIMENTS.md E1–E20) and the `repro`
-//! figure-regeneration binary.
+//! its nineteen targets share (EXPERIMENTS.md E1–E20, E12 retired) and
+//! the `repro` figure-regeneration binary.
 //!
 //! The paper has no quantitative evaluation, so these workloads
 //! characterize the implementation on synthetic hyper-media-shaped
@@ -42,9 +42,8 @@ pub fn instance_of(infos: usize) -> Instance {
     })
 }
 
-/// The 10 000-object stress instance used by the E12 parallel-scaling
-/// benchmark and the nightly `--ignored` stress tests: ~2 outgoing
-/// links per info, 16 distinct dates, fixed seed.
+/// The 10 000-object stress instance of the nightly `--ignored` stress
+/// test: ~2 outgoing links per info, 16 distinct dates, fixed seed.
 pub fn stress_instance() -> Instance {
     random_instance(&GenConfig {
         infos: 10_000,

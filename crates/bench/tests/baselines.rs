@@ -42,7 +42,7 @@ fn every_checked_in_baseline_is_a_schema_1_envelope() {
         benches.push(bench.to_string());
     }
     benches.sort();
-    // One baseline per bench target (E1–E20).
+    // One baseline per bench target (E1–E20 but the retired E12).
     let expected = [
         "abstraction",
         "backends",
@@ -53,7 +53,6 @@ fn every_checked_in_baseline_is_a_schema_1_envelope() {
         "net",
         "obs",
         "operations",
-        "parallel",
         "planner",
         "publish",
         "query",

@@ -5,8 +5,8 @@
 //!
 //! The goldens pin the whole explain surface — binding order, access
 //! paths, cardinality estimates, actual row counts, the
-//! expand-vs-generic-join decision, and the sequential/parallel
-//! footer — so planner changes show up as reviewable diffs.
+//! expand-vs-generic-join decision, and the root-candidate footer — so
+//! planner changes show up as reviewable diffs.
 //!
 //! When an intentional planner or rendering change lands, regenerate
 //! with
@@ -37,13 +37,7 @@ fn star_pattern() -> Pattern {
 }
 
 /// The plan renderings under golden test, as `(file name, contents)`.
-/// A pinned sequential config keeps the footer machine-independent
-/// (the default config resolves threads from the host CPU count).
 fn plan_renderings() -> Vec<(&'static str, String)> {
-    let config = MatchConfig {
-        threads: 1,
-        parallel_threshold: 128,
-    };
     let hub = hub_instance(120, 6);
     let random = instance_of(100);
 
@@ -54,19 +48,19 @@ fn plan_renderings() -> Vec<(&'static str, String)> {
     vec![
         (
             "plan-chain.txt",
-            explain_plan_profiled(&chain, &random, config)
+            explain_plan_profiled(&chain, &random)
                 .expect("chain plan")
                 .render(),
         ),
         (
             "plan-star.txt",
-            explain_plan_profiled(&star, &random, config)
+            explain_plan_profiled(&star, &random)
                 .expect("star plan")
                 .render(),
         ),
         (
             "plan-triangle.txt",
-            explain_plan_profiled(&triangle, &hub, config)
+            explain_plan_profiled(&triangle, &hub)
                 .expect("triangle plan")
                 .render(),
         ),

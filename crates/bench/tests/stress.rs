@@ -1,37 +1,10 @@
 //! Nightly stress suite (run with `cargo test --release -- --ignored`;
-//! scheduled in CI). Exercises the matching engine and the batched
-//! operations on the 10 000-object stress instance — too slow for the
-//! per-commit test run, which covers the same properties at small scale.
+//! scheduled in CI). Exercises a batched edge deletion on the 10 000-object
+//! stress instance — too slow for the per-commit test run, which covers
+//! the same property at small scale.
 
-use good_bench::{anchored_pattern, chain_pattern, stress_instance};
-use good_core::matching::{find_matchings_with, MatchConfig};
+use good_bench::{chain_pattern, stress_instance};
 use good_core::ops::EdgeDeletion;
-
-#[test]
-#[ignore = "10k-object stress run; exercised by the nightly CI schedule"]
-fn parallel_matching_is_deterministic_at_scale() {
-    let db = stress_instance();
-    for (name, pattern) in [
-        ("figure4-anchored", anchored_pattern("info-0").0),
-        ("chain-2", chain_pattern(2).0),
-        ("chain-3", chain_pattern(3).0),
-    ] {
-        let sequential =
-            find_matchings_with(&pattern, &db, MatchConfig::sequential()).expect("valid pattern");
-        for threads in [2, 4, 8] {
-            let parallel = find_matchings_with(
-                &pattern,
-                &db,
-                MatchConfig {
-                    threads,
-                    parallel_threshold: 0,
-                },
-            )
-            .expect("valid pattern");
-            assert_eq!(sequential, parallel, "{name} differs at {threads} threads");
-        }
-    }
-}
 
 #[test]
 #[ignore = "10k-object stress run; exercised by the nightly CI schedule"]

@@ -772,23 +772,6 @@ fn run_top(args: &[String]) -> i32 {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
-    // --threads N: set the process-wide matching worker count before any
-    // command runs (equivalent to the `threads` session command).
-    if let Some(position) = args.iter().position(|a| a == "--threads") {
-        let Some(value) = args.get(position + 1) else {
-            eprintln!("error: --threads requires a count");
-            std::process::exit(1);
-        };
-        match value.parse::<usize>() {
-            Ok(n) => good_core::matching::set_default_threads(n),
-            Err(_) => {
-                eprintln!("error: bad thread count {value:?}");
-                std::process::exit(1);
-            }
-        }
-        args.drain(position..=position + 1);
-    }
-
     // --profile PATH: capture every span the process emits (matcher,
     // ops, methods, store) and write a Chrome trace_event JSON file on
     // exit — including after a failed fault schedule, where the

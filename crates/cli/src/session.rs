@@ -29,9 +29,7 @@
 use good_core::error::GoodError;
 use good_core::instance::Instance;
 use good_core::label::Label;
-use good_core::matching::{
-    default_threads, explain_plan_profiled, find_matchings, set_default_threads, MatchConfig,
-};
+use good_core::matching::{explain_plan_profiled, find_matchings};
 use good_core::ops::{Abstraction, EdgeAddition, EdgeDeletion, NodeAddition, NodeDeletion};
 use good_core::program::Env;
 use good_core::scheme::Scheme;
@@ -161,7 +159,6 @@ impl Session {
             "abstract" => self.cmd_abstract(rest),
             "scheme" => self.cmd_scheme(),
             "stats" => self.cmd_stats(),
-            "threads" => self.cmd_threads(rest),
             "validate" => self.cmd_validate(),
             "dot" => self.cmd_dot(rest),
             "save" => self.cmd_save(rest),
@@ -343,7 +340,7 @@ impl Session {
         }
         let (pattern, names) = parse_pattern(rest)?;
         let db = self.db_ref()?;
-        let plan = explain_plan_profiled(&pattern, db, MatchConfig::default())?;
+        let plan = explain_plan_profiled(&pattern, db)?;
         let by_node: BTreeMap<NodeId, &String> =
             names.iter().map(|(name, node)| (*node, name)).collect();
         Ok(plan.render_with(|node| by_node.get(&node).map(|name| name.to_string())))
@@ -530,17 +527,6 @@ impl Session {
         // server's `Stats` frame carries under "metrics").
         writeln!(out, "metrics: {}", good_trace::metrics_snapshot().to_json()).expect("write");
         Ok(out)
-    }
-
-    fn cmd_threads(&mut self, rest: &str) -> Result<String> {
-        let rest = rest.trim();
-        if !rest.is_empty() {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| CliError(format!("bad thread count {rest:?}")))?;
-            set_default_threads(n);
-        }
-        Ok(format!("matching threads: {}", default_threads()))
     }
 
     fn cmd_validate(&mut self) -> Result<String> {
@@ -738,7 +724,7 @@ ops:     tag { p } <node> <Class> <edge>
          connect { p } <src> <label> <dst> [functional|multivalued]
          delete { p } <node> | unlink { p } <src> <label> <dst>
          abstract { p } <node> <Class> <member-edge> <key-edge>
-misc:    scheme | stats | threads [n] | validate | dot [path] | save <path> | load <path>
+misc:    scheme | stats | validate | dot [path] | save <path> | load <path>
          help | quit
 ";
 
@@ -799,8 +785,7 @@ mod tests {
         assert!(out.starts_with("match plan (2 steps"), "{out}");
         assert!(out.contains("bind n [String]"), "{out}");
         assert!(out.contains("bind i [Info]"), "{out}");
-        assert!(out.contains("root candidates:"), "{out}");
-        assert!(out.contains("sequential"), "{out}");
+        assert!(out.contains("root candidates: 1\n"), "{out}");
         // The session explain executes the plan, so every step carries
         // an actual row count next to its estimate.
         assert!(out.contains("actual 1 rows"), "{out}");
@@ -995,17 +980,6 @@ mod tests {
             .execute("tag { i: Info; } missing Tag of")
             .unwrap_err();
         assert!(err.0.contains("does not declare"));
-    }
-
-    #[test]
-    fn threads_command_reports_and_sets() {
-        let mut session = Session::new();
-        let out = session.execute("threads 2").unwrap();
-        assert_eq!(out, "matching threads: 2");
-        assert!(session.execute("threads nope").is_err());
-        // Restore auto-detection for other tests in this process.
-        let restored = session.execute("threads 0").unwrap();
-        assert!(restored.starts_with("matching threads: "));
     }
 
     #[test]

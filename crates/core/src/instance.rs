@@ -219,42 +219,6 @@ impl AdjacencyIndex {
         index
     }
 
-    /// A structure-unsharing copy: every persistent node at every level
-    /// is rebuilt. Models the pre-persistent clone cost (E16 baseline).
-    fn deep_clone(&self) -> Self {
-        fn unshare_set(set: &PSet<NodeId>) -> PSet<NodeId> {
-            set.iter().copied().collect()
-        }
-        fn unshare<T: Clone>(
-            map: &SharedMap<Label, SharedMap<Label, T>>,
-            inner: impl Fn(&T) -> T,
-        ) -> SharedMap<Label, SharedMap<Label, T>> {
-            map.iter()
-                .map(|(label, by_edge)| {
-                    (
-                        label.clone(),
-                        by_edge
-                            .iter()
-                            .map(|(edge, value)| (edge.clone(), inner(value)))
-                            .collect(),
-                    )
-                })
-                .collect()
-        }
-        let unshare_postings = |postings: &Postings| -> Postings {
-            postings
-                .iter()
-                .map(|(anchor, set)| (*anchor, unshare_set(set)))
-                .collect()
-        };
-        AdjacencyIndex {
-            sources: unshare(&self.sources, unshare_postings),
-            targets: unshare(&self.targets, unshare_postings),
-            out_support: unshare(&self.out_support, unshare_set),
-            in_support: unshare(&self.in_support, unshare_set),
-        }
-    }
-
     /// Rough heap footprint in bytes across all four nested views.
     fn approx_bytes(&self) -> usize {
         fn set_bytes(set: &PSet<NodeId>) -> usize {
@@ -401,38 +365,6 @@ impl Instance {
         #[cfg(debug_assertions)]
         instance.validate_indexes()?;
         Ok(instance)
-    }
-
-    /// A structure-unsharing clone: the graph arenas and every level of
-    /// every index are rebuilt node by node, sharing nothing with
-    /// `self`. This is exactly the work the pre-persistent
-    /// representation did on *every* snapshot publish; benches (E16)
-    /// use it as the baseline that `clone()` is measured against.
-    pub fn deep_clone(&self) -> Self {
-        Instance {
-            scheme: self.scheme.clone(),
-            graph: self.graph.deep_clone(),
-            label_index: self
-                .label_index
-                .iter()
-                .map(|(label, set)| (label.clone(), set.iter().copied().collect()))
-                .collect(),
-            printable_index: self
-                .printable_index
-                .iter()
-                .map(|(label, values)| {
-                    (
-                        label.clone(),
-                        values
-                            .iter()
-                            .map(|(value, node)| (value.clone(), *node))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            adjacency: self.adjacency.deep_clone(),
-            stats: self.stats.deep_clone(),
-        }
     }
 
     /// Rough heap footprint of the graph arenas and all indexes in

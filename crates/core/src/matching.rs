@@ -14,10 +14,10 @@
 //!   of an already bound image, read off the adjacency index's
 //!   `(class, λ)` postings) and the remaining edges to probe; unanchored
 //!   steps intersect support sets instead of scanning a label. Every
-//!   complete frame is one row of a flat [`MatchTable`]; large searches
-//!   split the first step's candidates into *morsels* solved on
-//!   multiple threads (see [`MatchConfig`]), and the table's canonical
-//!   sort makes the result bit-for-bit identical at any thread count.
+//!   complete frame is one row of a flat [`MatchTable`], whose canonical
+//!   sort fixes the result's order. The search runs on the calling
+//!   thread: the paper's set-at-a-time semantics needs no threads, and
+//!   the server already runs one reader thread per connection.
 //!   Crossed (negated) parts use the paper's extension semantics;
 //!   printable predicates are supported.
 //! * [`find_matchings_naive`] — candidate cross-product enumeration with
@@ -37,7 +37,6 @@ use good_graph::NodeId;
 use good_trace::{LiveCounter, LiveHistogram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE_CALLS: LiveCounter = LiveCounter::new("match.calls");
 /// Positive matchings dropped because a crossed part extended them.
@@ -216,84 +215,19 @@ impl MatchTable {
     }
 }
 
-// ---- threading configuration -------------------------------------------
+// ---- the benchmark's names ----------------------------------------------
 
-/// Process-wide default for [`MatchConfig::threads`]; 0 means "ask the
-/// OS" via `available_parallelism`.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// The matcher has nothing to configure. This field-less type stays only
+/// because the byte-frozen `e2e` benchmark package passes
+/// `MatchConfig::default()` to [`find_matchings_with`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatchConfig;
 
-/// Set the process-wide default worker count used when
-/// [`MatchConfig::threads`] is 0. Passing 0 restores auto-detection.
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The resolved process-wide default worker count.
+/// The matcher's thread count: always 1, the calling thread. Kept only
+/// because the byte-frozen `e2e` benchmark package reports it as its
+/// envelope's `matcher_threads`.
 pub fn default_threads() -> usize {
-    match DEFAULT_THREADS.load(Ordering::Relaxed) {
-        0 => machine_parallelism(),
-        n => n,
-    }
-}
-
-/// `available_parallelism`, probed once. The std call re-reads cgroup
-/// quota files on Linux (~10 µs), which would dwarf an anchored point
-/// query if paid per `find_matchings` call.
-fn machine_parallelism() -> usize {
-    static CACHED: AtomicUsize = AtomicUsize::new(0);
-    match CACHED.load(Ordering::Relaxed) {
-        0 => {
-            let probed = std::thread::available_parallelism().map_or(1, |n| n.get());
-            CACHED.store(probed, Ordering::Relaxed);
-            probed
-        }
-        n => n,
-    }
-}
-
-/// Tuning knobs for [`find_matchings_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchConfig {
-    /// Worker thread count. 0 resolves to [`default_threads`] (which in
-    /// turn defaults to the machine's available parallelism).
-    pub threads: usize,
-    /// Minimum number of root candidates before the search goes
-    /// parallel; below it the morsel machinery is not worth its setup
-    /// cost and the sequential path runs instead.
-    pub parallel_threshold: usize,
-}
-
-impl Default for MatchConfig {
-    fn default() -> Self {
-        MatchConfig {
-            threads: 0,
-            parallel_threshold: 128,
-        }
-    }
-}
-
-impl MatchConfig {
-    /// A sequential configuration (one worker, any input size).
-    pub fn sequential() -> Self {
-        MatchConfig {
-            threads: 1,
-            parallel_threshold: usize::MAX,
-        }
-    }
-
-    /// Override the worker count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            default_threads().max(1)
-        } else {
-            self.threads
-        }
-    }
+    1
 }
 
 // ---- compiled search ----------------------------------------------------
@@ -361,7 +295,7 @@ struct Step<'a> {
 
 /// The backtracking search, compiled: a binding order as [`Step`]s over
 /// an instance. Built once per `find_matchings*` call (or once per
-/// pre-bound frame shape) and shared immutably across worker threads.
+/// pre-bound frame shape).
 struct Search<'a> {
     instance: &'a Instance,
     steps: Vec<Step<'a>>,
@@ -578,13 +512,9 @@ impl<'a> Search<'a> {
         self.bound_edges_hold(&cursor.frame) && !self.solve(0, cursor, &mut |_| false)
     }
 
-    /// Enumerate every matching into `table`, unsorted. The first
-    /// step's candidates seed the search; when there are enough of them
-    /// they are split into morsels claimed by worker threads via an
-    /// atomic cursor. The caller's canonical sort makes the merged
-    /// result independent of scheduling.
-    fn enumerate(&self, config: MatchConfig, table: &mut MatchTable) {
-        let threads = config.resolved_threads();
+    /// Enumerate every matching into the empty `table`, unsorted: the
+    /// first step's candidates seed the search, one subtree each.
+    fn enumerate(&self, table: &mut MatchTable) {
         let mut cursor = self.cursor();
         let Some(root) = self.steps.first() else {
             // The empty pattern has exactly one (empty) matching.
@@ -597,70 +527,18 @@ impl<'a> Search<'a> {
             self.fill(0, &mut cursor, &mut roots);
             plan_span.arg("root_candidates", roots.len());
         }
+        let mut roots_span = good_trace::span("match", "match/roots");
         let slot = root.node.index();
-        // Solve the subtrees under `roots[range]` into `table`.
-        let solve_roots =
-            |range: std::ops::Range<usize>, cursor: &mut Cursor<'a>, table: &mut MatchTable| {
-                let visited = |cursor: &Cursor<'_>| cursor.visited.iter().sum::<u64>();
-                let (before, steps) = (table.len(), visited(cursor));
-                for &candidate in &roots[range] {
-                    cursor.frame[slot] = Some(candidate);
-                    self.solve(1, cursor, &mut |complete| {
-                        table.push_frame(complete);
-                        true
-                    });
-                }
-                (table.len() - before, visited(cursor) - steps)
-            };
-        if threads <= 1 || roots.len() < config.parallel_threshold {
-            let mut roots_span = good_trace::span("match", "match/roots");
-            let (matchings, steps) = solve_roots(0..roots.len(), &mut cursor, table);
-            roots_span.arg("roots", roots.len());
-            roots_span.arg("matchings", matchings);
-            roots_span.arg("steps", steps);
-            return;
+        for &candidate in &roots {
+            cursor.frame[slot] = Some(candidate);
+            self.solve(1, &mut cursor, &mut |complete| {
+                table.push_frame(complete);
+                true
+            });
         }
-        // Morsel-driven: workers claim contiguous chunks of the root
-        // candidate list with a fetch_add cursor, so fast morsels steal
-        // the slack left by slow ones.
-        let morsel = (roots.len() / (threads * 8)).clamp(1, 1024);
-        let next = AtomicUsize::new(0);
-        let domain = &table.domain.clone();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = MatchTable::new(domain.clone());
-                        let mut cursor = self.cursor();
-                        loop {
-                            let start = next.fetch_add(morsel, Ordering::Relaxed);
-                            if start >= roots.len() {
-                                break;
-                            }
-                            let end = (start + morsel).min(roots.len());
-                            // Morsel spans are worker-thread roots. Their
-                            // args (chunk bounds, matchings, steps) are
-                            // deterministic even though worker assignment
-                            // is not; `SpanTree::canonicalize` erases the
-                            // scheduling order.
-                            let mut morsel_span = good_trace::span("match", "match/morsel");
-                            let (matchings, steps) =
-                                solve_roots(start..end, &mut cursor, &mut local);
-                            morsel_span.arg("start", start);
-                            morsel_span.arg("len", end - start);
-                            morsel_span.arg("matchings", matchings);
-                            morsel_span.arg("steps", steps);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let local = handle.join().expect("matching worker panicked");
-                table.images.extend_from_slice(&local.images);
-                table.rows += local.rows;
-            }
-        });
+        roots_span.arg("roots", roots.len());
+        roots_span.arg("matchings", table.len());
+        roots_span.arg("steps", cursor.visited.iter().sum::<u64>());
     }
 }
 
@@ -743,8 +621,7 @@ fn drop_extendable(pattern: &Pattern, instance: &Instance, table: &mut MatchTabl
     });
 }
 
-/// Find all matchings of `pattern` in `instance`, in canonical order,
-/// using the process-default [`MatchConfig`].
+/// Find all matchings of `pattern` in `instance`, in canonical order.
 ///
 /// Crossed parts are evaluated with the paper's semantics: a matching of
 /// the positive part survives iff it *cannot* be enlarged to the
@@ -775,36 +652,29 @@ fn drop_extendable(pattern: &Pattern, instance: &Instance, table: &mut MatchTabl
 /// # Ok::<(), GoodError>(())
 /// ```
 pub fn find_matchings(pattern: &Pattern, instance: &Instance) -> Result<Vec<Matching>> {
-    find_matchings_with(pattern, instance, MatchConfig::default())
+    find_match_table(pattern, instance).map(MatchTable::into_matchings)
 }
 
-/// [`find_matchings`] with explicit threading configuration.
-///
-/// The result is bit-for-bit identical for every `config`: both the
-/// sequential and the morsel-parallel path enumerate the complete
-/// solution set, and the canonical sort erases scheduling order.
+/// [`find_matchings`] under the field-less [`MatchConfig`]. Kept only
+/// because the byte-frozen `e2e` benchmark package calls it.
 pub fn find_matchings_with(
     pattern: &Pattern,
     instance: &Instance,
-    config: MatchConfig,
+    _config: MatchConfig,
 ) -> Result<Vec<Matching>> {
-    find_match_table(pattern, instance, config).map(MatchTable::into_matchings)
+    find_matchings(pattern, instance)
 }
 
-/// [`find_matchings_with`] as the flat [`MatchTable`] the engine builds
-/// — for callers that read columns and never need a map per matching.
-pub fn find_match_table(
-    pattern: &Pattern,
-    instance: &Instance,
-    config: MatchConfig,
-) -> Result<MatchTable> {
-    table_of(pattern, instance, config, None)
+/// [`find_matchings`] as the flat [`MatchTable`] the engine builds —
+/// for callers that read columns and never need a map per matching.
+pub fn find_match_table(pattern: &Pattern, instance: &Instance) -> Result<MatchTable> {
+    table_of(pattern, instance, None)
 }
 
 /// The matchings of `pattern` that map at least one positive pattern
 /// edge onto an edge of `delta` — the later rounds of the fixpoint
 /// evaluator (`fixpoint.rs`). Validation, canonical order and the
-/// crossed-part filter are [`find_matchings_with`]'s; only the
+/// crossed-part filter are [`find_matchings`]'s; only the
 /// enumeration differs (seeded from the delta's endpoints instead of
 /// planned from a root). When no delta label occurs on an uncrossed
 /// pattern edge there is nothing to seed and the pattern is not matched
@@ -821,8 +691,7 @@ pub(crate) fn matchings_using(
     if !delta.iter().any(|(_, label, _)| occurs(label)) {
         return Ok(Vec::new());
     }
-    table_of(pattern, instance, MatchConfig::sequential(), Some(delta))
-        .map(MatchTable::into_matchings)
+    table_of(pattern, instance, Some(delta)).map(MatchTable::into_matchings)
 }
 
 /// Shared body of [`find_match_table`] (`delta` absent: plan and
@@ -830,7 +699,6 @@ pub(crate) fn matchings_using(
 fn table_of(
     pattern: &Pattern,
     instance: &Instance,
-    config: MatchConfig,
     delta: Option<&[EdgeTriple]>,
 ) -> Result<MatchTable> {
     check_matchable(pattern, instance)?;
@@ -851,7 +719,7 @@ fn table_of(
             let choice = planner::plan(&positive, instance);
             planned = Some((choice.strategy.name(), choice.est_rows));
             choice.strategy.counter().incr();
-            Search::planned(&positive, instance, &choice).enumerate(config, &mut table);
+            Search::planned(&positive, instance, &choice).enumerate(&mut table);
         }
     }
     table.canonicalize();
@@ -903,25 +771,17 @@ pub struct PlanStep {
     pub actual_rows: Option<u64>,
 }
 
-/// A description of the plan [`find_matchings_with`] would run for a
+/// A description of the plan [`find_matchings`] would run for a
 /// pattern against an instance, produced by [`explain_plan_profiled`]
 /// with per-step actual row counts.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// Binding steps in the cost-based planner's order — the exact
-    /// order the generic-join path executes, and the root (plus cold
-    /// ranking) of the expand path.
+    /// Binding steps in the cost-based planner's order — the order both
+    /// strategies execute.
     pub steps: Vec<PlanStep>,
-    /// Exact candidate count for the root node.
+    /// Candidate count for the root node: the first step's actual rows
+    /// (0 for the empty pattern).
     pub root_candidates: usize,
-    /// Resolved worker thread count.
-    pub threads: usize,
-    /// Root-candidate count below which the search stays sequential.
-    pub parallel_threshold: usize,
-    /// Whether the morsel-parallel path would run.
-    pub parallel: bool,
-    /// Morsel size (0 when sequential).
-    pub morsel: usize,
     /// Whether matchings are post-filtered by the negation extension
     /// check.
     pub negation: bool,
@@ -984,17 +844,7 @@ impl Plan {
                 None => String::new(),
             },
         ));
-        if self.parallel {
-            out.push_str(&format!(
-                "root candidates: {} -> morsel-parallel ({} threads, morsel {}, threshold {})\n",
-                self.root_candidates, self.threads, self.morsel, self.parallel_threshold
-            ));
-        } else {
-            out.push_str(&format!(
-                "root candidates: {} -> sequential ({} threads available, threshold {})\n",
-                self.root_candidates, self.threads, self.parallel_threshold
-            ));
-        }
+        out.push_str(&format!("root candidates: {}\n", self.root_candidates));
         out
     }
 
@@ -1004,10 +854,9 @@ impl Plan {
     /// `null` on unprofiled plans.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"strategy\":\"{}\",\"cyclic\":{},\"parallel\":{},\"negation\":{},\"root_candidates\":{},\"est_cost\":{:.1},\"est_rows\":{:.1},\"actual_matchings\":{},\"steps\":[",
+            "{{\"strategy\":\"{}\",\"cyclic\":{},\"negation\":{},\"root_candidates\":{},\"est_cost\":{:.1},\"est_rows\":{:.1},\"actual_matchings\":{},\"steps\":[",
             good_trace::escape_json_str(self.strategy.name()),
             self.cyclic,
-            self.parallel,
             self.negation,
             self.root_candidates,
             self.est_cost,
@@ -1039,27 +888,21 @@ impl Plan {
     }
 }
 
-/// Describe the plan [`find_matchings_with`] would choose for `pattern`
-/// against `instance` under `config` — the cost-based binding order
-/// with per-step access paths and cardinality estimates, the
-/// expand-vs-generic-join strategy decision, the exact root candidate
-/// count, and the sequential-vs-morsel decision — and run the planned
-/// order once, filling each step's `actual_rows` with the number of
-/// partial matchings that survived it and the plan's
-/// `actual_matchings` with the final (negation-filtered) count, so
-/// per-step estimate error is visible. Observes the estimate error
+/// Describe the plan [`find_matchings`] would choose for `pattern`
+/// against `instance` — the cost-based binding order with per-step
+/// access paths and cardinality estimates and the expand-vs-generic-join
+/// strategy decision — and run the planned order once, filling each
+/// step's `actual_rows` with the number of partial matchings that
+/// survived it (the first step's is the root candidate count) and the
+/// plan's `actual_matchings` with the final (negation-filtered) count,
+/// so per-step estimate error is visible. Observes the estimate error
 /// into the `match.plan.est_error_pct` histogram.
-pub fn explain_plan_profiled(
-    pattern: &Pattern,
-    instance: &Instance,
-    config: MatchConfig,
-) -> Result<Plan> {
+pub fn explain_plan_profiled(pattern: &Pattern, instance: &Instance) -> Result<Plan> {
     check_matchable(pattern, instance)?;
     let positive = pattern.positive_part();
-    let threads = config.resolved_threads();
     let choice = planner::plan(&positive, instance);
 
-    // Profile: walk the planned order once, sequentially and pruning
+    // Profile: walk the planned order once, pruning
     // (whatever the strategy, so a step's actual is what survives every
     // constraint decidable at it): the frames the loop visits at each
     // depth are the partial matchings that survived the step before.
@@ -1078,12 +921,6 @@ pub fn explain_plan_profiled(
         (cursor.visited.split_off(1), matchings)
     };
 
-    let search = Search::planned(&positive, instance, &choice);
-    let mut roots = Vec::new();
-    if !search.steps.is_empty() {
-        search.fill(0, &mut search.cursor(), &mut roots);
-    }
-    let root_candidates = roots.len();
     let mut planned: BTreeSet<NodeId> = BTreeSet::new();
     let mut steps = Vec::new();
     for (index, step) in choice.steps.iter().enumerate() {
@@ -1111,20 +948,9 @@ pub fn explain_plan_profiled(
         });
         planned.insert(node);
     }
-    let parallel =
-        !choice.order.is_empty() && threads > 1 && root_candidates >= config.parallel_threshold;
-    let morsel = if parallel {
-        (root_candidates / (threads * 8)).clamp(1, 1024)
-    } else {
-        0
-    };
     Ok(Plan {
         steps,
-        root_candidates,
-        threads,
-        parallel_threshold: config.parallel_threshold,
-        parallel,
-        morsel,
+        root_candidates: actuals.first().map_or(0, |&rows| rows as usize),
         negation: pattern.has_negation(),
         strategy: choice.strategy,
         cyclic: choice.cyclic,
@@ -1188,9 +1014,8 @@ fn describe_access(pattern: &Pattern, pnode: NodeId, planned: &BTreeSet<NodeId>)
 }
 
 /// Ablation variant of [`find_matchings`]: the same compiled-step loop
-/// given pattern-node id order instead of the planner's costed order,
-/// sequentially. Exists to quantify, in benchmark E1, what the planned
-/// order buys.
+/// given pattern-node id order instead of the planner's costed order.
+/// Exists to quantify, in benchmark E1, what the planned order buys.
 pub fn find_matchings_static_order(
     pattern: &Pattern,
     instance: &Instance,
@@ -1202,8 +1027,8 @@ pub fn find_matchings_static_order(
     })
 }
 
-/// The one loop over a caller-chosen shape — binding order and pruning —
-/// run sequentially: the body of [`find_matchings_static_order`] and of
+/// The one loop over a caller-chosen shape — binding order and pruning:
+/// the body of [`find_matchings_static_order`] and of
 /// `wcoj::find_matchings_wcoj`.
 pub(crate) fn matchings_in_order(
     pattern: &Pattern,
@@ -1215,8 +1040,7 @@ pub(crate) fn matchings_in_order(
     let positive = pattern.positive_part();
     let order = order(&positive);
     let mut table = MatchTable::new(order.clone());
-    Search::compile(&positive, instance, &[], &order, prune)
-        .enumerate(MatchConfig::sequential(), &mut table);
+    Search::compile(&positive, instance, &[], &order, prune).enumerate(&mut table);
     Ok(finish(pattern, instance, table).into_matchings())
 }
 
@@ -1492,57 +1316,6 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort();
         assert_eq!(a, sorted);
-    }
-
-    #[test]
-    fn parallel_engine_is_deterministic() {
-        // Force the morsel path (threshold 0) at several worker counts
-        // and demand bit-for-bit equality with the sequential engine,
-        // on a pattern with multiple matchings per root candidate.
-        let (db, _) = small_instance();
-        let mut p = Pattern::new();
-        let x = p.node("Info");
-        let y = p.node("Info");
-        p.edge(x, "links-to", y);
-        let sequential = find_matchings_with(&p, &db, MatchConfig::sequential()).unwrap();
-        for threads in [2, 4, 8] {
-            let parallel = find_matchings_with(
-                &p,
-                &db,
-                MatchConfig {
-                    threads,
-                    parallel_threshold: 0,
-                },
-            )
-            .unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_engine_handles_negation_and_empty_pattern() {
-        let (db, _) = small_instance();
-        let config = MatchConfig {
-            threads: 4,
-            parallel_threshold: 0,
-        };
-        let empty = find_matchings_with(&Pattern::new(), &db, config).unwrap();
-        assert_eq!(empty.len(), 1);
-        let mut p = Pattern::new();
-        let info = p.node("Info");
-        let other = p.negated_node("Info");
-        p.edge(info, "links-to", other);
-        let sequential = find_matchings_with(&p, &db, MatchConfig::sequential()).unwrap();
-        let parallel = find_matchings_with(&p, &db, config).unwrap();
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn default_thread_override_roundtrips() {
-        set_default_threads(3);
-        assert_eq!(default_threads(), 3);
-        set_default_threads(0);
-        assert!(default_threads() >= 1);
     }
 
     #[test]

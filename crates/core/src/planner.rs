@@ -88,7 +88,7 @@ pub struct StepEstimate {
 }
 
 /// The planner's output: a costed binding order plus the strategy
-/// decision, consumed by `find_matchings_with` and `explain_plan_profiled`.
+/// decision, consumed by `find_matchings` and `explain_plan_profiled`.
 #[derive(Debug, Clone)]
 pub struct PlanChoice {
     /// Binding order (all positive pattern nodes).

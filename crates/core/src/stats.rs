@@ -314,34 +314,6 @@ impl InstanceStats {
         stats
     }
 
-    /// A structure-unsharing copy (every map level re-collected),
-    /// mirroring `AdjacencyIndex::deep_clone` for the E16 baseline.
-    pub(crate) fn deep_clone(&self) -> Self {
-        InstanceStats {
-            triples: self
-                .triples
-                .iter()
-                .map(|(src, by_edge)| {
-                    (
-                        src.clone(),
-                        by_edge
-                            .iter()
-                            .map(|(edge, by_dst)| {
-                                (
-                                    edge.clone(),
-                                    by_dst
-                                        .iter()
-                                        .map(|(dst, stats)| (dst.clone(), stats.clone()))
-                                        .collect(),
-                                )
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-        }
-    }
-
     /// Rough heap footprint in bytes across all three nesting levels.
     pub fn approx_bytes(&self) -> usize {
         self.triples.approx_bytes()

@@ -1,17 +1,16 @@
 //! Differential property tests for the matching engine.
 //!
 //! Random instances (via the deterministic generator in `good_core::gen`)
-//! and random small patterns are thrown at five independent engines —
-//! the sequential planned search, the morsel-parallel planned search
-//! (forced onto the parallel path with `parallel_threshold: 0`), the
-//! naive cross-product enumerator, the worst-case-optimal generic
-//! join, and the materializing binary join — which must agree bit for
-//! bit. A second suite drives random GOOD operations and audits every
-//! instance invariant (including adjacency-index/graph agreement and
-//! incremental-planner-statistics/rebuild agreement) afterwards.
+//! and random small patterns are thrown at four independent engines —
+//! the planned search, the naive cross-product enumerator, the
+//! worst-case-optimal generic join, and the materializing binary join —
+//! which must agree bit for bit. A second suite drives random GOOD
+//! operations and audits every instance invariant (including
+//! adjacency-index/graph agreement and incremental-planner-statistics/
+//! rebuild agreement) afterwards.
 
 use good_core::gen::{random_instance, GenConfig};
-use good_core::matching::{find_matchings_naive, find_matchings_with, MatchConfig};
+use good_core::matching::{find_matchings, find_matchings_naive};
 use good_core::ops::{EdgeDeletion, NodeDeletion};
 use good_core::pattern::Pattern;
 use good_core::planner::find_matchings_binary;
@@ -93,26 +92,19 @@ fn arb_gen_config() -> impl Strategy<Value = GenConfig> {
 }
 
 proptest! {
-    /// Sequential ≡ parallel ≡ naive on random instances and patterns.
+    /// Planned ≡ naive ≡ generic join ≡ binary join on random instances
+    /// and patterns.
     #[test]
     fn engines_agree(config in arb_gen_config(), spec in arb_pattern_spec()) {
         let db = random_instance(&config);
         let pattern = build_pattern(&spec);
-        let sequential =
-            find_matchings_with(&pattern, &db, MatchConfig::sequential()).expect("valid pattern");
-        let parallel = find_matchings_with(
-            &pattern,
-            &db,
-            MatchConfig { threads: 4, parallel_threshold: 0 },
-        )
-        .expect("valid pattern");
+        let planned = find_matchings(&pattern, &db).expect("valid pattern");
         let naive = find_matchings_naive(&pattern, &db).expect("valid pattern");
         let wcoj = find_matchings_wcoj(&pattern, &db).expect("valid pattern");
         let binary = find_matchings_binary(&pattern, &db).expect("valid pattern");
-        prop_assert_eq!(&sequential, &parallel, "sequential vs parallel");
-        prop_assert_eq!(&sequential, &naive, "planned vs naive");
-        prop_assert_eq!(&sequential, &wcoj, "planned vs generic join");
-        prop_assert_eq!(&sequential, &binary, "planned vs binary join");
+        prop_assert_eq!(&planned, &naive, "planned vs naive");
+        prop_assert_eq!(&planned, &wcoj, "planned vs generic join");
+        prop_assert_eq!(&planned, &binary, "planned vs binary join");
     }
 
     /// Deleting random nodes and edges through the batched operation

@@ -1,15 +1,17 @@
 //! Differential property tests for the persistent (structurally
 //! shared) instance representation.
 //!
-//! The persistent `Instance` must be *observationally identical* to a
-//! clone-based one. Each case drives a random workload down two lanes:
+//! The persistent `Instance` must be *observationally identical* to one
+//! that shares nothing. Each case drives a random workload down two
+//! lanes:
 //!
 //! * **persistent lane** — one instance mutated in place while a
 //!   cheap (`Arc`-bump) clone is retained after every step, exactly
 //!   the sharing pattern the MVCC version ring produces;
-//! * **unshared lane** — the same programs applied to an instance that
-//!   is `deep_clone`d (structure fully unshared) between steps, i.e.
-//!   the pre-persistent cost model.
+//! * **recovered lane** — the same programs applied to an instance that
+//!   is rebuilt between steps by a JSON round trip through
+//!   `Instance::from_parts`, the recovery path: structure fully
+//!   unshared, ids carried over by the serialised arena slots.
 //!
 //! After every step the two lanes must render bit-identically, the
 //! full index/adjacency audit must pass on the shared lane, and at the
@@ -22,6 +24,12 @@ use good_core::instance::Instance;
 use good_core::program::{Env, DEFAULT_FUEL};
 use proptest::prelude::*;
 
+/// `instance` as recovery rebuilds it from its serialised form.
+fn recover(instance: &Instance) -> Instance {
+    let json = serde_json::to_string(instance).expect("serialise");
+    serde_json::from_str(&json).expect("recover")
+}
+
 fn run_case(seed: u64, infos: usize, steps: usize) {
     let config = GenConfig {
         infos,
@@ -29,7 +37,7 @@ fn run_case(seed: u64, infos: usize, steps: usize) {
         ..GenConfig::default()
     };
     let mut shared = random_instance(&config);
-    let mut unshared = shared.deep_clone();
+    let mut recovered = recover(&shared);
     let mut env = Env::with_fuel(DEFAULT_FUEL);
     let mut retained: Vec<(Instance, String)> = Vec::new();
     for (step, program) in random_workload(seed, steps).iter().enumerate() {
@@ -39,22 +47,22 @@ fn run_case(seed: u64, infos: usize, steps: usize) {
         let mut next = shared.clone();
         let shared_outcome = program.apply(&mut next, &mut env).map(drop);
         env.refuel();
-        let mut next_unshared = unshared.deep_clone();
-        let unshared_outcome = program.apply(&mut next_unshared, &mut env).map(drop);
+        let mut next_recovered = recover(&recovered);
+        let recovered_outcome = program.apply(&mut next_recovered, &mut env).map(drop);
         assert_eq!(
             shared_outcome.is_ok(),
-            unshared_outcome.is_ok(),
+            recovered_outcome.is_ok(),
             "lanes diverged on outcome at step {step} (seed {seed})"
         );
         if shared_outcome.is_ok() {
             shared = next;
-            unshared = next_unshared;
+            recovered = next_recovered;
         }
         let rendered = shared.to_dot("lane");
         assert_eq!(
             rendered,
-            unshared.to_dot("lane"),
-            "persistent and unshared lanes diverged at step {step} (seed {seed})"
+            recovered.to_dot("lane"),
+            "persistent and recovered lanes diverged at step {step} (seed {seed})"
         );
         shared
             .validate()
@@ -96,7 +104,7 @@ proptest! {
 
     // Nightly-only: the deep sweep (see .github/workflows/ci.yml).
     #[test]
-    #[ignore = "nightly: 512-case persistent/unshared differential sweep"]
+    #[ignore = "nightly: 512-case persistent/recovered differential sweep"]
     fn nightly_persistent_equals_unshared(
         seed in 0u64..100_000_000,
         infos in 5usize..150,

@@ -22,7 +22,7 @@ fn bench_pattern() -> Pattern {
 }
 
 /// Run one traced match and return the span tree.
-fn traced_run(config: MatchConfig) -> good_trace::SpanTree {
+fn traced_run() -> good_trace::SpanTree {
     let db = random_instance(&GenConfig {
         infos: 300,
         seed: 17,
@@ -31,7 +31,7 @@ fn traced_run(config: MatchConfig) -> good_trace::SpanTree {
     let pattern = bench_pattern();
     let collector = Arc::new(good_trace::Collector::new());
     let previous = good_trace::swap_recorder(Some(collector.clone()));
-    let result = find_matchings_with(&pattern, &db, config);
+    let result = find_matchings(&pattern, &db);
     good_trace::swap_recorder(previous);
     result.expect("match succeeds");
     good_trace::SpanTree::build(&collector.take())
@@ -40,35 +40,13 @@ fn traced_run(config: MatchConfig) -> good_trace::SpanTree {
 #[test]
 fn sequential_seeded_runs_produce_byte_identical_span_trees() {
     let _guard = lock();
-    let first = traced_run(MatchConfig::sequential()).render();
-    let second = traced_run(MatchConfig::sequential()).render();
+    let first = traced_run().render();
+    let second = traced_run().render();
     assert!(!first.is_empty());
     assert!(first.contains("match/find"), "{first}");
     assert!(first.contains("match/plan"), "{first}");
     assert!(first.contains("match/roots"), "{first}");
     assert_eq!(first, second, "sequential trace must be deterministic");
-}
-
-#[test]
-fn parallel_seeded_runs_produce_the_same_canonical_tree() {
-    let _guard = lock();
-    let config = MatchConfig {
-        threads: 4,
-        parallel_threshold: 0,
-    };
-    let mut first = traced_run(config);
-    let mut second = traced_run(config);
-    // Raw capture order depends on worker scheduling; the canonical
-    // sort must erase it completely.
-    first.canonicalize();
-    second.canonicalize();
-    let first = first.render();
-    let second = second.render();
-    assert!(first.contains("match/morsel"), "{first}");
-    assert_eq!(
-        first, second,
-        "canonicalized parallel trace must be thread-schedule independent"
-    );
 }
 
 #[test]
@@ -81,7 +59,7 @@ fn no_recorder_means_tracing_stays_disabled_and_captures_nothing() {
         seed: 17,
         ..GenConfig::default()
     });
-    find_matchings_with(&bench_pattern(), &db, MatchConfig::sequential()).expect("match succeeds");
+    find_matchings(&bench_pattern(), &db).expect("match succeeds");
     // Installing a collector *after* the run proves nothing was queued
     // anywhere: the capture starts empty.
     let collector = Arc::new(good_trace::Collector::new());

@@ -247,18 +247,6 @@ impl<T: Clone> Arena<T> {
             _ => None,
         }
     }
-
-    /// A structure-unsharing clone: rebuilds the slot trie node by node so
-    /// the result shares nothing with `self`. This models the
-    /// pre-persistent O(graph) clone cost and serves as the bench
-    /// baseline for E16.
-    pub fn deep_clone(&self) -> Self {
-        Arena {
-            slots: self.slots.deep_clone(),
-            free_head: self.free_head,
-            len: self.len,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -248,16 +248,6 @@ impl<N: Clone, E: Clone> Graph<N, E> {
     pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut E> {
         self.edges.get_mut(id.0).map(|slot| &mut slot.payload)
     }
-
-    /// A structure-unsharing clone: rebuilds both arena tries so the
-    /// result shares nothing with `self`. Models the pre-persistent
-    /// O(graph) clone cost (E16's baseline).
-    pub fn deep_clone(&self) -> Self {
-        Graph {
-            nodes: self.nodes.deep_clone(),
-            edges: self.edges.deep_clone(),
-        }
-    }
 }
 
 impl<N, E> Graph<N, E> {

@@ -226,18 +226,6 @@ impl<T: Clone> PVec<T> {
     pub fn push(&mut self, value: T) {
         self.push_with(value, Arc::make_mut)
     }
-
-    /// A fully unshared copy: every trie node is rebuilt, sharing
-    /// nothing with `self`. This is the cost model of a pre-persistent
-    /// deep clone; benches use it as the baseline that `clone()` is
-    /// measured against.
-    pub fn deep_clone(&self) -> PVec<T> {
-        let mut out = PVec::new();
-        for item in self.iter() {
-            out.push(item.clone());
-        }
-        out
-    }
 }
 
 /// Upper bound on trie depth: the shift grows by `BITS` per root
@@ -370,15 +358,6 @@ mod tests {
         let v: PVec<usize> = (0..4_200).collect();
         let collected: Vec<usize> = v.iter().copied().collect();
         assert_eq!(collected, (0..4_200).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn deep_clone_is_equal_but_unshared() {
-        let v: PVec<u32> = (0..1_000).collect();
-        let mut deep = v.deep_clone();
-        assert_eq!(v, deep);
-        *deep.get_mut(0).unwrap() = 77;
-        assert_eq!(v.get(0), Some(&0));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::parser::parse_query;
 use crate::QueryError;
 use good_core::instance::Instance;
 use good_core::label::Label;
-use good_core::matching::{explain_plan_profiled, find_match_table, MatchConfig, Matching};
+use good_core::matching::{explain_plan_profiled, find_match_table, Matching};
 use good_core::pattern::Pattern;
 use good_core::program::Env;
 use good_graph::NodeId;
@@ -227,29 +227,20 @@ pub fn run_differential(db: &Instance, text: &str) -> Result<QueryOutput, QueryE
     Ok(core)
 }
 
-/// Parse, compile, and render the compiled program plus the match plan
-/// (`explain_plan_profiled` with a pinned single-thread config, so the
-/// render is stable for goldens).
+/// Parse, compile, and render the compiled program plus the profiled
+/// match plan (`explain_plan_profiled`).
 pub fn explain(db: &Instance, text: &str) -> Result<String, QueryError> {
     let query = parse_query(text)?;
     let compiled = compile(&query, db.scheme())?;
     let scratch = materialize_core(db, &compiled)?;
     let mut out = compiled.render_program(scratch.scheme());
     let (pattern, nodes) = compiled.pattern(true);
-    let plan = explain_plan_profiled(&pattern, &scratch, pinned_config())?;
+    let plan = explain_plan_profiled(&pattern, &scratch)?;
     let by_node: BTreeMap<NodeId, String> =
         nodes.into_iter().map(|(var, node)| (node, var)).collect();
     out.push('\n');
     out.push_str(&plan.render_with(|node| by_node.get(&node).cloned()));
     Ok(out)
-}
-
-/// The plan config pinned for stable golden renders.
-pub fn pinned_config() -> MatchConfig {
-    MatchConfig {
-        threads: 1,
-        parallel_threshold: 128,
-    }
 }
 
 // ---- core lane ------------------------------------------------------------
@@ -283,7 +274,7 @@ fn materialize_core(db: &Instance, compiled: &CompiledQuery) -> Result<Instance,
 fn core_cells(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<NodeId>, QueryError> {
     let scratch = materialize_core(db, compiled)?;
     let (pattern, nodes) = compiled.pattern(true);
-    let table = find_match_table(&pattern, &scratch, MatchConfig::default())?;
+    let table = find_match_table(&pattern, &scratch)?;
     let columns: Vec<usize> = (compiled.ast.returns.iter())
         .map(|var| table.column(nodes[var]).expect("variables are positive"))
         .collect();

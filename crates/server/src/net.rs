@@ -59,7 +59,7 @@ use crate::proto::{
 };
 use crate::{Server, ServerError, SlowEntry, SlowKind, Ticket};
 use good_core::instance::Instance;
-use good_core::matching::{explain_plan_profiled, find_matchings, MatchConfig};
+use good_core::matching::{explain_plan_profiled, find_matchings};
 use good_core::snapshot::Snapshot;
 use good_core::textual::parse_pattern;
 use good_graph::NodeId;
@@ -942,10 +942,9 @@ fn run_query(
         // Already slow: re-running the plan profiled to capture
         // per-step estimated-vs-actual rows costs one more execution
         // of something that by definition happens rarely.
-        let plan_json =
-            explain_plan_profiled(&pattern, snapshot.instance(), MatchConfig::default())
-                .ok()
-                .map(|plan| plan.to_json());
+        let plan_json = explain_plan_profiled(&pattern, snapshot.instance())
+            .ok()
+            .map(|plan| plan.to_json());
         shared.server.slow_log().push(SlowEntry {
             seq: 0, // assigned by the log
             kind: SlowKind::Query,

@@ -10,18 +10,19 @@
 //!    ([`enabled`]) and an immediate return — no clock read, no
 //!    allocation, no lock. E14 in EXPERIMENTS.md keeps this honest with
 //!    an A/B benchmark.
-//! 2. **Determinism-compatible.** The engine guarantees bit-identical
-//!    results at any thread count; the trace layer must not break that,
-//!    and its own output must be reproducible: spans carry a per-thread
-//!    begin sequence and nesting depth, so a [`SpanTree`] rebuilt from
-//!    any interleaving is deterministic per thread, and
-//!    [`SpanTree::canonicalize`] erases worker scheduling entirely.
+//! 2. **Determinism-compatible.** The engine's results are bit-identical
+//!    run to run; the trace layer must not break that, and its own
+//!    output must be reproducible: spans carry a per-thread begin
+//!    sequence and nesting depth, so a [`SpanTree`] rebuilt from any
+//!    interleaving is deterministic per thread, and
+//!    [`SpanTree::canonicalize`] erases thread scheduling entirely.
 //!    Timestamps are monotonic ([`std::time::Instant`]-based) and kept
 //!    out of the tree's identity.
-//! 3. **`std::thread::scope`-safe.** Matcher morsel workers are scoped
-//!    threads; each gets its own ordinal and sequence from thread-local
-//!    state, and completed spans are delivered straight to the installed
-//!    [`Recorder`], so nothing is lost when a scoped thread exits.
+//! 3. **Thread-safe.** The server runs a reader thread per connection
+//!    and a writer thread; each thread gets its own ordinal and sequence
+//!    from thread-local state, and completed spans are delivered
+//!    straight to the installed [`Recorder`], so nothing is lost when a
+//!    thread exits.
 //!
 //! Alongside spans there is **one** metrics registry: `static`
 //! [`LiveCounter`]s, [`LiveGauge`]s and [`LiveHistogram`]s — lock-light
@@ -194,7 +195,7 @@ impl From<String> for ArgValue {
 pub struct Span {
     /// Coarse category (`match`, `op`, `method`, `store`, `vfs`, ...).
     pub cat: &'static str,
-    /// Span name, e.g. `match/morsel` or `method/Update`.
+    /// Span name, e.g. `match/roots` or `method/Update`.
     pub name: String,
     /// Monotonic start, nanoseconds since the process trace epoch.
     pub start_ns: u64,
@@ -212,7 +213,7 @@ pub struct Span {
 }
 
 /// A sink for completed spans. Implementations must be cheap and
-/// thread-safe: `record` is called from matcher worker threads.
+/// thread-safe: `record` is called from every thread that emits spans.
 pub trait Recorder: Send + Sync {
     /// Accept one completed span.
     fn record(&self, span: Span);
@@ -316,7 +317,7 @@ pub fn span(cat: &'static str, name: &str) -> SpanGuard {
 // ---- collector -----------------------------------------------------------
 
 /// The standard in-memory [`Recorder`]: accumulates spans under a
-/// mutex. Safe to share with scoped worker threads.
+/// mutex. Safe to share across threads.
 #[derive(Default)]
 pub struct Collector {
     spans: Mutex<Vec<Span>>,
@@ -442,7 +443,7 @@ impl SpanTree {
     /// Rebuild the forest from captured spans. Within a thread, spans
     /// are ordered by begin sequence and nested by recorded depth —
     /// both deterministic for a deterministic workload. Spans opened on
-    /// worker threads (whose stacks are independent) appear as roots.
+    /// other threads (whose stacks are independent) appear as roots.
     pub fn build(spans: &[Span]) -> SpanTree {
         let mut sorted: Vec<&Span> = spans.iter().collect();
         sorted.sort_by_key(|s| (s.thread, s.seq));
