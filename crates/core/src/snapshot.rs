@@ -116,8 +116,8 @@ struct Ring {
 }
 
 impl Ring {
-    /// Push a freshly published version and trim history to policy.
-    fn push(&mut self, epoch: u64, instance: Arc<Instance>) {
+    /// Push a freshly published version; return history trimmed to policy.
+    fn push(&mut self, epoch: u64, instance: Arc<Instance>) -> Vec<Version> {
         let bytes = if self.policy.max_bytes > 0 {
             instance.approx_bytes()
         } else {
@@ -127,16 +127,16 @@ impl Ring {
             self.history_bytes += previous.2;
         }
         self.versions.push_back((epoch, instance, bytes));
-        while self.versions.len() - 1 > self.policy.max_versions {
-            let (_, _, bytes) = self.versions.pop_front().expect("non-empty");
-            self.history_bytes -= bytes;
+        let mut trimmed = Vec::new();
+        // `history_bytes` is 0 without a byte cap (all scores are 0).
+        while self.versions.len() - 1 > self.policy.max_versions
+            || self.history_bytes > self.policy.max_bytes
+        {
+            let version = self.versions.pop_front().expect("non-empty");
+            self.history_bytes -= version.2;
+            trimmed.push(version);
         }
-        if self.policy.max_bytes > 0 {
-            while self.history_bytes > self.policy.max_bytes && self.versions.len() > 1 {
-                let (_, _, bytes) = self.versions.pop_front().expect("non-empty");
-                self.history_bytes -= bytes;
-            }
-        }
+        trimmed
     }
 }
 
@@ -246,14 +246,16 @@ impl SnapshotCell {
     }
 
     /// [`SnapshotCell::publish`] for an already-shared instance (lets a
-    /// writer that keeps its own `Arc` publish with zero copies).
+    /// writer that keeps its own `Arc` publish with zero copies). Trimmed
+    /// versions are freed after the lock: no `load`/`load_at` waits on it.
     pub fn publish_arc(&self, instance: Arc<Instance>) -> u64 {
         let mut guard = self.ring.lock().expect("snapshot cell poisoned");
         let epoch = guard.versions.back().expect("ring never empty").0 + 1;
-        guard.push(epoch, instance);
+        let _trimmed = guard.push(epoch, instance);
         // Mirror under the lock: epoch() observers see monotone values
         // that never run ahead of a load().
         self.epoch.store(epoch, Ordering::Release);
+        drop(guard);
         epoch
     }
 }

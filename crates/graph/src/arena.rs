@@ -98,12 +98,6 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Create an empty arena. (Capacity hints are meaningless for the
-    /// persistent trie; kept for API stability.)
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Arena::new()
-    }
-
     /// Number of live values.
     #[inline]
     pub fn len(&self) -> usize {

@@ -5,6 +5,9 @@
 //! directions, so the matcher in `good-core` can walk edges forwards and
 //! backwards without scanning.
 //!
+//! The lists are copy-on-write, so a path-copied arena leaf shares its
+//! 64 nodes' lists and an edit copies only the lists it touches.
+//!
 //! Parallel edges are allowed at this layer (the same `(src, dst)` pair
 //! may carry any number of edges); it is `good-core`'s instance layer
 //! that enforces GOOD's edge invariants.
@@ -12,6 +15,7 @@
 use crate::arena::{Arena, ArenaId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node in a [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -49,11 +53,50 @@ impl fmt::Debug for EdgeId {
     }
 }
 
+/// A copy-on-write incidence list, unallocated when empty and serialized
+/// as a plain sequence (as the `Vec` it replaced: same snapshot bytes).
+#[derive(Debug, Clone, Default)]
+struct EdgeList(Option<Arc<Vec<EdgeId>>>);
+
+impl std::ops::Deref for EdgeList {
+    type Target = [EdgeId];
+    fn deref(&self) -> &[EdgeId] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl EdgeList {
+    fn push(&mut self, edge: EdgeId) {
+        Arc::make_mut(self.0.get_or_insert_with(Arc::default)).push(edge);
+    }
+
+    /// Drop `edge` (listed at most once); a list without it stays shared.
+    fn remove(&mut self, edge: EdgeId) {
+        let at = self.iter().position(|&e| e == edge);
+        if let (Some(list), Some(at)) = (&mut self.0, at) {
+            Arc::make_mut(list).remove(at);
+        }
+    }
+}
+
+impl Serialize for EdgeList {
+    fn serialize(&self, out: &mut serde::Serializer) -> Result<(), serde::Error> {
+        (**self).serialize(out)
+    }
+}
+
+impl Deserialize for EdgeList {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let edges = Vec::deserialize(de)?;
+        Ok(EdgeList((!edges.is_empty()).then(|| Arc::new(edges))))
+    }
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct NodeSlot<N> {
     payload: N,
-    out_edges: Vec<EdgeId>,
-    in_edges: Vec<EdgeId>,
+    out_edges: EdgeList,
+    in_edges: EdgeList,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,14 +171,6 @@ impl<N, E> Graph<N, E> {
         }
     }
 
-    /// Create an empty graph with preallocated capacity.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        Graph {
-            nodes: Arena::with_capacity(nodes),
-            edges: Arena::with_capacity(edges),
-        }
-    }
-
     /// Number of live nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -168,8 +203,8 @@ impl<N: Clone, E: Clone> Graph<N, E> {
     pub fn add_node(&mut self, payload: N) -> NodeId {
         NodeId(self.nodes.insert(NodeSlot {
             payload,
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
+            out_edges: EdgeList::default(),
+            in_edges: EdgeList::default(),
         }))
     }
 
@@ -205,10 +240,10 @@ impl<N: Clone, E: Clone> Graph<N, E> {
     pub fn remove_edge(&mut self, id: EdgeId) -> Option<E> {
         let slot = self.edges.remove(id.0)?;
         if let Some(src) = self.nodes.get_mut(slot.src.0) {
-            src.out_edges.retain(|&e| e != id);
+            src.out_edges.remove(id);
         }
         if let Some(dst) = self.nodes.get_mut(slot.dst.0) {
-            dst.in_edges.retain(|&e| e != id);
+            dst.in_edges.remove(id);
         }
         Some(slot.payload)
     }
@@ -228,8 +263,8 @@ impl<N: Clone, E: Clone> Graph<N, E> {
                 };
                 if far != id {
                     if let Some(far_slot) = self.nodes.get_mut(far.0) {
-                        far_slot.out_edges.retain(|&e| e != *edge);
-                        far_slot.in_edges.retain(|&e| e != *edge);
+                        far_slot.out_edges.remove(*edge);
+                        far_slot.in_edges.remove(*edge);
                     }
                 }
             }
@@ -255,12 +290,6 @@ impl<N, E> Graph<N, E> {
     #[inline]
     pub fn contains_node(&self, id: NodeId) -> bool {
         self.nodes.contains(id.0)
-    }
-
-    /// True if `id` is a live edge.
-    #[inline]
-    pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edges.contains(id.0)
     }
 
     /// Shared access to a node payload.
@@ -335,7 +364,7 @@ impl<N, E> Graph<N, E> {
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
         self.nodes
             .get(node.0)
-            .map(|slot| slot.out_edges.as_slice())
+            .map(|slot| &*slot.out_edges)
             .unwrap_or(&[])
             .iter()
             .filter_map(|&edge| self.edge_ref(edge))
@@ -345,7 +374,7 @@ impl<N, E> Graph<N, E> {
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
         self.nodes
             .get(node.0)
-            .map(|slot| slot.in_edges.as_slice())
+            .map(|slot| &*slot.in_edges)
             .unwrap_or(&[])
             .iter()
             .filter_map(|&edge| self.edge_ref(edge))
@@ -377,38 +406,6 @@ impl<N, E> Graph<N, E> {
     /// indirections are not followed).
     pub fn approx_bytes(&self) -> usize {
         self.nodes.approx_bytes() + self.edges.approx_bytes()
-    }
-
-    /// Map payloads into a new graph with identical structure and ids.
-    pub fn map<N2, E2>(
-        &self,
-        mut node_map: impl FnMut(NodeId, &N) -> N2,
-        mut edge_map: impl FnMut(EdgeId, &E) -> E2,
-    ) -> Graph<N2, E2>
-    where
-        N2: Clone,
-        E2: Clone,
-    {
-        // Rebuilding through the public API would renumber slots, so we
-        // clone structurally: same arena shape is not guaranteed, but node
-        // ids are remapped consistently and returned graphs are only used
-        // where ids are re-derived. For id-stable mapping we instead
-        // require payload transformation in place; this helper therefore
-        // rebuilds and is documented as id-renumbering.
-        let mut out = Graph::with_capacity(self.node_count(), self.edge_count());
-        let mut remap = std::collections::HashMap::with_capacity(self.node_count());
-        for node in self.nodes() {
-            let new_id = out.add_node(node_map(node.id, node.payload));
-            remap.insert(node.id, new_id);
-        }
-        for edge in self.edges() {
-            out.add_edge(
-                remap[&edge.src],
-                remap[&edge.dst],
-                edge_map(edge.id, edge.payload),
-            );
-        }
-        out
     }
 }
 
@@ -520,16 +517,6 @@ mod tests {
         assert_eq!((*r.payload, r.src, r.dst), ("ab", a, b));
         let n = g.node_ref(a).unwrap();
         assert_eq!((n.out_degree, n.in_degree), (1, 0));
-    }
-
-    #[test]
-    fn map_rebuilds_structure() {
-        let (g, _) = diamond();
-        let mapped = g.map(|_, n| n.to_uppercase(), |_, e| e.len());
-        assert_eq!(mapped.node_count(), 4);
-        assert_eq!(mapped.edge_count(), 4);
-        assert!(mapped.nodes().any(|n| n.payload == "A"));
-        assert!(mapped.edges().all(|e| *e.payload == 2));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   [`LogRecord::RegisterMethod`] entries and group-commit batches
 //!   ([`LogRecord::BatchApply`]* closed by one
 //!   [`LogRecord::BatchCommit`], fsynced once per group);
-//! * **atomic execution**: a program is applied to a clone first; only
-//!   on success is the record appended (and fsynced) and the clone
-//!   committed — a failing program can neither corrupt the in-memory
-//!   instance nor the journal;
+//! * **atomic execution**: programs apply to a working copy of the
+//!   instance, committed only once their records are appended (and
+//!   fsynced); a failing program is rolled back and can neither
+//!   corrupt the in-memory instance nor the journal;
 //! * **crash recovery**: a torn final record (the classic
 //!   crash-during-append) is detected, ignored, and truncated on open;
 //!   corruption anywhere earlier is an error, not a silent truncation;
@@ -377,10 +377,10 @@ impl Store {
     /// Per-program failures are isolated, not batch-aborting: a failing
     /// program contributes an `Err` outcome, writes nothing to the
     /// journal, and leaves the effects of its successful neighbours
-    /// intact (each program applies to a scratch clone that is merged
-    /// only on success). Durability is all-or-nothing per batch: a
-    /// crash before the commit marker is durable recovers to the state
-    /// *before* the batch, never in the middle of it.
+    /// intact (programs apply in place; a failure is undone by replaying
+    /// the group's successes so far). Durability is all-or-nothing per
+    /// batch: a crash before the commit marker is durable recovers to the
+    /// state *before* the batch, never in the middle of it.
     ///
     /// A batch with zero successful programs performs no I/O; a batch
     /// with exactly one is journaled as a plain self-committing
@@ -397,14 +397,19 @@ impl Store {
         let mut committed: Vec<&Program> = Vec::new();
         for program in programs {
             self.env.refuel();
-            let mut scratch = working.clone();
-            match program.apply(&mut scratch, &mut self.env) {
+            match program.apply(&mut working, &mut self.env) {
                 Ok(report) => {
-                    working = scratch;
                     committed.push(program);
                     outcomes.push(Ok(report));
                 }
-                Err(err) => outcomes.push(Err(err)),
+                Err(err) => {
+                    working = (*self.db).clone();
+                    for program in &committed {
+                        self.env.refuel();
+                        program.apply(&mut working, &mut self.env)?;
+                    }
+                    outcomes.push(Err(err));
+                }
             }
         }
         group_span.arg("committed", committed.len());

@@ -1,13 +1,15 @@
 //! Durability tests: create/execute/reopen, crash recovery, atomicity,
 //! checkpointing, and corruption detection.
 
+use good_core::error::GoodError;
 use good_core::label::Label;
-use good_core::ops::{EdgeAddition, NodeAddition};
+use good_core::method::{Method, MethodCall, MethodSpec};
+use good_core::ops::{EdgeAddition, EdgeDeletion, NodeAddition};
 use good_core::pattern::Pattern;
-use good_core::program::{Operation, Program};
+use good_core::program::{Operation, Program, DEFAULT_FUEL};
 use good_core::scheme::{Scheme, SchemeBuilder};
 use good_core::value::ValueType;
-use good_store::{Store, StoreError};
+use good_store::{LogRecord, Store, StoreError};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -314,6 +316,127 @@ fn execute_group_isolates_per_program_failures() {
     assert_eq!(store.instance().label_count(&"Good1".into()), 1);
     assert_eq!(store.instance().label_count(&"Good2".into()), 1);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Two `Info`s (the second `twin`-linked to the first), and `methods`.
+fn two_infos(store: &mut Store, methods: &[Method]) {
+    store.execute(&seed_program("Info")).unwrap();
+    let mut pattern = Pattern::new();
+    let first = pattern.node("Info");
+    store
+        .execute(&Program::from_ops([Operation::NodeAdd(NodeAddition::new(
+            pattern,
+            "Info",
+            [(Label::new("twin"), first)],
+        ))]))
+        .unwrap();
+    for method in methods {
+        store.register_method(method.clone()).unwrap();
+    }
+}
+
+/// Run the group `[Good1, bad, Good2]` — all three touching both
+/// `Info`s — and check that `bad`, which fails with `failure` after
+/// mutating, left no trace: live and reopened, the instance serialises
+/// exactly as a twin's that `execute`d only the two successes, and the
+/// journal holds the group as 2 `BatchApply` + 1 `BatchCommit`.
+fn assert_failed_program_rolls_back(
+    name: &str,
+    methods: &[Method],
+    bad: Program,
+    failure: fn(&GoodError) -> bool,
+) {
+    let (path, twin_path) = (journal_path(name), journal_path(&format!("{name}-twin")));
+    let mut store = Store::create(&path, scheme()).unwrap();
+    let mut twin = Store::create(&twin_path, scheme()).unwrap();
+    two_infos(&mut store, methods);
+    two_infos(&mut twin, &[]);
+    let (good1, good2) = (tag_program("Good1"), tag_program("Good2"));
+    let outcomes = store
+        .execute_group(&[good1.clone(), bad, good2.clone()])
+        .unwrap();
+    assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
+    let err = outcomes[1].as_ref().unwrap_err();
+    assert!(failure(err), "unexpected failure {err}");
+    twin.execute(&good1).unwrap();
+    twin.execute(&good2).unwrap();
+    let expected = serde_json::to_string(twin.instance()).unwrap();
+    assert_eq!(serde_json::to_string(store.instance()).unwrap(), expected);
+
+    drop(store);
+    let store = Store::open(&path).unwrap();
+    assert_eq!(serde_json::to_string(store.instance()).unwrap(), expected);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let records: Vec<LogRecord> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    let batched = |record: &&LogRecord| matches!(record, LogRecord::BatchApply(_));
+    assert_eq!(records.iter().filter(batched).count(), 2);
+    assert!(matches!(
+        records.last(),
+        Some(LogRecord::BatchCommit { count: 2 })
+    ));
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&twin_path).unwrap();
+}
+
+#[test]
+fn execute_group_rolls_back_a_program_that_mutated_before_failing() {
+    // Adds a `Mid` node per `Info`, then a functional `pick` from each
+    // `Info` to *both* `Good1` nodes: a functional conflict, raised after
+    // the first op changed the graph and the second the scheme.
+    let mut mid = Pattern::new();
+    let info = mid.node("Info");
+    let mut pick = Pattern::new();
+    let (src, dst) = (pick.node("Info"), pick.node("Good1"));
+    let bad = Program::from_ops([
+        Operation::NodeAdd(NodeAddition::new(
+            mid,
+            "Mid",
+            [(Label::new("mid-of"), info)],
+        )),
+        Operation::EdgeAdd(EdgeAddition::functional(pick, src, "pick", dst)),
+    ]);
+    assert_failed_program_rolls_back("group-rollback", &[], bad, |err| {
+        matches!(err, GoodError::FunctionalConflict { .. })
+    });
+}
+
+#[test]
+fn execute_group_rolls_back_a_method_call_that_ran_out_of_fuel() {
+    // `Mark` puts a `Mark` node on its receiver, then idles. The program
+    // spends all but 10 units of the store's fuel on empty edge
+    // deletions before calling it, so the call runs dry in the body,
+    // with its frames and `Mark` nodes in the working instance.
+    let idle = || Operation::EdgeDel(EdgeDeletion::new(Pattern::new(), []));
+    let mut pattern = Pattern::new();
+    let head = pattern.method_head("Mark");
+    let receiver = pattern.node("Info");
+    pattern.edge(head, good_core::label::receiver_label(), receiver);
+    let mark = NodeAddition::new(pattern, "Mark", [(Label::new("on"), receiver)]);
+    let mut interface = Scheme::new();
+    interface.add_object_label("Mark").unwrap();
+    interface.add_functional_label("on").unwrap();
+    interface.add_object_label("Info").unwrap();
+    interface.add_triple("Mark", "on", "Info").unwrap();
+    let body = std::iter::once(Operation::NodeAdd(mark)).chain(std::iter::repeat_with(idle));
+    let method = Method::new(
+        MethodSpec::new("Mark", "Info", []),
+        body.take(17).collect(),
+        interface,
+    );
+    let mut pattern = Pattern::new();
+    let info = pattern.node("Info");
+    let call = Operation::Call(MethodCall::new("Mark", pattern, info, []));
+    let ops = std::iter::repeat_with(idle).take(DEFAULT_FUEL as usize - 10);
+    let bad = Program::from_ops(ops.chain([call]));
+    assert_failed_program_rolls_back(
+        "group-fuel",
+        &[method],
+        bad,
+        |err| matches!(err, GoodError::OutOfFuel { context, .. } if context.contains("method Mark")),
+    );
 }
 
 #[test]
