@@ -25,10 +25,15 @@
 //! unit per rule application, quiescent round included); only
 //! `OpReport::matchings` differs — it counts the matchings each round
 //! actually enumerated.
+//!
+//! The loop reads and writes through a [`ViewMut`]: on the commit and
+//! program path that is the instance, on the query path the derived
+//! relations beside it, so a property path is evaluated by this same
+//! loop without storing an edge.
 
+use crate::derived::ViewMut;
 use crate::error::Result;
-use crate::instance::Instance;
-use crate::matching::{find_matchings, matchings_using, EdgeTriple};
+use crate::matching::{find_match_table, matchings_using, EdgeTriple, MatchTable};
 use crate::ops::{EdgeAddition, OpReport};
 use crate::program::{record_report, Env, Operation};
 use good_trace::LiveCounter;
@@ -43,7 +48,7 @@ static LIVE_DELTA_EDGES: LiveCounter = LiveCounter::new("fixpoint.delta_edges");
 pub(crate) enum FixRule<'a> {
     /// Delta-seeded after its first evaluation.
     EdgeAdd(&'a EdgeAddition),
-    /// Applied through [`Operation::apply`].
+    /// Applied to the instance through [`Operation::apply`].
     Other(&'a Operation),
 }
 
@@ -78,7 +83,7 @@ struct Mark {
 /// changes nothing.
 pub(crate) fn fixpoint(
     rules: &[FixRule<'_>],
-    db: &mut Instance,
+    mut target: ViewMut<'_>,
     env: &mut Env,
 ) -> Result<Fixpoint> {
     let mut log: Vec<EdgeTriple> = Vec::new();
@@ -93,7 +98,7 @@ pub(crate) fn fixpoint(
         for (index, rule) in rules.iter().enumerate() {
             let report = match rule {
                 FixRule::Other(op) => {
-                    let report = op.apply(db, env)?;
+                    let report = op.apply(target.instance, env)?;
                     if report.changed() {
                         epoch += 1;
                     }
@@ -102,7 +107,9 @@ pub(crate) fn fixpoint(
                 FixRule::EdgeAdd(ea) => {
                     env.burn_fuel()?;
                     let mut op_span = good_trace::span("op", "op/EA");
-                    let result = edge_add_round(ea, db, &mut log, &mut marks[index], epoch, rounds);
+                    let mark = &mut marks[index];
+                    let result =
+                        edge_add_round(ea, target.reborrow(), &mut log, mark, epoch, rounds);
                     record_report(&mut op_span, &result);
                     result?
                 }
@@ -120,7 +127,7 @@ pub(crate) fn fixpoint(
 /// its epoch is stale, delta-seeded otherwise.
 fn edge_add_round(
     ea: &EdgeAddition,
-    db: &mut Instance,
+    target: ViewMut<'_>,
     log: &mut Vec<EdgeTriple>,
     mark: &mut Option<Mark>,
     epoch: u64,
@@ -136,9 +143,9 @@ fn edge_add_round(
     });
     let delta_edges = delta.map_or(0, <[_]>::len);
     LIVE_DELTA_EDGES.add(delta_edges as u64);
-    let (report, added) = ea.apply_with(db, |pattern, db| match delta {
-        None => find_matchings(pattern, db),
-        Some(delta) => matchings_using(pattern, db, delta),
+    let (report, added) = ea.apply_with(target, |pattern, view| match delta {
+        None => find_match_table(pattern, view).map(MatchTable::into_matchings),
+        Some(delta) => matchings_using(pattern, view, delta),
     })?;
     if span.is_live() {
         span.arg("round", round);

@@ -15,7 +15,9 @@
 //!   (specification, body, interface, call) with recursion;
 //!   [`program`]: sequencing and the execution environment.
 //! * **Section 4.1** — [`macros`]: negation, recursive (starred)
-//!   additions, set building, functional update, printable predicates.
+//!   additions, set building, functional update, printable predicates;
+//!   [`derived`]: edges a starred addition derives for a query, held
+//!   beside the instance instead of in it.
 //! * **Section 4.2** — [`inheritance`]: `isa` subclass edges as a
 //!   virtual view, with pattern rewriting and subclass method dispatch.
 //! * **Section 5** — [`rules`]: operations as condition ⇒ action rules
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod browse;
+pub mod derived;
 pub mod error;
 mod fixpoint;
 pub mod gen;

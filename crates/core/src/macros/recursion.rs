@@ -16,6 +16,7 @@
 //! property (`links-to` ⇒ `rec-links-to`), which the paper proves is
 //! "impossible using only the basic five operations".
 
+use crate::derived::ViewMut;
 use crate::error::Result;
 use crate::fixpoint::{fixpoint, FixRule};
 use crate::instance::Instance;
@@ -54,7 +55,13 @@ impl RecursiveEdgeAddition {
     /// enumerated (round 1 in full, later rounds delta-seeded), not the
     /// pattern's matchings in the final instance.
     pub fn apply(&self, db: &mut Instance, env: &mut Env) -> Result<OpReport> {
-        let mut outcome = fixpoint(&[FixRule::EdgeAdd(&self.base)], db, env)?;
+        self.apply_to(db.into(), env)
+    }
+
+    /// [`RecursiveEdgeAddition::apply`], adding the edges where `target`
+    /// takes them — into derived relations for a query's property path.
+    pub fn apply_to(&self, target: ViewMut<'_>, env: &mut Env) -> Result<OpReport> {
+        let mut outcome = fixpoint(&[FixRule::EdgeAdd(&self.base)], target, env)?;
         Ok(outcome.reports.remove(0))
     }
 }

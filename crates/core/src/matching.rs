@@ -11,8 +11,9 @@
 //!   over *steps compiled once per call* from the cost-based planner's
 //!   binding order. Each step knows its class label, its print value or
 //!   predicate, the one pattern edge it expands along (the neighbours
-//!   of an already bound image, read off the adjacency index's
-//!   `(class, λ)` postings) and the remaining edges to probe; unanchored
+//!   of an already bound image, read off the `(class, λ)` postings of
+//!   the adjacency index or, through a [`View`], of a derived relation)
+//!   and the remaining edges to probe; unanchored
 //!   steps intersect support sets instead of scanning a label. Every
 //!   complete frame is one row of a flat [`MatchTable`], whose canonical
 //!   sort fixes the result's order. The search runs on the calling
@@ -27,6 +28,7 @@
 //! Both return matchings in a canonical deterministic order so that the
 //! set-oriented operations of Section 3 are reproducible run to run.
 
+use crate::derived::View;
 use crate::error::{GoodError, Result};
 use crate::instance::{Instance, Postings};
 use crate::label::Label;
@@ -283,8 +285,9 @@ struct Step<'a> {
     /// re-checked, and with two or more links this is the generic
     /// join's intersection.
     links: Vec<(NodeId, &'a Postings)>,
-    /// Labels of the node's self-loops, checked per candidate.
-    loops: Vec<&'a Label>,
+    /// Postings of the node's self-loops (source → targets), each
+    /// candidate probed for itself.
+    loops: Vec<&'a Postings>,
     /// Support sets of the edges to nodes not bound yet, every
     /// candidate must be in — resolved only where they are wanted: for
     /// a step with no link and no print value, whose candidate base is
@@ -294,13 +297,15 @@ struct Step<'a> {
 }
 
 /// The backtracking search, compiled: a binding order as [`Step`]s over
-/// an instance. Built once per `find_matchings*` call (or once per
-/// pre-bound frame shape).
+/// a [`View`]. Every `(class, λ)` lookup happens here, so the loop reads
+/// derived labels exactly as stored ones. Built once per
+/// `find_matchings*` call (or once per pre-bound frame shape).
 struct Search<'a> {
     instance: &'a Instance,
     steps: Vec<Step<'a>>,
-    /// Positive edges among the pre-bound nodes, probed once per frame.
-    bound_edges: Vec<(NodeId, &'a Label, NodeId)>,
+    /// Positive edges among the pre-bound nodes — source, the edge's
+    /// postings (source → targets), target — probed once per frame.
+    bound_edges: Vec<(NodeId, &'a Postings, NodeId)>,
     /// Some pattern edge's `(class, λ)` is missing from the adjacency
     /// index altogether: nothing can match.
     dead: bool,
@@ -331,7 +336,7 @@ impl<'a> Search<'a> {
     /// probe per candidate that acyclic plans are better off without.
     fn compile(
         pattern: &'a Pattern,
-        instance: &'a Instance,
+        view: View<'a>,
         prebound: &[NodeId],
         order: &[NodeId],
         prune: bool,
@@ -342,25 +347,34 @@ impl<'a> Search<'a> {
         for node in prebound {
             bound[node.index()] = true;
         }
-        let bound_edges = graph
-            .edges()
-            .filter(|e| bound[e.src.index()] && bound[e.dst.index()])
-            .map(|e| (e.src, &e.payload.label, e.dst))
-            .collect();
+        let class_of = |node: NodeId| match &graph.node(node).expect("live pattern node").kind {
+            PatternNodeKind::Class(class) => class,
+            PatternNodeKind::MethodHead(_) => {
+                unreachable!("method heads are rejected before compiling")
+            }
+        };
         let mut dead = false;
+        let mut bound_edges = Vec::new();
+        for e in graph.edges() {
+            if bound[e.src.index()] && bound[e.dst.index()] {
+                let postings = view.target_postings(class_of(e.dst), &e.payload.label);
+                bound_edges.extend(postings.map(|postings| (e.src, postings, e.dst)));
+                dead |= postings.is_none();
+            }
+        }
         let mut steps = Vec::with_capacity(order.len());
         for &node in order {
             let data = graph.node(node).expect("live pattern node");
-            let PatternNodeKind::Class(class) = &data.kind else {
-                unreachable!("method heads are rejected before compiling");
-            };
+            let class = class_of(node);
             let (mut links, mut loops, mut open) = (Vec::new(), Vec::new(), Vec::new());
             for edge in graph.out_edges(node) {
                 let label = &edge.payload.label;
                 if edge.dst == node {
-                    loops.push(label);
+                    let postings = view.target_postings(class, label);
+                    loops.extend(postings);
+                    dead |= postings.is_none();
                 } else if bound[edge.dst.index()] {
-                    let postings = instance.source_postings(class, label);
+                    let postings = view.source_postings(class, label);
                     links.extend(postings.map(|postings| (edge.dst, postings)));
                     dead |= postings.is_none();
                 } else {
@@ -371,7 +385,7 @@ impl<'a> Search<'a> {
             for edge in graph.in_edges(node).filter(|e| e.src != node) {
                 let label = &edge.payload.label;
                 if bound[edge.src.index()] {
-                    let postings = instance.target_postings(class, label);
+                    let postings = view.target_postings(class, label);
                     links.extend(postings.map(|postings| (edge.src, postings)));
                     dead |= postings.is_none();
                 } else {
@@ -383,8 +397,8 @@ impl<'a> Search<'a> {
             if prune || (links.is_empty() && data.print.is_none()) {
                 for (label, outgoing) in open {
                     let support = match outgoing {
-                        true => instance.out_support(class, label),
-                        false => instance.in_support(class, label),
+                        true => view.out_support(class, label),
+                        false => view.in_support(class, label),
                     };
                     supports.extend(support);
                     dead |= support.is_none();
@@ -401,7 +415,7 @@ impl<'a> Search<'a> {
             bound[node.index()] = true;
         }
         Search {
-            instance,
+            instance: view.instance(),
             steps,
             bound_edges,
             dead,
@@ -410,9 +424,9 @@ impl<'a> Search<'a> {
     }
 
     /// The search [`planner::plan`] chose for the positive pattern.
-    fn planned(pattern: &'a Pattern, instance: &'a Instance, choice: &planner::PlanChoice) -> Self {
+    fn planned(pattern: &'a Pattern, view: View<'a>, choice: &planner::PlanChoice) -> Self {
         let prune = choice.strategy == JoinStrategy::GenericJoin;
-        Search::compile(pattern, instance, &[], &choice.order, prune)
+        Search::compile(pattern, view, &[], &choice.order, prune)
     }
 
     fn cursor(&self) -> Cursor<'a> {
@@ -451,7 +465,11 @@ impl<'a> Search<'a> {
             .min_by_key(|&at| sets[at].len());
         let admit = |candidate: &NodeId| {
             (step.data.predicate.is_none() || node_compatible(instance, step.data, *candidate))
-                && (step.loops.iter()).all(|label| instance.has_edge(*candidate, label, *candidate))
+                && (step.loops.iter()).all(|targets| {
+                    targets
+                        .get(candidate)
+                        .is_some_and(|set| set.contains(candidate))
+                })
                 && (0..sets.len()).all(|at| Some(at) == base || sets[at].contains(candidate))
                 && step.supports.iter().all(|set| set.contains(candidate))
         };
@@ -498,12 +516,14 @@ impl<'a> Search<'a> {
     }
 
     /// Do the pre-bound images in `frame` carry every pattern edge
-    /// among themselves?
+    /// among themselves? Never in a dead search: some pattern edge has
+    /// no instance edge at all.
     fn bound_edges_hold(&self, frame: &[Option<NodeId>]) -> bool {
         let image = |node: NodeId| frame[node.index()].expect("pre-bound");
-        self.bound_edges
-            .iter()
-            .all(|&(src, label, dst)| self.instance.has_edge(image(src), label, image(dst)))
+        !self.dead
+            && (self.bound_edges.iter()).all(|&(src, postings, dst)| {
+                (postings.get(&image(src))).is_some_and(|set| set.contains(&image(dst)))
+            })
     }
 
     /// Can the pre-bound frame in `cursor` be completed at all? Stops
@@ -552,11 +572,11 @@ impl<'a> Search<'a> {
 /// coincide.
 fn enumerate_seeded(
     pattern: &Pattern,
-    instance: &Instance,
+    view: View<'_>,
     delta: &[EdgeTriple],
     table: &mut MatchTable,
 ) {
-    let graph = pattern.graph();
+    let (graph, instance) = (pattern.graph(), view.instance());
     for edge in graph.edges() {
         if !delta
             .iter()
@@ -568,8 +588,8 @@ fn enumerate_seeded(
         let dst_data = graph.node(edge.dst).expect("live pattern node");
         let mut prebound = vec![edge.src, edge.dst];
         prebound.dedup();
-        let order = planner::order_from(pattern, instance, &prebound);
-        let search = Search::compile(pattern, instance, &prebound, &order, false);
+        let order = planner::order_from(pattern, view, &prebound);
+        let search = Search::compile(pattern, view, &prebound, &order, false);
         let mut cursor = search.cursor();
         for (src, label, dst) in delta {
             if *label != edge.payload.label
@@ -593,9 +613,9 @@ fn enumerate_seeded(
 
 /// The tail every engine shares: canonical order, no repeats, crossed
 /// parts filtered.
-pub(crate) fn finish(pattern: &Pattern, instance: &Instance, mut table: MatchTable) -> MatchTable {
+pub(crate) fn finish(pattern: &Pattern, view: View<'_>, mut table: MatchTable) -> MatchTable {
     table.canonicalize();
-    drop_extendable(pattern, instance, &mut table);
+    drop_extendable(pattern, view, &mut table);
     table
 }
 
@@ -604,14 +624,14 @@ pub(crate) fn finish(pattern: &Pattern, instance: &Instance, mut table: MatchTab
 /// extension search is compiled once, for frames with the table's domain
 /// pre-bound (`positive_part`/`unnegated` preserve the node arena
 /// layout, so a row's columns index the full pattern's frame).
-fn drop_extendable(pattern: &Pattern, instance: &Instance, table: &mut MatchTable) {
+fn drop_extendable(pattern: &Pattern, view: View<'_>, table: &mut MatchTable) {
     if !pattern.has_negation() {
         return;
     }
     let full = pattern.unnegated();
     let domain = table.domain.clone();
-    let order = planner::order_from(&full, instance, &domain);
-    let search = Search::compile(&full, instance, &domain, &order, false);
+    let order = planner::order_from(&full, view, &domain);
+    let search = Search::compile(&full, view, &domain, &order, false);
     let mut cursor = search.cursor();
     table.retain(|row| {
         for (node, image) in domain.iter().zip(row) {
@@ -666,9 +686,10 @@ pub fn find_matchings_with(
 }
 
 /// [`find_matchings`] as the flat [`MatchTable`] the engine builds —
-/// for callers that read columns and never need a map per matching.
-pub fn find_match_table(pattern: &Pattern, instance: &Instance) -> Result<MatchTable> {
-    table_of(pattern, instance, None)
+/// for callers that read columns and never need a map per matching —
+/// over an instance or a [`View`] with derived relations beside it.
+pub fn find_match_table<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Result<MatchTable> {
+    table_of(pattern, view.into(), None)
 }
 
 /// The matchings of `pattern` that map at least one positive pattern
@@ -681,7 +702,7 @@ pub fn find_match_table(pattern: &Pattern, instance: &Instance) -> Result<MatchT
 /// at all.
 pub(crate) fn matchings_using(
     pattern: &Pattern,
-    instance: &Instance,
+    view: View<'_>,
     delta: &[EdgeTriple],
 ) -> Result<Vec<Matching>> {
     let occurs = |label: &Label| {
@@ -691,17 +712,13 @@ pub(crate) fn matchings_using(
     if !delta.iter().any(|(_, label, _)| occurs(label)) {
         return Ok(Vec::new());
     }
-    table_of(pattern, instance, Some(delta)).map(MatchTable::into_matchings)
+    table_of(pattern, view, Some(delta)).map(MatchTable::into_matchings)
 }
 
 /// Shared body of [`find_match_table`] (`delta` absent: plan and
 /// enumerate everything) and [`matchings_using`] (`delta` present).
-fn table_of(
-    pattern: &Pattern,
-    instance: &Instance,
-    delta: Option<&[EdgeTriple]>,
-) -> Result<MatchTable> {
-    check_matchable(pattern, instance)?;
+fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[EdgeTriple]>) -> Result<MatchTable> {
+    check_matchable(pattern, view.instance())?;
 
     let mut find_span = good_trace::span("match", "match/find");
     let started = find_span.is_live().then(std::time::Instant::now);
@@ -710,21 +727,21 @@ fn table_of(
     let mut table = MatchTable::new(positive.graph().node_ids().collect());
     let mut planned = None;
     match delta {
-        Some(delta) => enumerate_seeded(&positive, instance, delta, &mut table),
+        Some(delta) => enumerate_seeded(&positive, view, delta, &mut table),
         None => {
             // Cost-based planning: rank binding orders on the
             // incrementally maintained statistics and pick the evaluation
             // strategy. Pure arithmetic over per-edge scalars — cheap
             // enough for point queries.
-            let choice = planner::plan(&positive, instance);
+            let choice = planner::plan(&positive, view);
             planned = Some((choice.strategy.name(), choice.est_rows));
             choice.strategy.counter().incr();
-            Search::planned(&positive, instance, &choice).enumerate(&mut table);
+            Search::planned(&positive, view, &choice).enumerate(&mut table);
         }
     }
     table.canonicalize();
     let positive_results = table.len();
-    drop_extendable(pattern, instance, &mut table);
+    drop_extendable(pattern, view, &mut table);
     if find_span.is_live() {
         find_span.arg("pattern_nodes", table.domain.len());
         find_span.arg("matchings", table.len());
@@ -897,10 +914,11 @@ impl Plan {
 /// plan's `actual_matchings` with the final (negation-filtered) count,
 /// so per-step estimate error is visible. Observes the estimate error
 /// into the `match.plan.est_error_pct` histogram.
-pub fn explain_plan_profiled(pattern: &Pattern, instance: &Instance) -> Result<Plan> {
-    check_matchable(pattern, instance)?;
+pub fn explain_plan_profiled<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Result<Plan> {
+    let view = view.into();
+    check_matchable(pattern, view.instance())?;
     let positive = pattern.positive_part();
-    let choice = planner::plan(&positive, instance);
+    let choice = planner::plan(&positive, view);
 
     // Profile: walk the planned order once, pruning
     // (whatever the strategy, so a step's actual is what survives every
@@ -908,14 +926,14 @@ pub fn explain_plan_profiled(pattern: &Pattern, instance: &Instance) -> Result<P
     // depth are the partial matchings that survived the step before.
     let (actuals, actual_matchings) = {
         let mut span = good_trace::span("match", "match/explain");
-        let search = Search::compile(&positive, instance, &[], &choice.order, true);
+        let search = Search::compile(&positive, view, &[], &choice.order, true);
         let mut cursor = search.cursor();
         let mut table = MatchTable::new(choice.order.clone());
         search.solve(0, &mut cursor, &mut |complete| {
             table.push_frame(complete);
             true
         });
-        let matchings = finish(pattern, instance, table).len();
+        let matchings = finish(pattern, view, table).len();
         span.arg("matchings", matchings);
         span.arg("strategy", choice.strategy.name());
         (cursor.visited.split_off(1), matchings)
@@ -1040,8 +1058,8 @@ pub(crate) fn matchings_in_order(
     let positive = pattern.positive_part();
     let order = order(&positive);
     let mut table = MatchTable::new(order.clone());
-    Search::compile(&positive, instance, &[], &order, prune).enumerate(&mut table);
-    Ok(finish(pattern, instance, table).into_matchings())
+    Search::compile(&positive, instance.into(), &[], &order, prune).enumerate(&mut table);
+    Ok(finish(pattern, instance.into(), table).into_matchings())
 }
 
 /// Naive enumeration: per-node candidate lists, full cross product,
@@ -1097,7 +1115,7 @@ pub fn find_matchings_naive(pattern: &Pattern, instance: &Instance) -> Result<Ve
             assignment[k] = 0;
         }
     }
-    Ok(finish(pattern, instance, table).into_matchings())
+    Ok(finish(pattern, instance.into(), table).into_matchings())
 }
 
 #[cfg(test)]
@@ -1394,7 +1412,7 @@ mod tests {
         p.edge(x, "created", d);
         let mut seeded = Vec::new();
         for order in [[z, d], [d, z]] {
-            let search = Search::compile(&p, &db, &[x, y], &order, false);
+            let search = Search::compile(&p, (&db).into(), &[x, y], &order, false);
             let mut cursor = search.cursor();
             let mut table = MatchTable::new(vec![x, y, z, d]);
             for src in db.nodes_with_label(&Label::new("Info")) {
@@ -1427,7 +1445,7 @@ mod tests {
             .map(|m| m.image(a))
             .collect();
         for order in [[b, c], [c, b]] {
-            let search = Search::compile(&full, &db, &[a], &order, false);
+            let search = Search::compile(&full, (&db).into(), &[a], &order, false);
             let mut cursor = search.cursor();
             for image in db.nodes_with_label(&Label::new("Info")) {
                 cursor.frame[a.index()] = Some(image);

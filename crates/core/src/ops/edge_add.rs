@@ -11,15 +11,16 @@
 //! intended behaviour is a run-time check — we perform it *before*
 //! mutating, so a failed edge addition leaves the instance untouched.
 
+use crate::derived::{View, ViewMut};
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::{EdgeKind, Label};
-use crate::matching::{find_matchings, EdgeTriple, Matching};
+use crate::matching::{find_match_table, EdgeTriple, MatchTable, Matching};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One bold edge of an edge addition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -90,20 +91,28 @@ impl EdgeAddition {
     /// extended, which is harmless and matches the paper: `S′` depends
     /// only on the operation).
     pub fn apply(&self, db: &mut Instance) -> Result<OpReport> {
-        let (report, _) = self.apply_with(db, find_matchings)?;
+        self.apply_to(db.into())
+    }
+
+    /// [`EdgeAddition::apply`], adding the edges where `target` takes
+    /// them (see [`ViewMut`]).
+    pub(crate) fn apply_to(&self, target: ViewMut<'_>) -> Result<OpReport> {
+        let (report, _) = self.apply_with(target, |pattern, view| {
+            find_match_table(pattern, view).map(MatchTable::into_matchings)
+        })?;
         Ok(report)
     }
 
-    /// [`EdgeAddition::apply`] with the matchings supplied by `matcher`
-    /// (the full `find_matchings`, or the fixpoint evaluator's
+    /// [`EdgeAddition::apply_to`] with the matchings supplied by
+    /// `matcher` (the full match, or the fixpoint evaluator's
     /// delta-seeded one), so validation, scheme extension, the
     /// pre-mutation check and the report stay one code path. Also
     /// returns the edges that were not there before, in the order they
     /// were added.
     pub(crate) fn apply_with(
         &self,
-        db: &mut Instance,
-        matcher: impl FnOnce(&Pattern, &Instance) -> Result<Vec<Matching>>,
+        mut target: ViewMut<'_>,
+        matcher: impl FnOnce(&Pattern, View<'_>) -> Result<Vec<Matching>>,
     ) -> Result<(OpReport, Vec<EdgeTriple>)> {
         // Validate bold endpoints.
         for edge in &self.edges {
@@ -120,9 +129,10 @@ impl EdgeAddition {
             }
         }
 
-        let matchings = matcher(&self.pattern, db)?;
+        let matchings = matcher(&self.pattern, target.view())?;
 
         // Minimal scheme extension.
+        let db = &mut *target.instance;
         for edge in &self.edges {
             if let Some(registered) = db.scheme().edge_kind(&edge.label) {
                 if registered != edge.kind {
@@ -150,29 +160,38 @@ impl EdgeAddition {
                 .add_triple(src_label, edge.label.clone(), dst_label)?;
         }
 
-        // Gather the concrete edges (a set: duplicates collapse).
-        let mut to_add: BTreeSet<EdgeTriple> = BTreeSet::new();
+        // Gather the concrete edges, sorted: duplicates collapse, and the
+        // edges leaving one source under one label form a run.
+        let mut to_add = Vec::with_capacity(matchings.len() * self.edges.len());
         for matching in &matchings {
             for edge in &self.edges {
-                to_add.insert((
+                to_add.push((
                     matching.image(edge.src),
-                    edge.label.clone(),
+                    &edge.label,
                     matching.image(edge.dst),
                 ));
             }
         }
+        to_add.sort_unstable();
+        to_add.dedup();
 
         // Pre-mutation consistency check (the "result is undefined"
-        // conditions), against existing ∪ new edges. One existing target
-        // stands for all of them: the instance invariants (enforced by
-        // `Instance::add_edge`) give a functional λ at most one target
-        // and all λ-successors of a node the same label.
-        let mut grouped: BTreeMap<(NodeId, &Label), BTreeSet<NodeId>> = BTreeMap::new();
-        for (src, label, dst) in &to_add {
-            grouped.entry((*src, label)).or_default().insert(*dst);
-        }
-        for ((src, label), mut targets) in grouped {
-            targets.extend(db.targets(src, label).next());
+        // conditions), per run, against existing ∪ new edges. One
+        // existing target stands for all of them: the instance
+        // invariants (enforced by `Instance::add_edge`, and by this check
+        // for derived edges) give a functional λ at most one target and
+        // all λ-successors of a node the same label.
+        let view = target.view();
+        let db = view.instance();
+        let mut targets = Vec::new();
+        for (at, &(src, label, dst)) in to_add.iter().enumerate() {
+            targets.push(dst);
+            if (to_add.get(at + 1)).is_some_and(|next| (next.0, next.1) == (src, label)) {
+                continue;
+            }
+            targets.extend(view.first_target(src, label));
+            targets.sort_unstable();
+            targets.dedup();
             let kind = db.scheme().edge_kind(label).expect("registered above");
             if kind == EdgeKind::Functional && targets.len() > 1 {
                 return Err(GoodError::FunctionalConflict {
@@ -180,28 +199,29 @@ impl EdgeAddition {
                     src: format!("{src:?}"),
                 });
             }
-            let labels: BTreeSet<&Label> = targets
-                .iter()
-                .map(|t| db.node_label(*t).expect("live"))
-                .collect();
-            if labels.len() > 1 {
-                let mut iter = labels.into_iter();
+            let class = |node: &NodeId| db.node_label(*node).expect("live");
+            if targets.iter().any(|node| class(node) != class(&targets[0])) {
+                let mut labels = targets
+                    .iter()
+                    .map(class)
+                    .collect::<BTreeSet<_>>()
+                    .into_iter();
                 return Err(GoodError::TargetLabelConflict {
                     edge: label.clone(),
-                    existing: iter.next().expect("nonempty").clone(),
-                    new: iter.next().expect("two").clone(),
+                    existing: labels.next().expect("nonempty").clone(),
+                    new: labels.next().expect("two").clone(),
                 });
             }
+            targets.clear();
         }
 
         let mut added = Vec::new();
         for (src, label, dst) in to_add {
-            if !db.has_edge(src, &label, dst) {
-                db.add_edge(src, label.clone(), dst)?;
-                added.push((src, label, dst));
+            if target.add_edge(src, label, dst)? {
+                added.push((src, label.clone(), dst));
             }
         }
-        db.debug_assert_indexes();
+        target.instance.debug_assert_indexes();
         let report = OpReport {
             matchings: matchings.len(),
             edges_added: added.len(),

@@ -26,6 +26,7 @@
 //! pattern edge: a 3-node anchored point query plans in well under a
 //! microsecond, protecting the matcher's hot path.
 
+use crate::derived::View;
 use crate::error::Result;
 use crate::instance::Instance;
 use crate::matching::{check_matchable, finish, node_compatible, MatchTable, Matching};
@@ -149,11 +150,11 @@ struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    fn new(pattern: &'a Pattern, instance: &Instance) -> Self {
+    fn new(pattern: &'a Pattern, view: View<'_>) -> Self {
         let graph = pattern.graph();
         let bound = graph.node_index_bound();
         let nodes: Vec<NodeId> = graph.node_ids().collect();
-        let stats = instance.stats();
+        let instance = view.instance();
 
         let mut edges = Vec::new();
         let mut incident: Vec<Vec<usize>> = vec![Vec::new(); bound];
@@ -172,9 +173,9 @@ impl<'a> Planner<'a> {
             let src_extent = instance.label_count(src_label) as f64;
             let dst_extent = instance.label_count(dst_label) as f64;
             let (fan_out, fan_in, sel) =
-                match stats.triple(src_label, &edge.payload.label, dst_label) {
-                    Some(triple) if src_extent > 0.0 && dst_extent > 0.0 => {
-                        let edge_count = triple.edges as f64;
+                match view.triple(src_label, &edge.payload.label, dst_label) {
+                    Some((edges, ..)) if src_extent > 0.0 && dst_extent > 0.0 => {
+                        let edge_count = edges as f64;
                         (
                             edge_count / src_extent,
                             edge_count / dst_extent,
@@ -221,9 +222,9 @@ impl<'a> Planner<'a> {
                 }
                 if let PatternNodeKind::Class(dst_label) = &graph.node(edge.dst).expect("live").kind
                 {
-                    let distinct = stats
+                    let distinct = view
                         .triple(label, &edge.payload.label, dst_label)
-                        .map_or(0.0, |t| t.distinct_sources() as f64);
+                        .map_or(0.0, |(_, sources, _)| sources as f64);
                     est = est.min(distinct);
                 }
             }
@@ -233,9 +234,9 @@ impl<'a> Planner<'a> {
                 }
                 if let PatternNodeKind::Class(src_label) = &graph.node(edge.src).expect("live").kind
                 {
-                    let distinct = stats
+                    let distinct = view
                         .triple(src_label, &edge.payload.label, label)
-                        .map_or(0.0, |t| t.distinct_targets() as f64);
+                        .map_or(0.0, |(_, _, targets)| targets as f64);
                     est = est.min(distinct);
                 }
             }
@@ -414,9 +415,10 @@ impl<'a> Planner<'a> {
 /// Negated nodes and edges are ignored (they are a post-filter, not a
 /// join); callers usually pass `pattern.positive_part()` but the full
 /// pattern is accepted. All estimates come from the incrementally
-/// maintained [`crate::stats::InstanceStats`] — no graph scan.
-pub fn plan(pattern: &Pattern, instance: &Instance) -> PlanChoice {
-    let planner = Planner::new(pattern, instance);
+/// maintained [`crate::stats::InstanceStats`] — no graph scan — and, for
+/// a derived label of a [`View`], from its relation's postings.
+pub fn plan<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> PlanChoice {
+    let planner = Planner::new(pattern, view.into());
     if planner.nodes.is_empty() {
         return PlanChoice {
             order: Vec::new(),
@@ -458,12 +460,8 @@ pub fn plan(pattern: &Pattern, instance: &Instance) -> PlanChoice {
 /// the same greedy routine [`plan`] runs from every root, started from
 /// the bound set instead — the order a pre-bound frame (a delta-seeded
 /// edge, a matching being extended over crossed parts) is completed in.
-pub(crate) fn order_from(
-    pattern: &Pattern,
-    instance: &Instance,
-    prebound: &[NodeId],
-) -> Vec<NodeId> {
-    Planner::new(pattern, instance).greedy(prebound, None).order
+pub(crate) fn order_from(pattern: &Pattern, view: View<'_>, prebound: &[NodeId]) -> Vec<NodeId> {
+    Planner::new(pattern, view).greedy(prebound, None).order
 }
 
 // ---- binary (edge-at-a-time) join baseline --------------------------------
@@ -670,7 +668,7 @@ pub fn find_matchings_binary(pattern: &Pattern, instance: &Instance) -> Result<V
             table.push_row(columns_of.iter().map(|&at| row[at]));
         }
     }
-    Ok(finish(pattern, instance, table).into_matchings())
+    Ok(finish(pattern, instance.into(), table).into_matchings())
 }
 
 #[cfg(test)]

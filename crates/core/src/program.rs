@@ -9,6 +9,7 @@
 //! language simulates Turing machines, so termination cannot be checked
 //! statically).
 
+use crate::derived::ViewMut;
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::method::{execute_call, Method, MethodCall};
@@ -80,6 +81,13 @@ impl Operation {
 
     /// Apply this operation to `db` within `env`.
     pub fn apply(&self, db: &mut Instance, env: &mut Env) -> Result<OpReport> {
+        self.apply_to(db.into(), env)
+    }
+
+    /// [`Operation::apply`] with an edge addition's edges going where
+    /// `target` takes them (see [`ViewMut`]); every other operation acts
+    /// on the instance.
+    pub fn apply_to(&self, target: ViewMut<'_>, env: &mut Env) -> Result<OpReport> {
         env.burn_fuel()?;
         // Static span names for the five basic ops keep the disabled
         // path allocation-free; the method call's dynamic name is built
@@ -98,9 +106,10 @@ impl Operation {
                 }
             }
         };
+        let db = &mut *target.instance;
         let result = match self {
             Operation::NodeAdd(op) => op.apply(db),
-            Operation::EdgeAdd(op) => op.apply(db),
+            Operation::EdgeAdd(op) => op.apply_to(target),
             Operation::NodeDel(op) => op.apply(db),
             Operation::EdgeDel(op) => op.apply(db),
             Operation::Abstract(op) => op.apply(db),

@@ -101,7 +101,7 @@ impl RuleSet {
     /// deletion, abstraction or method call happened in between.
     pub fn saturate(&self, db: &mut Instance, env: &mut Env) -> Result<SaturationReport> {
         let rules: Vec<FixRule<'_>> = self.rules.iter().map(|rule| (&rule.op).into()).collect();
-        let outcome = fixpoint(&rules, db, env)?;
+        let outcome = fixpoint(&rules, db.into(), env)?;
         Ok(SaturationReport {
             rounds: outcome.rounds,
             per_rule: self

@@ -9,9 +9,10 @@
 //! * a **path-derivation program** of [`Step`]s: for each property path
 //!   `-[:e*m..M]->` a fresh multivalued edge label is derived by edge
 //!   additions and (for unbounded repetition) the recursion macro's
-//!   starred edge addition (Section 4.1, Figure 28), materialized into
-//!   a scratch clone of the instance before matching. Clones are `Arc`
-//!   bumps, so the scratch is cheap and the base instance is untouched.
+//!   starred edge addition (Section 4.1, Figure 28). The program is the
+//!   semantics; the core lane evaluates it into transient derived
+//!   relations the matcher reads beside the instance
+//!   (`good_core::derived`), so no derived edge is stored.
 //!
 //! The walk-length algebra behind the lowering:
 //!
@@ -64,6 +65,10 @@ pub struct PathDerivation {
     pub max: Option<u32>,
     /// The fresh derived edge label the pattern matches against.
     pub derived: Label,
+    /// The fresh labels a `min ≥ 2` lowering passes through: the
+    /// accumulator (`{derived}-walk` unbounded, `{derived}-base`
+    /// bounded), then `{derived}-ge{k}` for `k` in `2..min`.
+    pub intermediates: Vec<Label>,
 }
 
 /// One step of the compiled path-derivation program: a basic GOOD
@@ -307,6 +312,17 @@ impl<'a> Compiler<'a> {
                             &format!("qpath{}-{edge}", paths.len()),
                             &mut used_labels,
                         );
+                        let intermediates = (1..spec.min)
+                            .map(|k| {
+                                let suffix = match (k, spec.max) {
+                                    (1, None) => "walk".to_string(),
+                                    (1, Some(_)) => "base".to_string(),
+                                    (k, _) => format!("ge{k}"),
+                                };
+                                let base = format!("{derived}-{suffix}");
+                                self.fresh_edge_label(&base, &mut used_labels)
+                            })
+                            .collect();
                         paths.push(PathDerivation {
                             src_var: prev.var.clone(),
                             dst_var: node.var.clone(),
@@ -315,6 +331,7 @@ impl<'a> Compiler<'a> {
                             min: spec.min,
                             max: spec.max,
                             derived,
+                            intermediates,
                         });
                     }
                 }
@@ -551,8 +568,10 @@ impl CompiledQuery {
     }
 
     /// The compiled path-derivation program: the GOOD operations (edge
-    /// additions plus starred edge additions) that materialize each
-    /// derived path label into a scratch instance.
+    /// additions plus starred edge additions) that derive each path
+    /// label — the semantics of the query's paths. Applied to an
+    /// instance they add the derived edges to it; the core lane applies
+    /// them to derived relations instead (`exec::derive`).
     pub fn core_steps(&self) -> Vec<Step> {
         self.lowering().0
     }
@@ -573,9 +592,9 @@ impl CompiledQuery {
         let mut steps = Vec::new();
         let mut triples = Vec::new();
         for path in &self.paths {
-            let mut labels = BTreeSet::new();
-            path_steps(path, &mut steps, &mut labels);
-            triples.extend(labels.into_iter().map(|label| (path.class.clone(), label)));
+            path_steps(path, &mut steps);
+            let labels = std::iter::once(&path.derived).chain(&path.intermediates);
+            triples.extend(labels.map(|label| (path.class.clone(), label.clone())));
         }
         (steps, triples)
     }
@@ -617,31 +636,25 @@ impl CompiledQuery {
 }
 
 /// Emit the derivation steps for one property path (see the module docs
-/// for the walk-length algebra). Every derived label the steps mint is
-/// collected into `labels` for scheme pre-registration.
-fn path_steps(path: &PathDerivation, steps: &mut Vec<Step>, labels: &mut BTreeSet<Label>) {
+/// for the walk-length algebra). With `min ≥ 2` the repetition goes to
+/// the first intermediate label and [`compose_prefix`] shifts it.
+fn path_steps(path: &PathDerivation, steps: &mut Vec<Step>) {
     let class = &path.class;
     let edge = &path.edge;
     let derived = &path.derived;
-    labels.insert(derived.clone());
+    let acc = path.intermediates.first().unwrap_or(derived);
     match path.max {
         None => {
             // Unbounded: lengths ≥ 1 is the transitive closure — the
             // recursion macro's seed + star (Figure 28).
-            let closure = if path.min <= 1 {
-                derived.clone()
-            } else {
-                Label::new(format!("{derived}-walk"))
-            };
-            labels.insert(closure.clone());
-            steps.push(Step::Op(Operation::EdgeAdd(ea_seed(class, edge, &closure))));
+            steps.push(Step::Op(Operation::EdgeAdd(ea_seed(class, edge, acc))));
             steps.push(Step::Star(RecursiveEdgeAddition::new(ea_extend(
-                class, &closure, edge,
+                class, acc, edge,
             ))));
             if path.min == 0 {
                 steps.push(Step::Op(Operation::EdgeAdd(ea_reflexive(class, derived))));
             }
-            compose_prefix(path.min, class, edge, &closure, derived, steps, labels);
+            compose_prefix(path, acc, steps);
         }
         Some(0) => {
             // `*0..0`: the identity pairs only.
@@ -651,52 +664,28 @@ fn path_steps(path: &PathDerivation, steps: &mut Vec<Step>, labels: &mut BTreeSe
             // Bounded: lengths 1..=K, then shift by composing with the
             // base edge min-1 times.
             let k = max - path.min.max(1) + 1;
-            let bounded = if path.min <= 1 {
-                derived.clone()
-            } else {
-                Label::new(format!("{derived}-base"))
-            };
-            labels.insert(bounded.clone());
-            steps.push(Step::Op(Operation::EdgeAdd(ea_seed(class, edge, &bounded))));
+            steps.push(Step::Op(Operation::EdgeAdd(ea_seed(class, edge, acc))));
             for _ in 1..k {
-                steps.push(Step::Op(Operation::EdgeAdd(ea_extend(
-                    class, &bounded, edge,
-                ))));
+                steps.push(Step::Op(Operation::EdgeAdd(ea_extend(class, acc, edge))));
             }
             if path.min == 0 {
                 steps.push(Step::Op(Operation::EdgeAdd(ea_reflexive(class, derived))));
             }
-            compose_prefix(path.min, class, edge, &bounded, derived, steps, labels);
+            compose_prefix(path, acc, steps);
         }
     }
 }
 
 /// `derived = B^(min-1) ∘ acc` for `min ≥ 2`: a chain of composing edge
-/// additions through intermediate labels.
-#[allow(clippy::too_many_arguments)]
-fn compose_prefix(
-    min: u32,
-    class: &Label,
-    edge: &Label,
-    acc: &Label,
-    derived: &Label,
-    steps: &mut Vec<Step>,
-    labels: &mut BTreeSet<Label>,
-) {
-    if min < 2 {
+/// additions through the intermediate labels.
+fn compose_prefix(path: &PathDerivation, acc: &Label, steps: &mut Vec<Step>) {
+    let Some(later) = path.intermediates.get(1..) else {
         return;
-    }
-    let mut prev = acc.clone();
-    for k in 2..=min {
-        let out = if k == min {
-            derived.clone()
-        } else {
-            Label::new(format!("{derived}-ge{k}"))
-        };
-        labels.insert(out.clone());
-        steps.push(Step::Op(Operation::EdgeAdd(ea_compose(
-            class, edge, &prev, &out,
-        ))));
+    };
+    let mut prev = acc;
+    for out in later.iter().chain([&path.derived]) {
+        let compose = ea_compose(&path.class, &path.edge, prev, out);
+        steps.push(Step::Op(Operation::EdgeAdd(compose)));
         prev = out;
     }
 }

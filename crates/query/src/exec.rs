@@ -1,9 +1,9 @@
 //! Query execution: three independent lanes over one compiled query.
 //!
 //! * **Core** — the compiled GOOD program (edge additions + starred
-//!   edge additions) materializes derived path labels into an `O(1)`
-//!   scratch clone, then the native pattern matcher answers the match
-//!   (negation included).
+//!   edge additions) is evaluated into transient derived relations
+//!   ([`derive`]) that the native pattern matcher reads beside the
+//!   instance while it answers the match (negation included).
 //! * **Relational** — property paths are recomputed with a plain-Rust
 //!   BFS over exact-length frontiers, the derived edges inserted into
 //!   a scratch clone, and `RelBackend` (the paper's relational
@@ -34,9 +34,11 @@ use crate::ast::render_value;
 use crate::compile::{compile, CompiledQuery, PathDerivation, Step};
 use crate::parser::parse_query;
 use crate::QueryError;
+use good_core::derived::{Derived, View, ViewMut};
 use good_core::instance::Instance;
 use good_core::label::Label;
 use good_core::matching::{explain_plan_profiled, find_match_table, Matching};
+use good_core::ops::OpReport;
 use good_core::pattern::Pattern;
 use good_core::program::Env;
 use good_graph::NodeId;
@@ -232,10 +234,10 @@ pub fn run_differential(db: &Instance, text: &str) -> Result<QueryOutput, QueryE
 pub fn explain(db: &Instance, text: &str) -> Result<String, QueryError> {
     let query = parse_query(text)?;
     let compiled = compile(&query, db.scheme())?;
-    let scratch = materialize_core(db, &compiled)?;
+    let (scratch, derived, _) = derive(db, &compiled)?;
     let mut out = compiled.render_program(scratch.scheme());
     let (pattern, nodes) = compiled.pattern(true);
-    let plan = explain_plan_profiled(&pattern, &scratch)?;
+    let plan = explain_plan_profiled(&pattern, View::new(&scratch, &derived))?;
     let by_node: BTreeMap<NodeId, String> =
         nodes.into_iter().map(|(var, node)| (node, var)).collect();
     out.push('\n');
@@ -245,36 +247,39 @@ pub fn explain(db: &Instance, text: &str) -> Result<String, QueryError> {
 
 // ---- core lane ------------------------------------------------------------
 
-/// Apply the compiled path-derivation program to a scratch clone.
-fn materialize_core(db: &Instance, compiled: &CompiledQuery) -> Result<Instance, QueryError> {
+/// Evaluate the compiled path-derivation program into derived
+/// relations, one per derived label, with each step's report. The
+/// scratch clone differs from `db` only in its scheme, which registers
+/// every derived triple up front: a derivation whose seed matches
+/// nothing never reaches the minimal scheme extension, but the match
+/// pattern still references the label.
+pub fn derive(
+    db: &Instance,
+    compiled: &CompiledQuery,
+) -> Result<(Instance, Derived, Vec<OpReport>), QueryError> {
     let mut scratch = db.clone();
-    // Pre-register every derived label: a derivation whose seed matches
-    // nothing never reaches the minimal scheme extension, but the match
-    // pattern still references the label.
-    let (steps, derived) = compiled.lowering();
-    for (class, label) in derived {
+    let (steps, triples) = compiled.lowering();
+    for (class, label) in triples {
         scratch.extend_multivalued(class.clone(), label, class)?;
     }
-    let mut env = Env::new();
+    let (mut derived, mut env) = (Derived::default(), Env::new());
+    let mut reports = Vec::with_capacity(steps.len());
     for step in steps {
-        match step {
-            Step::Op(op) => {
-                op.apply(&mut scratch, &mut env)?;
-            }
-            Step::Star(star) => {
-                star.apply(&mut scratch, &mut env)?;
-            }
-        }
+        let target = ViewMut::new(&mut scratch, &mut derived);
+        reports.push(match step {
+            Step::Op(op) => op.apply_to(target, &mut env)?,
+            Step::Star(star) => star.apply_to(target, &mut env)?,
+        });
     }
-    Ok(scratch)
+    Ok((scratch, derived, reports))
 }
 
 /// The RETURN columns of the core lane's answer, row-major, read
 /// straight off the match table by column index.
 fn core_cells(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<NodeId>, QueryError> {
-    let scratch = materialize_core(db, compiled)?;
+    let (scratch, derived, _) = derive(db, compiled)?;
     let (pattern, nodes) = compiled.pattern(true);
-    let table = find_match_table(&pattern, &scratch)?;
+    let table = find_match_table(&pattern, View::new(&scratch, &derived))?;
     let columns: Vec<usize> = (compiled.ast.returns.iter())
         .map(|var| table.column(nodes[var]).expect("variables are positive"))
         .collect();
