@@ -3,11 +3,11 @@
 //! A GOODQL property path has endpoint semantics — its answer is a set
 //! of `(src, dst)` pairs — so the labels its path-derivation program
 //! derives only have to be *matchable*. [`Derived`] holds such labels
-//! beside an instance, in the shapes the matcher already reads off the
-//! adjacency index: per label, the `(class, λ)` postings in both
-//! directions, the two support sets and an edge count. They are built
+//! beside an instance, in the shape the matcher and planner already
+//! read off the adjacency index: per label, one [`Adjacency`] per
+//! direction — postings, support set and edge count. They are built
 //! unshared, so every insert is in place, and nothing reaches the
-//! instance's graph, adjacency index or statistics.
+//! instance's graph or adjacency index.
 //!
 //! [`View`] is what the matcher and planner read: an instance, plus the
 //! derived relations if there are any. A label the relations hold is
@@ -19,9 +19,8 @@
 //! extension) and the relations, which take every added edge.
 
 use crate::error::{GoodError, Result};
-use crate::instance::{Instance, Postings};
+use crate::instance::{Adjacency, Instance};
 use crate::label::Label;
-use crate::persist::PSet;
 use good_graph::NodeId;
 
 /// One derived label's edges, all from `src_class` to `dst_class` nodes.
@@ -30,13 +29,10 @@ struct Relation {
     label: Label,
     src_class: Label,
     dst_class: Label,
-    /// Target → its sources.
-    sources: Postings,
-    /// Source → its targets.
-    targets: Postings,
-    out_support: PSet<NodeId>,
-    in_support: PSet<NodeId>,
-    edges: usize,
+    /// The `src_class` side: target → its sources.
+    outgoing: Adjacency,
+    /// The `dst_class` side: source → its targets.
+    incoming: Adjacency,
 }
 
 /// Transient derived relations, one per derived edge label.
@@ -53,7 +49,9 @@ impl Derived {
 
     /// The `(src, dst)` pairs of `label`, ascending.
     pub fn pairs<'a>(&'a self, label: &Label) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
-        let targets = self.relation(label).map(|relation| &relation.targets);
+        let targets = self
+            .relation(label)
+            .map(|relation| &relation.incoming.postings);
         (targets.into_iter().flat_map(|postings| postings.iter()))
             .flat_map(|(&src, set)| set.iter().map(move |&dst| (src, dst)))
     }
@@ -85,11 +83,8 @@ impl Derived {
                     label: label.clone(),
                     src_class: src_class.clone(),
                     dst_class: dst_class.clone(),
-                    sources: Postings::new(),
-                    targets: Postings::new(),
-                    out_support: PSet::new(),
-                    in_support: PSet::new(),
-                    edges: 0,
+                    outgoing: Adjacency::default(),
+                    incoming: Adjacency::default(),
                 });
                 self.relations.len() - 1
             }
@@ -101,21 +96,12 @@ impl Derived {
                 relation.src_class, relation.dst_class
             )));
         }
-        let targets = relation.targets.get_or_insert_with(&src, PSet::new);
-        if !targets.insert(dst) {
-            return Ok(false);
-        }
-        // A support set gains a node with the node's first edge.
-        if targets.len() == 1 {
-            relation.out_support.insert(src);
-        }
-        let sources = relation.sources.get_or_insert_with(&dst, PSet::new);
-        sources.insert(src);
-        if sources.len() == 1 {
-            relation.in_support.insert(dst);
-        }
-        relation.edges += 1;
-        Ok(true)
+        Ok(Adjacency::link(
+            &mut relation.outgoing,
+            &mut relation.incoming,
+            src,
+            dst,
+        ))
     }
 }
 
@@ -139,7 +125,7 @@ impl<'a> From<&'a Instance> for View<'a> {
 
 /// A triple's planner figures: edge count, distinct sources, distinct
 /// targets.
-pub(crate) type TripleCounts = (u64, u64, u64);
+pub type TripleCounts = (u64, u64, u64);
 
 impl<'a> View<'a> {
     /// `instance` with `derived` beside it (empty relations add nothing).
@@ -159,64 +145,49 @@ impl<'a> View<'a> {
         self.derived?.relation(label)
     }
 
-    /// [`Instance::source_postings`] through the view.
-    pub(crate) fn source_postings(self, class: &Label, label: &Label) -> Option<&'a Postings> {
+    /// [`Instance::outgoing`] through the view.
+    pub(crate) fn outgoing(self, class: &Label, label: &Label) -> Option<&'a Adjacency> {
         match self.relation(label) {
-            Some(relation) => (relation.src_class == *class).then_some(&relation.sources),
-            None => self.instance.source_postings(class, label),
+            Some(relation) => (relation.src_class == *class).then_some(&relation.outgoing),
+            None => self.instance.outgoing(class, label),
         }
     }
 
-    /// [`Instance::target_postings`] through the view.
-    pub(crate) fn target_postings(self, class: &Label, label: &Label) -> Option<&'a Postings> {
+    /// [`Instance::incoming`] through the view.
+    pub(crate) fn incoming(self, class: &Label, label: &Label) -> Option<&'a Adjacency> {
         match self.relation(label) {
-            Some(relation) => (relation.dst_class == *class).then_some(&relation.targets),
-            None => self.instance.target_postings(class, label),
+            Some(relation) => (relation.dst_class == *class).then_some(&relation.incoming),
+            None => self.instance.incoming(class, label),
         }
     }
 
-    /// [`Instance::out_support`] through the view.
-    pub(crate) fn out_support(self, class: &Label, label: &Label) -> Option<&'a PSet<NodeId>> {
-        match self.relation(label) {
-            Some(relation) => (relation.src_class == *class).then_some(&relation.out_support),
-            None => self.instance.out_support(class, label),
-        }
-    }
-
-    /// [`Instance::in_support`] through the view.
-    pub(crate) fn in_support(self, class: &Label, label: &Label) -> Option<&'a PSet<NodeId>> {
-        match self.relation(label) {
-            Some(relation) => (relation.dst_class == *class).then_some(&relation.in_support),
-            None => self.instance.in_support(class, label),
-        }
-    }
-
-    /// The planner's figures for the triple `src -λ-> dst`, `None` when
-    /// no such edge exists. A derived relation's are its edge count and
-    /// the lengths of its two postings maps — what the instance's
-    /// statistics would report for the same edges.
-    pub(crate) fn triple(self, src: &Label, label: &Label, dst: &Label) -> Option<TripleCounts> {
-        match self.relation(label) {
-            Some(relation) => {
-                (relation.src_class == *src && relation.dst_class == *dst).then(|| {
-                    let (sources, targets) = (relation.targets.len(), relation.sources.len());
-                    (relation.edges as u64, sources as u64, targets as u64)
-                })
-            }
-            None => (self.instance.stats().triple(src, label, dst)).map(|triple| {
-                (
-                    triple.edges,
-                    triple.distinct_sources(),
-                    triple.distinct_targets(),
-                )
-            }),
-        }
+    /// The planner's figures for the triple `src -λ-> dst`, read off the
+    /// `(src, λ)` outgoing side and the `(dst, λ)` incoming side; `None`
+    /// when either is empty. The edge count is the smaller of the two
+    /// sides' counts, the distinct sources the outgoing support and the
+    /// distinct targets the incoming support.
+    ///
+    /// The sides are keyed by one class and `λ`, not by the triple, so
+    /// the figures are upper bounds. The edge count is exact when the
+    /// instance's `src`-nodes reach only `dst`-nodes by `λ`, or its
+    /// `dst`-nodes are reached only from `src`-nodes; the sources are
+    /// exact under the first condition, the targets under the second.
+    /// A scheme that gives `(src, λ)` one target class and `(dst, λ)` one
+    /// source class — `gen::bench_scheme`, and every derived relation —
+    /// makes all three exact.
+    pub fn triple(self, src: &Label, label: &Label, dst: &Label) -> Option<TripleCounts> {
+        let (outgoing, incoming) = (self.outgoing(src, label)?, self.incoming(dst, label)?);
+        Some((
+            outgoing.edges.min(incoming.edges) as u64,
+            outgoing.support.len() as u64,
+            incoming.support.len() as u64,
+        ))
     }
 
     /// One `λ`-successor of `src`, if it has any.
     pub(crate) fn first_target(self, src: NodeId, label: &Label) -> Option<NodeId> {
         match self.relation(label) {
-            Some(relation) => relation.targets.get(&src)?.first().copied(),
+            Some(relation) => relation.incoming.postings.get(&src)?.first().copied(),
             None => self.instance.targets(src, label).next(),
         }
     }
@@ -299,14 +270,52 @@ mod tests {
         assert_eq!(view.triple(&class, &label, &class), Some((2, 2, 2)));
         assert_eq!(view.first_target(a0, &label), Some(a1));
         assert!(view
-            .source_postings(&class, &label)
+            .outgoing(&class, &label)
             .unwrap()
+            .postings
             .contains_key(&a0));
-        assert!(view.out_support(&Label::new("B"), &label).is_none());
+        assert!(view.outgoing(&Label::new("B"), &label).is_none());
         assert_eq!(
             derived.pairs(&label).collect::<Vec<_>>(),
             [(a0, a1), (a1, a0)]
         );
         assert_eq!(db.edge_count(), 0);
+    }
+
+    #[test]
+    fn a_class_reaching_two_target_classes_gets_upper_bounds() {
+        use crate::matching::find_matchings;
+        use crate::pattern::Pattern;
+        use crate::wcoj::find_matchings_wcoj;
+        // `Info -refs->` reaches `A` from some nodes and `B` from others,
+        // and `A` is also reached from `C`.
+        let scheme = SchemeBuilder::new()
+            .object("Info")
+            .object("A")
+            .object("B")
+            .object("C")
+            .multivalued("Info", "refs", "A")
+            .multivalued("Info", "refs", "B")
+            .multivalued("C", "refs", "A")
+            .build();
+        let mut db = Instance::new(scheme);
+        let [i0, i1, i2] = [(); 3].map(|_| db.add_object("Info").unwrap());
+        let [a0, a1] = [(); 2].map(|_| db.add_object("A").unwrap());
+        let (b, c) = (db.add_object("B").unwrap(), db.add_object("C").unwrap());
+        for (src, dst) in [(i0, a0), (i0, a1), (i1, b), (i2, b), (c, a0)] {
+            db.add_edge(src, "refs", dst).unwrap();
+        }
+        let (info, refs, a) = (Label::new("Info"), Label::new("refs"), Label::new("A"));
+        // Exact figures would be (2, 1, 2). The bound is the smaller side's
+        // edge count (`A` receives 3, `Info` sends 4), the 3 `Info` nodes
+        // with any `refs`, and the 2 `A` nodes with any.
+        assert_eq!(View::from(&db).triple(&info, &refs, &a), Some((3, 3, 2)));
+        let mut pattern = Pattern::new();
+        let (x, y, z) = (pattern.node("Info"), pattern.node("A"), pattern.node("C"));
+        pattern.edge(x, "refs", y);
+        pattern.edge(z, "refs", y);
+        let matchings = find_matchings(&pattern, &db).unwrap();
+        assert_eq!(matchings, find_matchings_wcoj(&pattern, &db).unwrap());
+        assert_eq!(matchings.len(), 1);
     }
 }

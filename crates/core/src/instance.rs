@@ -19,7 +19,6 @@ use crate::error::{GoodError, Result};
 use crate::label::{EdgeKind, Label, NodeKind};
 use crate::persist::{PMap, PSet, SharedMap};
 use crate::scheme::Scheme;
-use crate::stats::InstanceStats;
 use crate::value::Value;
 use good_graph::dot::{DotEdge, DotNode};
 use good_graph::{EdgeId, Graph, NodeId};
@@ -59,25 +58,101 @@ pub type Postings = PMap<NodeId, PSet<NodeId>>;
 /// unindexing edge by edge.
 const BULK_REBUILD_MIN: usize = 64;
 
+/// The `λ` edges at the nodes of one class, seen from one side: the
+/// adjacency index's entry under a `(class, λ)` key, and each direction
+/// of a derived relation (`crate::derived`).
+///
+/// On the outgoing side the class is the sources', and `postings` maps
+/// each target to its class-labelled `λ`-sources (the candidates for a
+/// pattern node whose out-edge target is already bound). On the
+/// incoming side the class is the targets', and `postings` maps each
+/// source to its class-labelled `λ`-targets. All sets are sorted for
+/// determinism.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Adjacency {
+    /// Other endpoint → the class's nodes across a `λ` edge from it.
+    pub(crate) postings: Postings,
+    /// The class's nodes with at least one `λ` edge on this side —
+    /// intersected to seed candidates for pattern nodes with no bound
+    /// neighbour.
+    pub(crate) support: PSet<NodeId>,
+    /// Number of `λ` edges on this side.
+    pub(crate) edges: usize,
+}
+
+impl Adjacency {
+    /// Other endpoint → the class's nodes across a `λ` edge from it.
+    pub fn postings(&self) -> &Postings {
+        &self.postings
+    }
+
+    /// Record the edge `(src, λ, dst)` on both its sides: `outgoing` is
+    /// `src`'s class's, `incoming` is `dst`'s. `true` if it was new.
+    pub(crate) fn link(
+        outgoing: &mut Adjacency,
+        incoming: &mut Adjacency,
+        src: NodeId,
+        dst: NodeId,
+    ) -> bool {
+        let targets = incoming.postings.get_or_insert_with(&src, PSet::new);
+        if !targets.insert(dst) {
+            return false;
+        }
+        // A set of one is the node's first edge between these two
+        // classes, so the node may be new to its support (an edge from
+        // another class may have put it there: inserting again is a
+        // no-op). A longer set means it is there, and the insert, which
+        // path-copies even when the key is present, is skipped.
+        if targets.len() == 1 {
+            outgoing.support.insert(src);
+        }
+        let sources = outgoing.postings.get_or_insert_with(&dst, PSet::new);
+        sources.insert(src);
+        if sources.len() == 1 {
+            incoming.support.insert(dst);
+        }
+        outgoing.edges += 1;
+        incoming.edges += 1;
+        true
+    }
+
+    /// Forget the edge between `anchor` and `node`; `node` stays in the
+    /// support only if `keep_support`. `true` when the side is empty.
+    fn remove(&mut self, anchor: NodeId, node: NodeId, keep_support: bool) -> bool {
+        if let Some(set) = self.postings.get_mut(&anchor) {
+            if set.remove(&node) {
+                self.edges -= 1;
+            }
+            if set.is_empty() {
+                self.postings.remove(&anchor);
+            }
+        }
+        if !keep_support {
+            self.support.remove(&node);
+        }
+        self.postings.is_empty()
+    }
+
+    /// Rough heap footprint in bytes.
+    fn approx_bytes(&self) -> usize {
+        self.postings.approx_bytes()
+            + self
+                .postings
+                .values()
+                .map(PSet::approx_bytes)
+                .sum::<usize>()
+            + self.support.approx_bytes()
+    }
+}
+
 /// The label-pair adjacency index: for every edge `(s, λ, t)` it
-/// records postings under `(label, λ)` keys so the matcher can derive
-/// candidate sets from index lookups and intersections instead of
-/// scanning whole label extents or edge lists.
+/// records `s`'s side under `(λ(s), λ)` in `outgoing` and `t`'s under
+/// `(λ(t), λ)` in `incoming`, so the matcher derives candidate sets from
+/// index lookups and intersections instead of scanning whole label
+/// extents or edge lists, and the planner reads its figures off the
+/// same entries (`crate::derived::View::triple`).
 ///
-/// Four views are maintained (all sets sorted for determinism):
-///
-/// * `sources[(λ(s), λ)][t]` — the `λ(s)`-labeled sources reaching `t`
-///   via `λ` (candidates for a pattern node whose out-edge target is
-///   already bound);
-/// * `targets[(λ(t), λ)][s]` — the `λ(t)`-labeled targets `s` reaches
-///   via `λ` (the symmetric in-edge case);
-/// * `out_support[(λ(s), λ)]` — every `λ(s)`-labeled node with at least
-///   one outgoing `λ` edge;
-/// * `in_support[(λ(t), λ)]` — every `λ(t)`-labeled node with at least
-///   one incoming `λ` edge (support sets are intersected to seed
-///   candidates for pattern nodes with no bound neighbour).
-///
-/// The maps are nested (`node label → edge label → …`) rather than
+/// The maps are nested (`node label → edge label → side`) rather than
 /// keyed by a `(Label, Label)` tuple so the read path can probe with
 /// two borrowed `&Label`s — a tuple key would force two `String`
 /// clones per lookup, and `has_edge` sits in the matcher's innermost
@@ -85,14 +160,12 @@ const BULK_REBUILD_MIN: usize = 64;
 ///
 /// Every level is a persistent [`PMap`]/[`PSet`], so cloning the index
 /// is a few `Arc` bumps and indexing one edge path-copies only the
-/// O(log n) nodes around the touched postings — the property that
+/// O(log n) nodes around the two touched sides — the property that
 /// makes snapshot publishes O(delta) (see `crate::snapshot`).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct AdjacencyIndex {
-    sources: SharedMap<Label, SharedMap<Label, Postings>>,
-    targets: SharedMap<Label, SharedMap<Label, Postings>>,
-    out_support: SharedMap<Label, SharedMap<Label, PSet<NodeId>>>,
-    in_support: SharedMap<Label, SharedMap<Label, PSet<NodeId>>>,
+    outgoing: SharedMap<Label, SharedMap<Label, Adjacency>>,
+    incoming: SharedMap<Label, SharedMap<Label, Adjacency>>,
 }
 
 /// Borrowed-key probe of a nested index map — no allocation.
@@ -136,24 +209,11 @@ impl AdjacencyIndex {
         dst: NodeId,
         dst_label: &Label,
     ) {
-        self.sources
-            .get_or_insert_with(src_label, SharedMap::new)
-            .get_or_insert_with(edge, PMap::new)
-            .get_or_insert_with(&dst, PSet::new)
-            .insert(src);
-        self.targets
-            .get_or_insert_with(dst_label, SharedMap::new)
-            .get_or_insert_with(edge, PMap::new)
-            .get_or_insert_with(&src, PSet::new)
-            .insert(dst);
-        self.out_support
-            .get_or_insert_with(src_label, SharedMap::new)
-            .get_or_insert_with(edge, PSet::new)
-            .insert(src);
-        self.in_support
-            .get_or_insert_with(dst_label, SharedMap::new)
-            .get_or_insert_with(edge, PSet::new)
-            .insert(dst);
+        let outgoing = (self.outgoing.get_or_insert_with(src_label, SharedMap::new))
+            .get_or_insert_with(edge, Adjacency::default);
+        let incoming = (self.incoming.get_or_insert_with(dst_label, SharedMap::new))
+            .get_or_insert_with(edge, Adjacency::default);
+        Adjacency::link(outgoing, incoming, src, dst);
     }
 
     /// Unindex the edge `(src, λ, dst)`. The `src_has_out` / `dst_has_in`
@@ -169,40 +229,16 @@ impl AdjacencyIndex {
         src_has_out: bool,
         dst_has_in: bool,
     ) {
-        nested_prune(&mut self.sources, src_label, edge, |postings| {
-            if let Some(set) = postings.get_mut(&dst) {
-                set.remove(&src);
-                if set.is_empty() {
-                    postings.remove(&dst);
-                }
-            }
-            postings.is_empty()
+        nested_prune(&mut self.outgoing, src_label, edge, |side| {
+            side.remove(dst, src, src_has_out)
         });
-        nested_prune(&mut self.targets, dst_label, edge, |postings| {
-            if let Some(set) = postings.get_mut(&src) {
-                set.remove(&dst);
-                if set.is_empty() {
-                    postings.remove(&src);
-                }
-            }
-            postings.is_empty()
+        nested_prune(&mut self.incoming, dst_label, edge, |side| {
+            side.remove(src, dst, dst_has_in)
         });
-        if !src_has_out {
-            nested_prune(&mut self.out_support, src_label, edge, |set| {
-                set.remove(&src);
-                set.is_empty()
-            });
-        }
-        if !dst_has_in {
-            nested_prune(&mut self.in_support, dst_label, edge, |set| {
-                set.remove(&dst);
-                set.is_empty()
-            });
-        }
     }
 
-    /// Build the index of `graph` from scratch (deserialization and the
-    /// validation audit).
+    /// Build the index of `graph` from scratch (recovery, bulk deletes
+    /// and the audit).
     fn build(graph: &Graph<NodeData, EdgeData>) -> Self {
         let mut index = AdjacencyIndex::default();
         for edge in graph.edges() {
@@ -219,31 +255,55 @@ impl AdjacencyIndex {
         index
     }
 
-    /// Rough heap footprint in bytes across all four nested views.
+    /// Rough heap footprint in bytes across both nested maps.
     fn approx_bytes(&self) -> usize {
-        fn set_bytes(set: &PSet<NodeId>) -> usize {
-            set.approx_bytes()
-        }
-        fn nested_bytes<T>(
-            map: &SharedMap<Label, SharedMap<Label, T>>,
-            inner: impl Fn(&T) -> usize,
-        ) -> usize {
-            map.approx_bytes()
-                + map
-                    .values()
-                    .map(|by_edge| {
-                        by_edge.approx_bytes() + by_edge.values().map(&inner).sum::<usize>()
-                    })
-                    .sum::<usize>()
-        }
-        let postings_bytes = |postings: &Postings| -> usize {
-            postings.approx_bytes() + postings.values().map(set_bytes).sum::<usize>()
-        };
-        nested_bytes(&self.sources, postings_bytes)
-            + nested_bytes(&self.targets, postings_bytes)
-            + nested_bytes(&self.out_support, set_bytes)
-            + nested_bytes(&self.in_support, set_bytes)
+        [&self.outgoing, &self.incoming]
+            .into_iter()
+            .map(|map| {
+                map.approx_bytes()
+                    + (map.values())
+                        .map(|by_edge| {
+                            by_edge.approx_bytes()
+                                + by_edge.values().map(Adjacency::approx_bytes).sum::<usize>()
+                        })
+                        .sum::<usize>()
+            })
+            .sum()
     }
+}
+
+/// The indexes an instance derives from its graph: the label index, the
+/// printable index and the adjacency index.
+type Indexes = (
+    SharedMap<Label, PSet<NodeId>>,
+    SharedMap<Label, PMap<Value, NodeId>>,
+    AdjacencyIndex,
+);
+
+/// Build the [`Indexes`] of `graph` from scratch, from borrows — the
+/// recovery path and the index audit. Fails on two printable nodes
+/// sharing a value.
+fn build_indexes(graph: &Graph<NodeData, EdgeData>) -> Result<Indexes> {
+    let mut label_index: SharedMap<Label, PSet<NodeId>> = SharedMap::new();
+    let mut printable_index: SharedMap<Label, PMap<Value, NodeId>> = SharedMap::new();
+    for node in graph.nodes() {
+        let data = node.payload;
+        label_index
+            .get_or_insert_with(&data.label, PSet::new)
+            .insert(node.id);
+        if let Some(value) = &data.print {
+            let prior = printable_index
+                .get_or_insert_with(&data.label, PMap::new)
+                .insert(value.clone(), node.id);
+            if prior.is_some() {
+                return Err(GoodError::InvariantViolation(format!(
+                    "duplicate printable node {} = {value}",
+                    data.label
+                )));
+            }
+        }
+    }
+    Ok((label_index, printable_index, AdjacencyIndex::build(graph)))
 }
 
 /// # Example
@@ -279,11 +339,8 @@ pub struct Instance {
     /// borrows instead of cloning a tuple key; the outer level is
     /// label-keyed (scheme-bounded), so it hash-probes.
     printable_index: SharedMap<Label, PMap<Value, NodeId>>,
-    /// (node label, edge label) → postings, for the matcher.
+    /// (node label, edge label) → postings, for the matcher and planner.
     adjacency: AdjacencyIndex,
-    /// Per-triple cardinality statistics for the planner, maintained
-    /// incrementally alongside the adjacency index.
-    stats: InstanceStats,
 }
 
 /// Serialized form: scheme + graph; indexes are rebuilt on load.
@@ -318,49 +375,26 @@ impl Instance {
             label_index: SharedMap::new(),
             printable_index: SharedMap::new(),
             adjacency: AdjacencyIndex::default(),
-            stats: InstanceStats::default(),
         }
     }
 
     /// Rebuild an instance from a scheme and a raw graph, validating all
     /// invariants and reconstructing the indexes. This is the
     /// deserialization / recovery path (E13), so the indexes are built
-    /// from borrows in a single pass over the live nodes — no per-node
-    /// payload clones, no id buffering.
+    /// from borrows — no per-node payload clones, no id buffering.
     pub fn from_parts(scheme: Scheme, graph: Graph<NodeData, EdgeData>) -> Result<Self> {
-        let adjacency = AdjacencyIndex::build(&graph);
-        let stats = InstanceStats::build(&graph);
-        let mut label_index: SharedMap<Label, PSet<NodeId>> = SharedMap::new();
-        let mut printable_index: SharedMap<Label, PMap<Value, NodeId>> = SharedMap::new();
-        for node in graph.nodes() {
-            let data = node.payload;
-            label_index
-                .get_or_insert_with(&data.label, PSet::new)
-                .insert(node.id);
-            if let Some(value) = &data.print {
-                let prior = printable_index
-                    .get_or_insert_with(&data.label, PMap::new)
-                    .insert(value.clone(), node.id);
-                if prior.is_some() {
-                    return Err(GoodError::InvariantViolation(format!(
-                        "duplicate printable node {} = {value}",
-                        data.label
-                    )));
-                }
-            }
-        }
+        let (label_index, printable_index, adjacency) = build_indexes(&graph)?;
         let instance = Instance {
             scheme,
             graph,
             label_index,
             printable_index,
             adjacency,
-            stats,
         };
         // Content must be audited on every load (the bytes are
-        // untrusted), but the derived indexes were built three lines up
-        // from this very graph — re-deriving them to compare is pure
-        // overhead in release, so the index audit is debug-only here.
+        // untrusted), but the derived indexes were just built from this
+        // very graph — re-deriving them to compare is pure overhead in
+        // release, so the index audit is debug-only here.
         instance.validate_semantics()?;
         #[cfg(debug_assertions)]
         instance.validate_indexes()?;
@@ -386,7 +420,6 @@ impl Instance {
                 .map(PMap::approx_bytes)
                 .sum::<usize>()
             + self.adjacency.approx_bytes()
-            + self.stats.approx_bytes()
     }
 
     // ---- accessors --------------------------------------------------------
@@ -535,65 +568,22 @@ impl Instance {
         let Some(src_label) = self.node_label(src) else {
             return false;
         };
-        nested_get(&self.adjacency.sources, src_label, label)
-            .and_then(|postings| postings.get(&dst))
+        (self.outgoing(src_label, label))
+            .and_then(|side| side.postings.get(&dst))
             .is_some_and(|set| set.contains(&src))
     }
 
-    /// Index postings: the sorted set of `src_label`-labeled nodes with a
-    /// `λ`-edge *into* `dst`. `None` means no such edge exists.
-    pub fn indexed_sources(
-        &self,
-        src_label: &Label,
-        edge: &Label,
-        dst: NodeId,
-    ) -> Option<&PSet<NodeId>> {
-        self.source_postings(src_label, edge)?.get(&dst)
+    /// The `λ` edges leaving `class` nodes: target → its sorted
+    /// `class`-labelled sources, the sources with any, and their count.
+    /// `None` means no such edge exists.
+    pub fn outgoing(&self, class: &Label, edge: &Label) -> Option<&Adjacency> {
+        nested_get(&self.adjacency.outgoing, class, edge)
     }
 
-    /// All of [`Instance::indexed_sources`] for one `(src_label, λ)`:
-    /// target node → its sorted `src_label`-labeled `λ`-sources. Lets a
-    /// caller probing many targets pay the two label hashes once.
-    pub fn source_postings(&self, src_label: &Label, edge: &Label) -> Option<&Postings> {
-        nested_get(&self.adjacency.sources, src_label, edge)
-    }
-
-    /// All of [`Instance::indexed_targets`] for one `(dst_label, λ)`:
-    /// source node → its sorted `dst_label`-labeled `λ`-targets.
-    pub fn target_postings(&self, dst_label: &Label, edge: &Label) -> Option<&Postings> {
-        nested_get(&self.adjacency.targets, dst_label, edge)
-    }
-
-    /// Index postings: the sorted set of `dst_label`-labeled nodes `src`
-    /// reaches via a `λ`-edge. `None` means no such edge exists.
-    pub fn indexed_targets(
-        &self,
-        dst_label: &Label,
-        edge: &Label,
-        src: NodeId,
-    ) -> Option<&PSet<NodeId>> {
-        self.target_postings(dst_label, edge)?.get(&src)
-    }
-
-    /// The sorted set of `label`-labeled nodes with at least one outgoing
-    /// `λ`-edge. A complete over-approximation of the candidates for a
-    /// pattern node with an unanchored outgoing `λ`-edge.
-    pub fn out_support(&self, label: &Label, edge: &Label) -> Option<&PSet<NodeId>> {
-        nested_get(&self.adjacency.out_support, label, edge)
-    }
-
-    /// The sorted set of `label`-labeled nodes with at least one incoming
-    /// `λ`-edge.
-    pub fn in_support(&self, label: &Label, edge: &Label) -> Option<&PSet<NodeId>> {
-        nested_get(&self.adjacency.in_support, label, edge)
-    }
-
-    /// Per-triple cardinality statistics (edge counts and degree
-    /// histograms per `(source label, edge label, target label)`),
-    /// maintained incrementally — probing them never scans the graph.
-    #[inline]
-    pub fn stats(&self) -> &InstanceStats {
-        &self.stats
+    /// The `λ` edges entering `class` nodes: source → its sorted
+    /// `class`-labelled targets, the targets with any, and their count.
+    pub fn incoming(&self, class: &Label, edge: &Label) -> Option<&Adjacency> {
+        nested_get(&self.adjacency.incoming, class, edge)
     }
 
     /// Number of distinct print values currently held under a printable
@@ -748,17 +738,6 @@ impl Instance {
         );
         self.adjacency
             .insert(src, &src_data.label, &label, dst, &dst_data.label);
-        // Post-insert degrees of the touched endpoints, restricted to
-        // this triple's shape, read off the adjacency index in O(1) —
-        // no scan. The old degrees are one less by construction.
-        let new_out = self
-            .indexed_targets(&dst_data.label, &label, src)
-            .map_or(0, PSet::len) as u64;
-        let new_in = self
-            .indexed_sources(&src_data.label, &label, dst)
-            .map_or(0, PSet::len) as u64;
-        self.stats
-            .record_added(&src_data.label, &label, &dst_data.label, new_out, new_in);
         Ok(id)
     }
 
@@ -847,7 +826,6 @@ impl Instance {
                 .filter(|node| self.remove_node_untracked(*node))
                 .count();
             self.adjacency = AdjacencyIndex::build(&self.graph);
-            self.stats = InstanceStats::build(&self.graph);
             removed
         } else {
             LIVE_NODE_DEL_INCREMENTAL.incr();
@@ -900,18 +878,6 @@ impl Instance {
             src_has_out,
             dst_has_in,
         );
-        // Post-removal degrees read off the just-updated adjacency
-        // index (the old degrees are one more); this stays O(1) even
-        // when an endpoint is already dead, because the postings —
-        // not the graph — are the source of truth here.
-        let new_out = self
-            .indexed_targets(dst_label, edge_label, src)
-            .map_or(0, PSet::len) as u64;
-        let new_in = self
-            .indexed_sources(src_label, edge_label, dst)
-            .map_or(0, PSet::len) as u64;
-        self.stats
-            .record_removed(src_label, edge_label, dst_label, new_out, new_in);
     }
 
     /// Delete the edge `(src, λ, dst)` if present.
@@ -952,7 +918,6 @@ impl Instance {
                 .filter(|edge| self.graph.remove_edge(*edge).is_some())
                 .count();
             self.adjacency = AdjacencyIndex::build(&self.graph);
-            self.stats = InstanceStats::build(&self.graph);
             removed
         } else {
             LIVE_EDGE_DEL_INCREMENTAL.incr();
@@ -1105,39 +1070,23 @@ impl Instance {
     }
 
     /// The *index* half of [`Instance::validate`]: the incrementally
-    /// maintained label and adjacency indexes must agree with a fresh
-    /// scan/rebuild. This is the expensive audit (it rebuilds the
-    /// adjacency index); release hot paths reach it only through
-    /// [`Instance::debug_assert_indexes`], which compiles it out.
+    /// maintained label, printable and adjacency indexes must each equal
+    /// what a fresh rebuild from the graph produces (empty containers
+    /// are pruned on removal precisely so the comparison is equality).
+    /// This is the expensive audit; release hot paths reach it only
+    /// through [`Instance::debug_assert_indexes`], which compiles it out.
     pub fn validate_indexes(&self) -> Result<()> {
-        // Index integrity.
-        for (label, set) in self.label_index.iter() {
-            for node in set.iter() {
-                let data = self.graph.node(*node).ok_or_else(|| {
-                    GoodError::InvariantViolation(format!("index points at dead node {node:?}"))
-                })?;
-                if &data.label != label {
-                    return Err(GoodError::InvariantViolation(format!(
-                        "index label mismatch for {node:?}"
-                    )));
-                }
+        let (label_index, printable_index, adjacency) = build_indexes(&self.graph)?;
+        for (name, in_sync) in [
+            ("label", label_index == self.label_index),
+            ("printable", printable_index == self.printable_index),
+            ("adjacency", adjacency == self.adjacency),
+        ] {
+            if !in_sync {
+                return Err(GoodError::InvariantViolation(format!(
+                    "{name} index out of sync with graph"
+                )));
             }
-        }
-        // Adjacency index integrity: the incrementally maintained index
-        // must be exactly what a fresh rebuild produces (empty containers
-        // are pruned on removal precisely so this comparison is equality).
-        let rebuilt = AdjacencyIndex::build(&self.graph);
-        if rebuilt != self.adjacency {
-            return Err(GoodError::InvariantViolation(
-                "adjacency index out of sync with graph".into(),
-            ));
-        }
-        // Planner statistics obey the same contract: the incremental
-        // figures must equal a from-scratch rebuild, exactly.
-        if InstanceStats::build(&self.graph) != self.stats {
-            return Err(GoodError::InvariantViolation(
-                "planner statistics out of sync with graph".into(),
-            ));
         }
         Ok(())
     }
@@ -1426,17 +1375,18 @@ mod tests {
         db.add_edge(a, "links-to", b).unwrap();
         let info: Label = "Info".into();
         let links: Label = "links-to".into();
-        // Sources of c via links-to: {a, b}.
-        let sources = db.indexed_sources(&info, &links, c).unwrap();
-        assert_eq!(sources.iter().copied().collect::<Vec<_>>(), vec![a, b]);
-        // Targets of a via links-to: {b, c}.
-        let targets = db.indexed_targets(&info, &links, a).unwrap();
-        assert_eq!(targets.iter().copied().collect::<Vec<_>>(), vec![b, c]);
-        // Supports.
-        let out = db.out_support(&info, &links).unwrap();
-        assert_eq!(out.iter().copied().collect::<Vec<_>>(), vec![a, b]);
-        let inn = db.in_support(&info, &links).unwrap();
-        assert_eq!(inn.iter().copied().collect::<Vec<_>>(), vec![b, c]);
+        let (out, inn) = (
+            db.outgoing(&info, &links).unwrap(),
+            db.incoming(&info, &links).unwrap(),
+        );
+        let sorted = |set: &PSet<NodeId>| set.iter().copied().collect::<Vec<_>>();
+        // Sources of c via links-to: {a, b}; targets of a: {b, c}.
+        assert_eq!(sorted(out.postings.get(&c).unwrap()), vec![a, b]);
+        assert_eq!(sorted(inn.postings.get(&a).unwrap()), vec![b, c]);
+        // Supports and edge counts.
+        assert_eq!(sorted(&out.support), vec![a, b]);
+        assert_eq!(sorted(&inn.support), vec![b, c]);
+        assert_eq!((out.edges, inn.edges), (3, 3));
         assert!(db.has_edge(a, &links, c));
         assert!(!db.has_edge(c, &links, a));
         db.validate().unwrap();
@@ -1454,14 +1404,51 @@ mod tests {
         let links: Label = "links-to".into();
         db.delete_edge_between(a, &links, b);
         // a still supports out (edge to c survives); b lost in-support.
-        assert!(db.out_support(&info, &links).unwrap().contains(&a));
-        assert!(db.indexed_sources(&info, &links, b).is_none());
+        let out = db.outgoing(&info, &links).unwrap();
+        assert!(out.support.contains(&a));
+        assert!(out.postings.get(&b).is_none());
+        assert_eq!(out.edges, 1);
         db.validate().unwrap();
         // Node deletion cascades out of the index too.
         db.delete_node(c);
-        assert!(db.out_support(&info, &links).is_none());
-        assert!(db.in_support(&info, &links).is_none());
+        assert!(db.outgoing(&info, &links).is_none());
+        assert!(db.incoming(&info, &links).is_none());
         db.validate().unwrap();
+    }
+
+    #[test]
+    fn the_audit_catches_a_node_missing_from_any_index() {
+        let mut db = Instance::new(scheme());
+        let (info, other) = (
+            db.add_object("Info").unwrap(),
+            db.add_object("Info").unwrap(),
+        );
+        let name = db.add_printable("String", "Rock").unwrap();
+        db.add_edge(info, "name", name).unwrap();
+        db.add_edge(other, "links-to", info).unwrap();
+        db.validate().unwrap();
+        let (class, links) = (Label::new("Info"), Label::new("links-to"));
+        let mut dropped_label = db.clone();
+        dropped_label
+            .label_index
+            .get_mut(&class)
+            .unwrap()
+            .remove(&info);
+        let mut dropped_printable = db.clone();
+        (dropped_printable
+            .printable_index
+            .get_mut(&Label::new("String")))
+        .unwrap()
+        .remove(&Value::str("Rock"));
+        let mut dropped_adjacency = db.clone();
+        (dropped_adjacency.adjacency.outgoing.get_mut(&class))
+            .and_then(|by_edge| by_edge.get_mut(&links))
+            .unwrap()
+            .support
+            .remove(&other);
+        for broken in [dropped_label, dropped_printable, dropped_adjacency] {
+            assert!(broken.validate().is_err());
+        }
     }
 
     #[test]
@@ -1476,7 +1463,7 @@ mod tests {
         db.validate().unwrap();
         let info: Label = "Info".into();
         let links: Label = "links-to".into();
-        assert!(db.out_support(&info, &links).is_none());
+        assert!(db.outgoing(&info, &links).is_none());
     }
 
     #[test]

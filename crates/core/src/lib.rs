@@ -54,7 +54,6 @@ pub mod program;
 pub mod rules;
 pub mod scheme;
 pub mod snapshot;
-pub mod stats;
 pub mod textual;
 pub mod value;
 pub mod wcoj;
@@ -76,7 +75,6 @@ pub mod prelude {
     pub use crate::rules::{Rule, RuleSet};
     pub use crate::scheme::{Scheme, SchemeBuilder};
     pub use crate::snapshot::{Snapshot, SnapshotCell};
-    pub use crate::stats::{DegreeHistogram, InstanceStats, TripleStats};
     pub use crate::textual::{format_pattern, parse_pattern};
     pub use crate::value::{Date, Value, ValueType};
     pub use crate::wcoj::find_matchings_wcoj;

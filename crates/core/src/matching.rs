@@ -357,7 +357,8 @@ impl<'a> Search<'a> {
         let mut bound_edges = Vec::new();
         for e in graph.edges() {
             if bound[e.src.index()] && bound[e.dst.index()] {
-                let postings = view.target_postings(class_of(e.dst), &e.payload.label);
+                let postings =
+                    (view.incoming(class_of(e.dst), &e.payload.label)).map(|side| &side.postings);
                 bound_edges.extend(postings.map(|postings| (e.src, postings, e.dst)));
                 dead |= postings.is_none();
             }
@@ -370,11 +371,11 @@ impl<'a> Search<'a> {
             for edge in graph.out_edges(node) {
                 let label = &edge.payload.label;
                 if edge.dst == node {
-                    let postings = view.target_postings(class, label);
+                    let postings = view.incoming(class, label).map(|side| &side.postings);
                     loops.extend(postings);
                     dead |= postings.is_none();
                 } else if bound[edge.dst.index()] {
-                    let postings = view.source_postings(class, label);
+                    let postings = view.outgoing(class, label).map(|side| &side.postings);
                     links.extend(postings.map(|postings| (edge.dst, postings)));
                     dead |= postings.is_none();
                 } else {
@@ -385,7 +386,7 @@ impl<'a> Search<'a> {
             for edge in graph.in_edges(node).filter(|e| e.src != node) {
                 let label = &edge.payload.label;
                 if bound[edge.src.index()] {
-                    let postings = view.target_postings(class, label);
+                    let postings = view.incoming(class, label).map(|side| &side.postings);
                     links.extend(postings.map(|postings| (edge.src, postings)));
                     dead |= postings.is_none();
                 } else {
@@ -396,10 +397,11 @@ impl<'a> Search<'a> {
             let mut supports = Vec::new();
             if prune || (links.is_empty() && data.print.is_none()) {
                 for (label, outgoing) in open {
-                    let support = match outgoing {
-                        true => view.out_support(class, label),
-                        false => view.in_support(class, label),
+                    let side = match outgoing {
+                        true => view.outgoing(class, label),
+                        false => view.incoming(class, label),
                     };
+                    let support = side.map(|side| &side.support);
                     supports.extend(support);
                     dead |= support.is_none();
                 }

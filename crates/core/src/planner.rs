@@ -1,15 +1,16 @@
-//! Cost-based pattern planning over incremental cardinality statistics.
+//! Cost-based pattern planning over cardinalities read off the
+//! adjacency index.
 //!
 //! The matcher used to pick its binding order with fixed heuristics
 //! (exact anchor → smallest postings → scan fallback). This module
-//! replaces that with a costed search: per-triple statistics from
-//! [`crate::stats::InstanceStats`] — edge counts, distinct endpoint
-//! counts, degree histograms, all maintained incrementally so planning
-//! never scans the graph — are folded into per-pattern-edge scalars
-//! (expected fan in both directions, pair selectivity), and a greedy
-//! planner grows a binding order from *every* possible root,
-//! propagating a cardinality estimate through the pattern and keeping
-//! the cheapest-total-cost order.
+//! replaces that with a costed search: per-triple figures from
+//! [`View::triple`] — an edge count and the distinct sources and
+//! targets, read off the index's postings so planning never scans the
+//! graph — together with the label extents are folded into
+//! per-pattern-edge scalars (expected fan in both directions, pair
+//! selectivity), and a greedy planner grows a binding order from
+//! *every* possible root, propagating a cardinality estimate through
+//! the pattern and keeping the cheapest-total-cost order.
 //!
 //! The planner also decides the *evaluation strategy*. Binary
 //! (edge-at-a-time) expansion is optimal for trees and chains, but
@@ -109,7 +110,7 @@ pub struct PlanChoice {
 }
 
 /// Precomputed scalars for one positive pattern edge, derived from the
-/// instance statistics once per `plan` call so the greedy search is
+/// triple figures once per `plan` call so the greedy search is
 /// pure arithmetic.
 struct EdgeScalars {
     src: NodeId,
@@ -414,9 +415,9 @@ impl<'a> Planner<'a> {
 ///
 /// Negated nodes and edges are ignored (they are a post-filter, not a
 /// join); callers usually pass `pattern.positive_part()` but the full
-/// pattern is accepted. All estimates come from the incrementally
-/// maintained [`crate::stats::InstanceStats`] — no graph scan — and, for
-/// a derived label of a [`View`], from its relation's postings.
+/// pattern is accepted. All estimates come from [`View::triple`], read
+/// off the instance's adjacency index — no graph scan — or, for a
+/// derived label of a [`View`], off its relation.
 pub fn plan<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> PlanChoice {
     let planner = Planner::new(pattern, view.into());
     if planner.nodes.is_empty() {

@@ -18,11 +18,16 @@
 //! end every retained clone must still render exactly as it did the
 //! moment it was taken — later in-place mutation through
 //! `Arc::make_mut` must never reach into a shared node.
+//!
+//! One more case checks the planner's figures, which the index's
+//! postings carry, against a count over the graph's edges.
 
+use good_core::derived::View;
 use good_core::gen::{random_instance, random_workload, GenConfig};
 use good_core::instance::Instance;
 use good_core::program::{Env, DEFAULT_FUEL};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// `instance` as recovery rebuilds it from its serialised form.
 fn recover(instance: &Instance) -> Instance {
@@ -81,6 +86,30 @@ fn run_case(seed: u64, infos: usize, steps: usize) {
     }
 }
 
+/// Over `bench_scheme` the planner's figures read off the adjacency
+/// index are exact: each scheme triple's edge count and distinct
+/// endpoints equal a count over the graph's edges.
+fn check_triples(config: &GenConfig) {
+    let db = random_instance(config);
+    for (src, label, dst) in db.scheme().triples() {
+        let (mut edges, mut sources, mut targets) = (0u64, BTreeSet::new(), BTreeSet::new());
+        for edge in db.graph().edges() {
+            let class = |node| db.node_label(node).expect("live");
+            if &edge.payload.label == label && class(edge.src) == src && class(edge.dst) == dst {
+                edges += 1;
+                sources.insert(edge.src);
+                targets.insert(edge.dst);
+            }
+        }
+        let expected = (edges > 0).then_some((edges, sources.len() as u64, targets.len() as u64));
+        assert_eq!(
+            View::from(&db).triple(src, label, dst),
+            expected,
+            "{src} -{label}-> {dst} ({config:?})"
+        );
+    }
+}
+
 #[test]
 fn smoke_differential_small() {
     run_case(42, 30, 12);
@@ -96,6 +125,15 @@ proptest! {
         steps in 2usize..14,
     ) {
         run_case(seed, infos, steps);
+    }
+
+    #[test]
+    fn planner_figures_equal_a_count_over_the_edges(
+        seed in 0u64..1_000_000,
+        infos in 1usize..60,
+        distinct_dates in 1usize..=5,
+    ) {
+        check_triples(&GenConfig { infos, avg_links: 2.0, distinct_dates, seed });
     }
 }
 
