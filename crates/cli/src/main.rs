@@ -8,7 +8,7 @@
 //! good-db serve --sessions 4   # scripted multi-session server run
 //! good-db serve --listen 127.0.0.1:7411   # TCP wire-protocol server
 //! good-db client 127.0.0.1:7411 --programs 8 --snapshot
-//! good-db client 127.0.0.1:7411 --query-text "MATCH (a:Info) RETURN a"
+//! good-db client 127.0.0.1:7411 --query "MATCH (a:Info) RETURN a"
 //! good-db client 127.0.0.1:7411 --programs 0 --stats   # introspection snapshot
 //! good-db top 127.0.0.1:7411 --interval-ms 500         # live dashboard
 //! ```
@@ -140,6 +140,37 @@ fn serve_exit_code(err: &good_server::ServerError) -> i32 {
     }
 }
 
+/// A subcommand's arguments, consumed left to right: the flag loop
+/// reads names off `0` and hands each one to [`Flags::set`],
+/// [`Flags::value`] or [`Flags::switch`]. Usage errors come back as
+/// the message to print.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl Flags<'_> {
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// Parse the value following `flag` into `target`.
+    fn set<T: std::str::FromStr>(&mut self, flag: &str, target: &mut T) -> Result<(), String> {
+        let raw = self.value(flag)?;
+        *target = raw
+            .parse()
+            .map_err(|_| format!("bad value for {flag}: {raw:?}"))?;
+        Ok(())
+    }
+
+    /// Turn on a flag that takes no value.
+    fn switch(target: &mut bool) -> Result<(), String> {
+        *target = true;
+        Ok(())
+    }
+}
+
 /// `good-db serve --sessions N [--programs P] [--seed S]
 /// [--max-batch M] [--queue-capacity Q] [--inject FAILURE]`
 /// `good-db serve --listen ADDR [--max-connections C] [--inflight Q]`
@@ -171,41 +202,23 @@ fn run_serve(args: &[String]) -> i32 {
     let mut max_connections = 1024usize;
     let mut inflight = 64usize;
 
-    let mut rest = args.iter();
-    while let Some(flag) = rest.next() {
-        let mut value = |name: &str| match rest.next() {
-            Some(value) => value.clone(),
-            None => {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(1);
-            }
+    let mut flags = Flags(args.iter());
+    while let Some(flag) = flags.0.next() {
+        let parsed = match flag.as_str() {
+            "--sessions" => flags.set(flag, &mut sessions),
+            "--programs" => flags.set(flag, &mut programs),
+            "--seed" => flags.set(flag, &mut seed),
+            "--max-batch" => flags.set(flag, &mut max_batch),
+            "--queue-capacity" => flags.set(flag, &mut queue_capacity),
+            "--inject" => flags.value(flag).map(|value| inject = Some(value)),
+            "--listen" => flags.value(flag).map(|value| listen = Some(value)),
+            "--max-connections" => flags.set(flag, &mut max_connections),
+            "--inflight" => flags.set(flag, &mut inflight),
+            other => Err(format!("unknown serve flag {other:?}")),
         };
-        macro_rules! parse {
-            ($target:ident, $name:literal) => {{
-                let raw = value($name);
-                match raw.parse() {
-                    Ok(parsed) => $target = parsed,
-                    Err(_) => {
-                        eprintln!("error: bad value for {}: {raw:?}", $name);
-                        return 1;
-                    }
-                }
-            }};
-        }
-        match flag.as_str() {
-            "--sessions" => parse!(sessions, "--sessions"),
-            "--programs" => parse!(programs, "--programs"),
-            "--seed" => parse!(seed, "--seed"),
-            "--max-batch" => parse!(max_batch, "--max-batch"),
-            "--queue-capacity" => parse!(queue_capacity, "--queue-capacity"),
-            "--inject" => inject = Some(value("--inject")),
-            "--listen" => listen = Some(value("--listen")),
-            "--max-connections" => parse!(max_connections, "--max-connections"),
-            "--inflight" => parse!(inflight, "--inflight"),
-            other => {
-                eprintln!("error: unknown serve flag {other:?}");
-                return 1;
-            }
+        if let Err(message) = parsed {
+            eprintln!("error: {message}");
+            return 1;
         }
     }
     if sessions == 0 || max_batch == 0 {
@@ -430,16 +443,15 @@ fn client_exit_code(err: &good_server::client::ClientError) -> i32 {
 }
 
 /// `good-db client ADDR [--programs N] [--seed S] [--retries R]
-/// [--query PATTERN] [--query-text GOODQL] [--snapshot] [--dot]
-/// [--stats]`
+/// [--query GOODQL] [--snapshot] [--dot] [--stats]`
 ///
 /// Scripted wire-protocol client: connects, submits N programs of the
 /// deterministic `random_workload` (riding out retryable refusals up
-/// to R times each), optionally runs a pattern query (`--query` takes
-/// the textual pattern syntax, `--query-text` a GOODQL
-/// MATCH/WHERE/RETURN query — both travel in the same Query frame) and
-/// a snapshot read, then says goodbye. Prints one line per
-/// acknowledgement.
+/// to R times each), optionally runs a GOODQL MATCH/WHERE/RETURN query
+/// and a snapshot read, then says goodbye. Prints one line per
+/// acknowledgement. A query the server refuses (the textual pattern
+/// notation is not served) prints the server's caret render and exits
+/// 1.
 /// `--stats` fetches the server's introspection snapshot (counters,
 /// gauges, latency histograms, MVCC ring, slow-query log) and
 /// pretty-prints it as JSON; `--programs 0 --stats` is a pure probe.
@@ -447,8 +459,8 @@ fn run_client(args: &[String]) -> i32 {
     use good_core::gen::random_workload;
     use good_server::client::Client;
 
-    let mut rest = args.iter();
-    let Some(addr) = rest.next() else {
+    let mut flags = Flags(args.iter());
+    let Some(addr) = flags.0.next() else {
         eprintln!("error: client requires a server address (host:port)");
         return 1;
     };
@@ -456,43 +468,23 @@ fn run_client(args: &[String]) -> i32 {
     let mut seed = 42u64;
     let mut retries = 16usize;
     let mut query: Option<String> = None;
-    let mut query_text: Option<String> = None;
     let mut snapshot = false;
     let mut dot = false;
     let mut stats = false;
-    while let Some(flag) = rest.next() {
-        let mut value = |name: &str| match rest.next() {
-            Some(value) => value.clone(),
-            None => {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(1);
-            }
+    while let Some(flag) = flags.0.next() {
+        let parsed = match flag.as_str() {
+            "--programs" => flags.set(flag, &mut programs),
+            "--seed" => flags.set(flag, &mut seed),
+            "--retries" => flags.set(flag, &mut retries),
+            "--query" => flags.value(flag).map(|value| query = Some(value)),
+            "--snapshot" => Flags::switch(&mut snapshot),
+            "--dot" => Flags::switch(&mut dot),
+            "--stats" => Flags::switch(&mut stats),
+            other => Err(format!("unknown client flag {other:?}")),
         };
-        macro_rules! parse {
-            ($target:ident, $name:literal) => {{
-                let raw = value($name);
-                match raw.parse() {
-                    Ok(parsed) => $target = parsed,
-                    Err(_) => {
-                        eprintln!("error: bad value for {}: {raw:?}", $name);
-                        return 1;
-                    }
-                }
-            }};
-        }
-        match flag.as_str() {
-            "--programs" => parse!(programs, "--programs"),
-            "--seed" => parse!(seed, "--seed"),
-            "--retries" => parse!(retries, "--retries"),
-            "--query" => query = Some(value("--query")),
-            "--query-text" => query_text = Some(value("--query-text")),
-            "--snapshot" => snapshot = true,
-            "--dot" => dot = true,
-            "--stats" => stats = true,
-            other => {
-                eprintln!("error: unknown client flag {other:?}");
-                return 1;
-            }
+        if let Err(message) = parsed {
+            eprintln!("error: {message}");
+            return 1;
         }
     }
 
@@ -528,9 +520,7 @@ fn run_client(args: &[String]) -> i32 {
         }
     }
     println!("{committed} committed, {rejected} rejected");
-    // `--query` (pattern syntax) and `--query-text` (GOODQL) both ride
-    // the wire Query frame; the server dispatches on the text itself.
-    for text in query.iter().chain(query_text.iter()) {
+    if let Some(text) = &query {
         match client.query(text, None) {
             Ok((epoch, columns, rows)) => {
                 println!("query @ epoch {epoch}: {} row(s)", rows.len());
@@ -697,40 +687,22 @@ fn render_top(addr: &str, doc: &serde_json::Value) -> String {
 fn run_top(args: &[String]) -> i32 {
     use good_server::client::Client;
 
-    let mut rest = args.iter();
-    let Some(addr) = rest.next() else {
+    let mut flags = Flags(args.iter());
+    let Some(addr) = flags.0.next() else {
         eprintln!("error: top requires a server address (host:port)");
         return 1;
     };
     let mut interval_ms = 1_000u64;
     let mut count = 0u64;
-    while let Some(flag) = rest.next() {
-        let mut value = |name: &str| match rest.next() {
-            Some(value) => value.clone(),
-            None => {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(1);
-            }
+    while let Some(flag) = flags.0.next() {
+        let parsed = match flag.as_str() {
+            "--interval-ms" => flags.set(flag, &mut interval_ms),
+            "--count" => flags.set(flag, &mut count),
+            other => Err(format!("unknown top flag {other:?}")),
         };
-        macro_rules! parse {
-            ($target:ident, $name:literal) => {{
-                let raw = value($name);
-                match raw.parse() {
-                    Ok(parsed) => $target = parsed,
-                    Err(_) => {
-                        eprintln!("error: bad value for {}: {raw:?}", $name);
-                        return 1;
-                    }
-                }
-            }};
-        }
-        match flag.as_str() {
-            "--interval-ms" => parse!(interval_ms, "--interval-ms"),
-            "--count" => parse!(count, "--count"),
-            other => {
-                eprintln!("error: unknown top flag {other:?}");
-                return 1;
-            }
+        if let Err(message) = parsed {
+            eprintln!("error: {message}");
+            return 1;
         }
     }
 

@@ -624,6 +624,44 @@ fn client_query_and_dot_over_tcp() {
     assert!(output.status.success(), "{output:?}");
 }
 
+/// `client --query` sends GOODQL and prints the rows; the textual
+/// pattern notation is the shell's, so the server refuses it with the
+/// parser's caret and the client exits 1.
+#[test]
+fn client_query_flag_prints_rows_and_refuses_textual_patterns() {
+    let (server, addr) = spawn_listener(&[]);
+    let query = binary()
+        .args(["client", &addr, "--programs", "3", "--seed", "7"])
+        .args(["--query", "MATCH (a:Info) RETURN a"])
+        .output()
+        .expect("client runs");
+    assert!(query.status.success(), "{query:?}");
+    let stdout = String::from_utf8_lossy(&query.stdout);
+    assert!(
+        stdout.contains("query @ epoch 3: 1 row(s)\n  a=Info#0\n"),
+        "{stdout}"
+    );
+
+    let textual = binary()
+        .args([
+            "client",
+            &addr,
+            "--programs",
+            "0",
+            "--query",
+            "{ o: Info; }",
+        ])
+        .output()
+        .expect("client runs");
+    assert_eq!(textual.status.code(), Some(1), "{textual:?}");
+    let stderr = String::from_utf8_lossy(&textual.stderr);
+    assert!(stderr.contains("bad-request"), "{stderr}");
+    assert!(stderr.contains("{ o: Info; }\n  ^"), "{stderr}");
+
+    let output = drain_listener(server);
+    assert!(output.status.success(), "{output:?}");
+}
+
 #[test]
 fn client_against_no_server_exits_1() {
     // Port 1 on loopback is essentially never listening.

@@ -586,12 +586,6 @@ impl Instance {
         nested_get(&self.adjacency.incoming, class, edge)
     }
 
-    /// Number of distinct print values currently held under a printable
-    /// label — the planner's domain size for value-anchored probes.
-    pub fn printable_value_count(&self, label: &Label) -> usize {
-        self.printable_index.get(label).map_or(0, PMap::len)
-    }
-
     /// The id of the edge `(src, λ, dst)`, if present.
     pub fn edge_between(&self, src: NodeId, label: &Label, dst: NodeId) -> Option<EdgeId> {
         self.graph

@@ -16,8 +16,8 @@
 //! O(delta · log n) trie nodes that version does *not* share with its
 //! neighbours. [`SnapshotCell`] exploits that: every publish is pushed
 //! onto a version ring, [`SnapshotCell::load_at`] serves time-travel
-//! reads against any retained epoch, and a [`RetentionPolicy`]
-//! (count- and/or byte-capped) trims the tail.
+//! reads against any retained epoch, and a count-capped
+//! [`RetentionPolicy`] trims the tail.
 //!
 //! [`SnapshotCell`] stays std-only (the `arc-swap` idiom without the
 //! dependency): a `Mutex` held only for the nanoseconds of a pointer
@@ -58,85 +58,53 @@ impl Snapshot {
 
 /// How many historical versions the cell's MVCC ring retains.
 ///
-/// The current version is always kept and does not count against
-/// either limit. Retained versions are structurally shared with their
+/// The current version is always kept and does not count against the
+/// limit. Retained versions are structurally shared with their
 /// neighbours, so the marginal cost of one more version is the delta
-/// it does not share — the byte cap therefore uses the *unshared*
-/// [`Instance::approx_bytes`] estimate as a conservative bound.
+/// it does not share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
     /// Maximum historical versions kept behind the current one.
     /// 0 disables time travel entirely.
     pub max_versions: usize,
-    /// Approximate byte budget for historical versions (each version
-    /// scored by `Instance::approx_bytes`). 0 means unlimited — and
-    /// also skips the O(graph) size estimate on the publish path, so
-    /// leave it 0 unless a byte bound is actually needed.
-    pub max_bytes: usize,
 }
 
 impl Default for RetentionPolicy {
     fn default() -> Self {
-        RetentionPolicy {
-            max_versions: 64,
-            max_bytes: 0,
-        }
+        RetentionPolicy::versions(64)
     }
 }
 
 impl RetentionPolicy {
-    /// Retain nothing but the current version (PR 4 behavior).
+    /// Retain nothing but the current version.
     pub fn none() -> Self {
-        RetentionPolicy {
-            max_versions: 0,
-            max_bytes: 0,
-        }
+        RetentionPolicy::versions(0)
     }
 
-    /// Retain up to `versions` historical versions, no byte cap.
+    /// Retain up to `versions` historical versions.
     pub fn versions(versions: usize) -> Self {
         RetentionPolicy {
             max_versions: versions,
-            max_bytes: 0,
         }
     }
 }
 
-/// One retained version: epoch, handle, and its (lazily skipped)
-/// approx-byte score — 0 when the policy has no byte cap.
-type Version = (u64, Arc<Instance>, usize);
+/// One retained version: its epoch and handle.
+type Version = (u64, Arc<Instance>);
 
 #[derive(Debug)]
 struct Ring {
     /// Retained versions in epoch order; the back is the current one.
     versions: VecDeque<Version>,
     policy: RetentionPolicy,
-    /// Sum of the byte scores of non-current versions.
-    history_bytes: usize,
 }
 
 impl Ring {
     /// Push a freshly published version; return history trimmed to policy.
     fn push(&mut self, epoch: u64, instance: Arc<Instance>) -> Vec<Version> {
-        let bytes = if self.policy.max_bytes > 0 {
-            instance.approx_bytes()
-        } else {
-            0
-        };
-        if let Some(previous) = self.versions.back() {
-            self.history_bytes += previous.2;
-        }
-        self.versions.push_back((epoch, instance, bytes));
-        let mut trimmed = Vec::new();
-        // `history_bytes` is 0 without a byte cap (all scores are 0).
-        while self.versions.len() - 1 > self.policy.max_versions
-            || self.history_bytes > self.policy.max_bytes
-        {
-            let version = self.versions.pop_front().expect("non-empty");
-            self.history_bytes -= version.2;
-            trimmed.push(version);
-        }
-        trimmed
+        self.versions.push_back((epoch, instance));
+        let excess = (self.versions.len() - 1).saturating_sub(self.policy.max_versions);
+        self.versions.drain(..excess).collect()
     }
 }
 
@@ -179,18 +147,10 @@ impl SnapshotCell {
     /// its own handle (the server's writer does) shares rather than
     /// clones.
     pub fn new_shared(instance: Arc<Instance>, policy: RetentionPolicy) -> Self {
-        let bytes = if policy.max_bytes > 0 {
-            instance.approx_bytes()
-        } else {
-            0
-        };
-        let mut versions = VecDeque::new();
-        versions.push_back((0, instance, bytes));
         SnapshotCell {
             ring: Mutex::new(Ring {
-                versions,
+                versions: VecDeque::from([(0, instance)]),
                 policy,
-                history_bytes: 0,
             }),
             epoch: AtomicU64::new(0),
         }
@@ -201,7 +161,7 @@ impl SnapshotCell {
     /// regardless of later publishes.
     pub fn load(&self) -> Snapshot {
         let guard = self.ring.lock().expect("snapshot cell poisoned");
-        let (epoch, instance, _) = guard.versions.back().expect("ring never empty");
+        let (epoch, instance) = guard.versions.back().expect("ring never empty");
         Snapshot {
             instance: Arc::clone(instance),
             epoch: *epoch,
@@ -215,9 +175,9 @@ impl SnapshotCell {
         let guard = self.ring.lock().expect("snapshot cell poisoned");
         let i = guard
             .versions
-            .binary_search_by_key(&epoch, |(e, _, _)| *e)
+            .binary_search_by_key(&epoch, |(e, _)| *e)
             .ok()?;
-        let (epoch, instance, _) = &guard.versions[i];
+        let (epoch, instance) = &guard.versions[i];
         Some(Snapshot {
             instance: Arc::clone(instance),
             epoch: *epoch,
@@ -234,7 +194,7 @@ impl SnapshotCell {
     /// last entry is the current version).
     pub fn retained_epochs(&self) -> Vec<u64> {
         let guard = self.ring.lock().expect("snapshot cell poisoned");
-        guard.versions.iter().map(|(e, _, _)| *e).collect()
+        guard.versions.iter().map(|(e, _)| *e).collect()
     }
 
     /// Publish a new instance value, rotating the pointer and bumping
@@ -351,24 +311,6 @@ mod tests {
         assert_eq!(cell.retained_epochs(), vec![2]);
         assert!(cell.load_at(1).is_none());
         assert_eq!(cell.load_at(2).unwrap().epoch, 2);
-    }
-
-    #[test]
-    fn byte_retention_trims_when_over_budget() {
-        let policy = RetentionPolicy {
-            max_versions: usize::MAX,
-            // Small enough that a handful of 50-node instances blow it.
-            max_bytes: with_nodes(50).approx_bytes() * 2,
-        };
-        let cell = SnapshotCell::new_shared(Arc::new(tiny()), policy);
-        for i in 1..=10 {
-            cell.publish(with_nodes(50 + i));
-        }
-        let retained = cell.retained_epochs();
-        // The byte cap kicked in: far fewer than 11 versions remain,
-        // but the current one always survives.
-        assert!(retained.len() < 11, "retained {retained:?}");
-        assert_eq!(*retained.last().unwrap(), 10);
     }
 
     #[test]

@@ -265,14 +265,6 @@ impl Value {
         }
     }
 
-    /// Extract the integer when this is an int value.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Extract the date when this is a date value.
     pub fn as_date(&self) -> Option<Date> {
         match self {

@@ -1,55 +1,13 @@
 //! Graph algorithms used across the reproduction.
 //!
-//! These are textbook algorithms on [`Graph`], written against the public
-//! API so they work for any payload types. `good-core` uses reachability
-//! and transitive closure as ground truth when testing the paper's
-//! recursive-method simulation of transitive closure (Figures 28–29), and
-//! the `isa` inheritance machinery of Section 4.2 uses cycle detection.
+//! A textbook algorithm on [`Graph`], written against the public API so
+//! it works for any payload types: the transitive closure is the ground
+//! truth the paper's recursive-method simulation of transitive closure
+//! (Figures 28–29), rule saturation and the figure reproductions are
+//! checked against.
 
 use crate::graph::{Graph, NodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Nodes reachable from `start` following edges forwards, including
-/// `start` itself (if live).
-pub fn reachable<N, E>(graph: &Graph<N, E>, start: NodeId) -> HashSet<NodeId> {
-    let mut seen = HashSet::new();
-    if !graph.contains_node(start) {
-        return seen;
-    }
-    let mut queue = VecDeque::from([start]);
-    seen.insert(start);
-    while let Some(node) = queue.pop_front() {
-        for succ in graph.successors(node) {
-            if seen.insert(succ) {
-                queue.push_back(succ);
-            }
-        }
-    }
-    seen
-}
-
-/// Nodes reachable from `start` following edges forwards, restricted to
-/// edges whose payload satisfies `follow`.
-pub fn reachable_by<N, E>(
-    graph: &Graph<N, E>,
-    start: NodeId,
-    mut follow: impl FnMut(&E) -> bool,
-) -> HashSet<NodeId> {
-    let mut seen = HashSet::new();
-    if !graph.contains_node(start) {
-        return seen;
-    }
-    let mut queue = VecDeque::from([start]);
-    seen.insert(start);
-    while let Some(node) = queue.pop_front() {
-        for edge in graph.out_edges(node) {
-            if follow(edge.payload) && seen.insert(edge.dst) {
-                queue.push_back(edge.dst);
-            }
-        }
-    }
-    seen
-}
 
 /// The transitive closure as a map `node -> set of strictly-later nodes`
 /// (i.e. excluding the node itself unless it lies on a cycle), restricted
@@ -93,189 +51,6 @@ pub fn transitive_closure_by<N, E>(
     closure
 }
 
-/// True if the subgraph induced by edges satisfying `follow` contains a
-/// directed cycle. Used to validate `isa` hierarchies (the paper requires
-/// subclass edges not to form a cycle).
-pub fn has_cycle_by<N, E>(graph: &Graph<N, E>, mut follow: impl FnMut(&E) -> bool) -> bool {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let mut succ: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for node in graph.node_ids() {
-        succ.insert(node, Vec::new());
-    }
-    for edge in graph.edges() {
-        if follow(edge.payload) {
-            succ.get_mut(&edge.src).expect("src live").push(edge.dst);
-        }
-    }
-    let mut marks: HashMap<NodeId, Mark> = graph.node_ids().map(|n| (n, Mark::White)).collect();
-    // Iterative DFS with an explicit stack of (node, next-child-index).
-    for root in graph.node_ids() {
-        if marks[&root] != Mark::White {
-            continue;
-        }
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        marks.insert(root, Mark::Grey);
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            if *idx < succ[&node].len() {
-                let child = succ[&node][*idx];
-                *idx += 1;
-                match marks[&child] {
-                    Mark::Grey => return true,
-                    Mark::White => {
-                        marks.insert(child, Mark::Grey);
-                        stack.push((child, 0));
-                    }
-                    Mark::Black => {}
-                }
-            } else {
-                marks.insert(node, Mark::Black);
-                stack.pop();
-            }
-        }
-    }
-    false
-}
-
-/// Topological order of the subgraph induced by edges satisfying
-/// `follow`, or `None` if that subgraph has a cycle.
-pub fn topo_sort_by<N, E>(
-    graph: &Graph<N, E>,
-    mut follow: impl FnMut(&E) -> bool,
-) -> Option<Vec<NodeId>> {
-    let mut in_deg: HashMap<NodeId, usize> = graph.node_ids().map(|n| (n, 0)).collect();
-    let mut succ: HashMap<NodeId, Vec<NodeId>> =
-        graph.node_ids().map(|n| (n, Vec::new())).collect();
-    for edge in graph.edges() {
-        if follow(edge.payload) {
-            *in_deg.get_mut(&edge.dst).expect("dst live") += 1;
-            succ.get_mut(&edge.src).expect("src live").push(edge.dst);
-        }
-    }
-    let mut queue: VecDeque<NodeId> = in_deg
-        .iter()
-        .filter(|(_, d)| **d == 0)
-        .map(|(n, _)| *n)
-        .collect();
-    let mut order = Vec::with_capacity(graph.node_count());
-    while let Some(node) = queue.pop_front() {
-        order.push(node);
-        for s in &succ[&node] {
-            let d = in_deg.get_mut(s).expect("live");
-            *d -= 1;
-            if *d == 0 {
-                queue.push_back(*s);
-            }
-        }
-    }
-    (order.len() == graph.node_count()).then_some(order)
-}
-
-/// Weakly connected components (edge direction ignored), as a vector of
-/// node sets.
-pub fn weakly_connected_components<N, E>(graph: &Graph<N, E>) -> Vec<HashSet<NodeId>> {
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    let mut components = Vec::new();
-    for root in graph.node_ids() {
-        if seen.contains(&root) {
-            continue;
-        }
-        let mut component = HashSet::new();
-        let mut queue = VecDeque::from([root]);
-        seen.insert(root);
-        component.insert(root);
-        while let Some(node) = queue.pop_front() {
-            let neighbours = graph.successors(node).chain(graph.predecessors(node));
-            for n in neighbours {
-                if seen.insert(n) {
-                    component.insert(n);
-                    queue.push_back(n);
-                }
-            }
-        }
-        components.push(component);
-    }
-    components
-}
-
-/// Strongly connected components (Tarjan's algorithm, iterative).
-pub fn strongly_connected_components<N, E>(graph: &Graph<N, E>) -> Vec<Vec<NodeId>> {
-    struct State {
-        index: HashMap<NodeId, usize>,
-        lowlink: HashMap<NodeId, usize>,
-        on_stack: HashSet<NodeId>,
-        stack: Vec<NodeId>,
-        next_index: usize,
-        components: Vec<Vec<NodeId>>,
-    }
-    let mut st = State {
-        index: HashMap::new(),
-        lowlink: HashMap::new(),
-        on_stack: HashSet::new(),
-        stack: Vec::new(),
-        next_index: 0,
-        components: Vec::new(),
-    };
-    let succ: HashMap<NodeId, Vec<NodeId>> = graph
-        .node_ids()
-        .map(|n| (n, graph.successors(n).collect()))
-        .collect();
-
-    for root in graph.node_ids() {
-        if st.index.contains_key(&root) {
-            continue;
-        }
-        // Explicit call stack: (node, next-child-index).
-        let mut call: Vec<(NodeId, usize)> = vec![(root, 0)];
-        st.index.insert(root, st.next_index);
-        st.lowlink.insert(root, st.next_index);
-        st.next_index += 1;
-        st.stack.push(root);
-        st.on_stack.insert(root);
-
-        while let Some(&mut (node, ref mut child)) = call.last_mut() {
-            if *child < succ[&node].len() {
-                let next = succ[&node][*child];
-                *child += 1;
-                if !st.index.contains_key(&next) {
-                    st.index.insert(next, st.next_index);
-                    st.lowlink.insert(next, st.next_index);
-                    st.next_index += 1;
-                    st.stack.push(next);
-                    st.on_stack.insert(next);
-                    call.push((next, 0));
-                } else if st.on_stack.contains(&next) {
-                    let low = st.lowlink[&node].min(st.index[&next]);
-                    st.lowlink.insert(node, low);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    let low = st.lowlink[&parent].min(st.lowlink[&node]);
-                    st.lowlink.insert(parent, low);
-                }
-                if st.lowlink[&node] == st.index[&node] {
-                    let mut component = Vec::new();
-                    loop {
-                        let popped = st.stack.pop().expect("tarjan stack underflow");
-                        st.on_stack.remove(&popped);
-                        component.push(popped);
-                        if popped == node {
-                            break;
-                        }
-                    }
-                    st.components.push(component);
-                }
-            }
-        }
-    }
-    st.components
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,26 +62,6 @@ mod tests {
             g.add_edge(w[0], w[1], ());
         }
         (g, ids)
-    }
-
-    #[test]
-    fn reachable_on_chain() {
-        let (g, ids) = chain(5);
-        let r = reachable(&g, ids[2]);
-        assert_eq!(r.len(), 3); // 2, 3, 4
-        assert!(r.contains(&ids[2]) && r.contains(&ids[4]) && !r.contains(&ids[1]));
-    }
-
-    #[test]
-    fn reachable_by_filters_edges() {
-        let mut g: Graph<(), &str> = Graph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, "yes");
-        g.add_edge(b, c, "no");
-        let r = reachable_by(&g, a, |e| *e == "yes");
-        assert!(r.contains(&b) && !r.contains(&c));
     }
 
     #[test]
@@ -329,74 +84,5 @@ mod tests {
         let tc = transitive_closure_by(&g, |_| true);
         assert!(tc[&a].contains(&a));
         assert!(tc[&a].contains(&b));
-    }
-
-    #[test]
-    fn cycle_detection() {
-        let (mut g, ids) = chain(3);
-        assert!(!has_cycle_by(&g, |_| true));
-        g.add_edge(ids[2], ids[0], ());
-        assert!(has_cycle_by(&g, |_| true));
-    }
-
-    #[test]
-    fn cycle_detection_respects_filter() {
-        let mut g: Graph<(), &str> = Graph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, "isa");
-        g.add_edge(b, a, "other");
-        assert!(!has_cycle_by(&g, |e| *e == "isa"));
-        assert!(has_cycle_by(&g, |_| true));
-    }
-
-    #[test]
-    fn topo_sort_orders_chain() {
-        let (g, ids) = chain(4);
-        let order = topo_sort_by(&g, |_| true).expect("acyclic");
-        let pos: HashMap<_, _> = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        for w in ids.windows(2) {
-            assert!(pos[&w[0]] < pos[&w[1]]);
-        }
-    }
-
-    #[test]
-    fn topo_sort_rejects_cycle() {
-        let (mut g, ids) = chain(3);
-        g.add_edge(ids[2], ids[0], ());
-        assert!(topo_sort_by(&g, |_| true).is_none());
-    }
-
-    #[test]
-    fn weak_components() {
-        let mut g: Graph<(), ()> = Graph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(b, a, ()); // direction must not matter
-        let comps = weakly_connected_components(&g);
-        assert_eq!(comps.len(), 2);
-        assert!(comps
-            .iter()
-            .any(|comp| comp.contains(&c) && comp.len() == 1));
-    }
-
-    #[test]
-    fn scc_finds_cycle_component() {
-        let (mut g, ids) = chain(4);
-        g.add_edge(ids[2], ids[1], ());
-        let mut sccs = strongly_connected_components(&g);
-        sccs.sort_by_key(|c| std::cmp::Reverse(c.len()));
-        assert_eq!(sccs[0].len(), 2);
-        assert!(sccs[0].contains(&ids[1]) && sccs[0].contains(&ids[2]));
-        assert_eq!(sccs.len(), 3);
-    }
-
-    #[test]
-    fn scc_singletons_on_dag() {
-        let (g, _) = chain(5);
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.len(), 5);
-        assert!(sccs.iter().all(|c| c.len() == 1));
     }
 }

@@ -40,14 +40,6 @@ impl ArenaId {
     pub fn generation(self) -> u32 {
         self.generation
     }
-
-    /// Construct an id from raw parts. Exposed for (de)serialization of
-    /// higher-level structures; using a fabricated id with the wrong arena
-    /// is safe but will simply fail lookups.
-    #[inline]
-    pub fn from_raw(index: u32, generation: u32) -> Self {
-        ArenaId { index, generation }
-    }
 }
 
 impl fmt::Debug for ArenaId {

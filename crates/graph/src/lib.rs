@@ -13,8 +13,8 @@
 //!   store their slots in, making `Graph::clone` O(1) `Arc` bumps and
 //!   mutation O(delta · log n) path copies (the substrate of the MVCC
 //!   snapshot layer in `good-core`/`good-server`);
-//! * [`algo`] — reachability, transitive closure, strongly connected
-//!   components, topological sorting, connected components;
+//! * [`algo`] — the transitive closure the recursion experiments are
+//!   checked against;
 //! * [`iso`] — a VF2-style (sub)graph isomorphism checker, used by the
 //!   test suites to compare instances "up to the particular choice of new
 //!   objects" as the paper phrases determinism;

@@ -265,15 +265,6 @@ pub fn fig22_remove_old_versions() -> Method {
     )
 }
 
-/// Call `R-O-V` on one specific info node identified by name.
-pub fn rov_call_by_name(name: &str) -> MethodCall {
-    let mut p = Pattern::new();
-    let info = p.node("Info");
-    let name_node = p.printable("String", name);
-    p.edge(info, "name", name_node);
-    MethodCall::new("R-O-V", p, info, [])
-}
-
 /// Figure 23: the method `D` computing the number of days elapsed
 /// between two dates.
 ///

@@ -37,7 +37,7 @@ use crate::QueryError;
 use good_core::derived::{Derived, View, ViewMut};
 use good_core::instance::Instance;
 use good_core::label::Label;
-use good_core::matching::{explain_plan_profiled, find_match_table, Matching};
+use good_core::matching::{explain_plan_profiled, find_match_table, Matching, Plan};
 use good_core::ops::OpReport;
 use good_core::pattern::Pattern;
 use good_core::program::Env;
@@ -229,20 +229,32 @@ pub fn run_differential(db: &Instance, text: &str) -> Result<QueryOutput, QueryE
     Ok(core)
 }
 
-/// Parse, compile, and render the compiled program plus the profiled
-/// match plan (`explain_plan_profiled`).
+/// Parse, compile, and render the compiled program plus its
+/// [`profile`]d match plan.
 pub fn explain(db: &Instance, text: &str) -> Result<String, QueryError> {
     let query = parse_query(text)?;
     let compiled = compile(&query, db.scheme())?;
-    let (scratch, derived, _) = derive(db, &compiled)?;
-    let mut out = compiled.render_program(scratch.scheme());
-    let (pattern, nodes) = compiled.pattern(true);
-    let plan = explain_plan_profiled(&pattern, View::new(&scratch, &derived))?;
-    let by_node: BTreeMap<NodeId, String> =
-        nodes.into_iter().map(|(var, node)| (node, var)).collect();
+    let plan = profile(db, &compiled)?;
+    let mut out = compiled.render_program(db.scheme());
+    let by_node: BTreeMap<NodeId, String> = (compiled.pattern(true).1.into_iter())
+        .map(|(var, node)| (node, var))
+        .collect();
     out.push('\n');
     out.push_str(&plan.render_with(|node| by_node.get(&node).cloned()));
     Ok(out)
+}
+
+/// The core lane's match plan for `compiled`, profiled: the query's
+/// path relations are [`derive`]d, then `explain_plan_profiled` walks
+/// the plan over that view, counting the actual rows of every step.
+/// [`explain`] renders it; the server's slow-query log records it.
+pub fn profile(db: &Instance, compiled: &CompiledQuery) -> Result<Plan, QueryError> {
+    let (scratch, derived, _) = derive(db, compiled)?;
+    let (pattern, _) = compiled.pattern(true);
+    Ok(explain_plan_profiled(
+        &pattern,
+        View::new(&scratch, &derived),
+    )?)
 }
 
 // ---- core lane ------------------------------------------------------------

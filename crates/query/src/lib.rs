@@ -30,7 +30,7 @@ pub mod parser;
 pub use ast::Query;
 pub use compile::{compile, CompiledQuery, MAX_PATH_BOUND};
 pub use exec::{
-    execute, execute_rows, explain, run, run_differential, Backend, QueryOutput, RowSet,
+    execute, execute_rows, explain, profile, run, run_differential, Backend, QueryOutput, RowSet,
 };
 pub use parser::{parse_query, MAX_QUERY_LEN};
 

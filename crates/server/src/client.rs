@@ -79,8 +79,8 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A query result: the epoch answered at, the pattern's column names,
-/// and one row of rendered cells per matching.
+/// A query result: the epoch answered at, the RETURN column names,
+/// and the canonically sorted rows of rendered cells.
 pub type QueryRows = (u64, Vec<String>, Vec<Vec<String>>);
 
 /// A redeemed acknowledgement, the client-side view of [`Frame::Ack`].
@@ -328,17 +328,17 @@ impl Client {
         }
     }
 
-    /// Run a pattern query against the current snapshot (`at = None`)
+    /// Run a GOODQL query against the current snapshot (`at = None`)
     /// or a retained MVCC epoch. Returns `(epoch, columns, rows)`.
-    pub fn query(&mut self, pattern: &str, at: Option<u64>) -> Result<QueryRows, ClientError> {
-        self.query_traced(pattern, at, None)
+    pub fn query(&mut self, query: &str, at: Option<u64>) -> Result<QueryRows, ClientError> {
+        self.query_traced(query, at, None)
     }
 
     /// [`Client::query`] with a wire-carried trace id (see
     /// [`Client::submit_traced`]).
     pub fn query_traced(
         &mut self,
-        pattern: &str,
+        query: &str,
         at: Option<u64>,
         trace: Option<u64>,
     ) -> Result<QueryRows, ClientError> {
@@ -347,7 +347,7 @@ impl Client {
         self.send(&Frame::Query {
             request,
             at,
-            pattern: pattern.into(),
+            pattern: query.into(),
             trace,
         })?;
         match self.recv_matching(request)? {

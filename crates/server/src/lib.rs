@@ -38,10 +38,11 @@
 //! **always-on live metrics** (queue depth and session gauges,
 //! enqueue/commit counters, queue-wait / execute / publish / commit
 //! latency histograms) records whether or not a recorder is installed.
-//! Requests carry an optional wire-propagated trace id end to end, and
-//! commits slower than [`ServerConfig::slow_commit_ns`] land in a
-//! bounded [`SlowLog`] ring served to remote clients by the `Stats`
-//! frame.
+//! Requests carry an optional wire-propagated trace id end to end.
+//! GOODQL queries slower than [`ServerConfig::slow_query_ns`] (with
+//! their profiled plan) and commits slower than
+//! [`ServerConfig::slow_commit_ns`] land in a bounded [`SlowLog`] ring
+//! served to remote clients by the `Stats` frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,9 +110,6 @@ pub struct ServerConfig {
     /// [`SlowLog`] with their profiled plan (est vs actual rows per
     /// step). `u64::MAX` disables capture.
     pub slow_query_ns: u64,
-    /// Bounded capacity of the slow-query/slow-commit ring; older
-    /// entries are evicted (and counted as dropped).
-    pub slow_log_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -122,7 +120,6 @@ impl Default for ServerConfig {
             retain_versions: 64,
             slow_commit_ns: 50_000_000, // 50ms
             slow_query_ns: 20_000_000,  // 20ms
-            slow_log_capacity: 64,
         }
     }
 }
@@ -189,7 +186,7 @@ pub struct Ack {
 /// What kind of work a [`SlowEntry`] captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlowKind {
-    /// A read-only pattern query (captured by the net front end).
+    /// A read-only GOODQL query (captured by the net front end).
     Query,
     /// A committed (or rejected) program submission.
     Commit,
@@ -221,15 +218,15 @@ pub struct SlowEntry {
     /// The snapshot epoch the work ran at (queries) or published
     /// (commits).
     pub epoch: u64,
-    /// Human-readable description: the pattern text for queries, an
+    /// Human-readable description: the GOODQL text for queries, an
     /// op-count summary for commits.
     pub detail: String,
     /// The profiled plan as a JSON object (strategy, per-step
     /// estimated vs actual rows) — queries only.
     pub plan_json: Option<String>,
     /// Named stage timings in nanoseconds (queue-wait, execute,
-    /// publish for commits; parse/match for pattern queries;
-    /// parse/compile/execute plus the `rows` count for GOODQL).
+    /// publish for commits; parse/compile/execute plus the `rows`
+    /// count for queries).
     pub stages: Vec<(&'static str, u64)>,
 }
 
@@ -271,13 +268,11 @@ impl SlowEntry {
 
 /// A bounded ring of the slowest recent work: queries and commits that
 /// crossed their configured thresholds, with stage timings and (for
-/// queries) the profiled plan. Capped at
-/// [`ServerConfig::slow_log_capacity`]; eviction counts as `dropped`.
-/// Pushes take one short mutex — they only happen on already-slow
-/// work, never on the hot path.
+/// queries) the profiled plan. Capped at [`SlowLog::CAPACITY`];
+/// eviction counts as `dropped`. Pushes take one short mutex — they
+/// only happen on already-slow work, never on the hot path.
 pub struct SlowLog {
     inner: Mutex<SlowLogInner>,
-    capacity: usize,
 }
 
 struct SlowLogInner {
@@ -287,14 +282,16 @@ struct SlowLogInner {
 }
 
 impl SlowLog {
-    fn new(capacity: usize) -> SlowLog {
+    /// Entries the ring holds before it evicts the oldest.
+    pub const CAPACITY: usize = 64;
+
+    fn new() -> SlowLog {
         SlowLog {
             inner: Mutex::new(SlowLogInner {
                 ring: VecDeque::new(),
                 next_seq: 1,
                 dropped: 0,
             }),
-            capacity: capacity.max(1),
         }
     }
 
@@ -304,7 +301,7 @@ impl SlowLog {
         let mut inner = self.inner.lock().expect("slow log poisoned");
         entry.seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.ring.len() == self.capacity {
+        if inner.ring.len() == SlowLog::CAPACITY {
             inner.ring.pop_front();
             inner.dropped += 1;
         }
@@ -500,7 +497,7 @@ impl Server {
                 store.instance_arc(),
                 RetentionPolicy::versions(config.retain_versions),
             ),
-            slow: SlowLog::new(config.slow_log_capacity),
+            slow: SlowLog::new(),
             config,
         });
         let writer_shared = Arc::clone(&shared);

@@ -15,6 +15,15 @@
 //!   writes `Ack` frames back, so a client can keep tens of submits
 //!   in flight without waiting for round trips.
 //!
+//! # Queries
+//!
+//! GOODQL is the one language on the wire. Every `Query` frame takes
+//! the same path: `parse_query` → `compile` → `execute_rows` → a size
+//! check against the frame cap → `Rows`. Text that is not GOODQL (the
+//! CLI's textual pattern notation included) is refused with a typed
+//! `Err{BadRequest}` carrying the parser's caret render, and the
+//! session goes on.
+//!
 //! # Admission control and load shedding
 //!
 //! Production concerns are layered on the existing `QueueFull`
@@ -58,11 +67,7 @@ use crate::proto::{
     MAX_PAYLOAD, VERSION,
 };
 use crate::{Server, ServerError, SlowEntry, SlowKind, Ticket};
-use good_core::instance::Instance;
-use good_core::matching::{explain_plan_profiled, find_matchings};
 use good_core::snapshot::Snapshot;
-use good_core::textual::parse_pattern;
-use good_graph::NodeId;
 use good_store::Store;
 use good_trace::{LiveCounter, LiveGauge, LiveHistogram};
 use std::collections::HashMap;
@@ -474,19 +479,6 @@ fn server_error_frame(request: u64, err: &ServerError, config: &NetConfig) -> Fr
     }
 }
 
-/// Render one instance node for a `Rows` cell: `Label(value)` for
-/// printables, `Label(#id)` otherwise.
-fn describe_node(instance: &Instance, node: NodeId) -> String {
-    let label = instance
-        .node_label(node)
-        .map(|l| l.to_string())
-        .unwrap_or_else(|| "?".into());
-    match instance.print_value(node) {
-        Some(value) => format!("{label}({value})"),
-        None => format!("{label}({node:?})"),
-    }
-}
-
 fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
     let mut conn_span = good_trace::span("net", "net/conn");
     conn_span.arg("conn", id);
@@ -506,12 +498,10 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
     match read_frame(&mut reader) {
         Ok(Some(Frame::Hello { .. })) => {}
         Ok(Some(other)) => {
-            let _ = writer.send(&Frame::Err {
-                request: 0,
-                code: ErrCode::BadRequest,
-                retry_after_ms: 0,
-                detail: format!("expected Hello, got {}", other.type_name()),
-            });
+            let _ = writer.send(&bad_request(
+                0,
+                format!("expected Hello, got {}", other.type_name()),
+            ));
             let _ = writer.send(&Frame::Goodbye {
                 reason: "handshake failed".into(),
             });
@@ -542,12 +532,7 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
         }
         Err(err) => {
             LIVE_BAD_FRAME.incr();
-            let _ = writer.send(&Frame::Err {
-                request: 0,
-                code: ErrCode::BadRequest,
-                retry_after_ms: 0,
-                detail: err.to_string(),
-            });
+            let _ = writer.send(&bad_request(0, err.to_string()));
             let _ = writer.send(&Frame::Goodbye {
                 reason: "handshake failed".into(),
             });
@@ -651,12 +636,7 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
             }
             Err(err) => {
                 LIVE_BAD_FRAME.incr();
-                let _ = writer.send(&Frame::Err {
-                    request: 0,
-                    code: ErrCode::BadRequest,
-                    retry_after_ms: 0,
-                    detail: err.to_string(),
-                });
+                let _ = writer.send(&bad_request(0, err.to_string()));
                 // A payload that does not decode was still read whole, so
                 // the session goes on; anything else lost the framing.
                 if matches!(err, ProtoError::Malformed { .. }) {
@@ -714,16 +694,7 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                     frame_span.arg("trace", trace_id);
                 }
                 let reply = run_query(&shared, session, request, at, &pattern, trace);
-                let sent = match writer.send(&reply) {
-                    // Refused before a byte was written (a textual
-                    // pattern's reply is sized only here): the stream
-                    // is intact, so answer and carry on.
-                    Err(ProtoError::Oversized { len, .. }) => {
-                        writer.send(&oversized_reply(request, len as usize))
-                    }
-                    sent => sent,
-                };
-                if sent.is_err() {
+                if writer.send(&reply).is_err() {
                     break;
                 }
             }
@@ -754,12 +725,10 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
             }
             other => {
                 LIVE_FRAMES_OTHER.incr();
-                let _ = writer.send(&Frame::Err {
-                    request: 0,
-                    code: ErrCode::BadRequest,
-                    retry_after_ms: 0,
-                    detail: format!("unexpected {} frame", other.type_name()),
-                });
+                let _ = writer.send(&bad_request(
+                    0,
+                    format!("unexpected {} frame", other.type_name()),
+                ));
             }
         }
     }
@@ -773,176 +742,77 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
     shared.finish_conn(id);
 }
 
-/// Load the snapshot a request names: current when `at` is `None`,
-/// else the retained MVCC version at exactly that epoch.
-fn snapshot_for(shared: &NetShared, at: Option<u64>) -> Result<Snapshot, Frame> {
-    match at {
-        None => Ok(shared.server.snapshot()),
-        Some(epoch) => shared.server.snapshot_at(epoch).ok_or(Frame::Err {
-            request: 0,
-            code: ErrCode::BadRequest,
-            retry_after_ms: 0,
-            detail: format!("epoch {epoch} is not retained by the MVCC ring"),
-        }),
-    }
-}
-
-/// The typed refusal of a `Rows` reply whose payload would exceed the
-/// frame cap. Nothing was written, so the session stays usable.
-fn oversized_reply(request: u64, payload: usize) -> Frame {
+/// A typed `Err{BadRequest}` refusal of `request` (0 when no request
+/// is in scope).
+fn bad_request(request: u64, detail: String) -> Frame {
     Frame::Err {
         request,
         code: ErrCode::BadRequest,
         retry_after_ms: 0,
-        detail: format!(
-            "reply of {payload} bytes exceeds the {} MiB frame cap; add LIMIT",
-            MAX_PAYLOAD >> 20
-        ),
+        detail,
     }
 }
 
-fn with_request(frame: Frame, request: u64) -> Frame {
-    match frame {
-        Frame::Err {
-            code,
-            retry_after_ms,
-            detail,
-            ..
-        } => Frame::Err {
-            request,
-            code,
-            retry_after_ms,
-            detail,
-        },
-        other => other,
+/// Load the snapshot a request names: current when `at` is `None`,
+/// else the retained MVCC version at exactly that epoch.
+fn snapshot_for(shared: &NetShared, request: u64, at: Option<u64>) -> Result<Snapshot, Frame> {
+    match at {
+        None => Ok(shared.server.snapshot()),
+        Some(epoch) => shared.server.snapshot_at(epoch).ok_or_else(|| {
+            bad_request(
+                request,
+                format!("epoch {epoch} is not retained by the MVCC ring"),
+            )
+        }),
     }
 }
 
-/// Query frames carry either the textual pattern syntax or a GOODQL
-/// `MATCH ... RETURN ...` query; GOODQL is recognized by its leading
-/// keyword (case-insensitive, followed by a non-word character), which
-/// can never start a pattern (patterns open with `{`).
-fn looks_like_goodql(text: &str) -> bool {
-    let trimmed = text.trim_start();
-    if trimmed.len() < 5 || !trimmed.is_char_boundary(5) {
-        return false;
-    }
-    trimmed[..5].eq_ignore_ascii_case("match")
-        && trimmed[5..]
-            .chars()
-            .next()
-            .is_none_or(|ch| !ch.is_alphanumeric() && ch != '-' && ch != '_')
-}
-
+/// Serve one `Query` frame: parse → compile → execute → size → `Rows`.
+/// Text that does not parse or compile as GOODQL is refused with
+/// `Err{BadRequest}` carrying the parser's caret render, and the
+/// session goes on. A query past `slow_query_ns` lands in the slow log
+/// with its stage timings and its profiled plan.
 fn run_query(
     shared: &NetShared,
     session: u64,
     request: u64,
     at: Option<u64>,
-    pattern_text: &str,
+    text: &str,
     trace: Option<u64>,
 ) -> Frame {
     let started = Instant::now();
-    let snapshot = match snapshot_for(shared, at) {
+    let snapshot = match snapshot_for(shared, request, at) {
         Ok(snapshot) => snapshot,
-        Err(err) => return with_request(err, request),
+        Err(refusal) => return refusal,
     };
-    if looks_like_goodql(pattern_text) {
-        let refuse = |err: good_query::QueryError| Frame::Err {
-            request,
-            code: ErrCode::BadRequest,
-            retry_after_ms: 0,
-            detail: format!("query: {}", err.render(pattern_text)),
-        };
-        let query = match good_query::parse_query(pattern_text) {
-            Ok(query) => query,
-            Err(err) => return refuse(err),
-        };
-        let parsed = Instant::now();
-        let compiled = match good_query::compile(&query, snapshot.instance().scheme()) {
-            Ok(compiled) => compiled,
-            Err(err) => return refuse(err),
-        };
-        let compiled_at = Instant::now();
-        let rows = match good_query::execute_rows(
-            snapshot.instance(),
-            &compiled,
-            good_query::Backend::Core,
-        ) {
+    let refuse =
+        |err: good_query::QueryError| bad_request(request, format!("query: {}", err.render(text)));
+    let query = match good_query::parse_query(text) {
+        Ok(query) => query,
+        Err(err) => return refuse(err),
+    };
+    let parsed = Instant::now();
+    let compiled = match good_query::compile(&query, snapshot.instance().scheme()) {
+        Ok(compiled) => compiled,
+        Err(err) => return refuse(err),
+    };
+    let compiled_at = Instant::now();
+    let rows =
+        match good_query::execute_rows(snapshot.instance(), &compiled, good_query::Backend::Core) {
             Ok(rows) => rows,
             Err(err) => return refuse(err),
         };
-        let executed = Instant::now();
-        let total_ns = executed.duration_since(started).as_nanos() as u64;
-        LIVE_QUERY_NS.observe(total_ns);
-        let (slow_query_ns, _) = shared.server.slow_thresholds();
-        if total_ns >= slow_query_ns {
-            let since =
-                |later: Instant, earlier: Instant| later.duration_since(earlier).as_nanos() as u64;
-            shared.server.slow_log().push(SlowEntry {
-                seq: 0, // assigned by the log
-                kind: SlowKind::Query,
-                trace,
-                session,
-                total_ns,
-                epoch: snapshot.epoch,
-                detail: pattern_text.to_string(),
-                plan_json: None,
-                stages: vec![
-                    ("parse_ns", since(parsed, started)),
-                    ("compile_ns", since(compiled_at, parsed)),
-                    ("execute_ns", since(executed, compiled_at)),
-                    ("rows", rows.len() as u64),
-                ],
-            });
-        }
-        // Size the reply before allocating its strings: a frame past the
-        // cap would be refused by `write_frame` after the work was done.
-        let width = rows.columns().len();
-        let payload = rows_payload_len(rows.columns(), rows.len(), width, rows.cell_bytes());
-        if payload > MAX_PAYLOAD {
-            return oversized_reply(request, payload);
-        }
-        let output = rows.into_output();
-        return Frame::Rows {
-            request,
-            epoch: snapshot.epoch,
-            columns: output.columns,
-            rows: output.rows,
-        };
-    }
-    let (pattern, names) = match parse_pattern(pattern_text) {
-        Ok(parsed) => parsed,
-        Err(err) => {
-            return Frame::Err {
-                request,
-                code: ErrCode::BadRequest,
-                retry_after_ms: 0,
-                detail: format!("pattern: {err}"),
-            }
-        }
-    };
-    let parsed = Instant::now();
-    let matchings = match find_matchings(&pattern, snapshot.instance()) {
-        Ok(matchings) => matchings,
-        Err(err) => {
-            return Frame::Err {
-                request,
-                code: ErrCode::BadRequest,
-                retry_after_ms: 0,
-                detail: format!("query: {err}"),
-            }
-        }
-    };
-    let matched = Instant::now();
-    let total_ns = matched.duration_since(started).as_nanos() as u64;
+    let executed = Instant::now();
+    let total_ns = executed.duration_since(started).as_nanos() as u64;
     LIVE_QUERY_NS.observe(total_ns);
     let (slow_query_ns, _) = shared.server.slow_thresholds();
     if total_ns >= slow_query_ns {
+        let since =
+            |later: Instant, earlier: Instant| later.duration_since(earlier).as_nanos() as u64;
         // Already slow: re-running the plan profiled to capture
         // per-step estimated-vs-actual rows costs one more execution
         // of something that by definition happens rarely.
-        let plan_json = explain_plan_profiled(&pattern, snapshot.instance())
+        let plan_json = good_query::profile(snapshot.instance(), &compiled)
             .ok()
             .map(|plan| plan.to_json());
         shared.server.slow_log().push(SlowEntry {
@@ -952,39 +822,42 @@ fn run_query(
             session,
             total_ns,
             epoch: snapshot.epoch,
-            detail: pattern_text.to_string(),
+            detail: text.to_string(),
             plan_json,
             stages: vec![
-                ("parse_ns", parsed.duration_since(started).as_nanos() as u64),
-                ("match_ns", matched.duration_since(parsed).as_nanos() as u64),
+                ("parse_ns", since(parsed, started)),
+                ("compile_ns", since(compiled_at, parsed)),
+                ("execute_ns", since(executed, compiled_at)),
+                ("rows", rows.len() as u64),
             ],
         });
     }
-    let columns: Vec<String> = names.keys().cloned().collect();
-    let rows: Vec<Vec<String>> = matchings
-        .iter()
-        .map(|matching| {
-            names
-                .values()
-                .map(|node| match matching.get(*node) {
-                    Some(image) => describe_node(snapshot.instance(), image),
-                    None => "-".into(),
-                })
-                .collect()
-        })
-        .collect();
+    // Size the reply before allocating its strings: a frame past the
+    // cap would be refused by `write_frame` after the work was done.
+    let width = rows.columns().len();
+    let payload = rows_payload_len(rows.columns(), rows.len(), width, rows.cell_bytes());
+    if payload > MAX_PAYLOAD {
+        return bad_request(
+            request,
+            format!(
+                "reply of {payload} bytes exceeds the {} MiB frame cap; add LIMIT",
+                MAX_PAYLOAD >> 20
+            ),
+        );
+    }
+    let output = rows.into_output();
     Frame::Rows {
         request,
         epoch: snapshot.epoch,
-        columns,
-        rows,
+        columns: output.columns,
+        rows: output.rows,
     }
 }
 
 fn run_snapshot(shared: &NetShared, request: u64, at: Option<u64>, want_dot: bool) -> Frame {
-    let snapshot = match snapshot_for(shared, at) {
+    let snapshot = match snapshot_for(shared, request, at) {
         Ok(snapshot) => snapshot,
-        Err(err) => return with_request(err, request),
+        Err(refusal) => return refusal,
     };
     let instance = snapshot.instance();
     Frame::Snapshot {

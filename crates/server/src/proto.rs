@@ -74,8 +74,8 @@ pub const MAX_PAYLOAD: usize = 4 << 20; // 4 MiB
 /// (back off `retry_after_ms` and resubmit), the rest are final.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrCode {
-    /// Malformed or unexpected frame, unparseable pattern, or an
-    /// epoch the MVCC ring no longer retains.
+    /// Malformed or unexpected frame, a query that does not parse or
+    /// compile, or an epoch the MVCC ring no longer retains.
     BadRequest,
     /// The session id is not open on this server.
     UnknownSession,
@@ -211,13 +211,14 @@ pub enum Frame {
         /// Empty in requests; the description in replies.
         info: Option<SnapshotInfo>,
     },
-    /// Run a read-only pattern query against a committed snapshot.
+    /// Run a read-only GOODQL query against a committed snapshot.
     Query {
         /// Client-chosen correlation id, echoed in the reply.
         request: u64,
         /// Time-travel epoch; `None` means the current snapshot.
         at: Option<u64>,
-        /// Pattern text in the CLI's `match { … }` body grammar.
+        /// GOODQL text: `MATCH … RETURN …`. Anything else is refused
+        /// with `Err{BadRequest}` carrying the parser's caret render.
         pattern: String,
         /// Optional client-assigned trace id (trailing field, like
         /// [`Frame::Submit`]'s).
@@ -229,9 +230,9 @@ pub enum Frame {
         request: u64,
         /// The epoch the query ran at.
         epoch: u64,
-        /// Column names: the pattern's declared variables, sorted.
+        /// Column names: the query's RETURN variables, in RETURN order.
         columns: Vec<String>,
-        /// One row per matching; cells align with `columns`.
+        /// The canonically sorted rows; cells align with `columns`.
         rows: Vec<Vec<String>>,
     },
     /// A typed refusal of one request (or of the connection when

@@ -218,7 +218,8 @@ fn stats_roundtrip_reports_slow_query_with_plan_rows() {
     client
         .submit_wait(&labeled_program("Obj1"))
         .expect("commit");
-    let (_, _, rows) = client.query("{ o: Obj1; }", None).expect("query");
+    let probe = "MATCH (o:Obj1) RETURN o";
+    let (_, _, rows) = client.query(probe, None).expect("query");
     assert_eq!(rows.len(), 1);
     // A GOODQL closure runs the starred edge addition on the reader
     // thread: one (quiescent) fixpoint round even with no Info to link.
@@ -253,35 +254,36 @@ fn stats_roundtrip_reports_slow_query_with_plan_rows() {
     assert!(query_hist["count"].as_u64().unwrap() >= 1);
     assert!(!query_hist["buckets"].as_seq().unwrap().is_empty());
 
-    // The slow ring captured the query, with its plan's per-step
-    // estimated-vs-actual rows.
+    // The slow ring captured both queries: each names its layer (the
+    // three front-end stages and the size of the answer) next to its
+    // profiled plan's per-step estimated-vs-actual rows.
     let entries = parsed["slow"]["entries"].as_seq().expect("slow entries");
-    let slow_query = entries
-        .iter()
-        .find(|e| e["kind"].as_str() == Some("query"))
-        .expect("slow ring must hold the probe query");
-    assert_eq!(slow_query["detail"].as_str(), Some("{ o: Obj1; }"));
-    assert!(slow_query["stages"]["match_ns"].as_u64().is_some());
-    // A GOODQL query names its layer: the three front-end stages and
-    // the size of the answer.
-    let goodql = entries
-        .iter()
-        .find(|e| e["detail"].as_str().is_some_and(|d| d.starts_with("MATCH")))
-        .expect("slow ring must hold the GOODQL query");
-    for stage in ["parse_ns", "compile_ns", "execute_ns"] {
-        assert!(goodql["stages"][stage].as_u64().is_some(), "{goodql:?}");
-    }
-    assert_eq!(goodql["stages"]["rows"].as_u64(), Some(0));
-    let plan = &slow_query["plan"];
-    assert!(plan["strategy"].as_str().is_some(), "plan: {plan:?}");
-    let steps = plan["steps"].as_seq().expect("plan steps");
-    assert!(!steps.is_empty());
-    for step in steps {
-        assert!(step["est_rows"].as_f64().is_some(), "step: {step:?}");
-        assert!(
-            step["actual_rows"].as_u64().is_some(),
-            "profiled plan must carry actuals: {step:?}"
-        );
+    for (text, rows) in [
+        (probe, 1),
+        ("MATCH (a:Info)-[:links-to*]->(b:Info) RETURN a, b", 0),
+    ] {
+        let slow_query = entries
+            .iter()
+            .find(|e| e["kind"].as_str() == Some("query") && e["detail"].as_str() == Some(text))
+            .unwrap_or_else(|| panic!("slow ring must hold {text}"));
+        for stage in ["parse_ns", "compile_ns", "execute_ns"] {
+            assert!(
+                slow_query["stages"][stage].as_u64().is_some(),
+                "{slow_query:?}"
+            );
+        }
+        assert_eq!(slow_query["stages"]["rows"].as_u64(), Some(rows));
+        let plan = &slow_query["plan"];
+        assert!(plan["strategy"].as_str().is_some(), "plan: {plan:?}");
+        let steps = plan["steps"].as_seq().expect("plan steps");
+        assert!(!steps.is_empty());
+        for step in steps {
+            assert!(step["est_rows"].as_f64().is_some(), "step: {step:?}");
+            assert!(
+                step["actual_rows"].as_u64().is_some(),
+                "profiled plan must carry actuals: {step:?}"
+            );
+        }
     }
 
     client.goodbye().expect("goodbye");
@@ -446,7 +448,9 @@ fn stats_document_schema_1_is_pinned() {
     client
         .submit_wait(&labeled_program("Pin1"))
         .expect("commit");
-    client.query("{ o: Pin1; }", None).expect("pattern query");
+    client
+        .query("MATCH (o:Pin1) RETURN o", None)
+        .expect("probe query");
     client
         .query("MATCH (a:Info)-[:links-to*]->(b:Info) RETURN a, b", None)
         .expect("closure query");

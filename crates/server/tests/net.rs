@@ -112,11 +112,13 @@ fn handshake_submit_query_snapshot_goodbye() {
     let report = ack.outcome.expect("committed");
     assert!(report.contains("+1 nodes"), "report: {report}");
 
-    let (epoch, columns, rows) = client.query("{ o: Obj1; }", None).expect("query");
+    let (epoch, columns, rows) = client
+        .query("MATCH (o:Obj1) RETURN o", None)
+        .expect("query");
     assert_eq!(epoch, ack.epoch);
     assert_eq!(columns, vec!["o".to_string()]);
     assert_eq!(rows.len(), 1);
-    assert!(rows[0][0].starts_with("Obj1("), "cell: {}", rows[0][0]);
+    assert!(rows[0][0].starts_with("Obj1#"), "cell: {}", rows[0][0]);
 
     let info = client.snapshot(None, true).expect("snapshot");
     assert_eq!(info.epoch, ack.epoch);
@@ -151,8 +153,8 @@ fn goodql_queries_ride_the_query_frame() {
         client.submit_wait(&program).expect("commit workload");
     }
 
-    // A Query frame whose text leads with MATCH is compiled as GOODQL
-    // instead of pattern syntax; columns come back in RETURN order.
+    // A Query frame's text is compiled as GOODQL; columns come back in
+    // RETURN order.
     let (_, columns, rows) = client
         .query("MATCH (a:Info) RETURN a", None)
         .expect("goodql query");
@@ -162,8 +164,8 @@ fn goodql_queries_ride_the_query_frame() {
         rows.iter().all(|row| row[0].starts_with("Info#")),
         "rows: {rows:?}"
     );
-    // Property paths compile and run server-side; lowercase `match`
-    // still routes to GOODQL.
+    // Property paths compile and run server-side; keywords are
+    // case-insensitive.
     client
         .query(
             "MATCH (a:Info)-[:links-to*]->(b:Info) RETURN DISTINCT a, b",
@@ -188,7 +190,42 @@ fn goodql_queries_ride_the_query_frame() {
         other => panic!("expected BadRequest, got {other:?}"),
     }
     // The connection survives the refusal.
-    client.query("{ o: Info; }", None).expect("pattern query");
+    client
+        .query("MATCH (o:Info) RETURN o", None)
+        .expect("served after the refusal");
+    client.goodbye().expect("goodbye");
+    net.shutdown().expect("shutdown");
+}
+
+/// The textual pattern notation is the CLI's, not the wire's: a `Query`
+/// frame carrying it is refused with the GOODQL parser's caret render,
+/// and the same connection then answers a GOODQL query.
+#[test]
+fn textual_pattern_query_is_a_typed_bad_request() {
+    let (net, _vfs) = start_net(ServerConfig::default(), NetConfig::default());
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    client
+        .submit_wait(&labeled_program("Info"))
+        .expect("commit");
+    match client.query("{ o: Info; }", None) {
+        Err(ClientError::Rejected {
+            code: ErrCode::BadRequest,
+            retry_after_ms: 0,
+            detail,
+        }) => {
+            assert!(detail.starts_with("query: "), "detail: {detail}");
+            assert!(
+                detail.ends_with("\n  { o: Info; }\n  ^"),
+                "caret under the first byte: {detail}"
+            );
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let (_, columns, rows) = client
+        .query("MATCH (o:Info) RETURN o", None)
+        .expect("same session serves GOODQL");
+    assert_eq!(columns, vec!["o".to_string()]);
+    assert_eq!(rows, vec![vec!["Info#0".to_string()]]);
     client.goodbye().expect("goodbye");
     net.shutdown().expect("shutdown");
 }
@@ -230,21 +267,11 @@ fn oversized_goodql_reply_is_a_typed_error_and_the_session_survives() {
         }
         other => panic!("expected a typed refusal, got {other:?}"),
     }
-    // Same connection, same query under the cap, then a textual pattern
-    // whose reply is refused at the write instead.
+    // Same connection, same query under the cap.
     let (_, _, rows) = client
         .query(&format!("{cross} LIMIT 7"), None)
         .expect("limited");
     assert_eq!(rows.len(), 7);
-    let textual = "{ a: Info; b: Info; c: Info; d: Info; e: Info; }";
-    assert!(matches!(
-        client.query(textual, None),
-        Err(ClientError::Rejected {
-            code: ErrCode::BadRequest,
-            ..
-        })
-    ));
-    client.query("{ o: Info; }", None).expect("still served");
     client.goodbye().expect("goodbye");
     net.shutdown().expect("shutdown");
 }
@@ -296,18 +323,22 @@ fn mvcc_reads_over_the_wire_see_retained_epochs() {
         .snapshot(Some(first.epoch), false)
         .expect("old epoch");
     assert_eq!((old.epoch, old.nodes), (first.epoch, 1));
-    let (epoch, _, rows) = client.query("{ a: A; }", Some(first.epoch)).expect("query");
+    let (epoch, _, rows) = client
+        .query("MATCH (a:A) RETURN a", Some(first.epoch))
+        .expect("query");
     assert_eq!(epoch, first.epoch);
     assert_eq!(rows.len(), 1, "A exists at the old epoch");
     // B is not even part of the scheme at the old epoch: typed refusal.
     assert!(matches!(
-        client.query("{ b: B; }", Some(first.epoch)),
+        client.query("MATCH (b:B) RETURN b", Some(first.epoch)),
         Err(ClientError::Rejected {
             code: ErrCode::BadRequest,
             ..
         })
     ));
-    let (_, _, rows) = client.query("{ b: B; }", None).expect("current query");
+    let (_, _, rows) = client
+        .query("MATCH (b:B) RETURN b", None)
+        .expect("current query");
     assert_eq!(rows.len(), 1, "B exists now");
     let now = client.snapshot(None, false).expect("current");
     assert_eq!((now.epoch, now.nodes), (second.epoch, 2));
@@ -436,13 +467,13 @@ fn connection_admission_sheds_past_the_ceiling() {
 fn bad_requests_get_typed_errors_not_disconnects() {
     let (net, _vfs) = start_net(ServerConfig::default(), NetConfig::default());
     let mut client = Client::connect(net.local_addr()).expect("connect");
-    // Unparseable pattern.
-    match client.query("o: Obj1; o -broken", None) {
+    // Unparseable query.
+    match client.query("MATCH (o:Obj1)-[:broken", None) {
         Err(ClientError::Rejected {
             code: ErrCode::BadRequest,
             detail,
             ..
-        }) => assert!(detail.contains("pattern"), "detail: {detail}"),
+        }) => assert!(detail.contains("query:"), "detail: {detail}"),
         other => panic!("expected BadRequest, got {other:?}"),
     }
     // Unretained epoch.
