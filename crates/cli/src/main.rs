@@ -149,18 +149,23 @@ struct Flags<'a>(std::slice::Iter<'a, String>);
 impl Flags<'_> {
     /// The value following `flag`.
     fn value(&mut self, flag: &str) -> Result<String, String> {
-        self.0
-            .next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
+        self.parse(&format!("{flag} requires a value"), "")
+    }
+
+    /// Parse the value following a flag: the error is `missing`, or
+    /// `bad` and the value.
+    fn parse<T: std::str::FromStr>(&mut self, missing: &str, bad: &str) -> Result<T, String> {
+        let raw = self.0.next().ok_or_else(|| missing.to_string())?;
+        raw.parse().map_err(|_| format!("{bad}{raw:?}"))
     }
 
     /// Parse the value following `flag` into `target`.
     fn set<T: std::str::FromStr>(&mut self, flag: &str, target: &mut T) -> Result<(), String> {
-        let raw = self.value(flag)?;
-        *target = raw
-            .parse()
-            .map_err(|_| format!("bad value for {flag}: {raw:?}"))?;
+        let (missing, bad) = (
+            format!("{flag} requires a value"),
+            format!("bad value for {flag}: "),
+        );
+        *target = self.parse(&missing, &bad)?;
         Ok(())
     }
 
@@ -742,61 +747,48 @@ fn run_top(args: &[String]) -> i32 {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
 
-    // --profile PATH: capture every span the process emits (matcher,
-    // ops, methods, store) and write a Chrome trace_event JSON file on
-    // exit — including after a failed fault schedule, where the
-    // timeline shows the I/O preceding the crash.
-    let mut profiler: Option<Profiler> = None;
-    if let Some(position) = args.iter().position(|a| a == "--profile") {
-        let Some(value) = args.get(position + 1) else {
-            eprintln!("error: --profile requires an output path");
-            std::process::exit(1);
+    // The prelude, anywhere on the line. `--profile PATH` captures every
+    // span the process emits and writes a Chrome trace_event JSON file on
+    // exit, also after a failed fault schedule. `--fault-seed N
+    // [--fault-crash-at K]` runs the store's deterministic crash-recovery
+    // torture harness: the crash-point sweep for the seed, or the one
+    // schedule a torture failure's reproduction line names. It exits 0
+    // when every schedule recovers to a committed prefix, else 1 with
+    // the fault log.
+    let (mut args, mut profile, mut fault_seed, mut crash_at) = (Vec::new(), None, None, None);
+    let mut flags = Flags(argv.iter());
+    while let Some(arg) = flags.0.next() {
+        let parsed = match arg.as_str() {
+            "--profile" => (flags.parse("--profile requires an output path", ""))
+                .map(|path| profile = Some(path)),
+            "--fault-seed" => (flags.parse("--fault-seed requires a seed", "bad fault seed "))
+                .map(|seed| fault_seed = Some(seed)),
+            "--fault-crash-at" => {
+                let missing = "--fault-crash-at requires an operation index";
+                (flags.parse(missing, "bad crash point ")).map(|op| crash_at = Some(op))
+            }
+            _ => {
+                args.push(arg.clone());
+                Ok(())
+            }
         };
+        if let Err(message) = parsed {
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        }
+    }
+    let profiler = profile.map(|path| {
         let collector = Arc::new(good_trace::Collector::new());
         good_trace::swap_recorder(Some(collector.clone()));
-        profiler = Some(Profiler {
-            path: value.clone(),
-            collector,
-        });
-        args.drain(position..=position + 1);
+        Profiler { path, collector }
+    });
+    if crash_at.is_some() && fault_seed.is_none() {
+        eprintln!("error: --fault-crash-at requires --fault-seed");
+        finish(&profiler, 1);
     }
-
-    // --fault-seed N [--fault-crash-at K]: developer fault-injection
-    // mode. Runs the store's deterministic crash-recovery torture
-    // harness — the full crash-point sweep for the seed, or a single
-    // schedule when --fault-crash-at is given (the reproduction line
-    // printed by torture failures). Exits 0 when every schedule
-    // recovers to a committed prefix, 1 with the fault log otherwise.
-    if let Some(position) = args.iter().position(|a| a == "--fault-seed") {
-        let Some(value) = args.get(position + 1) else {
-            eprintln!("error: --fault-seed requires a seed");
-            std::process::exit(1);
-        };
-        let seed = match value.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: bad fault seed {value:?}");
-                std::process::exit(1);
-            }
-        };
-        args.drain(position..=position + 1);
-        let mut crash_at = None;
-        if let Some(position) = args.iter().position(|a| a == "--fault-crash-at") {
-            let Some(value) = args.get(position + 1) else {
-                eprintln!("error: --fault-crash-at requires an operation index");
-                std::process::exit(1);
-            };
-            match value.parse::<u64>() {
-                Ok(op) => crash_at = Some(op),
-                Err(_) => {
-                    eprintln!("error: bad crash point {value:?}");
-                    std::process::exit(1);
-                }
-            }
-            args.drain(position..=position + 1);
-        }
+    if let Some(seed) = fault_seed {
         let config = good_store::torture::TortureConfig {
             seed,
             ..good_store::torture::TortureConfig::default()

@@ -8,35 +8,40 @@ fn binary() -> Command {
     Command::new(env!("CARGO_BIN_EXE_good-db"))
 }
 
+/// Run the binary with `args`: its exit code, stdout and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
+    let output = binary().args(args).output().expect("binary runs");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (
+        output.status.code(),
+        text(&output.stdout),
+        text(&output.stderr),
+    )
+}
+
 const SETUP: &str = "class Info; printable String string; functional Info name String; \
                      multivalued Info links-to Info; init";
 
 #[test]
 fn dash_c_mode_runs_commands() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
-            "{SETUP}; insert Info as a; insert Info as b; edge a links-to b; stats"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) = run(&[
+        "-c",
+        &format!("{SETUP}; insert Info as a; insert Info as b; edge a links-to b; stats"),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("2 nodes, 1 edges"), "{stdout}");
 }
 
 #[test]
 fn dash_c_mode_handles_patterns_with_semicolons() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
+    let (code, stdout, stderr) = run(&[
+        "-c",
+        &format!(
             "{SETUP}; insert Info as a; value String \"x\" as n; edge a name n; \
              match {{ i: Info; s: String; i -name-> s; }}"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+        ),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("1 matching(s)"), "{stdout}");
 }
 
@@ -58,9 +63,8 @@ fn script_file_mode() {
          validate\n",
     )
     .expect("write script");
-    let output = binary().arg(&path).output().expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) = run(&[path.to_str().expect("utf8 temp path")]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("1 matching(s)"), "{stdout}");
     assert!(stdout.contains("all invariants hold"), "{stdout}");
     std::fs::remove_file(path).expect("cleanup");
@@ -68,13 +72,8 @@ fn script_file_mode() {
 
 #[test]
 fn script_errors_exit_nonzero() {
-    let output = binary()
-        .arg("-c")
-        .arg("complete nonsense")
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["-c", "complete nonsense"]);
+    assert_ne!(code, Some(0), "{stderr}");
     assert!(stderr.contains("unknown command"), "{stderr}");
 }
 
@@ -83,16 +82,14 @@ fn save_and_load_round_trip() {
     let mut path = std::env::temp_dir();
     path.push(format!("good-cli-save-{}.json", std::process::id()));
     let path_str = path.to_str().expect("utf8 temp path");
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
+    let (code, stdout, stderr) = run(&[
+        "-c",
+        &format!(
             "{SETUP}; insert Info as a; insert Info as b; edge a links-to b; \
              save {path_str}; load {path_str}; stats"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+        ),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains(&format!("saved to {path_str}")), "{stdout}");
     assert!(stdout.contains(&format!("loaded {path_str}")), "{stdout}");
     assert!(stdout.contains("2 nodes, 1 edges"), "{stdout}");
@@ -101,14 +98,8 @@ fn save_and_load_round_trip() {
 
 #[test]
 fn load_missing_file_exits_nonzero_with_message() {
-    let output = binary()
-        .arg("-c")
-        .arg("load /nonexistent/good-db-missing.json")
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["-c", "load /nonexistent/good-db-missing.json"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error:"), "{stderr}");
     assert!(
         stderr.contains("No such file") || stderr.contains("not found"),
@@ -121,42 +112,26 @@ fn load_corrupt_file_exits_nonzero_with_parse_error() {
     let mut path = std::env::temp_dir();
     path.push(format!("good-cli-corrupt-{}.json", std::process::id()));
     std::fs::write(&path, "{\"nodes\": [truncated").expect("write corrupt file");
-    let output = binary()
-        .arg("-c")
-        .arg(format!("load {}", path.display()))
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["-c", &format!("load {}", path.display())]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error:"), "{stderr}");
     std::fs::remove_file(path).expect("cleanup");
 }
 
 #[test]
 fn save_without_an_open_base_exits_nonzero() {
-    let output = binary()
-        .arg("-c")
-        .arg("save /tmp/good-db-never-written.json")
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["-c", "save /tmp/good-db-never-written.json"]);
+    assert_ne!(code, Some(0), "{stderr}");
     assert!(stderr.contains("no open object base"), "{stderr}");
 }
 
 #[test]
 fn save_to_unwritable_path_exits_nonzero() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
-            "{SETUP}; insert Info as a; save /nonexistent-dir/out.json"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&[
+        "-c",
+        &format!("{SETUP}; insert Info as a; save /nonexistent-dir/out.json"),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error:"), "{stderr}");
 }
 
@@ -167,17 +142,14 @@ fn load_over_an_existing_session_invalidates_handles() {
     let path_str = path.to_str().expect("utf8 temp path");
     // `load` replaces the instance, so handles created before it must
     // not silently point at nodes of the new base.
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
+    let (code, _, stderr) = run(&[
+        "-c",
+        &format!(
             "{SETUP}; insert Info as a; save {path_str}; load {path_str}; \
              edge a links-to a"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+        ),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown handle a"), "{stderr}");
     std::fs::remove_file(path).expect("cleanup");
 }
@@ -193,41 +165,30 @@ const QUERY_SETUP: &str = "class Info; printable String string; \
 
 #[test]
 fn query_command_prints_rows() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
-            "{QUERY_SETUP}; query MATCH (i:Info)-[:name]->(s:String) RETURN s"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) = run(&[
+        "-c",
+        &format!("{QUERY_SETUP}; query MATCH (i:Info)-[:name]->(s:String) RETURN s"),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("hello"), "{stdout}");
     assert!(stdout.contains("1 row(s)"), "{stdout}");
     // A property-path query through the two-cycle.
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
-            "{QUERY_SETUP}; query diff MATCH (i:Info)-[:links-to*2]->(j:Info) RETURN i, j"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) = run(&[
+        "-c",
+        &format!("{QUERY_SETUP}; query diff MATCH (i:Info)-[:links-to*2]->(j:Info) RETURN i, j"),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("2 row(s)"), "{stdout}");
     assert!(stdout.contains("core = relational = tarski"), "{stdout}");
 }
 
 #[test]
 fn query_parse_error_exits_nonzero_with_a_caret() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!("{QUERY_SETUP}; query MATCH (i:Info RETURN i"))
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&[
+        "-c",
+        &format!("{QUERY_SETUP}; query MATCH (i:Info RETURN i"),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("parse error at byte"), "{stderr}");
     // The render quotes the source line and points a caret at the
     // offending byte.
@@ -247,14 +208,11 @@ fn query_parse_error_exits_nonzero_with_a_caret() {
 
 #[test]
 fn query_unknown_label_exits_nonzero() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!("{QUERY_SETUP}; query MATCH (x:Nope) RETURN x"))
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&[
+        "-c",
+        &format!("{QUERY_SETUP}; query MATCH (x:Nope) RETURN x"),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("Nope"), "{stderr}");
 }
 
@@ -263,28 +221,18 @@ fn oversized_query_exits_nonzero_before_parsing() {
     // Interior padding (trailing whitespace would be trimmed by the
     // command reader before the query ever sees it).
     let padding = " ".repeat(5000);
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
-            "{QUERY_SETUP}; query MATCH (i:Info){padding} RETURN i"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&[
+        "-c",
+        &format!("{QUERY_SETUP}; query MATCH (i:Info){padding} RETURN i"),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("too long"), "{stderr}");
 }
 
 #[test]
 fn fault_seed_flag_runs_a_crash_sweep() {
-    let output = binary()
-        .arg("--fault-seed")
-        .arg("11")
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) = run(&["--fault-seed", "11"]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(
         stdout.contains("crash schedules recovered to a committed prefix"),
         "{stdout}"
@@ -293,25 +241,26 @@ fn fault_seed_flag_runs_a_crash_sweep() {
 
 #[test]
 fn fault_crash_at_flag_replays_one_schedule_with_its_log() {
-    let output = binary()
-        .args(["--fault-seed", "11", "--fault-crash-at", "5"])
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) = run(&["--fault-seed", "11", "--fault-crash-at", "5"]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("CRASH"), "{stdout}");
     assert!(stdout.contains("crash at op 5"), "{stdout}");
 }
 
 #[test]
+fn fault_seed_flag_without_a_value_exits_nonzero() {
+    let (code, _, stderr) = run(&["--fault-seed"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: --fault-seed requires a seed"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn fault_crash_at_out_of_range_exits_nonzero() {
-    let output = binary()
-        .args(["--fault-seed", "11", "--fault-crash-at", "999999"])
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["--fault-seed", "11", "--fault-crash-at", "999999"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("out of range"), "{stderr}");
 }
 
@@ -345,16 +294,14 @@ fn read_trace(path: &std::path::Path) -> TraceFile {
 
 #[test]
 fn explain_command_prints_an_index_vs_scan_plan() {
-    let output = binary()
-        .arg("-c")
-        .arg(format!(
+    let (code, stdout, stderr) = run(&[
+        "-c",
+        &format!(
             "{SETUP}; insert Info as a; value String \"x\" as n; edge a name n; \
              explain {{ i: Info; s: String = \"x\"; i -name-> s; }}"
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+        ),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("match plan (2 steps"), "{stdout}");
     assert!(stdout.contains("bind s [String]"), "{stdout}");
     assert!(stdout.contains("root candidates:"), "{stdout}");
@@ -362,14 +309,8 @@ fn explain_command_prints_an_index_vs_scan_plan() {
 
 #[test]
 fn explain_without_a_base_exits_nonzero() {
-    let output = binary()
-        .arg("-c")
-        .arg("class Info; explain { i: Info; }")
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["-c", "class Info; explain { i: Info; }"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("no open object base"), "{stderr}");
 }
 
@@ -413,12 +354,15 @@ fn profile_flag_covers_store_op_and_method_spans_under_fault_injection() {
         "good-cli-profile-fault-{}.json",
         std::process::id()
     ));
-    let output = binary()
-        .args(["--profile", path.to_str().expect("utf8 temp path")])
-        .args(["--fault-seed", "11", "--fault-crash-at", "5"])
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
+    let (code, _, stderr) = run(&[
+        "--profile",
+        path.to_str().expect("utf8 temp path"),
+        "--fault-seed",
+        "11",
+        "--fault-crash-at",
+        "5",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
     let trace = read_trace(&path);
     let cats: std::collections::BTreeSet<&str> =
         trace.traceEvents.iter().map(|e| e.cat.as_str()).collect();
@@ -438,10 +382,8 @@ fn profile_flag_covers_store_op_and_method_spans_under_fault_injection() {
 
 #[test]
 fn profile_flag_without_a_path_exits_nonzero() {
-    let output = binary().arg("--profile").output().expect("binary runs");
-    assert!(!output.status.success(), "{output:?}");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["--profile"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("--profile requires"), "{stderr}");
 }
 
@@ -470,12 +412,9 @@ fn repl_reads_multiline_patterns_from_stdin() {
 
 #[test]
 fn serve_scripted_mode_prints_per_session_and_final_summaries() {
-    let output = binary()
-        .args(["serve", "--sessions", "3", "--programs", "5", "--seed", "9"])
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let (code, stdout, stderr) =
+        run(&["serve", "--sessions", "3", "--programs", "5", "--seed", "9"]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("session 1:"), "{stdout}");
     assert!(stdout.contains("session 3:"), "{stdout}");
     assert!(stdout.contains("from 3 sessions"), "{stdout}");
@@ -484,53 +423,33 @@ fn serve_scripted_mode_prints_per_session_and_final_summaries() {
 
 #[test]
 fn serve_unknown_session_exits_2_with_its_own_message() {
-    let output = binary()
-        .args(["serve", "--inject", "unknown-session"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(2), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["serve", "--inject", "unknown-session"]);
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown session id"), "{stderr}");
 }
 
 #[test]
 fn serve_submission_after_shutdown_exits_3_with_its_own_message() {
-    let output = binary()
-        .args(["serve", "--inject", "after-shutdown"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(3), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["serve", "--inject", "after-shutdown"]);
+    assert_eq!(code, Some(3), "{stderr}");
     assert!(stderr.contains("shut down"), "{stderr}");
 }
 
 #[test]
 fn serve_queue_full_backpressure_exits_4_and_names_the_capacity() {
-    let output = binary()
-        .args(["serve", "--inject", "queue-full", "--queue-capacity", "4"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(4), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["serve", "--inject", "queue-full", "--queue-capacity", "4"]);
+    assert_eq!(code, Some(4), "{stderr}");
     assert!(stderr.contains("queue full"), "{stderr}");
     assert!(stderr.contains("capacity 4"), "{stderr}");
 }
 
 #[test]
 fn serve_rejects_unknown_flags_and_injections() {
-    let output = binary()
-        .args(["serve", "--bogus"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(1), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["serve", "--bogus"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown serve flag"), "{stderr}");
-    let output = binary()
-        .args(["serve", "--inject", "meteor-strike"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(1), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, _, stderr) = run(&["serve", "--inject", "meteor-strike"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown --inject"), "{stderr}");
 }
 

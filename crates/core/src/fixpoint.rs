@@ -8,8 +8,9 @@
 //! the first time and afterwards matched only against the edges added
 //! since it was last evaluated.
 //!
-//! * Every edge an edge-addition rule actually adds is appended to a
-//!   **delta log**; each such rule keeps a **watermark** into it.
+//! * The edges an edge-addition rule actually adds are appended to a
+//!   **delta log**, one sorted batch per label; each such rule keeps a
+//!   **watermark** into it.
 //! * A later evaluation seeds the matcher from the log's suffix
 //!   ([`matchings_using`]): additions can only *remove* matchings of a
 //!   crossed pattern, so a matching the rule has not acted on yet maps
@@ -33,7 +34,7 @@
 
 use crate::derived::ViewMut;
 use crate::error::Result;
-use crate::matching::{find_match_table, matchings_using, EdgeTriple, MatchTable};
+use crate::matching::{find_match_table, matchings_using, Delta};
 use crate::ops::{EdgeAddition, OpReport};
 use crate::program::{record_report, Env, Operation};
 use good_trace::LiveCounter;
@@ -86,7 +87,7 @@ pub(crate) fn fixpoint(
     mut target: ViewMut<'_>,
     env: &mut Env,
 ) -> Result<Fixpoint> {
-    let mut log: Vec<EdgeTriple> = Vec::new();
+    let mut log: Vec<Delta> = Vec::new();
     let mut epoch = 0u64;
     let mut marks: Vec<Option<Mark>> = vec![None; rules.len()];
     let mut reports = vec![OpReport::default(); rules.len()];
@@ -128,7 +129,7 @@ pub(crate) fn fixpoint(
 fn edge_add_round(
     ea: &EdgeAddition,
     target: ViewMut<'_>,
-    log: &mut Vec<EdgeTriple>,
+    log: &mut Vec<Delta>,
     mark: &mut Option<Mark>,
     epoch: u64,
     round: usize,
@@ -141,10 +142,11 @@ fn edge_add_round(
         watermark: log.len(),
         epoch,
     });
-    let delta_edges = delta.map_or(0, <[_]>::len);
+    let delta_edges: usize =
+        delta.map_or(0, |delta| delta.iter().map(|(_, pairs)| pairs.len()).sum());
     LIVE_DELTA_EDGES.add(delta_edges as u64);
     let (report, added) = ea.apply_with(target, |pattern, view| match delta {
-        None => find_match_table(pattern, view).map(MatchTable::into_matchings),
+        None => find_match_table(pattern, view),
         Some(delta) => matchings_using(pattern, view, delta),
     })?;
     if span.is_live() {
@@ -154,6 +156,6 @@ fn edge_add_round(
         span.arg("edges_added", report.edges_added);
         span.arg("seeded", delta.is_some());
     }
-    log.extend(added);
+    log.extend(added.into_iter().filter(|(_, pairs)| !pairs.is_empty()));
     Ok(report)
 }

@@ -59,8 +59,8 @@ pub type Postings = PMap<NodeId, PSet<NodeId>>;
 const BULK_REBUILD_MIN: usize = 64;
 
 /// The `λ` edges at the nodes of one class, seen from one side: the
-/// adjacency index's entry under a `(class, λ)` key, and each direction
-/// of a derived relation (`crate::derived`).
+/// adjacency index's entry under a `(class, λ)` key. The matcher reads
+/// it, and a derived relation's runs, through `crate::matching::Side`.
 ///
 /// On the outgoing side the class is the sources', and `postings` maps
 /// each target to its class-labelled `λ`-sources (the candidates for a
@@ -84,36 +84,6 @@ impl Adjacency {
     /// Other endpoint → the class's nodes across a `λ` edge from it.
     pub fn postings(&self) -> &Postings {
         &self.postings
-    }
-
-    /// Record the edge `(src, λ, dst)` on both its sides: `outgoing` is
-    /// `src`'s class's, `incoming` is `dst`'s. `true` if it was new.
-    pub(crate) fn link(
-        outgoing: &mut Adjacency,
-        incoming: &mut Adjacency,
-        src: NodeId,
-        dst: NodeId,
-    ) -> bool {
-        let targets = incoming.postings.get_or_insert_with(&src, PSet::new);
-        if !targets.insert(dst) {
-            return false;
-        }
-        // A set of one is the node's first edge between these two
-        // classes, so the node may be new to its support (an edge from
-        // another class may have put it there: inserting again is a
-        // no-op). A longer set means it is there, and the insert, which
-        // path-copies even when the key is present, is skipped.
-        if targets.len() == 1 {
-            outgoing.support.insert(src);
-        }
-        let sources = outgoing.postings.get_or_insert_with(&dst, PSet::new);
-        sources.insert(src);
-        if sources.len() == 1 {
-            incoming.support.insert(dst);
-        }
-        outgoing.edges += 1;
-        incoming.edges += 1;
-        true
     }
 
     /// Forget the edge between `anchor` and `node`; `node` stays in the
@@ -200,7 +170,8 @@ fn nested_prune<T: Clone>(
 }
 
 impl AdjacencyIndex {
-    /// Index the edge `(src, λ, dst)`.
+    /// Index the edge `(src, λ, dst)` on both its sides: `src`'s class's
+    /// outgoing one and `dst`'s class's incoming one.
     fn insert(
         &mut self,
         src: NodeId,
@@ -213,7 +184,25 @@ impl AdjacencyIndex {
             .get_or_insert_with(edge, Adjacency::default);
         let incoming = (self.incoming.get_or_insert_with(dst_label, SharedMap::new))
             .get_or_insert_with(edge, Adjacency::default);
-        Adjacency::link(outgoing, incoming, src, dst);
+        let targets = incoming.postings.get_or_insert_with(&src, PSet::new);
+        if !targets.insert(dst) {
+            return;
+        }
+        // A set of one is the node's first edge between these two
+        // classes, so the node may be new to its support (an edge from
+        // another class may have put it there: inserting again is a
+        // no-op). A longer set means it is there, and the insert, which
+        // path-copies even when the key is present, is skipped.
+        if targets.len() == 1 {
+            outgoing.support.insert(src);
+        }
+        let sources = outgoing.postings.get_or_insert_with(&dst, PSet::new);
+        sources.insert(src);
+        if sources.len() == 1 {
+            incoming.support.insert(dst);
+        }
+        outgoing.edges += 1;
+        incoming.edges += 1;
     }
 
     /// Unindex the edge `(src, λ, dst)`. The `src_has_out` / `dst_has_in`

@@ -123,20 +123,9 @@ pub fn expand_negation(
 mod tests {
     use super::*;
     use crate::matching::find_matchings;
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::{Value, ValueType};
+    use crate::value::Value;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .printable("Date", ValueType::Date)
-            .functional("Info", "name", "String")
-            .functional("Info", "created", "Date")
-            .functional("Info", "modified", "Date")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn instance() -> Instance {
         let mut db = Instance::new(scheme());

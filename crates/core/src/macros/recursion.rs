@@ -55,7 +55,7 @@ impl RecursiveEdgeAddition {
     /// enumerated (round 1 in full, later rounds delta-seeded), not the
     /// pattern's matchings in the final instance.
     pub fn apply(&self, db: &mut Instance, env: &mut Env) -> Result<OpReport> {
-        self.apply_to(db.into(), env)
+        self.apply_to(ViewMut::new(db, None), env)
     }
 
     /// [`RecursiveEdgeAddition::apply`], adding the edges where `target`
@@ -181,17 +181,10 @@ pub fn transitive_closure_star(
 mod tests {
     use super::*;
     use crate::method::execute_call;
-    use crate::scheme::{Scheme, SchemeBuilder};
     use good_graph::NodeId;
     use std::collections::BTreeSet;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .multivalued("Info", "links-to", "Info")
-            .multivalued("Info", "rec-links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn chain(n: usize) -> (Instance, Vec<NodeId>) {
         let mut db = Instance::new(scheme());

@@ -28,14 +28,14 @@
 //! Both return matchings in a canonical deterministic order so that the
 //! set-oriented operations of Section 3 are reproducible run to run.
 
-use crate::derived::View;
+use crate::derived::{Runs, View};
 use crate::error::{GoodError, Result};
-use crate::instance::{Instance, Postings};
+use crate::instance::{Adjacency, Instance};
 use crate::label::Label;
 use crate::pattern::{Pattern, PatternNode, PatternNodeKind};
 use crate::persist::PSet;
 use crate::planner::{self, JoinStrategy};
-use good_graph::NodeId;
+use good_graph::{EdgeId, NodeId};
 use good_trace::{LiveCounter, LiveHistogram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,9 +48,10 @@ static LIVE_FIND_NS: LiveHistogram = LiveHistogram::new("match.find_ns");
 /// (recorded by profiled EXPLAIN).
 static LIVE_EST_ERROR_PCT: LiveHistogram = LiveHistogram::new("match.plan.est_error_pct");
 
-/// An instance edge `(src, λ, dst)` by value — what an edge addition
-/// adds and the fixpoint evaluator's delta log holds.
-pub(crate) type EdgeTriple = (NodeId, Label, NodeId);
+/// Edges `(src, λ, dst)` of one label as sorted `(src, dst)` pairs —
+/// what an edge addition adds and the fixpoint evaluator's delta log
+/// holds.
+pub(crate) type Delta = (Label, Vec<(NodeId, NodeId)>);
 
 /// A matching: a total mapping from pattern nodes to instance nodes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -232,6 +233,80 @@ pub fn default_threads() -> usize {
     1
 }
 
+// ---- neighbour sets -----------------------------------------------------
+
+/// A sorted set of nodes as the matcher reads it: a postings or support
+/// set of the instance's adjacency index, or a run of a derived relation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Neighbours<'a> {
+    Set(&'a PSet<NodeId>),
+    Run(&'a [NodeId]),
+}
+
+impl<'a> Neighbours<'a> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Neighbours::Set(set) => set.len(),
+            Neighbours::Run(run) => run.len(),
+        }
+    }
+
+    pub(crate) fn contains(self, node: NodeId) -> bool {
+        match self {
+            Neighbours::Set(set) => set.contains(&node),
+            Neighbours::Run(run) => run.binary_search(&node).is_ok(),
+        }
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(self) -> impl Iterator<Item = NodeId> + 'a {
+        let (set, run) = match self {
+            Neighbours::Set(set) => (Some(set), None),
+            Neighbours::Run(run) => (None, Some(run)),
+        };
+        (set.into_iter().flat_map(PSet::iter))
+            .chain(run.into_iter().flatten())
+            .copied()
+    }
+}
+
+/// The `λ` edges at one class's nodes, seen from one side (see
+/// [`Adjacency`]): the instance's adjacency entry, or one direction of a
+/// derived relation — its runs keyed by the other endpoint, and the
+/// other direction's keys as the support.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Side<'a> {
+    Index(&'a Adjacency),
+    /// The runs keyed by the other endpoint, and the support.
+    Runs(&'a Runs, &'a [NodeId]),
+}
+
+impl<'a> Side<'a> {
+    /// The class's nodes across a `λ` edge from `anchor`.
+    pub(crate) fn get(self, anchor: NodeId) -> Option<Neighbours<'a>> {
+        match self {
+            Side::Index(side) => side.postings.get(&anchor).map(Neighbours::Set),
+            Side::Runs(postings, _) => postings.get(anchor).map(Neighbours::Run),
+        }
+    }
+
+    /// The class's nodes with at least one `λ` edge on this side.
+    pub(crate) fn support(self) -> Neighbours<'a> {
+        match self {
+            Side::Index(side) => Neighbours::Set(&side.support),
+            Side::Runs(_, support) => Neighbours::Run(support),
+        }
+    }
+
+    /// Number of `λ` edges on this side.
+    pub(crate) fn edges(self) -> usize {
+        match self {
+            Side::Index(side) => side.edges,
+            Side::Runs(postings, _) => postings.edges,
+        }
+    }
+}
+
 // ---- compiled search ----------------------------------------------------
 
 /// The shared refusals of every engine: method heads must have been
@@ -278,22 +353,22 @@ struct Step<'a> {
     data: &'a PatternNode,
     class: &'a Label,
     /// The edges to bound nodes: the node at the other end and the
-    /// `(class, λ)` postings that map its image to that image's
+    /// `(class, λ)` side that maps its image to that image's
     /// neighbours of this class (the label hashes are paid here, once).
     /// The candidates are read off the smallest of the neighbour sets
     /// and probed against the others — the expansion edge is never
     /// re-checked, and with two or more links this is the generic
     /// join's intersection.
-    links: Vec<(NodeId, &'a Postings)>,
-    /// Postings of the node's self-loops (source → targets), each
+    links: Vec<(NodeId, Side<'a>)>,
+    /// Sides of the node's self-loops (source → targets), each
     /// candidate probed for itself.
-    loops: Vec<&'a Postings>,
+    loops: Vec<Side<'a>>,
     /// Support sets of the edges to nodes not bound yet, every
     /// candidate must be in — resolved only where they are wanted: for
     /// a step with no link and no print value, whose candidate base is
     /// their intersection (complete but over-approximate, made exact by
     /// the later steps' links), and for every step when pruning.
-    supports: Vec<&'a PSet<NodeId>>,
+    supports: Vec<Neighbours<'a>>,
 }
 
 /// The backtracking search, compiled: a binding order as [`Step`]s over
@@ -303,9 +378,10 @@ struct Step<'a> {
 struct Search<'a> {
     instance: &'a Instance,
     steps: Vec<Step<'a>>,
-    /// Positive edges among the pre-bound nodes — source, the edge's
-    /// postings (source → targets), target — probed once per frame.
-    bound_edges: Vec<(NodeId, &'a Postings, NodeId)>,
+    /// Positive edges among the pre-bound nodes — the pattern edge,
+    /// source, the edge's side (source → targets), target — probed once
+    /// per frame.
+    bound_edges: Vec<(EdgeId, NodeId, Side<'a>, NodeId)>,
     /// Some pattern edge's `(class, λ)` is missing from the adjacency
     /// index altogether: nothing can match.
     dead: bool,
@@ -319,7 +395,7 @@ struct Search<'a> {
 struct Cursor<'a> {
     frame: Vec<Option<NodeId>>,
     candidates: Vec<NodeId>,
-    sets: Vec<&'a PSet<NodeId>>,
+    sets: Vec<Neighbours<'a>>,
     visited: Vec<u64>,
 }
 
@@ -357,10 +433,9 @@ impl<'a> Search<'a> {
         let mut bound_edges = Vec::new();
         for e in graph.edges() {
             if bound[e.src.index()] && bound[e.dst.index()] {
-                let postings =
-                    (view.incoming(class_of(e.dst), &e.payload.label)).map(|side| &side.postings);
-                bound_edges.extend(postings.map(|postings| (e.src, postings, e.dst)));
-                dead |= postings.is_none();
+                let side = view.incoming(class_of(e.dst), &e.payload.label);
+                bound_edges.extend(side.map(|side| (e.id, e.src, side, e.dst)));
+                dead |= side.is_none();
             }
         }
         let mut steps = Vec::with_capacity(order.len());
@@ -371,13 +446,13 @@ impl<'a> Search<'a> {
             for edge in graph.out_edges(node) {
                 let label = &edge.payload.label;
                 if edge.dst == node {
-                    let postings = view.incoming(class, label).map(|side| &side.postings);
-                    loops.extend(postings);
-                    dead |= postings.is_none();
+                    let side = view.incoming(class, label);
+                    loops.extend(side);
+                    dead |= side.is_none();
                 } else if bound[edge.dst.index()] {
-                    let postings = view.outgoing(class, label).map(|side| &side.postings);
-                    links.extend(postings.map(|postings| (edge.dst, postings)));
-                    dead |= postings.is_none();
+                    let side = view.outgoing(class, label);
+                    links.extend(side.map(|side| (edge.dst, side)));
+                    dead |= side.is_none();
                 } else {
                     open.push((label, true));
                 }
@@ -386,9 +461,9 @@ impl<'a> Search<'a> {
             for edge in graph.in_edges(node).filter(|e| e.src != node) {
                 let label = &edge.payload.label;
                 if bound[edge.src.index()] {
-                    let postings = view.incoming(class, label).map(|side| &side.postings);
-                    links.extend(postings.map(|postings| (edge.src, postings)));
-                    dead |= postings.is_none();
+                    let side = view.incoming(class, label);
+                    links.extend(side.map(|side| (edge.src, side)));
+                    dead |= side.is_none();
                 } else {
                     open.push((label, false));
                 }
@@ -401,7 +476,7 @@ impl<'a> Search<'a> {
                         true => view.outgoing(class, label),
                         false => view.incoming(class, label),
                     };
-                    let support = side.map(|side| &side.support);
+                    let support = side.map(Side::support);
                     supports.extend(support);
                     dead |= support.is_none();
                 }
@@ -417,7 +492,7 @@ impl<'a> Search<'a> {
             bound[node.index()] = true;
         }
         Search {
-            instance: view.instance(),
+            instance: view.instance,
             steps,
             bound_edges,
             dead,
@@ -453,9 +528,9 @@ impl<'a> Search<'a> {
         let (instance, step) = (self.instance, &self.steps[depth]);
         let sets = &mut cursor.sets;
         sets.clear();
-        for (other, postings) in &step.links {
+        for (other, side) in &step.links {
             let image = cursor.frame[other.index()].expect("bound earlier in the order");
-            match postings.get(&image) {
+            match side.get(image) {
                 Some(set) => sets.push(set),
                 None => return,
             }
@@ -467,20 +542,19 @@ impl<'a> Search<'a> {
             .min_by_key(|&at| sets[at].len());
         let admit = |candidate: &NodeId| {
             (step.data.predicate.is_none() || node_compatible(instance, step.data, *candidate))
-                && (step.loops.iter()).all(|targets| {
-                    targets
-                        .get(candidate)
-                        .is_some_and(|set| set.contains(candidate))
+                && (step.loops.iter()).all(|side| {
+                    side.get(*candidate)
+                        .is_some_and(|set| set.contains(*candidate))
                 })
-                && (0..sets.len()).all(|at| Some(at) == base || sets[at].contains(candidate))
-                && step.supports.iter().all(|set| set.contains(candidate))
+                && (0..sets.len()).all(|at| Some(at) == base || sets[at].contains(*candidate))
+                && step.supports.iter().all(|set| set.contains(*candidate))
         };
         if let Some(value) = &step.data.print {
             out.extend(instance.find_printable(step.class, value).filter(admit));
         } else if let Some(at) = base {
-            out.extend(sets[at].iter().copied().filter(admit));
+            out.extend(sets[at].iter().filter(admit));
         } else if let Some(smallest) = step.supports.iter().min_by_key(|set| set.len()) {
-            out.extend(smallest.iter().copied().filter(admit));
+            out.extend(smallest.iter().filter(admit));
         } else {
             out.extend(instance.nodes_with_label(step.class).filter(admit));
         }
@@ -523,8 +597,8 @@ impl<'a> Search<'a> {
     fn bound_edges_hold(&self, frame: &[Option<NodeId>]) -> bool {
         let image = |node: NodeId| frame[node.index()].expect("pre-bound");
         !self.dead
-            && (self.bound_edges.iter()).all(|&(src, postings, dst)| {
-                (postings.get(&image(src))).is_some_and(|set| set.contains(&image(dst)))
+            && (self.bound_edges.iter()).all(|&(_, src, side, dst)| {
+                (side.get(image(src))).is_some_and(|set| set.contains(image(dst)))
             })
     }
 
@@ -567,23 +641,19 @@ impl<'a> Search<'a> {
 /// Enumerate into `table`, unsorted and possibly with repeats, every
 /// matching of the positive pattern `pattern` that maps at least one
 /// pattern edge onto an edge of `delta`: each occurrence of a delta
-/// edge's label in the pattern is seeded in turn by pre-binding that
-/// pattern edge's endpoints to the delta edge's, and the search compiled
-/// for that pre-bound pair extends the frame. A self-loop pattern edge
-/// binds one node and so only takes delta edges whose endpoints
-/// coincide.
-fn enumerate_seeded(
-    pattern: &Pattern,
-    view: View<'_>,
-    delta: &[EdgeTriple],
-    table: &mut MatchTable,
-) {
-    let (graph, instance) = (pattern.graph(), view.instance());
+/// label in the pattern is seeded in turn by pre-binding that pattern
+/// edge's endpoints to each delta pair, and the search compiled for that
+/// pre-bound pair extends the frame. The seed edge itself is not probed:
+/// the delta pair is in the relation by construction. A self-loop
+/// pattern edge binds one node and so only takes delta pairs whose
+/// endpoints coincide.
+fn enumerate_seeded(pattern: &Pattern, view: View<'_>, delta: &[Delta], table: &mut MatchTable) {
+    let (graph, instance) = (pattern.graph(), view.instance);
     for edge in graph.edges() {
-        if !delta
+        let seeds = delta
             .iter()
-            .any(|(_, label, _)| *label == edge.payload.label)
-        {
+            .filter(|(label, _)| *label == edge.payload.label);
+        if seeds.clone().next().is_none() {
             continue;
         }
         let src_data = graph.node(edge.src).expect("live pattern node");
@@ -591,18 +661,18 @@ fn enumerate_seeded(
         let mut prebound = vec![edge.src, edge.dst];
         prebound.dedup();
         let order = planner::order_from(pattern, view, &prebound);
-        let search = Search::compile(pattern, view, &prebound, &order, false);
+        let mut search = Search::compile(pattern, view, &prebound, &order, false);
+        search.bound_edges.retain(|bound| bound.0 != edge.id);
         let mut cursor = search.cursor();
-        for (src, label, dst) in delta {
-            if *label != edge.payload.label
-                || (edge.src == edge.dst && src != dst)
-                || !node_compatible(instance, src_data, *src)
-                || !node_compatible(instance, dst_data, *dst)
+        for &(src, dst) in seeds.flat_map(|(_, pairs)| pairs) {
+            if (edge.src == edge.dst && src != dst)
+                || !node_compatible(instance, src_data, src)
+                || !node_compatible(instance, dst_data, dst)
             {
                 continue;
             }
-            cursor.frame[edge.src.index()] = Some(*src);
-            cursor.frame[edge.dst.index()] = Some(*dst);
+            cursor.frame[edge.src.index()] = Some(src);
+            cursor.frame[edge.dst.index()] = Some(dst);
             if search.bound_edges_hold(&cursor.frame) {
                 search.solve(0, &mut cursor, &mut |complete| {
                     table.push_frame(complete);
@@ -705,25 +775,26 @@ pub fn find_match_table<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Res
 pub(crate) fn matchings_using(
     pattern: &Pattern,
     view: View<'_>,
-    delta: &[EdgeTriple],
-) -> Result<Vec<Matching>> {
+    delta: &[Delta],
+) -> Result<MatchTable> {
     let occurs = |label: &Label| {
         let mut edges = pattern.graph().edges();
         edges.any(|e| !e.payload.negated && e.payload.label == *label)
     };
-    if !delta.iter().any(|(_, label, _)| occurs(label)) {
-        return Ok(Vec::new());
+    if !delta.iter().any(|(label, _)| occurs(label)) {
+        return Ok(MatchTable::new(Vec::new()));
     }
-    table_of(pattern, view, Some(delta)).map(MatchTable::into_matchings)
+    table_of(pattern, view, Some(delta))
 }
 
 /// Shared body of [`find_match_table`] (`delta` absent: plan and
 /// enumerate everything) and [`matchings_using`] (`delta` present).
-fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[EdgeTriple]>) -> Result<MatchTable> {
-    check_matchable(pattern, view.instance())?;
+fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[Delta]>) -> Result<MatchTable> {
+    check_matchable(pattern, view.instance)?;
 
     let mut find_span = good_trace::span("match", "match/find");
-    let started = find_span.is_live().then(std::time::Instant::now);
+    // Timed whenever live metrics are on, recorder or not.
+    let started = good_trace::live_metrics_enabled().then(std::time::Instant::now);
 
     let positive = pattern.positive_part();
     let mut table = MatchTable::new(positive.graph().node_ids().collect());
@@ -753,13 +824,14 @@ fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[EdgeTriple]>) -> 
             find_span.arg("est_rows", est_rows);
         }
         if let Some(delta) = delta {
-            find_span.arg("delta_edges", delta.len());
+            find_span.arg(
+                "delta_edges",
+                delta.iter().map(|(_, pairs)| pairs.len()).sum::<usize>(),
+            );
         }
-        // Timed on the span's clock, so only while a recorder is
-        // installed; the counters below are always on.
-        if let Some(t0) = started {
-            LIVE_FIND_NS.observe(t0.elapsed().as_nanos() as u64);
-        }
+    }
+    if let Some(t0) = started {
+        LIVE_FIND_NS.observe(t0.elapsed().as_nanos() as u64);
     }
     LIVE_CALLS.incr();
     LIVE_NEGATION_FILTERED.add((positive_results - table.len()) as u64);
@@ -918,7 +990,7 @@ impl Plan {
 /// into the `match.plan.est_error_pct` histogram.
 pub fn explain_plan_profiled<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Result<Plan> {
     let view = view.into();
-    check_matchable(pattern, view.instance())?;
+    check_matchable(pattern, view.instance)?;
     let positive = pattern.positive_part();
     let choice = planner::plan(&positive, view);
 
@@ -1124,20 +1196,9 @@ pub fn find_matchings_naive(pattern: &Pattern, instance: &Instance) -> Result<Ve
 mod tests {
     use super::*;
     use crate::pattern::ValuePredicate;
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::{Value, ValueType};
+    use crate::value::Value;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .printable("Date", ValueType::Date)
-            .functional("Info", "name", "String")
-            .functional("Info", "created", "Date")
-            .functional("Info", "modified", "Date")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     /// A small slice of the paper's instance: Rock links to The Doors
     /// and Pinkfloyd; Jazz links to nothing.

@@ -410,16 +410,7 @@ mod tests {
     use crate::scheme::SchemeBuilder;
     use crate::value::{Value, ValueType};
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .printable("Date", ValueType::Date)
-            .functional("Info", "name", "String")
-            .functional("Info", "modified", "Date")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn named_info(db: &mut Instance, name: &str) -> NodeId {
         let info = db.add_object("Info").unwrap();

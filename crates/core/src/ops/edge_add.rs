@@ -15,7 +15,7 @@ use crate::derived::{View, ViewMut};
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::{EdgeKind, Label};
-use crate::matching::{find_match_table, EdgeTriple, MatchTable, Matching};
+use crate::matching::{find_match_table, Delta, MatchTable};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -91,29 +91,27 @@ impl EdgeAddition {
     /// extended, which is harmless and matches the paper: `S′` depends
     /// only on the operation).
     pub fn apply(&self, db: &mut Instance) -> Result<OpReport> {
-        self.apply_to(db.into())
+        self.apply_to(ViewMut::new(db, None))
     }
 
     /// [`EdgeAddition::apply`], adding the edges where `target` takes
     /// them (see [`ViewMut`]).
     pub(crate) fn apply_to(&self, target: ViewMut<'_>) -> Result<OpReport> {
-        let (report, _) = self.apply_with(target, |pattern, view| {
-            find_match_table(pattern, view).map(MatchTable::into_matchings)
-        })?;
+        let (report, _) =
+            self.apply_with(target, |pattern, view| find_match_table(pattern, view))?;
         Ok(report)
     }
 
-    /// [`EdgeAddition::apply_to`] with the matchings supplied by
+    /// [`EdgeAddition::apply_to`] with the match table supplied by
     /// `matcher` (the full match, or the fixpoint evaluator's
     /// delta-seeded one), so validation, scheme extension, the
     /// pre-mutation check and the report stay one code path. Also
-    /// returns the edges that were not there before, in the order they
-    /// were added.
+    /// returns the edges that were not there before, per label.
     pub(crate) fn apply_with(
         &self,
         mut target: ViewMut<'_>,
-        matcher: impl FnOnce(&Pattern, View<'_>) -> Result<Vec<Matching>>,
-    ) -> Result<(OpReport, Vec<EdgeTriple>)> {
+        matcher: impl FnOnce(&Pattern, View<'_>) -> Result<MatchTable>,
+    ) -> Result<(OpReport, Vec<Delta>)> {
         // Validate bold endpoints.
         for edge in &self.edges {
             for node in [edge.src, edge.dst] {
@@ -129,7 +127,7 @@ impl EdgeAddition {
             }
         }
 
-        let matchings = matcher(&self.pattern, target.view())?;
+        let table = matcher(&self.pattern, target.view())?;
 
         // Minimal scheme extension.
         let db = &mut *target.instance;
@@ -160,20 +158,24 @@ impl EdgeAddition {
                 .add_triple(src_label, edge.label.clone(), dst_label)?;
         }
 
-        // Gather the concrete edges, sorted: duplicates collapse, and the
-        // edges leaving one source under one label form a run.
-        let mut to_add = Vec::with_capacity(matchings.len() * self.edges.len());
-        for matching in &matchings {
-            for edge in &self.edges {
-                to_add.push((
-                    matching.image(edge.src),
-                    &edge.label,
-                    matching.image(edge.dst),
-                ));
+        // Gather the concrete edges per label, read off the bold
+        // endpoints' columns as sorted `(src, dst)` pairs: duplicates
+        // collapse, and the edges leaving one source form a run.
+        let mut groups: Vec<(&Label, Vec<(NodeId, NodeId)>)> = Vec::new();
+        for edge in self.edges.iter().filter(|_| !table.is_empty()) {
+            let column = |node| table.column(node).expect("bold endpoints are positive");
+            let (src, dst) = (column(edge.src), column(edge.dst));
+            let pairs = table.rows().map(|row| (row[src], row[dst]));
+            match groups.iter_mut().find(|(label, _)| *label == &edge.label) {
+                Some((_, group)) => group.extend(pairs),
+                None => groups.push((&edge.label, pairs.collect())),
             }
         }
-        to_add.sort_unstable();
-        to_add.dedup();
+        groups.sort_unstable_by_key(|(label, _)| *label);
+        for (_, pairs) in &mut groups {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
 
         // Pre-mutation consistency check (the "result is undefined"
         // conditions), per run, against existing ∪ new edges. One
@@ -182,49 +184,39 @@ impl EdgeAddition {
         // for derived edges) give a functional λ at most one target and
         // all λ-successors of a node the same label.
         let view = target.view();
-        let db = view.instance();
-        let mut targets = Vec::new();
-        for (at, &(src, label, dst)) in to_add.iter().enumerate() {
-            targets.push(dst);
-            if (to_add.get(at + 1)).is_some_and(|next| (next.0, next.1) == (src, label)) {
-                continue;
-            }
-            targets.extend(view.first_target(src, label));
-            targets.sort_unstable();
-            targets.dedup();
+        let db = view.instance;
+        let class = |node: &NodeId| db.node_label(*node).expect("live");
+        for (label, pairs) in &groups {
             let kind = db.scheme().edge_kind(label).expect("registered above");
-            if kind == EdgeKind::Functional && targets.len() > 1 {
-                return Err(GoodError::FunctionalConflict {
-                    edge: label.clone(),
-                    src: format!("{src:?}"),
-                });
+            for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+                let ((src, first), existing) = (run[0], view.first_target(run[0].0, label));
+                let targets = || run.iter().map(|pair| pair.1).chain(existing);
+                if kind == EdgeKind::Functional && targets().any(|node| node != first) {
+                    return Err(GoodError::FunctionalConflict {
+                        edge: (*label).clone(),
+                        src: format!("{src:?}"),
+                    });
+                }
+                let first = class(&first);
+                if targets().skip(1).any(|node| class(&node) != first) {
+                    let mut labels = targets().map(|node| class(&node)).collect::<BTreeSet<_>>();
+                    return Err(GoodError::TargetLabelConflict {
+                        edge: (*label).clone(),
+                        existing: labels.pop_first().expect("nonempty").clone(),
+                        new: labels.pop_first().expect("two").clone(),
+                    });
+                }
             }
-            let class = |node: &NodeId| db.node_label(*node).expect("live");
-            if targets.iter().any(|node| class(node) != class(&targets[0])) {
-                let mut labels = targets
-                    .iter()
-                    .map(class)
-                    .collect::<BTreeSet<_>>()
-                    .into_iter();
-                return Err(GoodError::TargetLabelConflict {
-                    edge: label.clone(),
-                    existing: labels.next().expect("nonempty").clone(),
-                    new: labels.next().expect("two").clone(),
-                });
-            }
-            targets.clear();
         }
 
-        let mut added = Vec::new();
-        for (src, label, dst) in to_add {
-            if target.add_edge(src, label, dst)? {
-                added.push((src, label.clone(), dst));
-            }
+        let mut added = Vec::with_capacity(groups.len());
+        for (label, pairs) in &groups {
+            added.push(((*label).clone(), target.add_edges(label, pairs)?));
         }
         target.instance.debug_assert_indexes();
         let report = OpReport {
-            matchings: matchings.len(),
-            edges_added: added.len(),
+            matchings: table.len(),
+            edges_added: added.iter().map(|(_, pairs)| pairs.len()).sum(),
             ..OpReport::default()
         };
         Ok((report, added))

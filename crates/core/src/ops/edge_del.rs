@@ -75,19 +75,9 @@ impl EdgeDeletion {
 mod tests {
     use super::*;
     use crate::ops::EdgeAddition;
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::{Value, ValueType};
+    use crate::value::Value;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .printable("Date", ValueType::Date)
-            .functional("Info", "name", "String")
-            .functional("Info", "modified", "Date")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn music_history() -> (Instance, NodeId) {
         let mut db = Instance::new(scheme());

@@ -144,19 +144,9 @@ impl NodeAddition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::{Value, ValueType};
+    use crate::value::Value;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .printable("Date", ValueType::Date)
-            .functional("Info", "name", "String")
-            .functional("Info", "created", "Date")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     /// Rock(Jan 14) links to Doors(Jan 12) and Floyd(Jan 14).
     fn small_instance() -> (Instance, [NodeId; 3]) {

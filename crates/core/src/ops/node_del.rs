@@ -58,17 +58,8 @@ impl NodeDeletion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::ValueType;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .functional("Info", "name", "String")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn named(db: &mut Instance, name: &str) -> NodeId {
         let info = db.add_object("Info").unwrap();

@@ -454,20 +454,8 @@ impl Pattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::SchemeBuilder;
-    use crate::value::ValueType;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .printable("Date", ValueType::Date)
-            .functional("Info", "name", "String")
-            .functional("Info", "created", "Date")
-            .functional("Info", "modified", "Date")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     /// The paper's Figure 4 pattern.
     fn figure4() -> Pattern {

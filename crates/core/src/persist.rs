@@ -502,11 +502,6 @@ impl<T: Ord> PSet<T> {
     {
         self.map.contains_key(value)
     }
-
-    /// The smallest element, if any.
-    pub fn first(&self) -> Option<&T> {
-        self.map.iter().next().map(|(k, ())| k)
-    }
 }
 
 impl<T: Ord + Clone> PSet<T> {
@@ -789,7 +784,6 @@ mod tests {
         assert!(s.insert(1));
         assert!(!s.insert(3));
         assert!(s.contains(&1));
-        assert_eq!(s.first(), Some(&1));
         assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![1, 3]);
         assert!(s.remove(&1));
         assert!(!s.remove(&1));

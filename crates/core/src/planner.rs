@@ -155,7 +155,7 @@ impl<'a> Planner<'a> {
         let graph = pattern.graph();
         let bound = graph.node_index_bound();
         let nodes: Vec<NodeId> = graph.node_ids().collect();
-        let instance = view.instance();
+        let instance = view.instance;
 
         let mut edges = Vec::new();
         let mut incident: Vec<Vec<usize>> = vec![Vec::new(); bound];
@@ -676,17 +676,8 @@ pub fn find_matchings_binary(pattern: &Pattern, instance: &Instance) -> Result<V
 mod tests {
     use super::*;
     use crate::matching::find_matchings;
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::ValueType;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .functional("Info", "name", "String")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn triangle_instance() -> Instance {
         let mut db = Instance::new(scheme());

@@ -81,7 +81,7 @@ impl Operation {
 
     /// Apply this operation to `db` within `env`.
     pub fn apply(&self, db: &mut Instance, env: &mut Env) -> Result<OpReport> {
-        self.apply_to(db.into(), env)
+        self.apply_to(ViewMut::new(db, None), env)
     }
 
     /// [`Operation::apply`] with an edge addition's edges going where

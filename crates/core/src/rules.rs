@@ -23,6 +23,7 @@
 //! (DESIGN.md, "Fixpoint evaluation"), the same loop as the starred
 //! edge addition of [`crate::macros::recursion`].
 
+use crate::derived::ViewMut;
 use crate::error::Result;
 use crate::fixpoint::{fixpoint, FixRule};
 use crate::instance::Instance;
@@ -101,7 +102,7 @@ impl RuleSet {
     /// deletion, abstraction or method call happened in between.
     pub fn saturate(&self, db: &mut Instance, env: &mut Env) -> Result<SaturationReport> {
         let rules: Vec<FixRule<'_>> = self.rules.iter().map(|rule| (&rule.op).into()).collect();
-        let outcome = fixpoint(&rules, db.into(), env)?;
+        let outcome = fixpoint(&rules, ViewMut::new(db, None), env)?;
         Ok(SaturationReport {
             rounds: outcome.rounds,
             per_rule: self

@@ -45,17 +45,8 @@ pub fn find_matchings_wcoj(pattern: &Pattern, instance: &Instance) -> Result<Vec
 mod tests {
     use super::*;
     use crate::matching::{find_matchings, find_matchings_naive};
-    use crate::scheme::{Scheme, SchemeBuilder};
-    use crate::value::ValueType;
 
-    fn scheme() -> Scheme {
-        SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .functional("Info", "name", "String")
-            .multivalued("Info", "links-to", "Info")
-            .build()
-    }
+    use crate::gen::bench_scheme as scheme;
 
     fn cyclic_instance() -> Instance {
         let mut db = Instance::new(scheme());

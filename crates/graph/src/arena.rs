@@ -21,10 +21,23 @@ use std::fmt;
 /// `ArenaId` is intentionally opaque; the only guarantees are that it is
 /// `Copy`, cheap to hash, and that an id obtained from [`Arena::insert`]
 /// stays valid exactly until the corresponding [`Arena::remove`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ArenaId {
     index: u32,
     generation: u32,
+}
+
+impl PartialOrd for ArenaId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ArenaId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let bits = |id: &ArenaId| (u64::from(id.index) << 32) | u64::from(id.generation);
+        bits(self).cmp(&bits(other))
+    }
 }
 
 impl ArenaId {

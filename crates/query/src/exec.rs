@@ -130,51 +130,73 @@ impl RowSet {
         self.cells.is_empty()
     }
 
-    fn rows(&self) -> impl Iterator<Item = &[u64]> {
-        self.cells.chunks(self.columns.len().max(1))
+    /// The cells of the rows, row-major: [`RowSet::columns`] per row.
+    pub fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        let kinds = self.kinds.iter().cycle();
+        kinds.zip(&self.cells).map(|(kind, &cell)| match kind {
+            ColumnKind::Objects(class) => Cell::Object(class.as_str(), cell),
+            ColumnKind::Printables(literals) => Cell::Literal(&literals[cell as usize]),
+        })
     }
 
     /// Total bytes of rendered cell text over all rows.
     pub fn cell_bytes(&self) -> usize {
-        let cell_len = |(kind, &cell): (&ColumnKind, &u64)| match kind {
-            ColumnKind::Objects(class) => {
-                class.as_str().len() + 1 + cell.checked_ilog10().map_or(1, |log| log as usize + 1)
-            }
-            ColumnKind::Printables(literals) => literals[cell as usize].len(),
-        };
-        self.rows()
-            .flat_map(|row| self.kinds.iter().zip(row).map(cell_len))
-            .sum()
+        self.cells().map(Cell::text_len).sum()
     }
 
     /// Render the rows: one exact-size allocation per cell, no
     /// `format!`.
     pub fn into_output(self) -> QueryOutput {
-        let render = |(kind, &cell): (&ColumnKind, &u64)| match kind {
-            ColumnKind::Objects(class) => {
-                let mut digits = [0u8; 20];
-                let (mut at, mut rest) = (digits.len(), cell);
-                loop {
-                    at -= 1;
-                    digits[at] = b'0' + (rest % 10) as u8;
-                    rest /= 10;
-                    if rest == 0 {
-                        break;
-                    }
-                }
-                let digits = std::str::from_utf8(&digits[at..]).expect("ascii digits");
-                [class.as_str(), "#", digits].concat()
-            }
-            ColumnKind::Printables(literals) => literals[cell as usize].clone(),
-        };
-        let rows = self
-            .rows()
-            .map(|row| self.kinds.iter().zip(row).map(render).collect())
+        let mut digits = [0u8; 20];
+        let mut cells = self.cells().map(|cell| cell.pieces(&mut digits).concat());
+        let width = self.columns.len();
+        let rows = (0..self.len())
+            .map(|_| cells.by_ref().take(width).collect())
             .collect();
+        drop(cells);
         QueryOutput {
             columns: self.columns,
             rows,
         }
+    }
+}
+
+/// One cell of a [`RowSet`], before it is text: what
+/// [`RowSet::into_output`] and the server's `Rows` writer both render.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    /// An object: its class and arena index, rendered `class#index`.
+    Object(&'a str, u64),
+    /// A printable, rendered as this GOODQL literal.
+    Literal(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    /// Bytes of rendered text.
+    pub fn text_len(self) -> usize {
+        match self {
+            Cell::Object(class, index) => {
+                class.len() + 1 + index.checked_ilog10().map_or(1, |log| log as usize + 1)
+            }
+            Cell::Literal(text) => text.len(),
+        }
+    }
+
+    /// The rendered text in at most three pieces, the index's digits
+    /// written into `digits` — no allocation.
+    pub fn pieces(self, digits: &'a mut [u8; 20]) -> [&'a str; 3] {
+        let (class, mut rest) = match self {
+            Cell::Object(class, index) => (class, index),
+            Cell::Literal(text) => return [text, "", ""],
+        };
+        let mut at = digits.len();
+        while at == digits.len() || rest > 0 {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        let digits = std::str::from_utf8(&digits[at..]).expect("ascii digits");
+        [class, "#", digits]
     }
 }
 

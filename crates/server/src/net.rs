@@ -63,8 +63,7 @@
 //! every span.
 
 use crate::proto::{
-    encode, read_frame, rows_payload_len, write_frame, ErrCode, Frame, ProtoError, SnapshotInfo,
-    MAX_PAYLOAD, VERSION,
+    encode, encode_rows, read_frame, write_frame, ErrCode, Frame, ProtoError, SnapshotInfo, VERSION,
 };
 use crate::{Server, ServerError, SlowEntry, SlowKind, Ticket};
 use good_core::snapshot::Snapshot;
@@ -693,8 +692,11 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                 if let Some(trace_id) = trace {
                     frame_span.arg("trace", trace_id);
                 }
-                let reply = run_query(&shared, session, request, at, &pattern, trace);
-                if writer.send(&reply).is_err() {
+                let sent = match run_query(&shared, session, request, at, &pattern, trace) {
+                    Ok(rows) => writer.send_bytes(&rows),
+                    Err(refusal) => writer.send(&refusal),
+                };
+                if sent.is_err() {
                     break;
                 }
             }
@@ -767,11 +769,12 @@ fn snapshot_for(shared: &NetShared, request: u64, at: Option<u64>) -> Result<Sna
     }
 }
 
-/// Serve one `Query` frame: parse → compile → execute → size → `Rows`.
-/// Text that does not parse or compile as GOODQL is refused with
-/// `Err{BadRequest}` carrying the parser's caret render, and the
-/// session goes on. A query past `slow_query_ns` lands in the slow log
-/// with its stage timings and its profiled plan.
+/// Serve one `Query` frame: parse → compile → execute → size → the
+/// encoded `Rows` frame, written straight from the row set. Text that
+/// does not parse or compile as GOODQL is refused with `Err{BadRequest}`
+/// carrying the parser's caret render, and the session goes on. A query
+/// past `slow_query_ns` lands in the slow log with its stage timings and
+/// its profiled plan.
 fn run_query(
     shared: &NetShared,
     session: u64,
@@ -779,29 +782,17 @@ fn run_query(
     at: Option<u64>,
     text: &str,
     trace: Option<u64>,
-) -> Frame {
+) -> Result<Vec<u8>, Frame> {
     let started = Instant::now();
-    let snapshot = match snapshot_for(shared, request, at) {
-        Ok(snapshot) => snapshot,
-        Err(refusal) => return refusal,
-    };
+    let snapshot = snapshot_for(shared, request, at)?;
     let refuse =
         |err: good_query::QueryError| bad_request(request, format!("query: {}", err.render(text)));
-    let query = match good_query::parse_query(text) {
-        Ok(query) => query,
-        Err(err) => return refuse(err),
-    };
+    let query = good_query::parse_query(text).map_err(refuse)?;
     let parsed = Instant::now();
-    let compiled = match good_query::compile(&query, snapshot.instance().scheme()) {
-        Ok(compiled) => compiled,
-        Err(err) => return refuse(err),
-    };
+    let compiled = good_query::compile(&query, snapshot.instance().scheme()).map_err(refuse)?;
     let compiled_at = Instant::now();
-    let rows =
-        match good_query::execute_rows(snapshot.instance(), &compiled, good_query::Backend::Core) {
-            Ok(rows) => rows,
-            Err(err) => return refuse(err),
-        };
+    let rows = good_query::execute_rows(snapshot.instance(), &compiled, good_query::Backend::Core)
+        .map_err(refuse)?;
     let executed = Instant::now();
     let total_ns = executed.duration_since(started).as_nanos() as u64;
     LIVE_QUERY_NS.observe(total_ns);
@@ -832,26 +823,18 @@ fn run_query(
             ],
         });
     }
-    // Size the reply before allocating its strings: a frame past the
-    // cap would be refused by `write_frame` after the work was done.
-    let width = rows.columns().len();
-    let payload = rows_payload_len(rows.columns(), rows.len(), width, rows.cell_bytes());
-    if payload > MAX_PAYLOAD {
-        return bad_request(
+    // The reply is sized before any cell is rendered: a frame past the
+    // cap is refused without doing the work.
+    encode_rows(request, snapshot.epoch, &rows).map_err(|err| match err {
+        ProtoError::Oversized { len, max } => bad_request(
             request,
             format!(
-                "reply of {payload} bytes exceeds the {} MiB frame cap; add LIMIT",
-                MAX_PAYLOAD >> 20
+                "reply of {len} bytes exceeds the {} MiB frame cap; add LIMIT",
+                max >> 20
             ),
-        );
-    }
-    let output = rows.into_output();
-    Frame::Rows {
-        request,
-        epoch: snapshot.epoch,
-        columns: output.columns,
-        rows: output.rows,
-    }
+        ),
+        other => bad_request(request, other.to_string()),
+    })
 }
 
 fn run_snapshot(shared: &NetShared, request: u64, at: Option<u64>, want_dot: bool) -> Frame {

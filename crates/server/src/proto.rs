@@ -48,6 +48,7 @@
 //! inputs.
 
 use good_core::program::Program;
+use good_query::RowSet;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -546,6 +547,43 @@ pub fn rows_payload_len(columns: &[String], rows: usize, width: usize, cell_byte
 /// Encode one frame: header + payload, ready for the wire.
 pub fn encode(frame: &Frame) -> Vec<u8> {
     frame_bytes(frame.type_byte(), encode_payload(frame))
+}
+
+/// Encode the `Rows` frame of `rows` straight from the [`RowSet`]: the
+/// bytes [`encode`] gives the [`Frame::Rows`] of its
+/// [`RowSet::into_output`], in one buffer of exactly the size
+/// [`rows_payload_len`] gives, with no cell becoming a `String`. A
+/// payload past [`MAX_PAYLOAD`] is refused before any cell is rendered.
+pub fn encode_rows(request: u64, epoch: u64, rows: &RowSet) -> Result<Vec<u8>, ProtoError> {
+    let (columns, width) = (rows.columns(), rows.columns().len());
+    let payload = rows_payload_len(columns, rows.len(), width, rows.cell_bytes());
+    if payload > MAX_PAYLOAD {
+        let (len, max) = (payload as u64, MAX_PAYLOAD as u64);
+        return Err(ProtoError::Oversized { len, max });
+    }
+    let mut out = Vec::with_capacity(HEADER_LEN + payload);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&[VERSION, 6]); // 6: the `Rows` type byte
+    put_u32(&mut out, payload as u32);
+    put_u64(&mut out, request);
+    put_u64(&mut out, epoch);
+    put_u32(&mut out, width as u32);
+    for column in columns {
+        put_str(&mut out, column);
+    }
+    put_u32(&mut out, rows.len() as u32);
+    let (mut cells, mut digits) = (rows.cells(), [0u8; 20]);
+    for _ in 0..rows.len() {
+        put_u32(&mut out, width as u32);
+        for cell in cells.by_ref().take(width) {
+            put_u32(&mut out, cell.text_len() as u32);
+            for piece in cell.pieces(&mut digits) {
+                out.extend_from_slice(piece.as_bytes());
+            }
+        }
+    }
+    debug_assert_eq!(out.len(), HEADER_LEN + payload);
+    Ok(out)
 }
 
 /// Encode a `Submit` from a borrowed [`Program`] — the pipelined

@@ -522,3 +522,36 @@ fn stats_document_schema_1_is_pinned() {
         );
     }
 }
+
+/// `match.find_ns` is observed whenever live metrics are on, recorder or
+/// not: with none installed, a GOODQL query adds as many samples to it
+/// as it adds matcher calls to `match.calls`.
+#[test]
+fn match_find_ns_counts_every_matcher_call_without_a_recorder() {
+    let net = start_net(ServerConfig::default());
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    client
+        .submit_wait(&labeled_program("Info"))
+        .expect("commit");
+    let counts = || {
+        let metrics = good_trace::metrics_snapshot();
+        let finds = metrics.histogram("match.find_ns").map_or(0, |h| h.count);
+        (metrics.counter("match.calls").unwrap_or(0), finds)
+    };
+    // Other tests in this binary match (and record) concurrently: retry,
+    // for up to a minute, until one query's window is ours alone.
+    let started = std::time::Instant::now();
+    let mut attempts = (0..).take_while(|_| started.elapsed() < Duration::from_secs(60));
+    let quiet = attempts.any(|_| {
+        let (calls, finds) = counts();
+        let recorded = good_trace::enabled();
+        let query = "MATCH (a:Info)-[:links-to*]->(b:Info) RETURN a, b";
+        client.query(query, None).expect("query");
+        let (calls_after, finds_after) = counts();
+        assert!(calls_after > calls);
+        !recorded && !good_trace::enabled() && calls_after - calls == finds_after - finds
+    });
+    assert!(quiet, "match.find_ns never kept pace with match.calls");
+    client.goodbye().expect("goodbye");
+    net.shutdown().expect("shutdown");
+}

@@ -7,8 +7,8 @@
 
 use good_core::gen::random_workload;
 use good_server::proto::{
-    decode, encode, rows_payload_len, ErrCode, Frame, ProtoError, SnapshotInfo, HEADER_LEN, MAGIC,
-    MAX_PAYLOAD, VERSION,
+    decode, encode, encode_rows, rows_payload_len, ErrCode, Frame, ProtoError, SnapshotInfo,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use proptest::prelude::*;
 
@@ -119,6 +119,50 @@ fn every_frame_type_round_trips() {
             assert_round_trips(&frame);
         }
     }
+}
+
+/// A served `Rows` reply is written straight from the row set: for the
+/// GOODQL corpus and generated queries, its bytes are the encoding of
+/// the `Rows` frame the rendered output makes, and its payload is the
+/// length `rows_payload_len` predicts.
+#[test]
+fn served_rows_bytes_equal_the_frame_encoding() {
+    use good_core::gen::{random_instance, GenConfig};
+    let db = random_instance(&GenConfig {
+        infos: 24,
+        avg_links: 2.0,
+        distinct_dates: 4,
+        seed: 5,
+    });
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../query/tests/corpus");
+    let mut texts: Vec<String> = (std::fs::read_dir(corpus).expect("query corpus"))
+        .map(|entry| std::fs::read_to_string(entry.expect("entry").path()).expect("read"))
+        .collect();
+    texts.extend((0..64).map(|seed| good_query::gen::random_query(seed).to_string()));
+    let mut served = 0;
+    for (request, text) in texts.iter().enumerate() {
+        let Ok(query) = good_query::parse_query(text) else {
+            continue;
+        };
+        let Ok(compiled) = good_query::compile(&query, db.scheme()) else {
+            continue;
+        };
+        let rows = good_query::execute_rows(&db, &compiled, good_query::Backend::Core).unwrap();
+        let bytes = encode_rows(request as u64, 9, &rows).expect("under the cap");
+        let (columns, width) = (rows.columns().to_vec(), rows.columns().len());
+        let predicted = rows_payload_len(&columns, rows.len(), width, rows.cell_bytes());
+        assert_eq!(bytes.len() - HEADER_LEN, predicted, "{text}");
+        let output = rows.into_output();
+        let frame = Frame::Rows {
+            request: request as u64,
+            epoch: 9,
+            columns: output.columns,
+            rows: output.rows,
+        };
+        assert_eq!(bytes, encode(&frame), "{text}");
+        served += 1;
+    }
+    assert!(served > 64, "{served} queries served");
 }
 
 #[test]

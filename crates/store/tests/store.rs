@@ -2,25 +2,16 @@
 //! checkpointing, and corruption detection.
 
 use good_core::error::GoodError;
+use good_core::gen::bench_scheme as scheme;
 use good_core::label::Label;
 use good_core::method::{Method, MethodCall, MethodSpec};
 use good_core::ops::{EdgeAddition, EdgeDeletion, NodeAddition};
 use good_core::pattern::Pattern;
 use good_core::program::{Operation, Program, DEFAULT_FUEL};
-use good_core::scheme::{Scheme, SchemeBuilder};
-use good_core::value::ValueType;
+use good_core::scheme::Scheme;
 use good_store::{LogRecord, Store, StoreError};
 use std::io::Write;
 use std::path::PathBuf;
-
-fn scheme() -> Scheme {
-    SchemeBuilder::new()
-        .object("Info")
-        .printable("String", ValueType::Str)
-        .functional("Info", "name", "String")
-        .multivalued("Info", "links-to", "Info")
-        .build()
-}
 
 /// A unique journal path per test.
 fn journal_path(name: &str) -> PathBuf {

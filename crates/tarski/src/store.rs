@@ -92,17 +92,10 @@ impl TarskiStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use good_core::scheme::SchemeBuilder;
-    use good_core::value::ValueType;
+    use good_core::gen::bench_scheme;
 
     fn sample() -> (Instance, NodeId, NodeId) {
-        let scheme = SchemeBuilder::new()
-            .object("Info")
-            .printable("String", ValueType::Str)
-            .functional("Info", "name", "String")
-            .multivalued("Info", "links-to", "Info")
-            .build();
-        let mut db = Instance::new(scheme);
+        let mut db = Instance::new(bench_scheme());
         let a = db.add_object("Info").unwrap();
         let b = db.add_object("Info").unwrap();
         let name = db.add_printable("String", "rock").unwrap();
