@@ -50,12 +50,7 @@ fn main() {
                 .note("instance_bytes", instance_bytes);
 
             let links_to = Label::new("links-to");
-            let infos: Vec<_> = db
-                .graph()
-                .nodes()
-                .filter(|node| node.payload.label == Label::new("Info"))
-                .map(|node| node.id)
-                .collect();
+            let infos: Vec<_> = db.nodes_with_label(&Label::new("Info")).collect();
             let (src, dst) = (infos[0], infos[infos.len() / 2]);
             assert!(!db.has_edge(src, &links_to, dst), "the toggled edge is new");
             let cell = SnapshotCell::new_shared(Arc::clone(&db), RetentionPolicy::default());

@@ -40,7 +40,7 @@ fn main() {
             );
             let db = chain_instance(length);
             bench.time(&format!("direct-graph-closure/{length}"), || {
-                good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == links)
+                good_graph::algo::transitive_closure_by(&db.to_graph(), |label| *label == links)
             });
         }
     });

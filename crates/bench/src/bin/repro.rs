@@ -110,7 +110,7 @@ fn main() {
     line!(
         "F14-15 node deletion: Classical Music gone={}, Mozart isolated={} (paper: both)",
         !db.contains_node(h.classical),
-        db.graph().in_degree(h.mozart) == 0 && db.contains_node(h.mozart)
+        db.in_degree(h.mozart) == 0 && db.contains_node(h.mozart)
     );
 
     // ---- Figure 16 ----------------------------------------------------------------------
@@ -202,16 +202,13 @@ fn main() {
     env.register(method);
     good_core::method::execute_call(&call, &mut db, &mut env).expect("fig28-29");
     let rec = Label::new("rec-links-to");
-    let closure_size = db
-        .graph()
-        .edges()
-        .filter(|e| e.payload.label == rec)
-        .count();
+    let closure_size = db.edges().filter(|(_, label, _)| **label == rec).count();
     let links = Label::new("links-to");
-    let expected: usize = good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == links)
-        .values()
-        .map(|set| set.len())
-        .sum();
+    let expected: usize =
+        good_graph::algo::transitive_closure_by(&db.to_graph(), |label| *label == links)
+            .values()
+            .map(|set| set.len())
+            .sum();
     line!(
         "F28-29 transitive closure: {} rec-links-to edges, graph-theoretic closure = {} (equal: {})",
         closure_size,

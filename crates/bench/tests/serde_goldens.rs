@@ -2,6 +2,9 @@
 //! tree-based `serde` stand-in of PR 16 (generator: that directory's
 //! README) and are never regenerated. Each must read into its type and
 //! write back to exactly its bytes: old journals and frames stay current.
+//! The one exception is the instance snapshot, whose shape changed when
+//! edges became triples: `snapshot-triples.json` is the current shape,
+//! and the old `snapshot.json` must still open and write back as it.
 
 use good_bench::harness::{workspace_root, Envelope};
 use good_core::macros::recursion::RecursiveEdgeAddition;
@@ -9,11 +12,15 @@ use good_core::{scheme::Scheme, value::Value};
 use good_store::LogRecord;
 use serde::{Deserialize, Serialize};
 
-/// Identity through the document's own type and through the dynamic one.
-fn identical<T: Serialize + Deserialize>(file: &str) {
+fn golden(file: &str) -> String {
     let path = workspace_root().join("tests/golden/serde").join(file);
     let golden = std::fs::read_to_string(path).expect(file);
-    let golden = golden.strip_suffix('\n').unwrap_or(&golden);
+    golden.strip_suffix('\n').unwrap_or(&golden).to_string()
+}
+
+/// Identity through the document's own type and through the dynamic one.
+fn identical<T: Serialize + Deserialize>(file: &str) {
+    let golden = &golden(file);
     let typed: T = serde_json::from_str(golden).unwrap_or_else(|err| panic!("{file}: {err}"));
     let dynamic: serde_json::Value = serde_json::from_str(golden).expect(file);
     let written = match file.contains(".pretty.") {
@@ -33,7 +40,7 @@ fn identical<T: Serialize + Deserialize>(file: &str) {
 #[test]
 fn every_golden_round_trips_byte_for_byte() {
     let records =
-        "snapshot register-method apply-na apply-ea apply-nd apply-ed apply-ab apply-call";
+        "snapshot-triples register-method apply-na apply-ea apply-nd apply-ed apply-ab apply-call";
     for record in records.split(' ') {
         identical::<LogRecord>(&format!("{record}.json"));
     }
@@ -42,4 +49,11 @@ fn every_golden_round_trips_byte_for_byte() {
     identical::<Scheme>("scheme.pretty.json");
     identical::<Vec<Value>>("values.json");
     identical::<Envelope>("bench-envelope.pretty.json");
+}
+
+#[test]
+fn the_edge_arena_snapshot_opens_as_its_triples_document() {
+    let old: LogRecord = serde_json::from_str(&golden("snapshot.json")).expect("old shape opens");
+    let written = serde_json::to_string(&old).expect("writes");
+    assert!(written == golden("snapshot-triples.json"), "{written}");
 }

@@ -28,14 +28,11 @@ use std::collections::{BTreeSet, VecDeque};
 /// (all edges whose endpoints both survive). Node ids are preserved.
 fn induced(db: &Instance, keep: &BTreeSet<NodeId>) -> Instance {
     let mut view = db.clone();
-    let doomed: Vec<NodeId> = view
-        .graph()
-        .node_ids()
-        .filter(|node| !keep.contains(node))
-        .collect();
-    for node in doomed {
-        view.delete_node(node);
-    }
+    let doomed = view
+        .nodes()
+        .map(|(node, _)| node)
+        .filter(|node| !keep.contains(node));
+    view.delete_nodes(doomed.collect::<Vec<_>>());
     view
 }
 
@@ -52,12 +49,8 @@ pub fn neighborhood(db: &Instance, start: NodeId, radius: usize) -> Instance {
         if depth == radius {
             continue;
         }
-        let neighbours = db
-            .graph()
-            .successors(node)
-            .chain(db.graph().predecessors(node))
-            .collect::<Vec<_>>();
-        for next in neighbours {
+        for (src, _, dst) in db.incident_edges(node) {
+            let next = if src == node { dst } else { src };
             if keep.insert(next) {
                 queue.push_back((next, depth + 1));
             }

@@ -82,7 +82,7 @@ pub fn virtual_instance(db: &Instance) -> Result<Instance> {
     // Instance level: BFS along instance isa edges, collecting each
     // node's (transitive) superclass objects, then copying their
     // non-isa outgoing edges down.
-    let nodes: Vec<NodeId> = out.graph().node_ids().collect();
+    let nodes: Vec<NodeId> = out.nodes().map(|(node, _)| node).collect();
     for node in nodes {
         // Collect ancestor objects.
         let mut ancestors = Vec::new();
@@ -103,13 +103,10 @@ pub fn virtual_instance(db: &Instance) -> Result<Instance> {
         // is in BFS order).
         let mut functional_sources: HashMap<Label, NodeId> = HashMap::new();
         for ancestor in ancestors {
-            for edge in out
-                .graph()
-                .out_edges(ancestor)
-                .map(|e| (e.payload.label.clone(), e.dst))
-                .collect::<Vec<_>>()
-            {
-                let (label, target) = edge;
+            for (src, label, target) in out.incident_edges(ancestor) {
+                if src != ancestor {
+                    continue;
+                }
                 if isa_labels.contains(&label) {
                     continue;
                 }

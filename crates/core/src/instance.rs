@@ -11,20 +11,25 @@
 //!    `λ(n1) = λ(n2)` is in `POL` and `print(n1) = print(n2)` then
 //!    `n1 = n2`".
 //!
-//! [`Instance`] enforces all of this *at mutation time*, maintains label
-//! and printable-value indexes for the matcher, and owns its scheme
-//! because the GOOD operations evolve scheme and instance together.
+//! [`Instance`] enforces all of this *at mutation time* and owns its
+//! scheme, because the GOOD operations evolve scheme and instance
+//! together. It stores the two sets and nothing else: `N` is an arena of
+//! [`NodeData`], `E` a set of triples `(src, λ, dst)` whose one store is
+//! the adjacency index — no edge ids, no per-node edge lists. Label and
+//! printable indexes serve the matcher; [`Instance::to_graph`] builds a
+//! `good_graph` view with the same node ids for isomorphism and DOT.
 
 use crate::error::{GoodError, Result};
 use crate::label::{EdgeKind, Label, NodeKind};
 use crate::persist::{PMap, PSet, SharedMap};
 use crate::scheme::Scheme;
 use crate::value::Value;
-use good_graph::dot::{DotEdge, DotNode};
-use good_graph::{EdgeId, Graph, NodeId};
+use good_graph::{Arena, NodeId};
 use good_trace::LiveCounter;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+
+mod view;
 
 // Which deletion strategy batched deletes took (see `delete_nodes`).
 static LIVE_NODE_DEL_BULK: LiveCounter = LiveCounter::new("instance.node_del.bulk_rebuild");
@@ -42,32 +47,24 @@ pub struct NodeData {
     pub print: Option<Value>,
 }
 
-/// Payload of an instance edge: its edge label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EdgeData {
-    /// The edge's label.
-    pub label: Label,
-}
+/// An edge `(src, λ, dst)`.
+pub type Edge = (NodeId, Label, NodeId);
 
 /// Per-key postings of the adjacency index: anchor node → sorted
 /// neighbour set.
 pub type Postings = PMap<NodeId, PSet<NodeId>>;
 
-/// Batched deletions at least this large (and dooming a sizable graph
-/// fraction) rebuild the adjacency index wholesale instead of
-/// unindexing edge by edge.
+/// Batched deletions at least this large (and dooming a sizable
+/// fraction) rebuild the adjacency index instead of unfiling each edge.
 const BULK_REBUILD_MIN: usize = 64;
 
 /// The `λ` edges at the nodes of one class, seen from one side: the
-/// adjacency index's entry under a `(class, λ)` key. The matcher reads
-/// it, and a derived relation's runs, through `crate::matching::Side`.
-///
+/// adjacency index's entry under a `(λ, class)` key, which the matcher
+/// reads (like a derived relation's runs) through `crate::matching::Side`.
 /// On the outgoing side the class is the sources', and `postings` maps
-/// each target to its class-labelled `λ`-sources (the candidates for a
-/// pattern node whose out-edge target is already bound). On the
-/// incoming side the class is the targets', and `postings` maps each
-/// source to its class-labelled `λ`-targets. All sets are sorted for
-/// determinism.
+/// each target to its class-labelled `λ`-sources; on the incoming side
+/// the class is the targets', and `postings` maps each source to its
+/// class-labelled `λ`-targets. All sets are sorted for determinism.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Adjacency {
     /// Other endpoint → the class's nodes across a `λ` edge from it.
@@ -105,194 +102,155 @@ impl Adjacency {
 
     /// Rough heap footprint in bytes.
     fn approx_bytes(&self) -> usize {
-        self.postings.approx_bytes()
-            + self
-                .postings
-                .values()
-                .map(PSet::approx_bytes)
-                .sum::<usize>()
-            + self.support.approx_bytes()
+        let sets: usize = self.postings.values().map(PSet::approx_bytes).sum();
+        self.postings.approx_bytes() + sets + self.support.approx_bytes()
     }
 }
 
-/// The label-pair adjacency index: for every edge `(s, λ, t)` it
-/// records `s`'s side under `(λ(s), λ)` in `outgoing` and `t`'s under
-/// `(λ(t), λ)` in `incoming`, so the matcher derives candidate sets from
-/// index lookups and intersections instead of scanning whole label
-/// extents or edge lists, and the planner reads its figures off the
-/// same entries (`crate::derived::View::triple`).
-///
-/// The maps are nested (`node label → edge label → side`) rather than
-/// keyed by a `(Label, Label)` tuple so the read path can probe with
-/// two borrowed `&Label`s — a tuple key would force two `String`
-/// clones per lookup, and `has_edge` sits in the matcher's innermost
-/// loop.
-///
-/// Every level is a persistent [`PMap`]/[`PSet`], so cloning the index
-/// is a few `Arc` bumps and indexing one edge path-copies only the
-/// O(log n) nodes around the two touched sides — the property that
-/// makes snapshot publishes O(delta) (see `crate::snapshot`).
+/// One side of the adjacency index: edge label → class → entry.
+type Sides = SharedMap<Label, SharedMap<Label, Adjacency>>;
+/// A set a node anchors on one side, with its class or edge label.
+type Anchored<'a> = (&'a Label, &'a PSet<NodeId>);
+
+/// The adjacency index, the instance's edge store: edge `(s, λ, t)` is
+/// filed as `s` under `(λ, λ(s))` in `outgoing` and as `t` under
+/// `(λ, λ(t))` in `incoming`. The matcher seeds candidates from these
+/// entries, the planner reads its figures off them, and a node's `λ`
+/// edges are the postings it anchors under `λ`. Nested maps let reads
+/// probe with two borrowed `&Label`s; every level is persistent, so a
+/// clone is a few `Arc` bumps and filing an edge path-copies O(log n)
+/// nodes per side — what makes publishes O(delta) (`crate::snapshot`).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct AdjacencyIndex {
-    outgoing: SharedMap<Label, SharedMap<Label, Adjacency>>,
-    incoming: SharedMap<Label, SharedMap<Label, Adjacency>>,
+    outgoing: Sides,
+    incoming: Sides,
 }
 
-/// Borrowed-key probe of a nested index map — no allocation.
-fn nested_get<'a, T>(
-    map: &'a SharedMap<Label, SharedMap<Label, T>>,
-    node_label: &Label,
-    edge: &Label,
-) -> Option<&'a T> {
-    map.get(node_label)?.get(edge)
+/// The sets `node` anchors under `edge` on one side, with their class.
+fn sets_at<'a>(sides: &'a Sides, edge: &Label, node: NodeId) -> impl Iterator<Item = Anchored<'a>> {
+    (sides.get(edge).into_iter())
+        .flat_map(|by_class| by_class.iter())
+        .filter_map(move |(class, side)| side.postings.get(&node).map(|set| (class, set)))
 }
 
-/// Remove the `(node_label, edge)` entry of a nested index map,
-/// pruning the outer entry when its inner map empties. `prune` decides
-/// what to do with the inner value; returning `true` drops it.
-fn nested_prune<T: Clone>(
-    map: &mut SharedMap<Label, SharedMap<Label, T>>,
-    node_label: &Label,
-    edge: &Label,
-    prune: impl FnOnce(&mut T) -> bool,
+/// The sets `node` anchors on one side, with their edge label.
+fn all_sets_at(sides: &Sides, node: NodeId) -> impl Iterator<Item = Anchored<'_>> {
+    (sides.iter()).flat_map(move |(edge, by_class)| {
+        (by_class.values()).filter_map(move |side| side.postings.get(&node).map(|set| (edge, set)))
+    })
+}
+
+/// File `id` in the label and (if printable) printable indexes.
+fn index_node(
+    labels: &mut SharedMap<Label, PSet<NodeId>>,
+    values: &mut SharedMap<Label, PMap<Value, NodeId>>,
+    id: NodeId,
+    data: &NodeData,
 ) {
-    let Some(inner) = map.get_mut(node_label) else {
-        return;
-    };
-    if let Some(value) = inner.get_mut(edge) {
-        if prune(value) {
-            inner.remove(edge);
-        }
+    labels.get_or_insert_with(&data.label, PSet::new).insert(id);
+    if let Some(value) = &data.print {
+        (values.get_or_insert_with(&data.label, PMap::new)).insert(value.clone(), id);
     }
-    if inner.is_empty() {
-        map.remove(node_label);
-    }
+}
+
+/// The class of a live node.
+fn class_of(nodes: &Arena<NodeData>, node: NodeId) -> Option<&Label> {
+    nodes.get(node.0).map(|data| &data.label)
+}
+
+fn dangling(node: NodeId) -> GoodError {
+    GoodError::DanglingNode(format!("{node:?}"))
 }
 
 impl AdjacencyIndex {
-    /// Index the edge `(src, λ, dst)` on both its sides: `src`'s class's
-    /// outgoing one and `dst`'s class's incoming one.
-    fn insert(
-        &mut self,
-        src: NodeId,
-        src_label: &Label,
-        edge: &Label,
-        dst: NodeId,
-        dst_label: &Label,
-    ) {
-        let outgoing = (self.outgoing.get_or_insert_with(src_label, SharedMap::new))
-            .get_or_insert_with(edge, Adjacency::default);
-        let incoming = (self.incoming.get_or_insert_with(dst_label, SharedMap::new))
-            .get_or_insert_with(edge, Adjacency::default);
-        let targets = incoming.postings.get_or_insert_with(&src, PSet::new);
-        if !targets.insert(dst) {
-            return;
+    /// File the edge `(src, λ, dst)` on both its sides; `false` if it
+    /// was there already.
+    fn insert(&mut self, src: (NodeId, &Label), edge: &Label, dst: (NodeId, &Label)) -> bool {
+        for (sides, (node, class), anchor) in [
+            (&mut self.outgoing, src, dst.0),
+            (&mut self.incoming, dst, src.0),
+        ] {
+            let entry = (sides.get_or_insert_with(edge, SharedMap::new))
+                .get_or_insert_with(class, Adjacency::default);
+            if !entry
+                .postings
+                .get_or_insert_with(&anchor, PSet::new)
+                .insert(node)
+            {
+                return false;
+            }
+            // Inserting a present key still path-copies: probe first.
+            if !entry.support.contains(&node) {
+                entry.support.insert(node);
+            }
+            entry.edges += 1;
         }
-        // A set of one is the node's first edge between these two
-        // classes, so the node may be new to its support (an edge from
-        // another class may have put it there: inserting again is a
-        // no-op). A longer set means it is there, and the insert, which
-        // path-copies even when the key is present, is skipped.
-        if targets.len() == 1 {
-            outgoing.support.insert(src);
-        }
-        let sources = outgoing.postings.get_or_insert_with(&dst, PSet::new);
-        sources.insert(src);
-        if sources.len() == 1 {
-            incoming.support.insert(dst);
-        }
-        outgoing.edges += 1;
-        incoming.edges += 1;
+        true
     }
 
-    /// Unindex the edge `(src, λ, dst)`. The `src_has_out` / `dst_has_in`
-    /// flags say whether the endpoints still carry *other* `λ` edges in
-    /// the graph (computed by the caller after the graph mutation), which
-    /// decides whether they stay in the support sets. Empty containers
-    /// are pruned so the index stays equal to a fresh rebuild.
-    fn remove(
-        &mut self,
-        (src, src_label): (NodeId, &Label),
-        edge: &Label,
-        (dst, dst_label): (NodeId, &Label),
-        src_has_out: bool,
-        dst_has_in: bool,
-    ) {
-        nested_prune(&mut self.outgoing, src_label, edge, |side| {
-            side.remove(dst, src, src_has_out)
-        });
-        nested_prune(&mut self.incoming, dst_label, edge, |side| {
-            side.remove(src, dst, dst_has_in)
-        });
-    }
-
-    /// Build the index of `graph` from scratch (recovery, bulk deletes
-    /// and the audit).
-    fn build(graph: &Graph<NodeData, EdgeData>) -> Self {
-        let mut index = AdjacencyIndex::default();
-        for edge in graph.edges() {
-            let src_label = &graph.node(edge.src).expect("live").label;
-            let dst_label = &graph.node(edge.dst).expect("live").label;
-            index.insert(
-                edge.src,
-                src_label,
-                &edge.payload.label,
-                edge.dst,
-                dst_label,
-            );
+    /// Unfile the edge `(src, λ, dst)`; `false` if it was not there.
+    /// Empty containers are pruned, so the index stays equal to a fresh
+    /// build from its triples.
+    fn remove(&mut self, src: (NodeId, &Label), edge: &Label, dst: (NodeId, &Label)) -> bool {
+        let targets = (self.incoming.get(edge))
+            .and_then(|by_class| by_class.get(dst.1)?.postings.get(&src.0));
+        if !targets.is_some_and(|set| set.contains(&dst.0)) {
+            return false;
         }
-        index
-    }
-
-    /// Rough heap footprint in bytes across both nested maps.
-    fn approx_bytes(&self) -> usize {
-        [&self.outgoing, &self.incoming]
-            .into_iter()
-            .map(|map| {
-                map.approx_bytes()
-                    + (map.values())
-                        .map(|by_edge| {
-                            by_edge.approx_bytes()
-                                + by_edge.values().map(Adjacency::approx_bytes).sum::<usize>()
-                        })
-                        .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
-/// The indexes an instance derives from its graph: the label index, the
-/// printable index and the adjacency index.
-type Indexes = (
-    SharedMap<Label, PSet<NodeId>>,
-    SharedMap<Label, PMap<Value, NodeId>>,
-    AdjacencyIndex,
-);
-
-/// Build the [`Indexes`] of `graph` from scratch, from borrows — the
-/// recovery path and the index audit. Fails on two printable nodes
-/// sharing a value.
-fn build_indexes(graph: &Graph<NodeData, EdgeData>) -> Result<Indexes> {
-    let mut label_index: SharedMap<Label, PSet<NodeId>> = SharedMap::new();
-    let mut printable_index: SharedMap<Label, PMap<Value, NodeId>> = SharedMap::new();
-    for node in graph.nodes() {
-        let data = node.payload;
-        label_index
-            .get_or_insert_with(&data.label, PSet::new)
-            .insert(node.id);
-        if let Some(value) = &data.print {
-            let prior = printable_index
-                .get_or_insert_with(&data.label, PMap::new)
-                .insert(value.clone(), node.id);
-            if prior.is_some() {
-                return Err(GoodError::InvariantViolation(format!(
-                    "duplicate printable node {} = {value}",
-                    data.label
-                )));
+        // An endpoint stays in a side's support while another λ-edge
+        // holds it there: a neighbour in some class besides this one.
+        let keeps = |sides: &Sides, (node, _): (NodeId, &Label), (_, other): (NodeId, &Label)| {
+            (sets_at(sides, edge, node)).any(|(class, set)| set.len() > usize::from(class == other))
+        };
+        let (src_keeps, dst_keeps) = (
+            keeps(&self.incoming, src, dst),
+            keeps(&self.outgoing, dst, src),
+        );
+        for (sides, (node, class), anchor, keep) in [
+            (&mut self.outgoing, src, dst.0, src_keeps),
+            (&mut self.incoming, dst, src.0, dst_keeps),
+        ] {
+            let by_class = sides.get_mut(edge).expect("the edge was found filed");
+            if by_class
+                .get_mut(class)
+                .expect("both sides file every edge")
+                .remove(anchor, node, keep)
+            {
+                by_class.remove(class);
+            }
+            if by_class.is_empty() {
+                sides.remove(edge);
             }
         }
+        true
     }
-    Ok((label_index, printable_index, AdjacencyIndex::build(graph)))
+
+    /// The index of `triples` over `nodes`, built from scratch (load,
+    /// bulk deletes, the audit). Fails on a dead endpoint or a repeat.
+    fn build<'a>(
+        nodes: &Arena<NodeData>,
+        triples: impl IntoIterator<Item = (NodeId, &'a Label, NodeId)>,
+    ) -> Result<Self> {
+        let mut index = AdjacencyIndex::default();
+        for (src, edge, dst) in triples {
+            let src_label = class_of(nodes, src).ok_or_else(|| dangling(src))?;
+            let dst_label = class_of(nodes, dst).ok_or_else(|| dangling(dst))?;
+            if !index.insert((src, src_label), edge, (dst, dst_label)) {
+                let repeat = format!("edge ({src:?}, {edge}, {dst:?}) listed twice");
+                return Err(GoodError::InvariantViolation(repeat));
+            }
+        }
+        Ok(index)
+    }
+
+    /// Every edge, read off the outgoing side, in no particular order.
+    fn triples(&self) -> impl Iterator<Item = (NodeId, &Label, NodeId)> {
+        (self.outgoing.iter()).flat_map(|(edge, by_class)| {
+            (by_class.values())
+                .flat_map(|side| side.postings.iter())
+                .flat_map(move |(&dst, sources)| sources.iter().map(move |&src| (src, edge, dst)))
+        })
+    }
 }
 
 /// # Example
@@ -316,43 +274,95 @@ fn build_indexes(graph: &Graph<NodeData, EdgeData>) -> Result<Indexes> {
 /// # Ok::<(), good_core::error::GoodError>(())
 /// ```
 /// An object base instance over an owned [`Scheme`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(try_from = "InstanceData", into = "InstanceData")]
+///
+/// Serialized as `{scheme, nodes, triples}`: the node arena slot by
+/// slot (ids and generations survive), then every edge in
+/// [`Instance::edges`] order. The indexes are rebuilt on load.
+#[derive(Debug, Clone, Default)]
 pub struct Instance {
     scheme: Scheme,
-    graph: Graph<NodeData, EdgeData>,
+    nodes: Arena<NodeData>,
     /// label → live nodes with that label (sorted for determinism).
     label_index: SharedMap<Label, PSet<NodeId>>,
-    /// printable label → value → the unique node carrying it. Nested
-    /// rather than keyed by `(Label, Value)` so lookups probe with two
-    /// borrows instead of cloning a tuple key; the outer level is
-    /// label-keyed (scheme-bounded), so it hash-probes.
+    /// printable label → value → the unique node carrying it, probed
+    /// with two borrows rather than a cloned `(Label, Value)` key.
     printable_index: SharedMap<Label, PMap<Value, NodeId>>,
-    /// (node label, edge label) → postings, for the matcher and planner.
+    /// The edges, filed under (edge label, node label).
     adjacency: AdjacencyIndex,
 }
 
-/// Serialized form: scheme + graph; indexes are rebuilt on load.
-#[derive(Serialize, Deserialize)]
-struct InstanceData {
-    scheme: Scheme,
-    graph: Graph<NodeData, EdgeData>,
+impl Serialize for Instance {
+    fn serialize(&self, out: &mut serde::Serializer) -> std::result::Result<(), serde::Error> {
+        out.begin_map()?;
+        out.field("scheme", &self.scheme)?;
+        out.field("nodes", &self.nodes)?;
+        out.name("triples")?;
+        out.collect_seq(self.edges())?;
+        out.end_map()
+    }
 }
 
-impl From<Instance> for InstanceData {
-    fn from(instance: Instance) -> Self {
-        InstanceData {
-            scheme: instance.scheme,
-            graph: instance.graph,
+/// Reads `{scheme, nodes, triples}`, and, one way, the `{scheme, graph}`
+/// document of the edge-arena store, so journals written before recover.
+impl Deserialize for Instance {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> std::result::Result<Self, serde::Error> {
+        let (mut scheme, mut nodes, mut triples) = (None, None, None);
+        de.begin_map("Instance")?;
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "scheme" => scheme = Some(de.value()?),
+                "nodes" => nodes = Some(de.value()?),
+                "triples" => triples = Some(de.value()?),
+                "graph" => {
+                    let graph: EdgeArenaGraph = de.value()?;
+                    let triple = |(_, e): (_, &EdgeSlot)| (e.src, e.payload.label.clone(), e.dst);
+                    nodes = Some(graph.nodes.map(|slot| slot.payload.clone()));
+                    triples = Some(graph.edges.iter().map(triple).collect());
+                }
+                _ => de.skip_value()?,
+            }
         }
+        let scheme = serde::field(scheme, "scheme", "Instance")?;
+        let nodes = serde::field(nodes, "nodes", "Instance")?;
+        let triples: Vec<Edge> = serde::field(triples, "triples", "Instance")?;
+        let triples = triples.iter().map(|(src, edge, dst)| (*src, edge, *dst));
+        let load = || {
+            let instance = Instance::from_parts(scheme, nodes, triples)?;
+            // The bytes are untrusted, so the content is audited on every
+            // load; the indexes were just built from it, so comparing them
+            // with a rebuild is debug-only.
+            instance.validate_semantics()?;
+            #[cfg(debug_assertions)]
+            instance.validate_indexes()?;
+            Ok::<_, GoodError>(instance)
+        };
+        load().map_err(serde::Error::custom)
     }
 }
 
-impl TryFrom<InstanceData> for Instance {
-    type Error = GoodError;
-    fn try_from(data: InstanceData) -> Result<Self> {
-        Instance::from_parts(data.scheme, data.graph)
-    }
+/// The edge-arena document's graph: its node slots also carry incidence
+/// lists, which the reader skips.
+#[derive(Deserialize)]
+struct EdgeArenaGraph {
+    nodes: Arena<Payload<NodeData>>,
+    edges: Arena<EdgeSlot>,
+}
+
+#[derive(Deserialize)]
+struct Payload<T> {
+    payload: T,
+}
+
+#[derive(Deserialize)]
+struct EdgeSlot {
+    payload: EdgeLabel,
+    src: NodeId,
+    dst: NodeId,
+}
+
+#[derive(Deserialize)]
+struct EdgeLabel {
+    label: Label,
 }
 
 impl Instance {
@@ -360,55 +370,48 @@ impl Instance {
     pub fn new(scheme: Scheme) -> Self {
         Instance {
             scheme,
-            graph: Graph::new(),
-            label_index: SharedMap::new(),
-            printable_index: SharedMap::new(),
-            adjacency: AdjacencyIndex::default(),
+            ..Instance::default()
         }
     }
 
-    /// Rebuild an instance from a scheme and a raw graph, validating all
-    /// invariants and reconstructing the indexes. This is the
-    /// deserialization / recovery path (E13), so the indexes are built
-    /// from borrows — no per-node payload clones, no id buffering.
-    pub fn from_parts(scheme: Scheme, graph: Graph<NodeData, EdgeData>) -> Result<Self> {
-        let (label_index, printable_index, adjacency) = build_indexes(&graph)?;
-        let instance = Instance {
-            scheme,
-            graph,
-            label_index,
-            printable_index,
-            adjacency,
-        };
-        // Content must be audited on every load (the bytes are
-        // untrusted), but the derived indexes were just built from this
-        // very graph — re-deriving them to compare is pure overhead in
-        // release, so the index audit is debug-only here.
-        instance.validate_semantics()?;
-        #[cfg(debug_assertions)]
-        instance.validate_indexes()?;
+    /// An instance of `nodes` and `triples` with every index built from
+    /// scratch: the load path (E13) and the audit's reference. Fails on
+    /// a dead endpoint or a repeated triple; whether the content obeys
+    /// the scheme is [`Instance::validate_semantics`]'s to judge.
+    fn from_parts<'a>(
+        scheme: Scheme,
+        nodes: Arena<NodeData>,
+        triples: impl IntoIterator<Item = (NodeId, &'a Label, NodeId)>,
+    ) -> Result<Self> {
+        let mut instance = Instance::new(scheme);
+        for (id, data) in nodes.iter() {
+            let (labels, values) = (&mut instance.label_index, &mut instance.printable_index);
+            index_node(labels, values, NodeId(id), data);
+        }
+        instance.adjacency = AdjacencyIndex::build(&nodes, triples)?;
+        instance.nodes = nodes;
         Ok(instance)
     }
 
-    /// Rough heap footprint of the graph arenas and all indexes in
-    /// bytes, counting every persistent node once (shared nodes are
-    /// *not* deduplicated, so this is the retained size of an unshared
-    /// copy). Feeds the MVCC ring's byte-based retention policy.
+    /// Rough heap footprint of the node arena and all indexes in bytes,
+    /// counting every persistent node once (shared nodes are *not*
+    /// deduplicated, so this is the retained size of an unshared copy).
     pub fn approx_bytes(&self) -> usize {
-        self.graph.approx_bytes()
-            + self.label_index.approx_bytes()
-            + self
-                .label_index
-                .values()
-                .map(PSet::approx_bytes)
-                .sum::<usize>()
-            + self.printable_index.approx_bytes()
-            + self
-                .printable_index
-                .values()
-                .map(PMap::approx_bytes)
-                .sum::<usize>()
-            + self.adjacency.approx_bytes()
+        let (labels, values) = (&self.label_index, &self.printable_index);
+        let sides = || [&self.adjacency.outgoing, &self.adjacency.incoming].into_iter();
+        let by_class = || sides().flat_map(|sides| sides.values());
+        let entries = by_class().flat_map(|by_class| by_class.values());
+        let parts = [
+            self.nodes.approx_bytes(),
+            labels.approx_bytes(),
+            labels.values().map(PSet::approx_bytes).sum(),
+            values.approx_bytes(),
+            values.values().map(PMap::approx_bytes).sum(),
+            sides().map(SharedMap::approx_bytes).sum(),
+            by_class().map(SharedMap::approx_bytes).sum(),
+            entries.map(Adjacency::approx_bytes).sum(),
+        ];
+        parts.into_iter().sum()
     }
 
     // ---- accessors --------------------------------------------------------
@@ -426,12 +429,10 @@ impl Instance {
         &mut self.scheme
     }
 
-    /// Register a derived multivalued triple `(src, edge, dst)` on this
-    /// instance's scheme — the same "minimal scheme extension" an edge
-    /// addition performs, exposed for engines that materialize derived
-    /// edges (compiled property paths) outside the operation layer.
-    /// Registering a triple never invalidates existing data, so every
-    /// instance invariant is preserved.
+    /// Register a derived multivalued triple `(src, edge, dst)` on the
+    /// scheme — an edge addition's "minimal scheme extension", for engines
+    /// that materialize derived edges outside the operation layer. It
+    /// never invalidates existing data.
     pub fn extend_multivalued(
         &mut self,
         src: impl Into<Label>,
@@ -441,35 +442,56 @@ impl Instance {
         self.scheme.add_multivalued(src, edge, dst)
     }
 
-    /// The underlying graph (read-only).
-    #[inline]
-    pub fn graph(&self) -> &Graph<NodeData, EdgeData> {
-        &self.graph
-    }
-
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.nodes.len()
     }
 
-    /// Number of live edges.
+    /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
+        let entries = (self.adjacency.outgoing.values()).flat_map(SharedMap::values);
+        entries.map(|side| side.edges).sum()
     }
 
     /// True if `node` is live.
     pub fn contains_node(&self, node: NodeId) -> bool {
-        self.graph.contains_node(node)
+        self.nodes.contains(node.0)
     }
 
     /// The label of a live node.
     pub fn node_label(&self, node: NodeId) -> Option<&Label> {
-        self.graph.node(node).map(|data| &data.label)
+        class_of(&self.nodes, node)
     }
 
     /// The print value of a live printable node.
     pub fn print_value(&self, node: NodeId) -> Option<&Value> {
-        self.graph.node(node).and_then(|data| data.print.as_ref())
+        self.nodes.get(node.0)?.print.as_ref()
+    }
+
+    /// Every live node with its payload, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &NodeData)> {
+        self.nodes.iter().map(|(id, data)| (NodeId(id), data))
+    }
+
+    /// Every edge `(src, λ, dst)`, sorted: the order depends neither on
+    /// how the instance was built nor on hash iteration.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, &Label, NodeId)> {
+        let mut triples: Vec<_> = self.adjacency.triples().collect();
+        triples.sort_unstable();
+        triples.into_iter()
+    }
+
+    /// Every edge at `node`, either way round (a self-loop once), sorted.
+    pub fn incident_edges(&self, node: NodeId) -> Vec<Edge> {
+        let out = (all_sets_at(&self.adjacency.incoming, node))
+            .flat_map(|(edge, targets)| targets.iter().map(|&dst| (node, edge.clone(), dst)));
+        let into = (all_sets_at(&self.adjacency.outgoing, node)).flat_map(|(edge, sources)| {
+            let sources = sources.iter().filter(move |&&src| src != node);
+            sources.map(move |&src| (src, edge.clone(), node))
+        });
+        let mut edges: Vec<Edge> = out.chain(into).collect();
+        edges.sort_unstable();
+        edges
     }
 
     /// All live nodes with the given label, in deterministic (id) order.
@@ -487,53 +509,40 @@ impl Instance {
 
     /// The unique printable node holding `value` under `label`, if any.
     pub fn find_printable(&self, label: &Label, value: &Value) -> Option<NodeId> {
-        self.printable_index
-            .get(label)
-            .and_then(|values| values.get(value))
-            .copied()
+        self.printable_index.get(label)?.get(value).copied()
     }
 
     /// The target of the (at most one) functional `λ`-edge leaving
     /// `node`.
     pub fn functional_target(&self, node: NodeId, label: &Label) -> Option<NodeId> {
-        self.graph
-            .out_edges(node)
-            .find(|edge| &edge.payload.label == label)
-            .map(|edge| edge.dst)
+        self.targets(node, label).next()
     }
 
-    /// All `λ`-successors of `node`, in edge insertion order.
-    pub fn targets<'a>(
-        &'a self,
-        node: NodeId,
-        label: &'a Label,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        self.graph
-            .out_edges(node)
-            .filter(move |edge| &edge.payload.label == label)
-            .map(|edge| edge.dst)
+    /// All `λ`-successors of `node`, in id order: they share one class
+    /// (invariant 1), so they are one postings set.
+    pub fn targets<'a>(&'a self, node: NodeId, label: &Label) -> impl Iterator<Item = NodeId> + 'a {
+        sets_at(&self.adjacency.incoming, label, node).flat_map(|(_, set)| set.iter().copied())
     }
 
-    /// All `λ`-predecessors of `node`.
-    pub fn sources<'a>(
-        &'a self,
-        node: NodeId,
-        label: &'a Label,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        self.graph
-            .in_edges(node)
-            .filter(move |edge| &edge.payload.label == label)
-            .map(|edge| edge.src)
+    /// All `λ`-predecessors of `node`, in id order (one postings set per
+    /// source class).
+    pub fn sources(&self, node: NodeId, label: &Label) -> impl Iterator<Item = NodeId> {
+        let sets = sets_at(&self.adjacency.outgoing, label, node);
+        let mut sources: Vec<NodeId> = sets.flat_map(|(_, set)| set.iter().copied()).collect();
+        sources.sort_unstable();
+        sources.into_iter()
     }
 
     /// Out-degree of `node` over all edge labels (0 if absent).
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.graph.out_degree(node)
+        let sets = all_sets_at(&self.adjacency.incoming, node);
+        sets.map(|(_, set)| set.len()).sum()
     }
 
     /// In-degree of `node` over all edge labels (0 if absent).
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.graph.in_degree(node)
+        let sets = all_sets_at(&self.adjacency.outgoing, node);
+        sets.map(|(_, set)| set.len()).sum()
     }
 
     /// The `λ`-successor set of `node` as a sorted set — the paper's
@@ -542,23 +551,11 @@ impl Instance {
         self.targets(node, label).collect()
     }
 
-    /// True if the edge `(src, λ, dst)` is present. Low-degree sources
-    /// are scanned directly — cheaper than the two label hashes an index
-    /// probe costs — while high-degree ones go through the adjacency
-    /// index so the check stays degree-independent.
+    /// True if the edge `(src, λ, dst)` is present: one probe of
+    /// `src`'s class's outgoing entry.
     pub fn has_edge(&self, src: NodeId, label: &Label, dst: NodeId) -> bool {
-        const SCAN_LIMIT: usize = 8;
-        if self.graph.out_degree(src) <= SCAN_LIMIT {
-            return self
-                .graph
-                .out_edges(src)
-                .any(|edge| edge.dst == dst && &edge.payload.label == label);
-        }
-        let Some(src_label) = self.node_label(src) else {
-            return false;
-        };
-        (self.outgoing(src_label, label))
-            .and_then(|side| side.postings.get(&dst))
+        (self.node_label(src))
+            .and_then(|class| self.outgoing(class, label)?.postings.get(&dst))
             .is_some_and(|set| set.contains(&src))
     }
 
@@ -566,21 +563,13 @@ impl Instance {
     /// `class`-labelled sources, the sources with any, and their count.
     /// `None` means no such edge exists.
     pub fn outgoing(&self, class: &Label, edge: &Label) -> Option<&Adjacency> {
-        nested_get(&self.adjacency.outgoing, class, edge)
+        self.adjacency.outgoing.get(edge)?.get(class)
     }
 
     /// The `λ` edges entering `class` nodes: source → its sorted
     /// `class`-labelled targets, the targets with any, and their count.
     pub fn incoming(&self, class: &Label, edge: &Label) -> Option<&Adjacency> {
-        nested_get(&self.adjacency.incoming, class, edge)
-    }
-
-    /// The id of the edge `(src, λ, dst)`, if present.
-    pub fn edge_between(&self, src: NodeId, label: &Label, dst: NodeId) -> Option<EdgeId> {
-        self.graph
-            .out_edges(src)
-            .find(|edge| edge.dst == dst && &edge.payload.label == label)
-            .map(|edge| edge.id)
+        self.adjacency.incoming.get(edge)?.get(class)
     }
 
     // ---- mutation -----------------------------------------------------------
@@ -588,24 +577,8 @@ impl Instance {
     /// Add an object node of class `label`.
     pub fn add_object(&mut self, label: impl Into<Label>) -> Result<NodeId> {
         let label = label.into();
-        match self.scheme.node_kind(&label) {
-            Some(NodeKind::Object) => {}
-            Some(NodeKind::Printable) => {
-                return Err(GoodError::PrintMismatch {
-                    label,
-                    kind: NodeKind::Printable,
-                })
-            }
-            None => return Err(GoodError::UnknownNodeLabel(label)),
-        }
-        let id = self.graph.add_node(NodeData {
-            label: label.clone(),
-            print: None,
-        });
-        self.label_index
-            .get_or_insert_with(&label, PSet::new)
-            .insert(id);
-        Ok(id)
+        self.check_node(&label, None)?;
+        Ok(self.insert_node(NodeData { label, print: None }))
     }
 
     /// Add (or retrieve) the printable node of class `label` holding
@@ -616,165 +589,108 @@ impl Instance {
         label: impl Into<Label>,
         value: impl Into<Value>,
     ) -> Result<NodeId> {
-        let label = label.into();
-        let value = value.into();
-        let expected = match self.scheme.node_kind(&label) {
-            Some(NodeKind::Printable) => self.scheme.printable_type(&label).expect("printable"),
-            Some(NodeKind::Object) => {
-                return Err(GoodError::PrintMismatch {
-                    label,
-                    kind: NodeKind::Object,
-                })
-            }
-            None => return Err(GoodError::UnknownNodeLabel(label)),
-        };
-        if value.value_type() != expected {
-            return Err(GoodError::ValueTypeMismatch {
-                label,
-                expected,
-                value,
-            });
-        }
-        if let Some(existing) = self
-            .printable_index
-            .get(&label)
-            .and_then(|values| values.get(&value))
-        {
-            return Ok(*existing);
-        }
-        let id = self.graph.add_node(NodeData {
-            label: label.clone(),
-            print: Some(value.clone()),
-        });
-        self.label_index
-            .get_or_insert_with(&label, PSet::new)
-            .insert(id);
-        self.printable_index
-            .get_or_insert_with(&label, PMap::new)
-            .insert(value, id);
-        Ok(id)
-    }
-
-    /// Add the edge `(src, λ, dst)`, enforcing every invariant.
-    ///
-    /// Edge sets are *sets*: re-adding an existing edge returns the
-    /// existing id. Violations of functionality or target-label
-    /// consistency are errors — the paper's "the result is not defined".
-    pub fn add_edge(
-        &mut self,
-        src: NodeId,
-        label: impl Into<Label>,
-        dst: NodeId,
-    ) -> Result<EdgeId> {
-        let label = label.into();
-        let src_data = self
-            .graph
-            .node(src)
-            .ok_or_else(|| GoodError::DanglingNode(format!("{src:?}")))?
-            .clone();
-        let dst_data = self
-            .graph
-            .node(dst)
-            .ok_or_else(|| GoodError::DanglingNode(format!("{dst:?}")))?
-            .clone();
-        let kind = self
-            .scheme
-            .edge_kind(&label)
-            .ok_or_else(|| GoodError::UnknownEdgeLabel(label.clone()))?;
-        if !self.scheme.allows(&src_data.label, &label, &dst_data.label) {
-            return Err(GoodError::EdgeNotInScheme {
-                src: src_data.label,
-                edge: label,
-                dst: dst_data.label,
-            });
-        }
-        // Set semantics: identical edge already present → reuse.
-        if let Some(existing) = self.edge_between(src, &label, dst) {
+        let (label, value) = (label.into(), value.into());
+        self.check_node(&label, Some(&value))?;
+        if let Some(existing) = self.find_printable(&label, &value) {
             return Ok(existing);
         }
-        // Invariants over existing λ-successors of src.
-        for edge in self.graph.out_edges(src) {
-            if edge.payload.label != label {
-                continue;
+        let print = Some(value);
+        Ok(self.insert_node(NodeData { label, print }))
+    }
+
+    /// Refuse a node the scheme does not admit: an unknown label, a
+    /// print value on an object or none on a printable, a value of the
+    /// wrong type.
+    fn check_node(&self, label: &Label, print: Option<&Value>) -> Result<()> {
+        let Some(kind) = self.scheme.node_kind(label) else {
+            return Err(GoodError::UnknownNodeLabel(label.clone()));
+        };
+        let expected =
+            |value: &Value| self.scheme.printable_type(label) == Some(value.value_type());
+        match print {
+            _ if print.is_some() != (kind == NodeKind::Printable) => {
+                let label = label.clone();
+                Err(GoodError::PrintMismatch { label, kind })
             }
-            if kind == EdgeKind::Functional {
-                return Err(GoodError::FunctionalConflict {
-                    edge: label,
-                    src: format!("{}({src:?})", src_data.label),
-                });
-            }
-            let existing_label = self.graph.node(edge.dst).expect("live").label.clone();
-            if existing_label != dst_data.label {
+            Some(value) if !expected(value) => Err(GoodError::ValueTypeMismatch {
+                label: label.clone(),
+                expected: self.scheme.printable_type(label).expect("printable"),
+                value: value.clone(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Allocate a node and file it in the label and printable indexes.
+    fn insert_node(&mut self, data: NodeData) -> NodeId {
+        let id = NodeId(self.nodes.insert(data));
+        let data = self.nodes.get(id.0).expect("just inserted");
+        index_node(&mut self.label_index, &mut self.printable_index, id, data);
+        id
+    }
+
+    /// Add the edge `(src, λ, dst)`, enforcing every invariant; `false`
+    /// if it was already there (edge sets are *sets*). Violations of
+    /// functionality or target-label consistency are errors — the
+    /// paper's "the result is not defined".
+    pub fn add_edge(&mut self, src: NodeId, label: impl Into<Label>, dst: NodeId) -> Result<bool> {
+        let label = label.into();
+        if self.check_edge(src, &label, dst)? {
+            return Ok(false);
+        }
+        let src_label = class_of(&self.nodes, src).expect("check_edge saw it live");
+        let dst_label = class_of(&self.nodes, dst).expect("check_edge saw it live");
+        Ok((self.adjacency).insert((src, src_label), &label, (dst, dst_label)))
+    }
+
+    /// The one statement of the edge invariants, which `add_edge` asks
+    /// before filing an edge and the audit asks of every filed one:
+    /// refuse `(src, λ, dst)` beside `src`'s other `λ`-edges unless
+    /// both endpoints live, `P` holds the triple and invariants 1–2
+    /// hold. `true` if the edge is already there.
+    fn check_edge(&self, src: NodeId, label: &Label, dst: NodeId) -> Result<bool> {
+        let src_label = class_of(&self.nodes, src).ok_or_else(|| dangling(src))?;
+        let dst_label = class_of(&self.nodes, dst).ok_or_else(|| dangling(dst))?;
+        let kind = (self.scheme.edge_kind(label))
+            .ok_or_else(|| GoodError::UnknownEdgeLabel(label.clone()))?;
+        if !self.scheme.allows(src_label, label, dst_label) {
+            let (src, edge, dst) = (src_label.clone(), label.clone(), dst_label.clone());
+            return Err(GoodError::EdgeNotInScheme { src, edge, dst });
+        }
+        // `src`'s λ-targets: one of λ's classes holds them all.
+        let mut present = false;
+        for (class, targets) in sets_at(&self.adjacency.incoming, label, src) {
+            let here = class == dst_label && targets.contains(&dst);
+            present |= here;
+            if kind == EdgeKind::Functional && targets.len() > usize::from(here) {
+                let (edge, src) = (label.clone(), format!("{src_label}({src:?})"));
+                return Err(GoodError::FunctionalConflict { edge, src });
+            } else if class != dst_label {
                 return Err(GoodError::TargetLabelConflict {
-                    edge: label,
-                    existing: existing_label,
-                    new: dst_data.label,
+                    edge: label.clone(),
+                    existing: class.clone(),
+                    new: dst_label.clone(),
                 });
             }
         }
-        let id = self.graph.add_edge(
-            src,
-            dst,
-            EdgeData {
-                label: label.clone(),
-            },
-        );
-        self.adjacency
-            .insert(src, &src_data.label, &label, dst, &dst_data.label);
-        Ok(id)
+        Ok(present)
     }
 
     /// Delete a node with all incident edges. Deleting a dead node is a
     /// no-op returning `false`.
     pub fn delete_node(&mut self, node: NodeId) -> bool {
-        if !self.graph.contains_node(node) {
-            return false;
+        for (src, label, dst) in self.incident_edges(node) {
+            self.delete_edge_between(src, &label, dst);
         }
-        // Capture the incident edge triples before the cascade removes
-        // them: the index updates need the endpoint labels, which are
-        // unreachable once the node is dead. Self-loops show up in both
-        // edge lists, so the in-pass skips them.
-        let mut incident: Vec<(NodeId, Label, Label, NodeId, Label)> = Vec::new();
-        for edge in self.graph.out_edges(node) {
-            let dst_label = self.graph.node(edge.dst).expect("live").label.clone();
-            let src_label = self.graph.node(node).expect("live").label.clone();
-            incident.push((
-                node,
-                src_label,
-                edge.payload.label.clone(),
-                edge.dst,
-                dst_label,
-            ));
-        }
-        for edge in self.graph.in_edges(node) {
-            if edge.src == node {
-                continue;
-            }
-            let src_label = self.graph.node(edge.src).expect("live").label.clone();
-            let dst_label = self.graph.node(node).expect("live").label.clone();
-            incident.push((
-                edge.src,
-                src_label,
-                edge.payload.label.clone(),
-                node,
-                dst_label,
-            ));
-        }
-        if !self.remove_node_untracked(node) {
-            return false;
-        }
-        for (src, src_label, edge_label, dst, dst_label) in incident {
-            self.unindex_edge(src, &src_label, &edge_label, dst, &dst_label);
-        }
-        true
+        self.remove_node_untracked(node)
     }
 
-    /// Remove a node from the graph plus the label/printable indexes,
-    /// leaving the adjacency index stale. Callers either unindex the
-    /// captured incident edges afterwards (`delete_node`) or rebuild the
-    /// whole index (the bulk path of `delete_nodes`).
+    /// Remove a node from the arena and the label/printable indexes,
+    /// leaving its edges filed: callers unfile them first
+    /// (`delete_node`) or rebuild the adjacency index after (the bulk
+    /// path of `delete_nodes`).
     fn remove_node_untracked(&mut self, node: NodeId) -> bool {
-        let Some(data) = self.graph.remove_node(node) else {
+        let Some(data) = self.nodes.remove(node.0) else {
             return false;
         };
         if let Some(set) = self.label_index.get_mut(&data.label) {
@@ -798,117 +714,59 @@ impl Instance {
     /// how many were live. The batched entry point for the node-deletion
     /// operation: dead ids (already deleted earlier in the batch) are
     /// skipped silently. Batches that doom a sizable fraction of the
-    /// graph skip per-edge unindexing and rebuild the adjacency index
-    /// once — O(surviving edges) instead of O(doomed edges × degree).
+    /// instance rebuild the adjacency index once from the surviving
+    /// triples — O(surviving edges) instead of O(doomed edges × degree).
     pub fn delete_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> usize {
         let doomed: Vec<NodeId> = nodes.into_iter().collect();
-        if doomed.len() >= BULK_REBUILD_MIN && doomed.len() * 8 >= self.graph.node_count() {
-            LIVE_NODE_DEL_BULK.incr();
-            let removed = doomed
-                .into_iter()
-                .filter(|node| self.remove_node_untracked(*node))
-                .count();
-            self.adjacency = AdjacencyIndex::build(&self.graph);
-            removed
-        } else {
+        if doomed.len() < BULK_REBUILD_MIN || doomed.len() * 8 < self.node_count() {
             LIVE_NODE_DEL_INCREMENTAL.incr();
-            doomed
+            return doomed
                 .into_iter()
                 .filter(|node| self.delete_node(*node))
-                .count()
+                .count();
         }
-    }
-
-    /// Delete an edge by id. Deleting a dead edge is a no-op returning
-    /// `false`.
-    pub fn delete_edge(&mut self, edge: EdgeId) -> bool {
-        let Some(edge_ref) = self.graph.edge_ref(edge) else {
-            return false;
-        };
-        let (src, dst) = (edge_ref.src, edge_ref.dst);
-        let edge_label = edge_ref.payload.label.clone();
-        let src_label = self.graph.node(src).expect("live").label.clone();
-        let dst_label = self.graph.node(dst).expect("live").label.clone();
-        if self.graph.remove_edge(edge).is_none() {
-            return false;
-        }
-        self.unindex_edge(src, &src_label, &edge_label, dst, &dst_label);
-        true
-    }
-
-    /// Unindex one removed edge, rechecking endpoint support against the
-    /// (already mutated) graph.
-    fn unindex_edge(
-        &mut self,
-        src: NodeId,
-        src_label: &Label,
-        edge_label: &Label,
-        dst: NodeId,
-        dst_label: &Label,
-    ) {
-        let src_has_out = self
-            .graph
-            .out_edges(src)
-            .any(|e| &e.payload.label == edge_label);
-        let dst_has_in = self
-            .graph
-            .in_edges(dst)
-            .any(|e| &e.payload.label == edge_label);
-        self.adjacency.remove(
-            (src, src_label),
-            edge_label,
-            (dst, dst_label),
-            src_has_out,
-            dst_has_in,
-        );
+        LIVE_NODE_DEL_BULK.incr();
+        let removed = (doomed.into_iter())
+            .filter(|node| self.remove_node_untracked(*node))
+            .count();
+        let live = |node: NodeId| self.nodes.contains(node.0);
+        let survivors = (self.adjacency.triples()).filter(|(src, _, dst)| live(*src) && live(*dst));
+        self.adjacency =
+            AdjacencyIndex::build(&self.nodes, survivors).expect("survivors are live and distinct");
+        removed
     }
 
     /// Delete the edge `(src, λ, dst)` if present.
     pub fn delete_edge_between(&mut self, src: NodeId, label: &Label, dst: NodeId) -> bool {
-        match self.edge_between(src, label, dst) {
-            Some(edge) => self.delete_edge(edge),
-            None => false,
-        }
+        let (Some(src_label), Some(dst_label)) =
+            (class_of(&self.nodes, src), class_of(&self.nodes, dst))
+        else {
+            return false;
+        };
+        (self.adjacency).remove((src, src_label), label, (dst, dst_label))
     }
 
     /// Delete every edge triple in `triples`, returning how many were
-    /// present. The batched entry point for the edge-deletion operation:
-    /// triples are grouped by source so each source's out-edge list is
-    /// scanned once, instead of once per doomed triple.
-    pub fn delete_edges_between(
-        &mut self,
-        triples: impl IntoIterator<Item = (NodeId, Label, NodeId)>,
-    ) -> usize {
-        let mut by_src: BTreeMap<NodeId, Vec<(Label, NodeId)>> = BTreeMap::new();
-        for (src, label, dst) in triples {
-            by_src.entry(src).or_default().push((label, dst));
-        }
-        let mut doomed: Vec<EdgeId> = Vec::new();
-        for (src, pairs) in &by_src {
-            for edge in self.graph.out_edges(*src) {
-                if pairs
-                    .iter()
-                    .any(|(label, dst)| edge.dst == *dst && &edge.payload.label == label)
-                {
-                    doomed.push(edge.id);
-                }
-            }
-        }
-        if doomed.len() >= BULK_REBUILD_MIN && doomed.len() * 2 >= self.graph.edge_count() {
-            LIVE_EDGE_DEL_BULK.incr();
-            let removed = doomed
-                .into_iter()
-                .filter(|edge| self.graph.remove_edge(*edge).is_some())
-                .count();
-            self.adjacency = AdjacencyIndex::build(&self.graph);
-            removed
-        } else {
+    /// present. The batched entry point for the edge-deletion
+    /// operation: batches that doom half the edges rebuild the index
+    /// from the survivors.
+    pub fn delete_edges_between(&mut self, triples: impl IntoIterator<Item = Edge>) -> usize {
+        let doomed: BTreeSet<Edge> = (triples.into_iter())
+            .filter(|(src, label, dst)| self.has_edge(*src, label, *dst))
+            .collect();
+        if doomed.len() < BULK_REBUILD_MIN || doomed.len() * 2 < self.edge_count() {
             LIVE_EDGE_DEL_INCREMENTAL.incr();
-            doomed
-                .into_iter()
-                .filter(|edge| self.delete_edge(*edge))
-                .count()
+            for (src, label, dst) in &doomed {
+                self.delete_edge_between(*src, label, *dst);
+            }
+            return doomed.len();
         }
+        LIVE_EDGE_DEL_BULK.incr();
+        let survivors = (self.adjacency.triples())
+            .filter(|(src, label, dst)| !doomed.contains(&(*src, Label::clone(label), *dst)));
+        self.adjacency =
+            AdjacencyIndex::build(&self.nodes, survivors).expect("survivors are live and distinct");
+        doomed.len()
     }
 
     /// Restrict this instance to `scheme`: remove every node whose label
@@ -916,28 +774,14 @@ impl Instance {
     /// `P` — "the largest subinstance of I that is an instance over S′"
     /// (footnote 4, the method-interface semantics).
     pub fn restrict_to_scheme(&mut self, scheme: &Scheme) {
-        let doomed_nodes: Vec<NodeId> = self
-            .graph
-            .nodes()
-            .filter(|n| !scheme.is_node_label(&n.payload.label))
-            .map(|n| n.id)
+        let foreign = (self.nodes()).filter(|(_, data)| !scheme.is_node_label(&data.label));
+        self.delete_nodes(foreign.map(|(node, _)| node).collect::<Vec<_>>());
+        let class = |node| class_of(&self.nodes, node).expect("filed edges have live endpoints");
+        let doomed: Vec<Edge> = (self.adjacency.triples())
+            .filter(|(src, label, dst)| !scheme.allows(class(*src), label, class(*dst)))
+            .map(|(src, label, dst)| (src, label.clone(), dst))
             .collect();
-        for node in doomed_nodes {
-            self.delete_node(node);
-        }
-        let doomed_edges: Vec<EdgeId> = self
-            .graph
-            .edges()
-            .filter(|e| {
-                let src = &self.graph.node(e.src).expect("live").label;
-                let dst = &self.graph.node(e.dst).expect("live").label;
-                !scheme.allows(src, &e.payload.label, dst)
-            })
-            .map(|e| e.id)
-            .collect();
-        for edge in doomed_edges {
-            self.delete_edge(edge);
-        }
+        self.delete_edges_between(doomed);
         self.scheme = scheme.clone();
     }
 
@@ -953,177 +797,74 @@ impl Instance {
         self.validate_indexes()
     }
 
-    /// The *semantic* half of [`Instance::validate`]: scheme
-    /// consistency, node label/print invariants, printable uniqueness,
-    /// and edge conformance — everything that can be wrong about the
-    /// graph *content*. Runs in O(nodes + edges); does not touch the
-    /// derived indexes, so it is safe on paths where the indexes were
-    /// just built (deserialization, recovery).
+    /// The *semantic* half of [`Instance::validate`]: scheme, nodes,
+    /// printable uniqueness and edges — everything that can be wrong
+    /// about the *content*, judged by the mutators' own checks, edges in
+    /// [`Instance::edges`] order so a corrupt document always reports the
+    /// same fault first. It builds no index, so it suits paths where the
+    /// indexes were just built (deserialization, recovery).
     pub fn validate_semantics(&self) -> Result<()> {
         self.scheme.validate()?;
-        for node in self.graph.nodes() {
-            let data = node.payload;
-            match self.scheme.node_kind(&data.label) {
-                Some(NodeKind::Object) => {
-                    if data.print.is_some() {
-                        return Err(GoodError::InvariantViolation(format!(
-                            "object node {} carries a print value",
-                            data.label
-                        )));
-                    }
-                }
-                Some(NodeKind::Printable) => {
-                    let Some(value) = &data.print else {
-                        return Err(GoodError::InvariantViolation(format!(
-                            "printable node {} lacks a print value",
-                            data.label
-                        )));
-                    };
-                    let expected = self.scheme.printable_type(&data.label).expect("printable");
-                    if value.value_type() != expected {
-                        return Err(GoodError::InvariantViolation(format!(
-                            "printable node {} holds a {} value, expected {expected}",
-                            data.label,
-                            value.value_type()
-                        )));
-                    }
-                }
-                None => return Err(GoodError::UnknownNodeLabel(data.label.clone())),
-            }
-        }
-        // Printable uniqueness.
         let mut seen: HashMap<(&Label, &Value), NodeId> = HashMap::new();
-        for node in self.graph.nodes() {
-            if let Some(value) = &node.payload.print {
-                if let Some(previous) = seen.insert((&node.payload.label, value), node.id) {
-                    return Err(GoodError::InvariantViolation(format!(
-                        "printable nodes {previous:?} and {:?} share value {value}",
-                        node.id
-                    )));
-                }
+        for (id, NodeData { label, print }) in self.nodes() {
+            self.check_node(label, print.as_ref())?;
+            if let Some(other) = print
+                .as_ref()
+                .and_then(|value| seen.insert((label, value), id))
+            {
+                let text = format!("printable nodes {other:?} and {id:?} share a value");
+                return Err(GoodError::InvariantViolation(text));
             }
         }
-        // Edge conformance + per-(node, label) invariants.
-        for node in self.graph.node_ids() {
-            let mut by_label: HashMap<&Label, Vec<NodeId>> = HashMap::new();
-            for edge in self.graph.out_edges(node) {
-                by_label
-                    .entry(&edge.payload.label)
-                    .or_default()
-                    .push(edge.dst);
-            }
-            let src_label = &self.graph.node(node).expect("live").label;
-            for (label, targets) in by_label {
-                let kind = self
-                    .scheme
-                    .edge_kind(label)
-                    .ok_or_else(|| GoodError::UnknownEdgeLabel(label.clone()))?;
-                if kind == EdgeKind::Functional && targets.len() > 1 {
-                    return Err(GoodError::InvariantViolation(format!(
-                        "functional edge {label} leaves {src_label} {} times",
-                        targets.len()
-                    )));
-                }
-                let mut distinct = BTreeSet::new();
-                let mut seen_targets = BTreeSet::new();
-                for target in &targets {
-                    // Edge sets are sets: a parallel duplicate of the same
-                    // triple would double-count in the adjacency postings.
-                    if !seen_targets.insert(*target) {
-                        return Err(GoodError::InvariantViolation(format!(
-                            "duplicate parallel edge ({src_label}, {label}) to {target:?}"
-                        )));
-                    }
-                    let dst_label = &self.graph.node(*target).expect("live").label;
-                    distinct.insert(dst_label.clone());
-                    if !self.scheme.allows(src_label, label, dst_label) {
-                        return Err(GoodError::InvariantViolation(format!(
-                            "edge ({src_label}, {label}, {dst_label}) not in P"
-                        )));
-                    }
-                }
-                if distinct.len() > 1 {
-                    return Err(GoodError::InvariantViolation(format!(
-                        "{label}-successors carry different labels: {distinct:?}"
-                    )));
-                }
-            }
+        for (src, label, dst) in self.edges() {
+            self.check_edge(src, label, dst)?;
         }
         Ok(())
     }
 
-    /// The *index* half of [`Instance::validate`]: the incrementally
-    /// maintained label, printable and adjacency indexes must each equal
-    /// what a fresh rebuild from the graph produces (empty containers
-    /// are pruned on removal precisely so the comparison is equality).
+    /// The *index* half of [`Instance::validate`]. The label and
+    /// printable indexes must equal a rebuild from the node arena (a
+    /// repeated printable value is `validate_semantics`' to report). The
+    /// adjacency index is the edge store, so it can only agree with
+    /// itself: rebuilt from its outgoing side's triples (which fails on
+    /// a dead endpoint) it must come out equal. A triple filed on one
+    /// side only, a support or count that disagrees with the postings,
+    /// or an endpoint filed under a class it does not carry all show.
     /// This is the expensive audit; release hot paths reach it only
     /// through [`Instance::debug_assert_indexes`], which compiles it out.
     pub fn validate_indexes(&self) -> Result<()> {
-        let (label_index, printable_index, adjacency) = build_indexes(&self.graph)?;
-        for (name, in_sync) in [
-            ("label", label_index == self.label_index),
-            ("printable", printable_index == self.printable_index),
-            ("adjacency", adjacency == self.adjacency),
-        ] {
-            if !in_sync {
-                return Err(GoodError::InvariantViolation(format!(
-                    "{name} index out of sync with graph"
-                )));
-            }
+        let nodes = self.nodes.clone();
+        let fresh = Instance::from_parts(Scheme::new(), nodes, self.adjacency.triples())?;
+        let (new, old) = (&fresh.adjacency, &self.adjacency);
+        let checks = [
+            (fresh.label_index == self.label_index, "label index"),
+            (
+                fresh.printable_index == self.printable_index,
+                "printable index",
+            ),
+            (
+                new.outgoing == old.outgoing,
+                "adjacency index (outgoing side)",
+            ),
+            (
+                new.incoming == old.incoming,
+                "adjacency index (incoming side)",
+            ),
+        ];
+        if let Some((_, name)) = checks.into_iter().find(|(in_sync, _)| !in_sync) {
+            let text = format!("{name} differs from a rebuild");
+            return Err(GoodError::InvariantViolation(text));
         }
         Ok(())
     }
 
-    /// Debug-build audit that every index agrees with the graph; compiled
-    /// out in release builds. The GOOD operations call this after each
-    /// batched mutation pass.
+    /// Debug-build audit that every index agrees with the instance;
+    /// compiled out in release builds. The GOOD operations call this
+    /// after each batched mutation pass.
     #[inline]
     pub fn debug_assert_indexes(&self) {
         #[cfg(debug_assertions)]
         self.validate().expect("instance indexes out of sync");
-    }
-
-    // ---- comparison & rendering -------------------------------------------
-
-    /// Are two instances isomorphic (equal up to the choice of node
-    /// identities)? Node keys are (label, print value); edge keys are
-    /// labels.
-    pub fn isomorphic_to(&self, other: &Instance) -> bool {
-        good_graph::iso::isomorphic(
-            &self.graph,
-            &other.graph,
-            |n| (n.label.clone(), n.print.clone()),
-            |n| (n.label.clone(), n.print.clone()),
-            |e| e.label.clone(),
-            |e| e.label.clone(),
-        )
-    }
-
-    /// Render as Graphviz DOT in the paper's conventions.
-    pub fn to_dot(&self, title: &str) -> String {
-        let scheme = &self.scheme;
-        good_graph::dot::to_dot(
-            &self.graph,
-            title,
-            |_, data| {
-                let mut label = data.label.as_str().to_string();
-                if let Some(value) = &data.print {
-                    label.push('\n');
-                    label.push_str(&value.to_string());
-                }
-                if scheme.is_printable_label(&data.label) {
-                    DotNode::oval(label)
-                } else {
-                    DotNode::boxed(label)
-                }
-            },
-            |data| DotEdge {
-                label: data.label.as_str().into(),
-                double_arrow: scheme.edge_kind(&data.label) == Some(EdgeKind::Multivalued),
-                bold: false,
-                dashed: false,
-            },
-        )
     }
 }
 
@@ -1147,12 +888,27 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn add_nodes_and_edges() {
+    /// `N` fresh `Info` objects.
+    fn infos<const N: usize>(db: &mut Instance) -> [NodeId; N] {
+        std::array::from_fn(|_| db.add_object("Info").unwrap())
+    }
+
+    /// An instance holding one `Info` named `name`.
+    fn named(name: &str) -> (Instance, NodeId, NodeId) {
         let mut db = Instance::new(scheme());
         let info = db.add_object("Info").unwrap();
-        let name = db.add_printable("String", "Rock").unwrap();
+        let name = db.add_printable("String", name).unwrap();
         db.add_edge(info, "name", name).unwrap();
+        (db, info, name)
+    }
+
+    fn info_links() -> (Label, Label) {
+        (Label::new("Info"), Label::new("links-to"))
+    }
+
+    #[test]
+    fn add_nodes_and_edges() {
+        let (db, info, name) = named("Rock");
         assert_eq!(db.node_count(), 2);
         assert_eq!(db.edge_count(), 1);
         assert_eq!(db.functional_target(info, &"name".into()), Some(name));
@@ -1173,27 +929,19 @@ mod tests {
     #[test]
     fn printable_value_type_checked() {
         let mut db = Instance::new(scheme());
-        assert!(matches!(
-            db.add_printable("Date", "not a date"),
-            Err(GoodError::ValueTypeMismatch { .. })
-        ));
+        let outcome = db.add_printable("Date", "not a date");
+        assert!(matches!(outcome, Err(GoodError::ValueTypeMismatch { .. })));
     }
 
     #[test]
     fn object_vs_printable_confusion_rejected() {
         let mut db = Instance::new(scheme());
-        assert!(matches!(
-            db.add_object("String"),
-            Err(GoodError::PrintMismatch { .. })
-        ));
-        assert!(matches!(
-            db.add_printable("Info", "x"),
-            Err(GoodError::PrintMismatch { .. })
-        ));
-        assert!(matches!(
-            db.add_object("Nope"),
-            Err(GoodError::UnknownNodeLabel(_))
-        ));
+        let outcome = db.add_object("String");
+        assert!(matches!(outcome, Err(GoodError::PrintMismatch { .. })));
+        let outcome = db.add_printable("Info", "x");
+        assert!(matches!(outcome, Err(GoodError::PrintMismatch { .. })));
+        let outcome = db.add_object("Nope");
+        assert!(matches!(outcome, Err(GoodError::UnknownNodeLabel(_))));
     }
 
     #[test]
@@ -1201,15 +949,11 @@ mod tests {
         let mut db = Instance::new(scheme());
         let version = db.add_object("Version").unwrap();
         let name = db.add_printable("String", "x").unwrap();
-        assert!(matches!(
-            db.add_edge(version, "name", name),
-            Err(GoodError::EdgeNotInScheme { .. })
-        ));
+        let outcome = db.add_edge(version, "name", name);
+        assert!(matches!(outcome, Err(GoodError::EdgeNotInScheme { .. })));
         let info = db.add_object("Info").unwrap();
-        assert!(matches!(
-            db.add_edge(info, "unknown", name),
-            Err(GoodError::UnknownEdgeLabel(_))
-        ));
+        let outcome = db.add_edge(info, "unknown", name);
+        assert!(matches!(outcome, Err(GoodError::UnknownEdgeLabel(_))));
     }
 
     #[test]
@@ -1219,10 +963,8 @@ mod tests {
         let a = db.add_printable("String", "a").unwrap();
         let b = db.add_printable("String", "b").unwrap();
         db.add_edge(info, "name", a).unwrap();
-        assert!(matches!(
-            db.add_edge(info, "name", b),
-            Err(GoodError::FunctionalConflict { .. })
-        ));
+        let outcome = db.add_edge(info, "name", b);
+        assert!(matches!(outcome, Err(GoodError::FunctionalConflict { .. })));
         // Idempotent re-add of the same edge succeeds.
         db.add_edge(info, "name", a).unwrap();
         assert_eq!(db.edge_count(), 1);
@@ -1233,9 +975,8 @@ mod tests {
         let mut db = Instance::new(scheme());
         let a = db.add_object("Info").unwrap();
         let b = db.add_object("Info").unwrap();
-        let e1 = db.add_edge(a, "links-to", b).unwrap();
-        let e2 = db.add_edge(a, "links-to", b).unwrap();
-        assert_eq!(e1, e2);
+        assert!(db.add_edge(a, "links-to", b).unwrap());
+        assert!(!db.add_edge(a, "links-to", b).unwrap());
         assert_eq!(db.edge_count(), 1);
         let c = db.add_object("Info").unwrap();
         db.add_edge(a, "links-to", c).unwrap();
@@ -1258,8 +999,9 @@ mod tests {
         let text = db.add_printable("String", "hello").unwrap();
         let num = db.add_printable("Number", 5i64).unwrap();
         db.add_edge(info, "comment", text).unwrap();
+        let outcome = db.add_edge(info, "comment", num);
         assert!(matches!(
-            db.add_edge(info, "comment", num),
+            outcome,
             Err(GoodError::TargetLabelConflict { .. })
         ));
         // A different Info node may use the other label.
@@ -1270,16 +1012,11 @@ mod tests {
 
     #[test]
     fn delete_node_cleans_indexes() {
-        let mut db = Instance::new(scheme());
-        let info = db.add_object("Info").unwrap();
-        let name = db.add_printable("String", "Rock").unwrap();
-        db.add_edge(info, "name", name).unwrap();
+        let (mut db, _, name) = named("Rock");
         assert!(db.delete_node(name));
         assert_eq!(db.edge_count(), 0);
-        assert_eq!(
-            db.find_printable(&"String".into(), &Value::str("Rock")),
-            None
-        );
+        let rock = db.find_printable(&"String".into(), &Value::str("Rock"));
+        assert_eq!(rock, None);
         assert_eq!(db.label_count(&"String".into()), 0);
         // Deleting again is a no-op.
         assert!(!db.delete_node(name));
@@ -1291,8 +1028,7 @@ mod tests {
     #[test]
     fn delete_edge_between() {
         let mut db = Instance::new(scheme());
-        let a = db.add_object("Info").unwrap();
-        let b = db.add_object("Info").unwrap();
+        let [a, b] = infos(&mut db);
         db.add_edge(a, "links-to", b).unwrap();
         assert!(db.delete_edge_between(a, &"links-to".into(), b));
         assert!(!db.delete_edge_between(a, &"links-to".into(), b));
@@ -1309,10 +1045,7 @@ mod tests {
 
     #[test]
     fn restrict_to_scheme_drops_foreign_parts() {
-        let mut db = Instance::new(scheme());
-        let info = db.add_object("Info").unwrap();
-        let name = db.add_printable("String", "x").unwrap();
-        db.add_edge(info, "name", name).unwrap();
+        let (mut db, info, _) = named("x");
         // Extend the scheme with a temporary class and tag the node.
         db.scheme_mut().add_object_label("Temp").unwrap();
         db.scheme_mut().add_functional("Temp", "t", "Info").unwrap();
@@ -1330,12 +1063,9 @@ mod tests {
     #[test]
     fn isomorphism_up_to_node_identity() {
         let build = |names: [&str; 2]| {
-            let mut db = Instance::new(scheme());
-            let a = db.add_object("Info").unwrap();
+            let (mut db, a, _) = named(names[0]);
             let b = db.add_object("Info").unwrap();
-            let na = db.add_printable("String", names[0]).unwrap();
             let nb = db.add_printable("String", names[1]).unwrap();
-            db.add_edge(a, "name", na).unwrap();
             db.add_edge(b, "name", nb).unwrap();
             db.add_edge(a, "links-to", b).unwrap();
             db
@@ -1350,18 +1080,13 @@ mod tests {
     #[test]
     fn adjacency_index_answers_queries() {
         let mut db = Instance::new(scheme());
-        let a = db.add_object("Info").unwrap();
-        let b = db.add_object("Info").unwrap();
-        let c = db.add_object("Info").unwrap();
+        let [a, b, c] = infos(&mut db);
         db.add_edge(a, "links-to", c).unwrap();
         db.add_edge(b, "links-to", c).unwrap();
         db.add_edge(a, "links-to", b).unwrap();
-        let info: Label = "Info".into();
-        let links: Label = "links-to".into();
-        let (out, inn) = (
-            db.outgoing(&info, &links).unwrap(),
-            db.incoming(&info, &links).unwrap(),
-        );
+        let (info, links) = info_links();
+        let out = db.outgoing(&info, &links).unwrap();
+        let inn = db.incoming(&info, &links).unwrap();
         let sorted = |set: &PSet<NodeId>| set.iter().copied().collect::<Vec<_>>();
         // Sources of c via links-to: {a, b}; targets of a: {b, c}.
         assert_eq!(sorted(out.postings.get(&c).unwrap()), vec![a, b]);
@@ -1378,13 +1103,10 @@ mod tests {
     #[test]
     fn adjacency_index_tracks_deletions() {
         let mut db = Instance::new(scheme());
-        let a = db.add_object("Info").unwrap();
-        let b = db.add_object("Info").unwrap();
-        let c = db.add_object("Info").unwrap();
+        let [a, b, c] = infos(&mut db);
         db.add_edge(a, "links-to", b).unwrap();
         db.add_edge(a, "links-to", c).unwrap();
-        let info: Label = "Info".into();
-        let links: Label = "links-to".into();
+        let (info, links) = info_links();
         db.delete_edge_between(a, &links, b);
         // a still supports out (edge to c survives); b lost in-support.
         let out = db.outgoing(&info, &links).unwrap();
@@ -1402,31 +1124,21 @@ mod tests {
     #[test]
     fn the_audit_catches_a_node_missing_from_any_index() {
         let mut db = Instance::new(scheme());
-        let (info, other) = (
-            db.add_object("Info").unwrap(),
-            db.add_object("Info").unwrap(),
-        );
+        let [info, other] = infos(&mut db);
         let name = db.add_printable("String", "Rock").unwrap();
         db.add_edge(info, "name", name).unwrap();
         db.add_edge(other, "links-to", info).unwrap();
         db.validate().unwrap();
-        let (class, links) = (Label::new("Info"), Label::new("links-to"));
+        let (class, links) = info_links();
         let mut dropped_label = db.clone();
-        dropped_label
-            .label_index
-            .get_mut(&class)
-            .unwrap()
-            .remove(&info);
+        (dropped_label.label_index.get_mut(&class).unwrap()).remove(&info);
         let mut dropped_printable = db.clone();
-        (dropped_printable
+        let values = dropped_printable
             .printable_index
-            .get_mut(&Label::new("String")))
-        .unwrap()
-        .remove(&Value::str("Rock"));
+            .get_mut(&Label::new("String"));
+        values.unwrap().remove(&Value::str("Rock"));
         let mut dropped_adjacency = db.clone();
-        (dropped_adjacency.adjacency.outgoing.get_mut(&class))
-            .and_then(|by_edge| by_edge.get_mut(&links))
-            .unwrap()
+        side_mut(&mut dropped_adjacency.adjacency.outgoing, &links, &class)
             .support
             .remove(&other);
         for broken in [dropped_label, dropped_printable, dropped_adjacency] {
@@ -1434,28 +1146,59 @@ mod tests {
         }
     }
 
+    fn side_mut<'a>(sides: &'a mut Sides, edge: &Label, class: &Label) -> &'a mut Adjacency {
+        let by_class = sides.get_mut(edge).unwrap();
+        by_class.get_mut(class).unwrap()
+    }
+
+    #[test]
+    fn the_audit_catches_a_one_sided_triple_and_a_wrong_edge_count() {
+        let mut db = Instance::new(scheme());
+        let [a, b, c] = infos(&mut db);
+        db.add_edge(a, "links-to", b).unwrap();
+        let (class, links) = info_links();
+        // `a -links-to-> c` filed on one side only, and a miscount.
+        let mut incoming_only = db.clone();
+        let side = side_mut(&mut incoming_only.adjacency.incoming, &links, &class);
+        side.postings.get_mut(&a).unwrap().insert(c);
+        side.support.insert(c);
+        side.edges += 1;
+        let mut outgoing_only = db.clone();
+        let side = side_mut(&mut outgoing_only.adjacency.outgoing, &links, &class);
+        side.postings.insert(c, PSet::from_iter([a]));
+        side.edges += 1;
+        let mut miscounted = db.clone();
+        side_mut(&mut miscounted.adjacency.outgoing, &links, &class).edges += 1;
+        // A one-sided triple shows on the incoming side either way: the
+        // audit rebuilds from the outgoing side's triples.
+        for (broken, side) in [
+            (incoming_only, "incoming"),
+            (outgoing_only, "incoming"),
+            (miscounted, "outgoing"),
+        ] {
+            let err = broken.validate().expect_err(side).to_string();
+            assert!(err.contains(&format!("({side} side)")), "{err}");
+        }
+    }
+
     #[test]
     fn adjacency_index_survives_self_loop_deletion() {
         let mut db = Instance::new(scheme());
-        let a = db.add_object("Info").unwrap();
-        let b = db.add_object("Info").unwrap();
+        let [a, b] = infos(&mut db);
         db.add_edge(a, "links-to", a).unwrap();
         db.add_edge(a, "links-to", b).unwrap();
         db.validate().unwrap();
         db.delete_node(a);
         db.validate().unwrap();
-        let info: Label = "Info".into();
-        let links: Label = "links-to".into();
+        let (info, links) = info_links();
         assert!(db.outgoing(&info, &links).is_none());
     }
 
     #[test]
     fn batched_deletion_helpers() {
         let mut db = Instance::new(scheme());
-        let a = db.add_object("Info").unwrap();
-        let b = db.add_object("Info").unwrap();
-        let c = db.add_object("Info").unwrap();
-        let links: Label = "links-to".into();
+        let [a, b, c] = infos(&mut db);
+        let (_, links) = info_links();
         db.add_edge(a, "links-to", b).unwrap();
         db.add_edge(a, "links-to", c).unwrap();
         db.add_edge(b, "links-to", c).unwrap();
@@ -1475,25 +1218,18 @@ mod tests {
 
     #[test]
     fn serde_roundtrip_rebuilds_indexes() {
-        let mut db = Instance::new(scheme());
-        let info = db.add_object("Info").unwrap();
-        let name = db.add_printable("String", "Rock").unwrap();
-        db.add_edge(info, "name", name).unwrap();
+        let (db, _, _) = named("Rock");
         let json = serde_json::to_string(&db).unwrap();
         let back: Instance = serde_json::from_str(&json).unwrap();
         back.validate().unwrap();
         assert!(back.isomorphic_to(&db));
-        assert!(back
-            .find_printable(&"String".into(), &Value::str("Rock"))
-            .is_some());
+        let rock = back.find_printable(&"String".into(), &Value::str("Rock"));
+        assert!(rock.is_some());
     }
 
     #[test]
     fn dot_contains_print_values() {
-        let mut db = Instance::new(scheme());
-        let info = db.add_object("Info").unwrap();
-        let name = db.add_printable("String", "Rock").unwrap();
-        db.add_edge(info, "name", name).unwrap();
+        let (db, _, _) = named("Rock");
         let dot = db.to_dot("instance");
         assert!(dot.contains("String\\nRock"));
         assert!(dot.contains("shape=box"));

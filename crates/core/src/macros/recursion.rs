@@ -197,16 +197,15 @@ mod tests {
 
     fn closure_pairs(db: &Instance) -> BTreeSet<(NodeId, NodeId)> {
         let label = Label::new("rec-links-to");
-        db.graph()
-            .edges()
-            .filter(|e| e.payload.label == label)
-            .map(|e| (e.src, e.dst))
+        (db.edges())
+            .filter(|(_, edge, _)| **edge == label)
+            .map(|(src, _, dst)| (src, dst))
             .collect()
     }
 
     fn expected_closure(db: &Instance) -> BTreeSet<(NodeId, NodeId)> {
         let links = Label::new("links-to");
-        let tc = good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == links);
+        let tc = good_graph::algo::transitive_closure_by(&db.to_graph(), |label| *label == links);
         tc.into_iter()
             .flat_map(|(src, dsts)| dsts.into_iter().map(move |dst| (src, dst)))
             .collect()
@@ -251,7 +250,7 @@ mod tests {
         execute_call(&call, &mut db, &mut env).unwrap();
         assert_eq!(closure_pairs(&db), expected_closure(&db));
         // No frame residue.
-        assert!(db.graph().nodes().all(|n| !n.payload.label.is_system()));
+        assert!(db.nodes().all(|(_, data)| !data.label.is_system()));
         db.validate().unwrap();
     }
 

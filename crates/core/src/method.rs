@@ -483,7 +483,7 @@ mod tests {
             Some(&Value::date(1990, 1, 14))
         );
         // No frame residue.
-        assert!(db.graph().nodes().all(|n| !n.payload.label.is_system()));
+        assert!(db.nodes().all(|(_, data)| !data.label.is_system()));
         assert_eq!(db.scheme(), &scheme());
         db.validate().unwrap();
     }

@@ -194,6 +194,6 @@ mod tests {
         );
         let report = ed.apply(&mut db).unwrap();
         assert_eq!(report.edges_deleted, 2);
-        assert_eq!(db.graph().out_degree(info), 0);
+        assert_eq!(db.out_degree(info), 0);
     }
 }

@@ -148,10 +148,9 @@ mod tests {
 
     fn pairs(db: &Instance, label: &str) -> BTreeSet<(NodeId, NodeId)> {
         let label = Label::new(label);
-        db.graph()
-            .edges()
-            .filter(|e| e.payload.label == label)
-            .map(|e| (e.src, e.dst))
+        (db.edges())
+            .filter(|(_, edge, _)| **edge == label)
+            .map(|(src, _, dst)| (src, dst))
             .collect()
     }
 
@@ -186,7 +185,7 @@ mod tests {
         let report = ancestor_rules().saturate(&mut db, &mut Env::new()).unwrap();
         let parent = Label::new("parent");
         let expected: BTreeSet<(NodeId, NodeId)> =
-            good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == parent)
+            good_graph::algo::transitive_closure_by(&db.to_graph(), |label| *label == parent)
                 .into_iter()
                 .flat_map(|(src, dsts)| dsts.into_iter().map(move |dst| (src, dst)))
                 .collect();

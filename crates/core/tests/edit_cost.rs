@@ -64,16 +64,13 @@ fn a_shared_edge_insert_allocates_for_its_delta() {
     next.add_edge(infos[1_234], "links-to", infos[5_678])
         .expect("new link");
     let allocations = ALLOCATIONS.load(Relaxed) - before;
-    // 62 at this writing: 286 before incidence lists were shared (a
-    // path-copied arena leaf used to re-allocate up to 128 lists), 98
-    // before the planner's figures were read off the postings instead of
-    // a separately maintained statistics copy. The graph's share is 23 —
-    // the two endpoints' node-leaf paths, the edge arena's tail and the
-    // two touched lists. The adjacency index's is 39: per side, the two
-    // label-keyed tables and the path copies of the postings map and of
-    // the one postings set the edge joins.
+    // 286 → 98 → 62 → 39: incidence lists shared, planner figures read
+    // off the postings, then no edge arena or incidence lists (they took
+    // 23). All 39 are the adjacency index's, the one edge store: per side,
+    // two label-keyed tables and the path copies of the postings map and
+    // of the one postings set the edge joins.
     assert!(
-        allocations <= 62,
+        allocations <= 39,
         "one shared insert made {allocations} allocations"
     );
     assert_eq!(next.edge_count(), db.edge_count() + 1);

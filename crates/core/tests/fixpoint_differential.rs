@@ -265,13 +265,13 @@ fn rule_shape(rng: &mut StdRng) -> (Vec<Operation>, bool) {
 /// with labels, edge triples. Both loops create nodes in the same order,
 /// so ids agree.
 fn fingerprint(db: &Instance) -> Vec<String> {
-    let graph = db.graph();
+    let graph = db.to_graph();
     let nodes = graph
         .nodes()
         .map(|n| format!("{:?} {}", n.id, n.payload.label));
     let edges = graph
         .edges()
-        .map(|e| format!("{:?} -{}-> {:?}", e.src, e.payload.label, e.dst));
+        .map(|e| format!("{:?} -{}-> {:?}", e.src, e.payload, e.dst));
     let mut lines: Vec<String> = nodes.chain(edges).collect();
     lines.sort();
     lines

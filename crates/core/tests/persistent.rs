@@ -93,9 +93,9 @@ fn check_triples(config: &GenConfig) {
     let db = random_instance(config);
     for (src, label, dst) in db.scheme().triples() {
         let (mut edges, mut sources, mut targets) = (0u64, BTreeSet::new(), BTreeSet::new());
-        for edge in db.graph().edges() {
+        for edge in db.to_graph().edges() {
             let class = |node| db.node_label(node).expect("live");
-            if &edge.payload.label == label && class(edge.src) == src && class(edge.dst) == dst {
+            if edge.payload == label && class(edge.src) == src && class(edge.dst) == dst {
                 edges += 1;
                 sources.insert(edge.src);
                 targets.insert(edge.dst);

@@ -47,12 +47,6 @@ impl ArenaId {
     pub fn index(self) -> usize {
         self.index as usize
     }
-
-    /// The generation of the slot when this id was produced.
-    #[inline]
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
 }
 
 impl fmt::Debug for ArenaId {
@@ -165,6 +159,28 @@ impl<T> Arena<T> {
     /// indirections are not followed). Feeds byte-based MVCC retention.
     pub fn approx_bytes(&self) -> usize {
         self.slots.approx_bytes()
+    }
+
+    /// The same slots (ids, generations, free list) holding `f(value)`.
+    pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> Arena<U> {
+        let slots = self.slots.iter().map(|slot| match slot {
+            Slot::Occupied { generation, value } => Slot::Occupied {
+                generation: *generation,
+                value: f(value),
+            },
+            Slot::Vacant {
+                generation,
+                next_free,
+            } => Slot::Vacant {
+                generation: *generation,
+                next_free: *next_free,
+            },
+        });
+        Arena {
+            slots: slots.collect(),
+            free_head: self.free_head,
+            len: self.len,
+        }
     }
 
     /// Drop all values and reset the arena. Previously issued ids become

@@ -1,39 +1,28 @@
 //! The directed labeled multigraph.
 //!
 //! [`Graph<N, E>`] stores node payloads `N` and edge payloads `E` in
-//! generational arenas and maintains per-node incidence lists for both
-//! directions, so the matcher in `good-core` can walk edges forwards and
-//! backwards without scanning.
-//!
-//! The lists are copy-on-write, so a path-copied arena leaf shares its
-//! 64 nodes' lists and an edit copies only the lists it touches.
-//!
-//! Parallel edges are allowed at this layer (the same `(src, dst)` pair
-//! may carry any number of edges); it is `good-core`'s instance layer
-//! that enforces GOOD's edge invariants.
+//! generational arenas with per-node incidence lists (plain vectors:
+//! patterns, schemes and DOT renders are small and unshared), so the
+//! matcher in `good-core` walks a pattern's edges both ways without
+//! scanning. Parallel edges are allowed here. An instance does not live
+//! here: `good-core` stores its edges as triples and builds a `Graph`
+//! only to render or compare one.
 
 use crate::arena::{Arena, ArenaId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
-/// Identifier of a node in a [`Graph`].
+/// Identifier of a node in a [`Graph`]: its slot in the node arena, so a
+/// node arena's ids are node ids (a graph built
+/// [`with_nodes`](Graph::with_nodes) keeps them).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct NodeId(pub(crate) ArenaId);
+pub struct NodeId(pub ArenaId);
 
 /// Identifier of an edge in a [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EdgeId(pub(crate) ArenaId);
 
 impl NodeId {
-    /// Dense slot index, usable as a key for side tables.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0.index()
-    }
-}
-
-impl EdgeId {
     /// Dense slot index, usable as a key for side tables.
     #[inline]
     pub fn index(self) -> usize {
@@ -53,50 +42,11 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-/// A copy-on-write incidence list, unallocated when empty and serialized
-/// as a plain sequence (as the `Vec` it replaced: same snapshot bytes).
-#[derive(Debug, Clone, Default)]
-struct EdgeList(Option<Arc<Vec<EdgeId>>>);
-
-impl std::ops::Deref for EdgeList {
-    type Target = [EdgeId];
-    fn deref(&self) -> &[EdgeId] {
-        self.0.as_deref().map_or(&[], Vec::as_slice)
-    }
-}
-
-impl EdgeList {
-    fn push(&mut self, edge: EdgeId) {
-        Arc::make_mut(self.0.get_or_insert_with(Arc::default)).push(edge);
-    }
-
-    /// Drop `edge` (listed at most once); a list without it stays shared.
-    fn remove(&mut self, edge: EdgeId) {
-        let at = self.iter().position(|&e| e == edge);
-        if let (Some(list), Some(at)) = (&mut self.0, at) {
-            Arc::make_mut(list).remove(at);
-        }
-    }
-}
-
-impl Serialize for EdgeList {
-    fn serialize(&self, out: &mut serde::Serializer) -> Result<(), serde::Error> {
-        (**self).serialize(out)
-    }
-}
-
-impl Deserialize for EdgeList {
-    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
-        let edges = Vec::deserialize(de)?;
-        Ok(EdgeList((!edges.is_empty()).then(|| Arc::new(edges))))
-    }
-}
-
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct NodeSlot<N> {
     payload: N,
-    out_edges: EdgeList,
-    in_edges: EdgeList,
+    out_edges: Vec<EdgeId>,
+    in_edges: Vec<EdgeId>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -188,23 +138,29 @@ impl<N, E> Graph<N, E> {
     pub fn node_index_bound(&self) -> usize {
         self.nodes.index_bound()
     }
-
-    /// Number of live nodes and edges together (diagnostic).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.node_count() == 0 && self.edge_count() == 0
-    }
 }
 
 /// Mutation requires `Clone` payloads: writes path-copy any trie nodes
 /// shared with live snapshots.
 impl<N: Clone, E: Clone> Graph<N, E> {
+    /// `nodes`' payloads under `nodes`' ids (generations and free slots
+    /// included), no edges yet.
+    pub fn with_nodes(nodes: &Arena<N>) -> Self {
+        let mut graph = Graph::new();
+        graph.nodes = nodes.map(|payload| NodeSlot {
+            payload: payload.clone(),
+            out_edges: Vec::new(),
+            in_edges: Vec::new(),
+        });
+        graph
+    }
+
     /// Add a node carrying `payload`.
     pub fn add_node(&mut self, payload: N) -> NodeId {
         NodeId(self.nodes.insert(NodeSlot {
             payload,
-            out_edges: EdgeList::default(),
-            in_edges: EdgeList::default(),
+            out_edges: Vec::new(),
+            in_edges: Vec::new(),
         }))
     }
 
@@ -240,10 +196,10 @@ impl<N: Clone, E: Clone> Graph<N, E> {
     pub fn remove_edge(&mut self, id: EdgeId) -> Option<E> {
         let slot = self.edges.remove(id.0)?;
         if let Some(src) = self.nodes.get_mut(slot.src.0) {
-            src.out_edges.remove(id);
+            src.out_edges.retain(|&edge| edge != id);
         }
         if let Some(dst) = self.nodes.get_mut(slot.dst.0) {
-            dst.in_edges.remove(id);
+            dst.in_edges.retain(|&edge| edge != id);
         }
         Some(slot.payload)
     }
@@ -263,8 +219,8 @@ impl<N: Clone, E: Clone> Graph<N, E> {
                 };
                 if far != id {
                     if let Some(far_slot) = self.nodes.get_mut(far.0) {
-                        far_slot.out_edges.remove(*edge);
-                        far_slot.in_edges.remove(*edge);
+                        far_slot.out_edges.retain(|e| e != edge);
+                        far_slot.in_edges.retain(|e| e != edge);
                     }
                 }
             }
@@ -296,12 +252,6 @@ impl<N, E> Graph<N, E> {
     #[inline]
     pub fn node(&self, id: NodeId) -> Option<&N> {
         self.nodes.get(id.0).map(|slot| &slot.payload)
-    }
-
-    /// Shared access to an edge payload.
-    #[inline]
-    pub fn edge(&self, id: EdgeId) -> Option<&E> {
-        self.edges.get(id.0).map(|slot| &slot.payload)
     }
 
     /// The `(src, dst)` endpoints of an edge.
@@ -364,8 +314,7 @@ impl<N, E> Graph<N, E> {
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
         self.nodes
             .get(node.0)
-            .map(|slot| &*slot.out_edges)
-            .unwrap_or(&[])
+            .map_or(&[][..], |slot| &slot.out_edges)
             .iter()
             .filter_map(|&edge| self.edge_ref(edge))
     }
@@ -374,8 +323,7 @@ impl<N, E> Graph<N, E> {
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
         self.nodes
             .get(node.0)
-            .map(|slot| &*slot.in_edges)
-            .unwrap_or(&[])
+            .map_or(&[][..], |slot| &slot.in_edges)
             .iter()
             .filter_map(|&edge| self.edge_ref(edge))
     }
@@ -395,17 +343,6 @@ impl<N, E> Graph<N, E> {
     /// Successor node ids (with multiplicity, one per parallel edge).
     pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_edges(node).map(|edge| edge.dst)
-    }
-
-    /// Predecessor node ids (with multiplicity).
-    pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(node).map(|edge| edge.src)
-    }
-
-    /// Rough heap footprint of the arena tries in bytes (payload
-    /// indirections are not followed).
-    pub fn approx_bytes(&self) -> usize {
-        self.nodes.approx_bytes() + self.edges.approx_bytes()
     }
 }
 

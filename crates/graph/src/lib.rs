@@ -7,10 +7,13 @@
 //! higher-level structures are built on:
 //!
 //! * [`Graph`] — a generational-arena directed multigraph with payloads on
-//!   nodes and edges, O(1) insertion/removal and stable identifiers;
-//! * [`NodeId`] / [`EdgeId`] — copyable, generation-checked handles;
+//!   nodes and edges, O(1) insertion/removal and stable identifiers: the
+//!   shape of patterns, schemes and DOT renders;
+//! * [`Arena`] / [`NodeId`] / [`EdgeId`] — the generational arena and its
+//!   copyable, generation-checked handles (`good-core`'s instances keep
+//!   their nodes in an `Arena` and their edges as labelled triples);
 //! * [`pvec`] — the persistent, structurally shared vector the arenas
-//!   store their slots in, making `Graph::clone` O(1) `Arc` bumps and
+//!   store their slots in, making an arena's clone O(1) `Arc` bumps and
 //!   mutation O(delta · log n) path copies (the substrate of the MVCC
 //!   snapshot layer in `good-core`/`good-server`);
 //! * [`algo`] — the transitive closure the recursion experiments are

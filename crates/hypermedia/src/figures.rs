@@ -563,7 +563,7 @@ mod tests {
         fig14_node_deletion().apply(&mut db).unwrap();
         assert!(!db.contains_node(h.classical));
         assert!(db.contains_node(h.mozart));
-        assert_eq!(db.graph().in_degree(h.mozart), 0);
+        assert_eq!(db.in_degree(h.mozart), 0);
         assert_eq!(db.targets(h.music_history, &"links-to".into()).count(), 2);
         db.validate().unwrap();
     }
@@ -710,7 +710,7 @@ mod tests {
         assert!(db.has_edge(h.music_history, &rec, h.mozart));
         // Equal to the graph-theoretic closure.
         let links = Label::new("links-to");
-        let expected = good_graph::algo::transitive_closure_by(db.graph(), |e| e.label == links);
+        let expected = good_graph::algo::transitive_closure_by(&db.to_graph(), |l| *l == links);
         for (src, dsts) in expected {
             for dst in dsts {
                 assert!(db.has_edge(src, &rec, dst), "missing {src:?}->{dst:?}");

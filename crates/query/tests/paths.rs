@@ -291,9 +291,9 @@ fn served_derivation_equals_the_paper_program() {
                 "seed {seed}, {spec}"
             );
             for (_, label) in &triples {
-                let stored: BTreeSet<(NodeId, NodeId)> = (paper.graph().edges())
-                    .filter(|edge| edge.payload.label == *label)
-                    .map(|edge| (edge.src, edge.dst))
+                let stored: BTreeSet<(NodeId, NodeId)> = (paper.edges())
+                    .filter(|(_, edge, _)| *edge == label)
+                    .map(|(src, _, dst)| (src, dst))
                     .collect();
                 let held: BTreeSet<(NodeId, NodeId)> = derived.pairs(label).collect();
                 assert_eq!(held, stored, "seed {seed}, {spec}, label {label}");

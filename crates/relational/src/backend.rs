@@ -42,35 +42,19 @@ impl RelBackend {
     /// Load an instance into relational storage.
     pub fn from_instance(db: &Instance) -> Self {
         let mut backend = RelBackend::default();
-        for node in db.graph().nodes() {
-            backend
-                .class_rows
-                .entry(node.payload.label.clone())
-                .or_default()
-                .push(node.id);
-            if let Some(value) = &node.payload.print {
-                backend.prints.insert(node.id, value.clone());
-                backend
-                    .printable_lookup
-                    .insert((node.payload.label.clone(), value.clone()), node.id);
+        // `nodes()` is in id order, so each class's rows come out sorted.
+        for (id, data) in db.nodes() {
+            (backend.class_rows.entry(data.label.clone()).or_default()).push(id);
+            if let Some(value) = &data.print {
+                backend.prints.insert(id, value.clone());
+                let key = (data.label.clone(), value.clone());
+                backend.printable_lookup.insert(key, id);
             }
         }
-        for rows in backend.class_rows.values_mut() {
-            rows.sort();
-        }
-        for edge in db.graph().edges() {
-            let label = edge.payload.label.clone();
-            backend
-                .forward
-                .entry((label.clone(), edge.src))
-                .or_default()
-                .push(edge.dst);
-            backend
-                .backward
-                .entry((label.clone(), edge.dst))
-                .or_default()
-                .push(edge.src);
-            backend.edges.insert((label, edge.src, edge.dst), ());
+        for (src, label, dst) in db.edges() {
+            (backend.forward.entry((label.clone(), src)).or_default()).push(dst);
+            (backend.backward.entry((label.clone(), dst)).or_default()).push(src);
+            backend.edges.insert((label.clone(), src, dst), ());
         }
         backend
     }

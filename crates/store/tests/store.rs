@@ -73,7 +73,7 @@ fn replay_is_bit_identical() {
     };
     let store = Store::open(&path).unwrap();
     // Replay reproduces exact node ids, not just isomorphism.
-    for node in before.graph().node_ids() {
+    for (node, _) in before.nodes() {
         assert_eq!(store.instance().node_label(node), before.node_label(node));
     }
     assert!(store.instance().isomorphic_to(&before));

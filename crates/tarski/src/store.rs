@@ -46,23 +46,17 @@ impl TarskiStore {
     /// Decompose an instance.
     pub fn from_instance(db: &Instance) -> Self {
         let mut relations: BTreeMap<String, BinRel<NodeId>> = BTreeMap::new();
-        for node in db.graph().nodes() {
-            relations
-                .entry(class_rel(&node.payload.label))
-                .or_default()
-                .insert(node.id, node.id);
-            if let Some(value) = &node.payload.print {
-                relations
-                    .entry(print_rel(&node.payload.label, value))
-                    .or_default()
-                    .insert(node.id, node.id);
+        let mut relate = |name, pair: (NodeId, NodeId)| {
+            (relations.entry(name).or_default()).insert(pair.0, pair.1);
+        };
+        for (id, data) in db.nodes() {
+            relate(class_rel(&data.label), (id, id));
+            if let Some(value) = &data.print {
+                relate(print_rel(&data.label, value), (id, id));
             }
         }
-        for edge in db.graph().edges() {
-            relations
-                .entry(edge_rel(&edge.payload.label))
-                .or_default()
-                .insert(edge.src, edge.dst);
+        for (src, label, dst) in db.edges() {
+            relate(edge_rel(label), (src, dst));
         }
         TarskiStore { relations }
     }

@@ -361,9 +361,8 @@ mod tests {
         assert_eq!(db.scheme(), &tm_scheme());
         assert_eq!(db.label_count(&Label::new("Tick")), 0);
         assert!(db
-            .graph()
             .edges()
-            .all(|edge| !edge.payload.label.as_str().starts_with("mate-")));
+            .all(|(_, label, _)| !label.as_str().starts_with("mate-")));
         db.validate().unwrap();
     }
 

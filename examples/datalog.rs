@@ -58,7 +58,7 @@ fn main() -> Result<(), good::model::error::GoodError> {
 
     println!("\nancestor facts:");
     let ancestor = Label::new("ancestor");
-    for edge in db.graph().edges().filter(|e| e.payload.label == ancestor) {
+    for (src, _, dst) in db.edges().filter(|(_, label, _)| **label == ancestor) {
         let name_of = |node| {
             people
                 .iter()
@@ -66,7 +66,7 @@ fn main() -> Result<(), good::model::error::GoodError> {
                 .map(|index| names[index])
                 .unwrap_or("?")
         };
-        println!("  ancestor({}, {})", name_of(edge.src), name_of(edge.dst));
+        println!("  ancestor({}, {})", name_of(src), name_of(dst));
     }
     db.validate()?;
     Ok(())

@@ -77,7 +77,7 @@ fn main() -> Result<()> {
     figures::fig14_node_deletion().apply(&mut db)?;
     println!(
         "Figure 14: Classical Music deleted; Mozart now has in-degree {}",
-        db.graph().in_degree(handles.mozart)
+        db.in_degree(handles.mozart)
     );
 
     // Figure 16: update the last-modified date.

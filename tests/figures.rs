@@ -71,7 +71,7 @@ fn f14_f15_node_deletion_isolates_mozart() {
     figures::fig14_node_deletion().apply(&mut db).unwrap();
     assert!(!db.contains_node(h.classical));
     assert!(db.contains_node(h.mozart));
-    assert_eq!(db.graph().in_degree(h.mozart), 0);
+    assert_eq!(db.in_degree(h.mozart), 0);
 }
 
 #[test]

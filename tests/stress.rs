@@ -56,11 +56,7 @@ fn transitive_closure_of_a_long_chain() {
     seed.apply(&mut db).unwrap();
     star.apply(&mut db, &mut env).unwrap();
     let rec = Label::new("rec-links-to");
-    let closure = db
-        .graph()
-        .edges()
-        .filter(|e| e.payload.label == rec)
-        .count();
+    let closure = db.edges().filter(|(_, label, _)| **label == rec).count();
     assert_eq!(closure, 200 * 199 / 2);
 }
 
@@ -132,9 +128,8 @@ fn rule_saturation_over_a_big_tree() {
     // their depth.
     let ancestor = Label::new("ancestor");
     let derived = db
-        .graph()
         .edges()
-        .filter(|e| e.payload.label == ancestor)
+        .filter(|(_, label, _)| **label == ancestor)
         .count();
     let expected: usize = (0..1023usize)
         .map(|index| ((index + 1) as f64).log2().floor() as usize)
