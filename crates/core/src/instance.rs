@@ -524,13 +524,21 @@ impl Instance {
         sets_at(&self.adjacency.incoming, label, node).flat_map(|(_, set)| set.iter().copied())
     }
 
-    /// All `λ`-predecessors of `node`, in id order (one postings set per
-    /// source class).
-    pub fn sources(&self, node: NodeId, label: &Label) -> impl Iterator<Item = NodeId> {
-        let sets = sets_at(&self.adjacency.outgoing, label, node);
-        let mut sources: Vec<NodeId> = sets.flat_map(|(_, set)| set.iter().copied()).collect();
-        sources.sort_unstable();
-        sources.into_iter()
+    /// All `λ`-predecessors of `node`, in id order: one postings set per
+    /// source class, read in place when there is one, else merged.
+    pub fn sources(&self, node: NodeId, label: &Label) -> impl Iterator<Item = NodeId> + '_ {
+        let mut sets = sets_at(&self.adjacency.outgoing, label, node).map(|(_, set)| set);
+        let first = sets.next();
+        let mut merged: Vec<NodeId> = sets.flat_map(|set| set.iter().copied()).collect();
+        if !merged.is_empty() {
+            merged.extend(first.into_iter().flat_map(|set| set.iter().copied()));
+            merged.sort_unstable();
+        }
+        let single = first.filter(|_| merged.is_empty());
+        single
+            .into_iter()
+            .flat_map(|set| set.iter().copied())
+            .chain(merged)
     }
 
     /// Out-degree of `node` over all edge labels (0 if absent).

@@ -170,25 +170,14 @@ impl<N: Clone, E: Clone> Graph<N, E> {
     /// Panics if either endpoint is not a live node — connecting dead
     /// nodes is always a logic error in the layers above.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, payload: E) -> EdgeId {
-        assert!(
-            self.nodes.contains(src.0),
-            "add_edge: source {src:?} is not live"
-        );
-        assert!(
-            self.nodes.contains(dst.0),
-            "add_edge: destination {dst:?} is not live"
-        );
+        let live = |node: NodeId| self.nodes.contains(node.0);
+        assert!(live(src), "add_edge: source {src:?} is not live");
+        assert!(live(dst), "add_edge: destination {dst:?} is not live");
         let id = EdgeId(self.edges.insert(EdgeSlot { payload, src, dst }));
-        self.nodes
-            .get_mut(src.0)
-            .expect("checked above")
-            .out_edges
-            .push(id);
-        self.nodes
-            .get_mut(dst.0)
-            .expect("checked above")
-            .in_edges
-            .push(id);
+        let slot = self.nodes.get_mut(src.0).expect("checked above");
+        slot.out_edges.push(id);
+        let slot = self.nodes.get_mut(dst.0).expect("checked above");
+        slot.in_edges.push(id);
         id
     }
 
