@@ -3,7 +3,7 @@
 //! `(src, λ, dst)` triples. After every step each read the matcher,
 //! operations and figures rely on must agree with the model, each
 //! refusal must carry the predicted variant, and the audit must pass.
-//! Batches reach both deletion paths; a serde round trip is recovery.
+//! Batches reach both deletion paths; a serde round trip stands in for recovery.
 
 use good_core::error::GoodError;
 use good_core::instance::{Instance, NodeData};
