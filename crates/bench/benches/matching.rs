@@ -5,7 +5,7 @@
 
 use good_bench::harness::Bench;
 use good_bench::{anchored_pattern, chain_pattern, instance_of, SIZES};
-use good_core::matching::{find_matchings, find_matchings_naive, find_matchings_static_order};
+use good_core::matching::{find_match_table, find_matchings, find_matchings_naive, PlanShape};
 
 fn main() {
     Bench::run("matching", &[], |bench| {
@@ -51,7 +51,8 @@ fn main() {
                 find_matchings(&pattern, &db).expect("matches")
             });
             bench.time(&format!("selection-ablation/static/{size}"), || {
-                find_matchings_static_order(&pattern, &db).expect("matches")
+                let table = find_match_table(&pattern, &db, PlanShape::IdOrder);
+                table.expect("matches").into_matchings()
             });
         }
     });

@@ -9,8 +9,8 @@
 //!
 //! * **binary** — `find_matchings_binary`: materializing edge-at-a-
 //!   time join, the textbook baseline the planner must beat.
-//! * **wcoj** — `find_matchings_wcoj`: generic join, per-variable
-//!   sorted-intersection of candidate sets.
+//! * **wcoj** — `find_match_table(.., PlanShape::GenericJoin)`: generic
+//!   join, per-variable sorted-intersection of candidate sets.
 //! * **auto** — `find_matchings`: the cost-based planner's own pick
 //!   (it must route this pattern to the generic join).
 //!
@@ -53,7 +53,8 @@ fn main() {
             choice.strategy.name()
         );
         let binary_rows = find_matchings_binary(&triangle, &db).expect("binary");
-        let wcoj_rows = find_matchings_wcoj(&triangle, &db).expect("wcoj");
+        let wcoj = || find_match_table(&triangle, &db, PlanShape::GenericJoin).expect("wcoj");
+        let wcoj_rows = wcoj().into_matchings();
         let auto_rows = find_matchings(&triangle, &db).expect("auto");
         assert_eq!(binary_rows, wcoj_rows, "engines disagree on the triangle");
         assert_eq!(binary_rows, auto_rows, "engines disagree on the triangle");
@@ -64,9 +65,7 @@ fn main() {
             })
             .note("matchings", matchings);
         bench
-            .time("triangle-hub/wcoj", || {
-                find_matchings_wcoj(&triangle, &db).expect("wcoj")
-            })
+            .time("triangle-hub/wcoj", || wcoj().into_matchings())
             .note("matchings", matchings);
         bench
             .time("triangle-hub/auto", || {

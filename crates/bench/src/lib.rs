@@ -386,7 +386,8 @@ mod tests {
         let db = hub_instance(60, 12);
         let (pattern, _) = triangle_pattern();
         let planned = find_matchings(&pattern, &db).unwrap();
-        let wcoj = find_matchings_wcoj(&pattern, &db).unwrap();
+        let wcoj = find_match_table(&pattern, &db, PlanShape::GenericJoin).unwrap();
+        let wcoj = wcoj.into_matchings();
         let binary = find_matchings_binary(&pattern, &db).unwrap();
         assert!(!planned.is_empty(), "hub instance must contain triangles");
         assert_eq!(planned, wcoj);

@@ -339,9 +339,8 @@ mod tests {
 
     #[test]
     fn a_class_reaching_two_target_classes_gets_upper_bounds() {
-        use crate::matching::find_matchings;
+        use crate::matching::{find_match_table, find_matchings, PlanShape};
         use crate::pattern::Pattern;
-        use crate::wcoj::find_matchings_wcoj;
         // `Info -refs->` reaches `A` from some nodes and `B` from others,
         // and `A` is also reached from `C`.
         let scheme = SchemeBuilder::new()
@@ -370,7 +369,8 @@ mod tests {
         pattern.edge(x, "refs", y);
         pattern.edge(z, "refs", y);
         let matchings = find_matchings(&pattern, &db).unwrap();
-        assert_eq!(matchings, find_matchings_wcoj(&pattern, &db).unwrap());
+        let wcoj = find_match_table(&pattern, &db, PlanShape::GenericJoin).unwrap();
+        assert_eq!(matchings, wcoj.into_matchings());
         assert_eq!(matchings.len(), 1);
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::derived::ViewMut;
 use crate::error::Result;
-use crate::matching::{find_match_table, matchings_using, Delta};
+use crate::matching::{find_match_table, matchings_using, Delta, PlanShape};
 use crate::ops::{EdgeAddition, OpReport};
 use crate::program::{record_report, Env, Operation};
 use good_trace::LiveCounter;
@@ -146,7 +146,7 @@ fn edge_add_round(
         delta.map_or(0, |delta| delta.iter().map(|(_, pairs)| pairs.len()).sum());
     LIVE_DELTA_EDGES.add(delta_edges as u64);
     let (report, added) = ea.apply_with(target, |pattern, view| match delta {
-        None => find_match_table(pattern, view),
+        None => find_match_table(pattern, view, PlanShape::Planned),
         Some(delta) => matchings_using(pattern, view, delta),
     })?;
     if span.is_live() {

@@ -195,12 +195,11 @@ pub fn rewrite_pattern_with_map(
         let path = isa_path_to_licensor(scheme, src_label, &label, &dst_label)?;
         // Re-root: walk the path, inserting (or reusing) chain nodes.
         let mut current = src;
-        let mut current_label = src_label.clone();
         for (isa_edge, super_label) in path {
             let key = (current, super_label.clone());
             let super_node = *chain_nodes
                 .entry(key)
-                .or_insert_with(|| out.node(super_label.clone()));
+                .or_insert_with(|| out.node(super_label));
             // Add the isa edge if we just created the node (entry API
             // can't tell us, so check for an existing edge).
             let already = out
@@ -211,9 +210,7 @@ pub fn rewrite_pattern_with_map(
                 out.edge(current, isa_edge, super_node);
             }
             current = super_node;
-            current_label = super_label;
         }
-        let _ = current_label;
         // Move the property edge to the final chain node.
         out.graph_mut().remove_edge(edge_id);
         reroutes.insert((src, label.clone(), dst), current);

@@ -56,7 +56,6 @@ pub mod scheme;
 pub mod snapshot;
 pub mod textual;
 pub mod value;
-pub mod wcoj;
 
 /// Commonly used types, for `use good_core::prelude::*`.
 pub mod prelude {
@@ -65,7 +64,7 @@ pub mod prelude {
     pub use crate::label::{EdgeKind, Label, NodeKind};
     pub use crate::matching::{
         explain_plan_profiled, find_match_table, find_matchings, MatchTable, Matching, Plan,
-        PlanStep,
+        PlanShape, PlanStep,
     };
     pub use crate::method::{Method, MethodCall, MethodSpec};
     pub use crate::ops::{Abstraction, EdgeAddition, EdgeDeletion, NodeAddition, NodeDeletion};
@@ -77,5 +76,4 @@ pub mod prelude {
     pub use crate::snapshot::{Snapshot, SnapshotCell};
     pub use crate::textual::{format_pattern, parse_pattern};
     pub use crate::value::{Date, Value, ValueType};
-    pub use crate::wcoj::find_matchings_wcoj;
 }

@@ -5,28 +5,24 @@
 //! preserved, (3) edges are preserved." Matchings are graph
 //! homomorphisms — *not* required to be injective.
 //!
-//! Two engines are provided:
+//! One pipeline finds every matching: validate, take the positive
+//! part, pick a binding order, compile it into steps, walk them on the
+//! calling thread into a flat [`MatchTable`], sort it, and drop the rows
+//! a crossed (negated) part extends — the paper's extension semantics.
+//! A step reads its candidates off the `(class, λ)` postings of the
+//! adjacency index (or, through a [`View`], a derived relation): the
+//! neighbours of a bound node, else intersected support sets, else the
+//! label extent. [`find_match_table`] walks it in one of three
+//! [`PlanShape`]s; the fixpoint evaluator's delta-seeded rounds and
+//! [`explain_plan_profiled`] run the same pipeline, and EXPLAIN prints
+//! the access path each compiled step takes.
 //!
-//! * [`find_matchings`] — the production engine: one backtracking loop
-//!   over *steps compiled once per call* from the cost-based planner's
-//!   binding order. Each step knows its class label, its print value or
-//!   predicate, the one pattern edge it expands along (the neighbours
-//!   of an already bound image, read off the `(class, λ)` postings of
-//!   the adjacency index or, through a [`View`], of a derived relation)
-//!   and the remaining edges to probe; unanchored
-//!   steps intersect support sets instead of scanning a label. Every
-//!   complete frame is one row of a flat [`MatchTable`], whose canonical
-//!   sort fixes the result's order. The search runs on the calling
-//!   thread: the paper's set-at-a-time semantics needs no threads, and
-//!   the server already runs one reader thread per connection.
-//!   Crossed (negated) parts use the paper's extension semantics;
-//!   printable predicates are supported.
-//! * [`find_matchings_naive`] — candidate cross-product enumeration with
-//!   a post-hoc edge filter. Exponential; kept as differential-testing
-//!   ground truth and as the baseline of benchmark E1.
-//!
-//! Both return matchings in a canonical deterministic order so that the
-//! set-oriented operations of Section 3 are reproducible run to run.
+//! Two reference engines stand outside it, as differential-testing
+//! ground truth: [`find_matchings_naive`] (candidate cross product,
+//! E1's baseline) and [`crate::planner::find_matchings_binary`]
+//! (materializing binary joins, E18's baseline). Every engine returns
+//! one canonical order, so Section 3's set-oriented operations are
+//! reproducible run to run.
 
 use crate::derived::{Runs, View};
 use crate::error::{GoodError, Result};
@@ -35,10 +31,11 @@ use crate::label::Label;
 use crate::pattern::{Pattern, PatternNode, PatternNodeKind};
 use crate::persist::PSet;
 use crate::planner::{self, JoinStrategy};
+use crate::value::Value;
 use good_graph::{EdgeId, NodeId};
 use good_trace::{LiveCounter, LiveHistogram};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 static LIVE_CALLS: LiveCounter = LiveCounter::new("match.calls");
 /// Positive matchings dropped because a crossed part extended them.
@@ -365,10 +362,62 @@ struct Step<'a> {
     loops: Vec<Side<'a>>,
     /// Support sets of the edges to nodes not bound yet, every
     /// candidate must be in — resolved only where they are wanted: for
-    /// a step with no link and no print value, whose candidate base is
-    /// their intersection (complete but over-approximate, made exact by
-    /// the later steps' links), and for every step when pruning.
+    /// a step whose base they are, and for every step when pruning.
     supports: Vec<Neighbours<'a>>,
+    /// Where the candidates come from.
+    access: Access<'a>,
+}
+
+/// A step's candidate base, decided by [`Search::compile`], read by
+/// [`Search::fill`] and printed by EXPLAIN. Every other constraint of
+/// the step filters the base.
+enum Access<'a> {
+    /// The printable index, probed for the node's print value.
+    Printable(&'a Value),
+    /// The smallest neighbour set across these edges (label, outgoing)
+    /// to nodes bound earlier.
+    Links(Vec<(&'a Label, bool)>),
+    /// The smallest support set of this many edges to nodes not bound
+    /// yet — complete but over-approximate, made exact by the later
+    /// steps' links.
+    Supports(usize),
+    /// The class's label extent.
+    Extent,
+}
+
+impl Step<'_> {
+    /// The step's access path as EXPLAIN prints it.
+    fn describe(&self) -> String {
+        let class = self.class;
+        let mut filters = String::new();
+        if self.data.predicate.is_some() {
+            filters.push_str(" + predicate filter");
+        }
+        if !self.loops.is_empty() {
+            filters.push_str(" + self-loop filter");
+        }
+        match &self.access {
+            Access::Printable(value) => format!("printable probe ({class} = {value}){filters}"),
+            Access::Links(anchors) => {
+                let via: Vec<String> = (anchors.iter())
+                    .map(|(label, outgoing)| match outgoing {
+                        true => format!("-[{label}]->"),
+                        false => format!("<-[{label}]-"),
+                    })
+                    .collect();
+                let via = via.join(" / ");
+                format!(
+                    "index probe: ({class}, edge) postings of a bound neighbour via {via}{filters}"
+                )
+            }
+            Access::Supports(open) => {
+                format!(
+                    "support intersection over {open} incident edge label(s) on {class}{filters}"
+                )
+            }
+            Access::Extent => format!("label extent scan of {class}{filters}"),
+        }
+    }
 }
 
 /// The backtracking search, compiled: a binding order as [`Step`]s over
@@ -443,6 +492,7 @@ impl<'a> Search<'a> {
             let data = graph.node(node).expect("live pattern node");
             let class = class_of(node);
             let (mut links, mut loops, mut open) = (Vec::new(), Vec::new(), Vec::new());
+            let mut anchors = Vec::new();
             for edge in graph.out_edges(node) {
                 let label = &edge.payload.label;
                 if edge.dst == node {
@@ -452,6 +502,7 @@ impl<'a> Search<'a> {
                 } else if bound[edge.dst.index()] {
                     let side = view.outgoing(class, label);
                     links.extend(side.map(|side| (edge.dst, side)));
+                    anchors.push((label, true));
                     dead |= side.is_none();
                 } else {
                     open.push((label, true));
@@ -463,14 +514,21 @@ impl<'a> Search<'a> {
                 if bound[edge.src.index()] {
                     let side = view.incoming(class, label);
                     links.extend(side.map(|side| (edge.src, side)));
+                    anchors.push((label, false));
                     dead |= side.is_none();
                 } else {
                     open.push((label, false));
                 }
             }
+            let access = match &data.print {
+                Some(value) => Access::Printable(value),
+                None if !anchors.is_empty() => Access::Links(anchors),
+                None if !open.is_empty() => Access::Supports(open.len()),
+                None => Access::Extent,
+            };
             // Support sets are looked up only where `fill` reads them.
             let mut supports = Vec::new();
-            if prune || (links.is_empty() && data.print.is_none()) {
+            if prune || matches!(access, Access::Supports(_)) {
                 for (label, outgoing) in open {
                     let side = match outgoing {
                         true => view.outgoing(class, label),
@@ -488,6 +546,7 @@ impl<'a> Search<'a> {
                 links,
                 loops,
                 supports,
+                access,
             });
             bound[node.index()] = true;
         }
@@ -500,12 +559,6 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// The search [`planner::plan`] chose for the positive pattern.
-    fn planned(pattern: &'a Pattern, view: View<'a>, choice: &planner::PlanChoice) -> Self {
-        let prune = choice.strategy == JoinStrategy::GenericJoin;
-        Search::compile(pattern, view, &[], &choice.order, prune)
-    }
-
     fn cursor(&self) -> Cursor<'a> {
         Cursor {
             frame: vec![None; self.capacity],
@@ -516,11 +569,9 @@ impl<'a> Search<'a> {
     }
 
     /// Append to `out` the candidates of `self.steps[depth]` under the
-    /// cursor's frame, in ascending order: the base set — print-value
-    /// probe, else the smallest neighbour set among the links, else
-    /// support intersection, else the label extent — filtered by the
-    /// node's predicate, its self-loops, every other link and the
-    /// step's support sets.
+    /// cursor's frame, in ascending order: the step's [`Access`] base,
+    /// filtered by the node's predicate, its self-loops, every other
+    /// link and the step's support sets.
     fn fill(&self, depth: usize, cursor: &mut Cursor<'a>, out: &mut Vec<NodeId>) {
         if self.dead {
             return;
@@ -536,9 +587,9 @@ impl<'a> Search<'a> {
             }
         }
         // The neighbour set to iterate; its members need no probe
-        // against it. An exact print value is its own base.
+        // against it.
         let base = (0..sets.len())
-            .filter(|_| step.data.print.is_none())
+            .filter(|_| matches!(step.access, Access::Links(_)))
             .min_by_key(|&at| sets[at].len());
         let admit = |candidate: &NodeId| {
             (step.data.predicate.is_none() || node_compatible(instance, step.data, *candidate))
@@ -549,14 +600,17 @@ impl<'a> Search<'a> {
                 && (0..sets.len()).all(|at| Some(at) == base || sets[at].contains(*candidate))
                 && step.supports.iter().all(|set| set.contains(*candidate))
         };
-        if let Some(value) = &step.data.print {
-            out.extend(instance.find_printable(step.class, value).filter(admit));
-        } else if let Some(at) = base {
-            out.extend(sets[at].iter().filter(admit));
-        } else if let Some(smallest) = step.supports.iter().min_by_key(|set| set.len()) {
-            out.extend(smallest.iter().filter(admit));
-        } else {
-            out.extend(instance.nodes_with_label(step.class).filter(admit));
+        // A live search resolved every link and support set.
+        match &step.access {
+            Access::Printable(value) => {
+                out.extend(instance.find_printable(step.class, value).filter(admit))
+            }
+            Access::Links(_) => out.extend(sets[base.expect("links")].iter().filter(admit)),
+            Access::Supports(_) => {
+                let smallest = step.supports.iter().min_by_key(|set| set.len());
+                out.extend(smallest.expect("supports").iter().filter(admit))
+            }
+            Access::Extent => out.extend(instance.nodes_with_label(step.class).filter(admit)),
         }
     }
 
@@ -610,12 +664,13 @@ impl<'a> Search<'a> {
 
     /// Enumerate every matching into the empty `table`, unsorted: the
     /// first step's candidates seed the search, one subtree each.
-    fn enumerate(&self, table: &mut MatchTable) {
+    /// Returns, per step, the partial matchings that survived it.
+    fn enumerate(&self, table: &mut MatchTable) -> Vec<u64> {
         let mut cursor = self.cursor();
         let Some(root) = self.steps.first() else {
             // The empty pattern has exactly one (empty) matching.
             table.push_frame(&cursor.frame);
-            return;
+            return Vec::new();
         };
         let mut roots = Vec::new();
         {
@@ -635,6 +690,7 @@ impl<'a> Search<'a> {
         roots_span.arg("roots", roots.len());
         roots_span.arg("matchings", table.len());
         roots_span.arg("steps", cursor.visited.iter().sum::<u64>());
+        cursor.visited.split_off(1)
     }
 }
 
@@ -684,7 +740,7 @@ fn enumerate_seeded(pattern: &Pattern, view: View<'_>, delta: &[Delta], table: &
 }
 
 /// The tail every engine shares: canonical order, no repeats, crossed
-/// parts filtered.
+/// parts filtered — [`search`]'s, and the reference engines'.
 pub(crate) fn finish(pattern: &Pattern, view: View<'_>, mut table: MatchTable) -> MatchTable {
     table.canonicalize();
     drop_extendable(pattern, view, &mut table);
@@ -744,7 +800,7 @@ fn drop_extendable(pattern: &Pattern, view: View<'_>, table: &mut MatchTable) {
 /// # Ok::<(), GoodError>(())
 /// ```
 pub fn find_matchings(pattern: &Pattern, instance: &Instance) -> Result<Vec<Matching>> {
-    find_match_table(pattern, instance).map(MatchTable::into_matchings)
+    find_match_table(pattern, instance, PlanShape::Planned).map(MatchTable::into_matchings)
 }
 
 /// [`find_matchings`] under the field-less [`MatchConfig`]. Kept only
@@ -757,18 +813,37 @@ pub fn find_matchings_with(
     find_matchings(pattern, instance)
 }
 
-/// [`find_matchings`] as the flat [`MatchTable`] the engine builds —
-/// for callers that read columns and never need a map per matching —
-/// over an instance or a [`View`] with derived relations beside it.
-pub fn find_match_table<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Result<MatchTable> {
-    table_of(pattern, view.into(), None)
+/// The binding order and pruning of the one search loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanShape {
+    /// The cost-based planner's order and strategy ([`planner::plan`]):
+    /// what [`find_matchings`] and every operation run.
+    Planned,
+    /// Pattern-node id order, no pruning: benchmark E1's ablation of
+    /// the planner.
+    IdOrder,
+    /// The planner's order with pruning on whatever strategy it picked:
+    /// the generic join's discipline (see [`planner::JoinStrategy`]),
+    /// benchmark E18's `wcoj` lane, and what EXPLAIN profiles.
+    GenericJoin,
+}
+
+/// [`find_matchings`] in `shape`, as the flat [`MatchTable`] the engine
+/// builds — for callers that read columns and never need a map per
+/// matching — over an instance or a [`View`] with derived relations
+/// beside it. Every shape gives the same table.
+pub fn find_match_table<'a>(
+    pattern: &Pattern,
+    view: impl Into<View<'a>>,
+    shape: PlanShape,
+) -> Result<MatchTable> {
+    Ok(search(pattern, view.into(), Start::Shape(shape), false)?.table)
 }
 
 /// The matchings of `pattern` that map at least one positive pattern
 /// edge onto an edge of `delta` — the later rounds of the fixpoint
-/// evaluator (`fixpoint.rs`). Validation, canonical order and the
-/// crossed-part filter are [`find_matchings`]'s; only the
-/// enumeration differs (seeded from the delta's endpoints instead of
+/// evaluator (`fixpoint.rs`). Only the enumeration differs from
+/// [`find_match_table`]'s (seeded from the delta's endpoints instead of
 /// planned from a root). When no delta label occurs on an uncrossed
 /// pattern edge there is nothing to seed and the pattern is not matched
 /// at all.
@@ -784,12 +859,32 @@ pub(crate) fn matchings_using(
     if !delta.iter().any(|(label, _)| occurs(label)) {
         return Ok(MatchTable::new(Vec::new()));
     }
-    table_of(pattern, view, Some(delta))
+    Ok(search(pattern, view, Start::Delta(delta), false)?.table)
 }
 
-/// Shared body of [`find_match_table`] (`delta` absent: plan and
-/// enumerate everything) and [`matchings_using`] (`delta` present).
-fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[Delta]>) -> Result<MatchTable> {
+/// Where [`search`] starts enumerating.
+#[derive(Clone, Copy)]
+enum Start<'d> {
+    /// At the first step of the order `shape` picks.
+    Shape(PlanShape),
+    /// At the endpoints of every edge of the delta.
+    Delta(&'d [Delta]),
+}
+
+/// What one [`search`] found: the matchings, the planner's choice (for
+/// the shapes that take one) and, per step of a shaped search, the
+/// partial matchings that survived it and (when asked) its access path.
+struct Found {
+    table: MatchTable,
+    choice: Option<planner::PlanChoice>,
+    survivors: Vec<u64>,
+    access: Vec<String>,
+}
+
+/// The one way into the matcher: validate, take the positive part,
+/// order it, compile the steps, enumerate from `start`, canonicalize,
+/// filter crossed parts — with `explain`, also describing each step.
+fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>, explain: bool) -> Result<Found> {
     check_matchable(pattern, view.instance)?;
 
     let mut find_span = good_trace::span("match", "match/find");
@@ -798,18 +893,27 @@ fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[Delta]>) -> Resul
 
     let positive = pattern.positive_part();
     let mut table = MatchTable::new(positive.graph().node_ids().collect());
-    let mut planned = None;
-    match delta {
-        Some(delta) => enumerate_seeded(&positive, view, delta, &mut table),
-        None => {
-            // Cost-based planning: rank binding orders on the
-            // incrementally maintained statistics and pick the evaluation
-            // strategy. Pure arithmetic over per-edge scalars — cheap
-            // enough for point queries.
-            let choice = planner::plan(&positive, view);
-            planned = Some((choice.strategy.name(), choice.est_rows));
-            choice.strategy.counter().incr();
-            Search::planned(&positive, view, &choice).enumerate(&mut table);
+    let (mut choice, mut survivors, mut access) = (None, Vec::new(), Vec::new());
+    match start {
+        Start::Delta(delta) => enumerate_seeded(&positive, view, delta, &mut table),
+        Start::Shape(shape) => {
+            // Cost-based planning is pure arithmetic over per-edge
+            // scalars — cheap enough for point queries.
+            let planned = (shape != PlanShape::IdOrder).then(|| planner::plan(&positive, view));
+            let (order, prune) = match &planned {
+                Some(plan) if shape == PlanShape::Planned => {
+                    plan.strategy.counter().incr();
+                    (&plan.order[..], plan.strategy == JoinStrategy::GenericJoin)
+                }
+                Some(plan) => (&plan.order[..], true),
+                None => (table.domain(), false),
+            };
+            let compiled = Search::compile(&positive, view, &[], order, prune);
+            survivors = compiled.enumerate(&mut table);
+            if explain {
+                access = compiled.steps.iter().map(Step::describe).collect();
+            }
+            choice = planned;
         }
     }
     table.canonicalize();
@@ -819,11 +923,11 @@ fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[Delta]>) -> Resul
         find_span.arg("pattern_nodes", table.domain.len());
         find_span.arg("matchings", table.len());
         find_span.arg("negation", pattern.has_negation());
-        if let Some((strategy, est_rows)) = planned {
-            find_span.arg("strategy", strategy);
-            find_span.arg("est_rows", est_rows);
+        if let Some(choice) = &choice {
+            find_span.arg("strategy", choice.strategy.name());
+            find_span.arg("est_rows", choice.est_rows);
         }
-        if let Some(delta) = delta {
+        if let Start::Delta(delta) = start {
             find_span.arg(
                 "delta_edges",
                 delta.iter().map(|(_, pairs)| pairs.len()).sum::<usize>(),
@@ -835,7 +939,12 @@ fn table_of(pattern: &Pattern, view: View<'_>, delta: Option<&[Delta]>) -> Resul
     }
     LIVE_CALLS.incr();
     LIVE_NEGATION_FILTERED.add((positive_results - table.len()) as u64);
-    Ok(table)
+    Ok(Found {
+        table,
+        choice,
+        survivors,
+        access,
+    })
 }
 
 // ---- EXPLAIN -------------------------------------------------------------
@@ -982,158 +1091,45 @@ impl Plan {
 /// Describe the plan [`find_matchings`] would choose for `pattern`
 /// against `instance` — the cost-based binding order with per-step
 /// access paths and cardinality estimates and the expand-vs-generic-join
-/// strategy decision — and run the planned order once, filling each
-/// step's `actual_rows` with the number of partial matchings that
-/// survived it (the first step's is the root candidate count) and the
-/// plan's `actual_matchings` with the final (negation-filtered) count,
-/// so per-step estimate error is visible. Observes the estimate error
-/// into the `match.plan.est_error_pct` histogram.
+/// strategy decision — and run the planned order once, with pruning on
+/// whatever the strategy (so a step's actual is what survives every
+/// constraint decidable at it). Each step's `actual_rows` is the number
+/// of partial matchings that survived it (the first step's is the root
+/// candidate count) and the plan's `actual_matchings` the final
+/// (negation-filtered) count, so per-step estimate error is visible.
+/// Observes the estimate error into the `match.plan.est_error_pct`
+/// histogram.
 pub fn explain_plan_profiled<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Result<Plan> {
-    let view = view.into();
-    check_matchable(pattern, view.instance)?;
-    let positive = pattern.positive_part();
-    let choice = planner::plan(&positive, view);
-
-    // Profile: walk the planned order once, pruning
-    // (whatever the strategy, so a step's actual is what survives every
-    // constraint decidable at it): the frames the loop visits at each
-    // depth are the partial matchings that survived the step before.
-    let (actuals, actual_matchings) = {
-        let mut span = good_trace::span("match", "match/explain");
-        let search = Search::compile(&positive, view, &[], &choice.order, true);
-        let mut cursor = search.cursor();
-        let mut table = MatchTable::new(choice.order.clone());
-        search.solve(0, &mut cursor, &mut |complete| {
-            table.push_frame(complete);
-            true
-        });
-        let matchings = finish(pattern, view, table).len();
-        span.arg("matchings", matchings);
-        span.arg("strategy", choice.strategy.name());
-        (cursor.visited.split_off(1), matchings)
-    };
-
-    let mut planned: BTreeSet<NodeId> = BTreeSet::new();
+    let shape = Start::Shape(PlanShape::GenericJoin);
+    let found = search(pattern, view.into(), shape, true)?;
+    let choice = found.choice.expect("a planned shape");
+    let root_candidates = found.survivors.first().map_or(0, |&rows| rows as usize);
     let mut steps = Vec::new();
-    for (index, step) in choice.steps.iter().enumerate() {
-        let node = step.node;
-        let label = match &positive.graph().node(node).expect("live pattern node").kind {
-            PatternNodeKind::Class(label) => label.to_string(),
-            _ => "?".into(),
-        };
-        let access = describe_access(&positive, node, &planned);
-        let actual = actuals[index];
+    for ((step, actual), access) in choice.steps.iter().zip(found.survivors).zip(found.access) {
         let estimated = step.est_rows.max(0.0);
-        let error_pct = if actual == 0 {
-            (estimated * 100.0) as u64
-        } else {
-            ((estimated - actual as f64).abs() / actual as f64 * 100.0) as u64
-        };
-        LIVE_EST_ERROR_PCT.observe(error_pct);
+        // Against the estimate itself when nothing survived.
+        let error = (estimated - actual as f64).abs() / (actual as f64).max(1.0);
+        LIVE_EST_ERROR_PCT.observe((error * 100.0) as u64);
+        let label = pattern.node_label(step.node).expect("class node");
         steps.push(PlanStep {
-            node,
-            label,
+            node: step.node,
+            label: label.to_string(),
             access,
             estimate: step.est_scanned.round() as usize,
             est_rows: step.est_rows,
             actual_rows: Some(actual),
         });
-        planned.insert(node);
     }
     Ok(Plan {
         steps,
-        root_candidates: actuals.first().map_or(0, |&rows| rows as usize),
+        root_candidates,
         negation: pattern.has_negation(),
         strategy: choice.strategy,
         cyclic: choice.cyclic,
         est_rows: choice.est_rows,
         est_cost: choice.est_cost,
-        actual_matchings: Some(actual_matchings),
+        actual_matchings: Some(found.table.len()),
     })
-}
-
-/// Human description of the access path a step takes for `pnode` once
-/// every node in `planned` is bound. Used by [`explain_plan_profiled`];
-/// mirrors the candidate-derivation priority of the compiled steps.
-fn describe_access(pattern: &Pattern, pnode: NodeId, planned: &BTreeSet<NodeId>) -> String {
-    let data = pattern.graph().node(pnode).expect("live pattern node");
-    let PatternNodeKind::Class(label) = &data.kind else {
-        return "method head (not matchable)".into();
-    };
-    let predicate_note = if data.predicate.is_some() {
-        " + predicate filter"
-    } else {
-        ""
-    };
-    if let Some(value) = &data.print {
-        return format!("printable probe ({label} = {value})");
-    }
-    let mut anchors: Vec<String> = Vec::new();
-    let mut unanchored = 0usize;
-    for edge in pattern.graph().out_edges(pnode) {
-        if edge.payload.negated {
-            continue;
-        }
-        if planned.contains(&edge.dst) {
-            anchors.push(format!("-[{}]->", edge.payload.label));
-        } else {
-            unanchored += 1;
-        }
-    }
-    for edge in pattern.graph().in_edges(pnode) {
-        if edge.payload.negated || edge.src == pnode {
-            continue;
-        }
-        if planned.contains(&edge.src) {
-            anchors.push(format!("<-[{}]-", edge.payload.label));
-        } else {
-            unanchored += 1;
-        }
-    }
-    if !anchors.is_empty() {
-        format!(
-            "index probe: ({label}, edge) postings of a bound neighbour via {}{predicate_note}",
-            anchors.join(" / ")
-        )
-    } else if unanchored > 0 {
-        format!(
-            "support intersection over {unanchored} incident edge label(s) \
-             on {label}{predicate_note}"
-        )
-    } else {
-        format!("label extent scan of {label}{predicate_note}")
-    }
-}
-
-/// Ablation variant of [`find_matchings`]: the same compiled-step loop
-/// given pattern-node id order instead of the planner's costed order.
-/// Exists to quantify, in benchmark E1, what the planned order buys.
-pub fn find_matchings_static_order(
-    pattern: &Pattern,
-    instance: &Instance,
-) -> Result<Vec<Matching>> {
-    matchings_in_order(pattern, instance, false, |positive| {
-        let mut order: Vec<NodeId> = positive.graph().node_ids().collect();
-        order.sort_unstable();
-        order
-    })
-}
-
-/// The one loop over a caller-chosen shape — binding order and pruning:
-/// the body of [`find_matchings_static_order`] and of
-/// `wcoj::find_matchings_wcoj`.
-pub(crate) fn matchings_in_order(
-    pattern: &Pattern,
-    instance: &Instance,
-    prune: bool,
-    order: impl FnOnce(&Pattern) -> Vec<NodeId>,
-) -> Result<Vec<Matching>> {
-    check_matchable(pattern, instance)?;
-    let positive = pattern.positive_part();
-    let order = order(&positive);
-    let mut table = MatchTable::new(order.clone());
-    Search::compile(&positive, instance.into(), &[], &order, prune).enumerate(&mut table);
-    Ok(finish(pattern, instance.into(), table).into_matchings())
 }
 
 /// Naive enumeration: per-node candidate lists, full cross product,
@@ -1200,6 +1196,11 @@ mod tests {
 
     use crate::gen::bench_scheme as scheme;
 
+    fn shaped(pattern: &Pattern, db: &Instance, shape: PlanShape) -> Vec<Matching> {
+        let table = find_match_table(pattern, db, shape).unwrap();
+        table.into_matchings()
+    }
+
     /// A small slice of the paper's instance: Rock links to The Doors
     /// and Pinkfloyd; Jazz links to nothing.
     fn small_instance() -> (Instance, [NodeId; 4]) {
@@ -1262,7 +1263,7 @@ mod tests {
         let (pattern, _, _) = figure4();
         let a = find_matchings(&pattern, &db).unwrap();
         let b = find_matchings_naive(&pattern, &db).unwrap();
-        let c = find_matchings_static_order(&pattern, &db).unwrap();
+        let c = shaped(&pattern, &db, PlanShape::IdOrder);
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
@@ -1275,7 +1276,7 @@ mod tests {
         let other = p.negated_node("Info");
         p.edge(info, "links-to", other);
         let planned = find_matchings(&p, &db).unwrap();
-        let fixed = find_matchings_static_order(&p, &db).unwrap();
+        let fixed = shaped(&p, &db, PlanShape::IdOrder);
         assert_eq!(planned, fixed);
         assert!(fixed.iter().all(|m| m.image(info) != rock));
     }
@@ -1516,5 +1517,147 @@ mod tests {
             }
         }
         assert!(!survivors.is_empty() && survivors.len() < 24);
+    }
+
+    fn cyclic_instance() -> Instance {
+        let mut db = Instance::new(scheme());
+        let nodes: Vec<_> = (0..8).map(|_| db.add_object("Info").unwrap()).collect();
+        // A 4-cycle, a triangle sharing a node with it, a self-loop,
+        // and a pendant.
+        for k in 0..4 {
+            db.add_edge(nodes[k], "links-to", nodes[(k + 1) % 4])
+                .unwrap();
+        }
+        db.add_edge(nodes[3], "links-to", nodes[4]).unwrap();
+        db.add_edge(nodes[4], "links-to", nodes[5]).unwrap();
+        db.add_edge(nodes[5], "links-to", nodes[3]).unwrap();
+        db.add_edge(nodes[6], "links-to", nodes[6]).unwrap();
+        db.add_edge(nodes[6], "links-to", nodes[7]).unwrap();
+        let name = db.add_printable("String", "hub").unwrap();
+        db.add_edge(nodes[3], "name", name).unwrap();
+        db
+    }
+
+    fn assert_engines_agree(pattern: &Pattern, db: &Instance) {
+        let planned = find_matchings(pattern, db).unwrap();
+        let naive = find_matchings_naive(pattern, db).unwrap();
+        let wcoj = shaped(pattern, db, PlanShape::GenericJoin);
+        assert_eq!(planned, naive);
+        assert_eq!(planned, wcoj);
+    }
+
+    #[test]
+    fn triangle_matches_agree_with_all_engines() {
+        let db = cyclic_instance();
+        let mut p = Pattern::new();
+        let a = p.node("Info");
+        let b = p.node("Info");
+        let c = p.node("Info");
+        p.edge(a, "links-to", b);
+        p.edge(b, "links-to", c);
+        p.edge(c, "links-to", a);
+        assert_engines_agree(&p, &db);
+        // Three rotations of the {3,4,5} triangle, plus the self-loop
+        // node matching all three variables at once (homomorphisms are
+        // not injective).
+        assert_eq!(find_matchings(&p, &db).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn four_cycle_and_chains_agree() {
+        let db = cyclic_instance();
+        let mut square = Pattern::new();
+        let n: Vec<_> = (0..4).map(|_| square.node("Info")).collect();
+        for k in 0..4 {
+            square.edge(n[k], "links-to", n[(k + 1) % 4]);
+        }
+        assert_engines_agree(&square, &db);
+
+        let mut chain = Pattern::new();
+        let a = chain.node("Info");
+        let b = chain.node("Info");
+        let c = chain.node("Info");
+        chain.edge(a, "links-to", b);
+        chain.edge(b, "links-to", c);
+        assert_engines_agree(&chain, &db);
+    }
+
+    #[test]
+    fn self_loops_and_printables_agree() {
+        let db = cyclic_instance();
+        let mut p = Pattern::new();
+        let x = p.node("Info");
+        p.edge(x, "links-to", x);
+        assert_engines_agree(&p, &db);
+
+        let mut anchored = Pattern::new();
+        let info = anchored.node("Info");
+        let name = anchored.printable("String", "hub");
+        let other = anchored.node("Info");
+        anchored.edge(info, "name", name);
+        anchored.edge(info, "links-to", other);
+        assert_engines_agree(&anchored, &db);
+    }
+
+    #[test]
+    fn negation_and_empty_pattern_agree() {
+        let db = cyclic_instance();
+        let mut p = Pattern::new();
+        let info = p.node("Info");
+        let other = p.negated_node("Info");
+        p.edge(info, "links-to", other);
+        assert_engines_agree(&p, &db);
+        assert_engines_agree(&Pattern::new(), &db);
+    }
+
+    #[test]
+    fn disconnected_pattern_cross_product_agrees() {
+        let db = cyclic_instance();
+        let mut p = Pattern::new();
+        let a = p.node("Info");
+        let b = p.node("Info");
+        let c = p.node("Info");
+        p.edge(a, "links-to", b);
+        let _ = c; // isolated third node
+        assert_engines_agree(&p, &db);
+    }
+
+    /// EXPLAIN prints the base the compiled step reads: a self-loop is a
+    /// filter on the label extent, not a support set.
+    #[test]
+    fn explain_renders_a_self_loop_as_an_extent_scan_it_filters() {
+        let db = cyclic_instance();
+        let mut p = Pattern::new();
+        let x = p.node("Info");
+        p.edge(x, "links-to", x);
+        let plan = explain_plan_profiled(&p, &db).unwrap();
+        assert_eq!(plan.steps.len(), 1);
+        assert_eq!(
+            plan.steps[0].access,
+            "label extent scan of Info + self-loop filter"
+        );
+        // Eight Infos scanned, one kept: the self-linked one.
+        assert_eq!(plan.steps[0].actual_rows, Some(1));
+        assert_eq!(plan.actual_matchings, Some(1));
+    }
+
+    /// A node with a self-loop and one edge to a node bound after it
+    /// intersects one support set: the loop is no support.
+    #[test]
+    fn explain_counts_one_support_set_beside_a_self_loop() {
+        let db = cyclic_instance();
+        let mut p = Pattern::new();
+        let x = p.node("Info");
+        let name = p.node("String");
+        p.edge(x, "links-to", x);
+        p.edge(x, "name", name);
+        let plan = explain_plan_profiled(&p, &db).unwrap();
+        let first = &plan.steps[0];
+        assert_eq!(first.node, x, "{}", plan.render());
+        assert_eq!(
+            first.access,
+            "support intersection over 1 incident edge label(s) on Info + self-loop filter"
+        );
+        assert_eq!(plan.actual_matchings, Some(0));
     }
 }

@@ -20,7 +20,7 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::{EdgeKind, Label};
-use crate::matching::find_matchings;
+use crate::matching::{find_match_table, PlanShape};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -63,20 +63,7 @@ impl Abstraction {
 
     /// Apply to `db`, evolving scheme and instance.
     pub fn apply(&self, db: &mut Instance) -> Result<OpReport> {
-        let positive = self
-            .pattern
-            .graph()
-            .node(self.node)
-            .map(|data| !data.negated)
-            .unwrap_or(false);
-        if !positive {
-            return Err(GoodError::NodeNotInPattern(format!("{:?}", self.node)));
-        }
-        let node_label = self
-            .pattern
-            .node_label(self.node)
-            .ok_or_else(|| GoodError::NodeNotInPattern(format!("{:?}", self.node)))?
-            .clone();
+        let node_label = self.pattern.positive_class(self.node)?.clone();
         // β must be a multivalued label of the scheme.
         match db.scheme().edge_kind(&self.key_edge) {
             Some(EdgeKind::Multivalued) => {}
@@ -90,7 +77,7 @@ impl Abstraction {
             None => return Err(GoodError::UnknownEdgeLabel(self.key_edge.clone())),
         }
 
-        let matchings = find_matchings(&self.pattern, db)?;
+        let table = find_match_table(&self.pattern, &*db, PlanShape::Planned)?;
 
         // Minimal scheme extension: K ∈ OL, α ∈ MEL, (K, α, λ(n)) ∈ P.
         db.scheme_mut().add_object_label(self.group_label.clone())?;
@@ -103,9 +90,11 @@ impl Abstraction {
         )?;
 
         // β-sets realized by matchings.
-        let realized: BTreeSet<BTreeSet<NodeId>> = matchings
-            .iter()
-            .map(|m| db.target_set(m.image(self.node), &self.key_edge))
+        let column = table
+            .column(self.node)
+            .expect("the grouped node is positive");
+        let realized: BTreeSet<BTreeSet<NodeId>> = (table.rows())
+            .map(|row| db.target_set(row[column], &self.key_edge))
             .collect();
 
         // Equivalence classes: every λ(n)-labeled node with that β-set.
@@ -126,7 +115,7 @@ impl Abstraction {
         }
 
         let mut report = OpReport {
-            matchings: matchings.len(),
+            matchings: table.len(),
             ..OpReport::default()
         };
         for (_, members) in class_of {

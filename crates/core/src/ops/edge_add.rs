@@ -15,7 +15,7 @@ use crate::derived::{View, ViewMut};
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::{EdgeKind, Label};
-use crate::matching::{find_match_table, Delta, MatchTable};
+use crate::matching::{find_match_table, Delta, MatchTable, PlanShape};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -97,8 +97,9 @@ impl EdgeAddition {
     /// [`EdgeAddition::apply`], adding the edges where `target` takes
     /// them (see [`ViewMut`]).
     pub(crate) fn apply_to(&self, target: ViewMut<'_>) -> Result<OpReport> {
-        let (report, _) =
-            self.apply_with(target, |pattern, view| find_match_table(pattern, view))?;
+        let (report, _) = self.apply_with(target, |pattern, view| {
+            find_match_table(pattern, view, PlanShape::Planned)
+        })?;
         Ok(report)
     }
 
@@ -114,17 +115,8 @@ impl EdgeAddition {
     ) -> Result<(OpReport, Vec<Delta>)> {
         // Validate bold endpoints.
         for edge in &self.edges {
-            for node in [edge.src, edge.dst] {
-                let positive = self
-                    .pattern
-                    .graph()
-                    .node(node)
-                    .map(|data| !data.negated)
-                    .unwrap_or(false);
-                if !positive || self.pattern.node_label(node).is_none() {
-                    return Err(GoodError::NodeNotInPattern(format!("{node:?}")));
-                }
-            }
+            self.pattern.positive_class(edge.src)?;
+            self.pattern.positive_class(edge.dst)?;
         }
 
         let table = matcher(&self.pattern, target.view())?;
@@ -144,16 +136,8 @@ impl EdgeAddition {
                 db.scheme_mut()
                     .add_edge_label(edge.label.clone(), edge.kind)?;
             }
-            let src_label = self
-                .pattern
-                .node_label(edge.src)
-                .expect("validated")
-                .clone();
-            let dst_label = self
-                .pattern
-                .node_label(edge.dst)
-                .expect("validated")
-                .clone();
+            let src_label = self.pattern.positive_class(edge.src)?.clone();
+            let dst_label = self.pattern.positive_class(edge.dst)?.clone();
             db.scheme_mut()
                 .add_triple(src_label, edge.label.clone(), dst_label)?;
         }

@@ -8,7 +8,7 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::Label;
-use crate::matching::find_matchings;
+use crate::matching::{find_match_table, PlanShape};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -52,15 +52,19 @@ impl EdgeDeletion {
                 });
             }
         }
-        let matchings = find_matchings(&self.pattern, db)?;
+        let table = find_match_table(&self.pattern, &*db, PlanShape::Planned)?;
         let mut doomed: BTreeSet<(NodeId, Label, NodeId)> = BTreeSet::new();
-        for matching in &matchings {
-            for (src, label, dst) in &self.edges {
-                doomed.insert((matching.image(*src), label.clone(), matching.image(*dst)));
-            }
+        for (src, label, dst) in self.edges.iter().filter(|_| !table.is_empty()) {
+            let column = |node| {
+                table
+                    .column(node)
+                    .expect("doomed edges join positive nodes")
+            };
+            let (src, dst) = (column(*src), column(*dst));
+            doomed.extend(table.rows().map(|row| (row[src], label.clone(), row[dst])));
         }
         let mut report = OpReport {
-            matchings: matchings.len(),
+            matchings: table.len(),
             ..OpReport::default()
         };
         // Batched application: the deduplicated triple set goes through

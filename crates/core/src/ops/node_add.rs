@@ -16,7 +16,7 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::Label;
-use crate::matching::find_matchings;
+use crate::matching::{find_match_table, PlanShape};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -63,28 +63,16 @@ impl NodeAddition {
                     "node addition uses edge label {label} twice"
                 )));
             }
-            let is_positive = self
-                .pattern
-                .graph()
-                .node(*node)
-                .map(|data| !data.negated)
-                .unwrap_or(false);
-            if !is_positive || self.pattern.node_label(*node).is_none() {
-                return Err(GoodError::NodeNotInPattern(format!("{node:?}")));
-            }
+            self.pattern.positive_class(*node)?;
         }
 
         // Enumerate matchings against the *original* instance.
-        let matchings = find_matchings(&self.pattern, db)?;
+        let table = find_match_table(&self.pattern, &*db, PlanShape::Planned)?;
 
         // Minimal scheme extension: K ∈ OL, λℓ ∈ FEL, (K, λℓ, λ(mℓ)) ∈ P.
         db.scheme_mut().add_object_label(self.label.clone())?;
         for (edge_label, pattern_node) in &self.edges {
-            let target_label = self
-                .pattern
-                .node_label(*pattern_node)
-                .expect("validated above")
-                .clone();
+            let target_label = self.pattern.positive_class(*pattern_node)?.clone();
             db.scheme_mut().add_functional_label(edge_label.clone())?;
             db.scheme_mut()
                 .add_triple(self.label.clone(), edge_label.clone(), target_label)?;
@@ -109,18 +97,21 @@ impl NodeAddition {
         }
 
         let mut report = OpReport {
-            matchings: matchings.len(),
+            matchings: table.len(),
             ..OpReport::default()
         };
         // Batched application: first precompute the distinct target
-        // vectors still missing a K node (matchings are in canonical
-        // order, so first-seen order is deterministic), then run one
-        // mutation pass over the pending vectors.
+        // vectors still missing a K node (rows are in canonical order,
+        // so first-seen order is deterministic), then run one mutation
+        // pass over the pending vectors.
+        let columns: Vec<usize> = (self.edges.iter())
+            .map(|(_, node)| table.column(*node).expect("bold targets are positive"))
+            .collect();
         let mut pending: Vec<Vec<NodeId>> = Vec::new();
         let mut claimed: BTreeSet<Vec<NodeId>> = BTreeSet::new();
         let mut dedup_hits = 0u64;
-        for matching in &matchings {
-            let key: Vec<NodeId> = self.edges.iter().map(|(_, m)| matching.image(*m)).collect();
+        for row in table.rows() {
+            let key: Vec<NodeId> = columns.iter().map(|&column| row[column]).collect();
             if existing.contains_key(&key) || !claimed.insert(key.clone()) {
                 dedup_hits += 1;
                 continue;

@@ -5,9 +5,9 @@
 //! maximal instance over S such that ... for each matching i of J in I,
 //! i(m) is not a node of I′". The scheme is unchanged.
 
-use crate::error::{GoodError, Result};
+use crate::error::Result;
 use crate::instance::Instance;
-use crate::matching::find_matchings;
+use crate::matching::{find_match_table, PlanShape};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
@@ -31,22 +31,15 @@ impl NodeDeletion {
 
     /// Apply to `db`.
     pub fn apply(&self, db: &mut Instance) -> Result<OpReport> {
-        let positive = self
-            .pattern
-            .graph()
-            .node(self.target)
-            .map(|data| !data.negated)
-            .unwrap_or(false);
-        if !positive || self.pattern.node_label(self.target).is_none() {
-            return Err(GoodError::NodeNotInPattern(format!("{:?}", self.target)));
-        }
-        let matchings = find_matchings(&self.pattern, db)?;
-        // Batched application: the full doomed set is computed from the
-        // matchings (deduplicated — overlapping matchings may share
-        // images), then removed in one pass.
-        let doomed: BTreeSet<NodeId> = matchings.iter().map(|m| m.image(self.target)).collect();
+        self.pattern.positive_class(self.target)?;
+        let table = find_match_table(&self.pattern, &*db, PlanShape::Planned)?;
+        // Batched application: the full doomed set is read off the
+        // target's column (deduplicated — overlapping matchings may
+        // share images), then removed in one pass.
+        let column = table.column(self.target).expect("the target is positive");
+        let doomed: BTreeSet<NodeId> = table.rows().map(|row| row[column]).collect();
         let mut report = OpReport {
-            matchings: matchings.len(),
+            matchings: table.len(),
             ..OpReport::default()
         };
         report.nodes_deleted = db.delete_nodes(doomed);
@@ -58,6 +51,7 @@ impl NodeDeletion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::GoodError;
 
     use crate::gen::bench_scheme as scheme;
 

@@ -246,6 +246,20 @@ impl Pattern {
         }
     }
 
+    /// The class of `node` if it is a positive (uncrossed) class node of
+    /// this pattern — what an operation's bold, doomed or grouped node
+    /// must be — and [`GoodError::NodeNotInPattern`] otherwise.
+    pub fn positive_class(&self, node: NodeId) -> Result<&Label> {
+        match self.graph.node(node) {
+            Some(PatternNode {
+                kind: PatternNodeKind::Class(label),
+                negated: false,
+                ..
+            }) => Ok(label),
+            _ => Err(GoodError::NodeNotInPattern(format!("{node:?}"))),
+        }
+    }
+
     /// True if the pattern has crossed nodes or edges.
     pub fn has_negation(&self) -> bool {
         self.graph.nodes().any(|n| n.payload.negated)

@@ -19,9 +19,12 @@
 //! intermediate rows than the final result contains. When the pattern
 //! is cyclic *and* the propagated estimate predicts such a blow-up
 //! (peak intermediate rows > [`WCOJ_BLOWUP_FACTOR`] × final rows), the
-//! plan selects the generic-join path ([`crate::wcoj`]), which binds
-//! one variable at a time against the sorted intersection of *all* its
-//! bound-neighbour candidate sets — the worst-case-optimal discipline.
+//! plan selects the generic join, which binds one variable at a time
+//! against the sorted intersection of *all* its candidate sets — the
+//! worst-case-optimal discipline ("Foundations of Modern Query
+//! Languages for Graph Databases", PAPERS.md). It is not a second
+//! engine: it is the matcher's one loop with pruning on
+//! ([`crate::matching::PlanShape::GenericJoin`] forces it).
 //!
 //! Everything here is pure arithmetic over a handful of f64s per
 //! pattern edge: a 3-node anchored point query plans in well under a
@@ -34,7 +37,6 @@ use crate::matching::{check_matchable, finish, node_compatible, MatchTable, Matc
 use crate::pattern::{Pattern, PatternNodeKind};
 use good_graph::NodeId;
 use good_trace::LiveCounter;
-use std::collections::BTreeMap;
 
 /// Peak-to-final estimate ratio beyond which a cyclic pattern is routed
 /// to the generic-join path.
@@ -159,35 +161,44 @@ impl<'a> Planner<'a> {
 
         let mut edges = Vec::new();
         let mut incident: Vec<Vec<usize>> = vec![Vec::new(); bound];
+        // Per node slot, the fewest distinct endpoints among its edges'
+        // triples: a node with an outgoing λ must be one of the triple's
+        // distinct sources (self-loops count on the source side only).
+        let mut endpoints = vec![f64::INFINITY; bound];
         for edge in graph.edges() {
             if edge.payload.negated {
                 continue;
             }
-            let src_label = match &graph.node(edge.src).expect("live").kind {
-                PatternNodeKind::Class(label) => label,
-                PatternNodeKind::MethodHead(_) => continue,
-            };
-            let dst_label = match &graph.node(edge.dst).expect("live").kind {
-                PatternNodeKind::Class(label) => label,
-                PatternNodeKind::MethodHead(_) => continue,
+            let (Some(src_label), Some(dst_label)) =
+                (pattern.node_label(edge.src), pattern.node_label(edge.dst))
+            else {
+                continue;
             };
             let src_extent = instance.label_count(src_label) as f64;
             let dst_extent = instance.label_count(dst_label) as f64;
-            let (fan_out, fan_in, sel) =
-                match view.triple(src_label, &edge.payload.label, dst_label) {
-                    Some((edges, ..)) if src_extent > 0.0 && dst_extent > 0.0 => {
-                        let edge_count = edges as f64;
-                        (
-                            edge_count / src_extent,
-                            edge_count / dst_extent,
-                            (edge_count / (src_extent * dst_extent)).min(1.0),
-                        )
-                    }
-                    // No such edge in the instance: the pattern cannot
-                    // match through it.
-                    _ => (0.0, 0.0, 0.0),
-                };
-            let index = edges.len();
+            let triple = view.triple(src_label, &edge.payload.label, dst_label);
+            let (fan_out, fan_in, sel) = match triple {
+                Some((edges, ..)) if src_extent > 0.0 && dst_extent > 0.0 => {
+                    let edge_count = edges as f64;
+                    (
+                        edge_count / src_extent,
+                        edge_count / dst_extent,
+                        (edge_count / (src_extent * dst_extent)).min(1.0),
+                    )
+                }
+                // No such edge in the instance: the pattern cannot
+                // match through it.
+                _ => (0.0, 0.0, 0.0),
+            };
+            let (sources, targets) = triple.map_or((0.0, 0.0), |(_, s, t)| (s as f64, t as f64));
+            let src_bound = &mut endpoints[edge.src.index()];
+            *src_bound = src_bound.min(sources);
+            if edge.src != edge.dst {
+                let dst_bound = &mut endpoints[edge.dst.index()];
+                *dst_bound = dst_bound.min(targets);
+                incident[edge.src.index()].push(edges.len());
+                incident[edge.dst.index()].push(edges.len());
+            }
             edges.push(EdgeScalars {
                 src: edge.src,
                 dst: edge.dst,
@@ -195,10 +206,6 @@ impl<'a> Planner<'a> {
                 fan_in,
                 sel,
             });
-            if edge.src != edge.dst {
-                incident[edge.src.index()].push(index);
-                incident[edge.dst.index()].push(index);
-            }
         }
 
         let mut root_est = vec![0.0f64; bound];
@@ -207,44 +214,18 @@ impl<'a> Planner<'a> {
             let PatternNodeKind::Class(label) = &data.kind else {
                 continue;
             };
-            if data.print.is_some() {
+            root_est[node.index()] = if data.print.is_some() {
                 // Exact printable value: one index probe.
-                root_est[node.index()] = 1.0;
-                continue;
-            }
-            // Label extent, tightened by the distinct endpoint counts of
-            // every incident edge (a node with an outgoing λ must be one
-            // of the triple's distinct sources), times predicate
-            // selectivity.
-            let mut est = instance.label_count(label) as f64;
-            for edge in graph.out_edges(node) {
-                if edge.payload.negated {
-                    continue;
+                1.0
+            } else {
+                // Label extent, tightened by the distinct endpoint
+                // counts, times predicate selectivity.
+                let est = (instance.label_count(label) as f64).min(endpoints[node.index()]);
+                match data.predicate {
+                    Some(_) => est * PREDICATE_SELECTIVITY,
+                    None => est,
                 }
-                if let PatternNodeKind::Class(dst_label) = &graph.node(edge.dst).expect("live").kind
-                {
-                    let distinct = view
-                        .triple(label, &edge.payload.label, dst_label)
-                        .map_or(0.0, |(_, sources, _)| sources as f64);
-                    est = est.min(distinct);
-                }
-            }
-            for edge in graph.in_edges(node) {
-                if edge.payload.negated || edge.src == node {
-                    continue;
-                }
-                if let PatternNodeKind::Class(src_label) = &graph.node(edge.src).expect("live").kind
-                {
-                    let distinct = view
-                        .triple(src_label, &edge.payload.label, label)
-                        .map_or(0.0, |(_, _, targets)| targets as f64);
-                    est = est.min(distinct);
-                }
-            }
-            if data.predicate.is_some() {
-                est *= PREDICATE_SELECTIVITY;
-            }
-            root_est[node.index()] = est;
+            };
         }
 
         Planner {
@@ -371,10 +352,9 @@ impl<'a> Planner<'a> {
 
     /// Is any connected component of the positive pattern cyclic
     /// (edges ≥ nodes, self-loops excluded)? Union-find over the node
-    /// arena.
+    /// arena: some edge joins two nodes already connected.
     fn cyclic(&self) -> bool {
-        let capacity = self.pattern.graph().node_index_bound();
-        let mut parent: Vec<usize> = (0..capacity).collect();
+        let mut parent: Vec<usize> = (0..self.pattern.graph().node_index_bound()).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
             while parent[x] != x {
                 parent[x] = parent[parent[x]];
@@ -382,30 +362,12 @@ impl<'a> Planner<'a> {
             }
             x
         }
-        for edge in &self.edges {
-            if edge.src == edge.dst {
-                continue;
-            }
+        (self.edges.iter().filter(|edge| edge.src != edge.dst)).any(|edge| {
             let a = find(&mut parent, edge.src.index());
             let b = find(&mut parent, edge.dst.index());
             parent[a] = b;
-        }
-        let mut node_counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for node in &self.nodes {
-            let root = find(&mut parent, node.index());
-            *node_counts.entry(root).or_insert(0) += 1;
-        }
-        let mut edge_counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for edge in &self.edges {
-            if edge.src == edge.dst {
-                continue;
-            }
-            let root = find(&mut parent, edge.src.index());
-            *edge_counts.entry(root).or_insert(0) += 1;
-        }
-        edge_counts
-            .iter()
-            .any(|(root, edges)| *edges >= node_counts.get(root).copied().unwrap_or(usize::MAX))
+            a == b
+        })
     }
 }
 

@@ -1,21 +1,23 @@
 //! Differential property tests for the matching engine.
 //!
 //! Random instances (via the deterministic generator in `good_core::gen`)
-//! and random small patterns are thrown at four independent engines —
-//! the planned search, the naive cross-product enumerator, the
-//! worst-case-optimal generic join, and the materializing binary join —
-//! which must agree bit for bit. A second suite drives random GOOD
+//! and random small patterns are thrown at the one search in each of its
+//! three shapes — planned, pattern-node id order, and the
+//! worst-case-optimal generic join — and at the two reference engines,
+//! the naive cross-product enumerator and the materializing binary join,
+//! which must all agree bit for bit. A second suite drives random GOOD
 //! operations and audits every instance invariant (including
 //! adjacency-index/graph agreement and incremental-planner-statistics/
 //! rebuild agreement) afterwards.
 
 use good_core::gen::{random_instance, GenConfig};
-use good_core::matching::{find_matchings, find_matchings_naive};
+use good_core::matching::{
+    explain_plan_profiled, find_match_table, find_matchings_naive, PlanShape,
+};
 use good_core::ops::{EdgeDeletion, NodeDeletion};
 use good_core::pattern::Pattern;
 use good_core::planner::find_matchings_binary;
 use good_core::value::Value;
-use good_core::wcoj::find_matchings_wcoj;
 use good_graph::NodeId;
 use proptest::prelude::*;
 
@@ -92,19 +94,24 @@ fn arb_gen_config() -> impl Strategy<Value = GenConfig> {
 }
 
 proptest! {
-    /// Planned ≡ naive ≡ generic join ≡ binary join on random instances
-    /// and patterns.
+    /// Every plan shape ≡ naive ≡ binary join on random instances and
+    /// patterns, and profiled EXPLAIN counts the rows the planned shape
+    /// serves.
     #[test]
     fn engines_agree(config in arb_gen_config(), spec in arb_pattern_spec()) {
         let db = random_instance(&config);
         let pattern = build_pattern(&spec);
-        let planned = find_matchings(&pattern, &db).expect("valid pattern");
         let naive = find_matchings_naive(&pattern, &db).expect("valid pattern");
-        let wcoj = find_matchings_wcoj(&pattern, &db).expect("valid pattern");
         let binary = find_matchings_binary(&pattern, &db).expect("valid pattern");
-        prop_assert_eq!(&planned, &naive, "planned vs naive");
-        prop_assert_eq!(&planned, &wcoj, "planned vs generic join");
-        prop_assert_eq!(&planned, &binary, "planned vs binary join");
+        prop_assert_eq!(&naive, &binary, "naive vs binary join");
+        for shape in [PlanShape::Planned, PlanShape::IdOrder, PlanShape::GenericJoin] {
+            let table = find_match_table(&pattern, &db, shape).expect("valid pattern");
+            if shape == PlanShape::Planned {
+                let plan = explain_plan_profiled(&pattern, &db).expect("valid pattern");
+                prop_assert_eq!(plan.actual_matchings, Some(table.len()), "EXPLAIN");
+            }
+            prop_assert_eq!(&table.into_matchings(), &naive, "{:?} vs naive", shape);
+        }
     }
 
     /// Deleting random nodes and edges through the batched operation

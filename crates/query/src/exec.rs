@@ -37,7 +37,7 @@ use crate::QueryError;
 use good_core::derived::{Derived, View, ViewMut};
 use good_core::instance::Instance;
 use good_core::label::Label;
-use good_core::matching::{explain_plan_profiled, find_match_table, Matching, Plan};
+use good_core::matching::{explain_plan_profiled, find_match_table, Matching, Plan, PlanShape};
 use good_core::ops::OpReport;
 use good_core::pattern::Pattern;
 use good_core::program::Env;
@@ -313,7 +313,8 @@ pub fn derive(
 fn core_cells(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<NodeId>, QueryError> {
     let (scratch, derived, _) = derive(db, compiled)?;
     let (pattern, nodes) = compiled.pattern(true);
-    let table = find_match_table(&pattern, View::new(&scratch, &derived))?;
+    let view = View::new(&scratch, &derived);
+    let table = find_match_table(&pattern, view, PlanShape::Planned)?;
     let columns: Vec<usize> = (compiled.ast.returns.iter())
         .map(|var| table.column(nodes[var]).expect("variables are positive"))
         .collect();
