@@ -13,9 +13,10 @@
 //! adjacency index (or, through a [`View`], a derived relation): the
 //! neighbours of a bound node, else intersected support sets, else the
 //! label extent. [`find_match_table`] walks it in one of three
-//! [`PlanShape`]s; the fixpoint evaluator's delta-seeded rounds and
-//! [`explain_plan_profiled`] run the same pipeline, and EXPLAIN prints
-//! the access path each compiled step takes.
+//! [`PlanShape`]s and the fixpoint evaluator's delta-seeded rounds run
+//! it too. A planned search keeps its [`Profile`] (the planner's choice,
+//! each step's survivors) in its table; EXPLAIN and the slow-query log
+//! render that run as a [`Plan`], never a second one.
 //!
 //! Two reference engines stand outside it, as differential-testing
 //! ground truth: [`find_matchings_naive`] (candidate cross product,
@@ -30,7 +31,7 @@ use crate::instance::{Adjacency, Instance};
 use crate::label::Label;
 use crate::pattern::{Pattern, PatternNode, PatternNodeKind};
 use crate::persist::PSet;
-use crate::planner::{self, JoinStrategy};
+use crate::planner::{self, JoinStrategy, PlanChoice};
 use crate::value::Value;
 use good_graph::{EdgeId, NodeId};
 use good_trace::{LiveCounter, LiveHistogram};
@@ -42,7 +43,7 @@ static LIVE_CALLS: LiveCounter = LiveCounter::new("match.calls");
 static LIVE_NEGATION_FILTERED: LiveCounter = LiveCounter::new("match.negation_filtered");
 static LIVE_FIND_NS: LiveHistogram = LiveHistogram::new("match.find_ns");
 /// Per plan step, |estimated − actual| rows as a percentage of actual
-/// (recorded by profiled EXPLAIN).
+/// (recorded whenever a [`Plan`] is built: EXPLAIN and slow queries).
 static LIVE_EST_ERROR_PCT: LiveHistogram = LiveHistogram::new("match.plan.est_error_pct");
 
 /// Edges `(src, λ, dst)` of one label as sorted `(src, dst)` pairs —
@@ -107,6 +108,8 @@ pub struct MatchTable {
     /// Row count — kept beside `images` because the empty pattern has
     /// one matching of width zero.
     rows: usize,
+    /// What the planned search that built the table chose and saw.
+    profile: Option<Profile>,
 }
 
 impl MatchTable {
@@ -117,6 +120,7 @@ impl MatchTable {
             domain,
             images: Vec::new(),
             rows: 0,
+            profile: None,
         }
     }
 
@@ -197,6 +201,12 @@ impl MatchTable {
         }
         self.images = images;
         self.rows = order.len();
+    }
+
+    /// The [`Profile`] of the planned search that built the table;
+    /// `None` for an id-order or delta-seeded one.
+    pub fn into_profile(self) -> Option<Profile> {
+        self.profile
     }
 
     /// One [`Matching`] per row, in row order.
@@ -368,55 +378,77 @@ struct Step<'a> {
     access: Access<'a>,
 }
 
-/// A step's candidate base, decided by [`Search::compile`], read by
-/// [`Search::fill`] and printed by EXPLAIN. Every other constraint of
-/// the step filters the base.
+/// A step's candidate base, read by [`Search::fill`]. Every other
+/// constraint of the step filters the base.
 enum Access<'a> {
     /// The printable index, probed for the node's print value.
     Printable(&'a Value),
-    /// The smallest neighbour set across these edges (label, outgoing)
-    /// to nodes bound earlier.
-    Links(Vec<(&'a Label, bool)>),
-    /// The smallest support set of this many edges to nodes not bound
-    /// yet — complete but over-approximate, made exact by the later
-    /// steps' links.
-    Supports(usize),
+    /// The smallest neighbour set of a node bound earlier.
+    Links,
+    /// The smallest support set of the edges to nodes not bound yet —
+    /// complete but over-approximate, made exact by the later steps'
+    /// links.
+    Supports,
     /// The class's label extent.
     Extent,
 }
 
-impl Step<'_> {
-    /// The step's access path as EXPLAIN prints it.
-    fn describe(&self) -> String {
-        let class = self.class;
-        let mut filters = String::new();
-        if self.data.predicate.is_some() {
-            filters.push_str(" + predicate filter");
+impl<'a> Access<'a> {
+    /// The base of `node`'s step once the nodes `bound` marks are
+    /// bound. It is decided from the positive pattern alone, so
+    /// [`Search::compile`] and EXPLAIN ([`describe`]) read one decision.
+    fn of(pattern: &'a Pattern, node: NodeId, bound: &[bool]) -> Self {
+        let data = pattern.graph().node(node).expect("live pattern node");
+        // Does an edge reach a bound node? `None` when there is no edge.
+        let linked = incident(pattern, node).map(|(.., other)| bound[other.index()]);
+        match (&data.print, linked.reduce(bool::max)) {
+            (Some(value), _) => Access::Printable(value),
+            (None, Some(true)) => Access::Links,
+            (None, Some(false)) => Access::Supports,
+            (None, None) => Access::Extent,
         }
-        if !self.loops.is_empty() {
-            filters.push_str(" + self-loop filter");
-        }
-        match &self.access {
-            Access::Printable(value) => format!("printable probe ({class} = {value}){filters}"),
-            Access::Links(anchors) => {
-                let via: Vec<String> = (anchors.iter())
-                    .map(|(label, outgoing)| match outgoing {
-                        true => format!("-[{label}]->"),
-                        false => format!("<-[{label}]-"),
-                    })
-                    .collect();
-                let via = via.join(" / ");
-                format!(
-                    "index probe: ({class}, edge) postings of a bound neighbour via {via}{filters}"
-                )
-            }
-            Access::Supports(open) => {
-                format!(
-                    "support intersection over {open} incident edge label(s) on {class}{filters}"
-                )
-            }
-            Access::Extent => format!("label extent scan of {class}{filters}"),
-        }
+    }
+}
+
+/// `node`'s edges to other pattern nodes, outgoing first: the label,
+/// whether the edge leaves `node`, and the node at the other end.
+fn incident(pattern: &Pattern, node: NodeId) -> impl Iterator<Item = (&Label, bool, NodeId)> {
+    let graph = pattern.graph();
+    let outgoing = (graph.out_edges(node).filter(move |e| e.dst != node))
+        .map(|e| (&e.payload.label, true, e.dst));
+    let incoming = (graph.in_edges(node).filter(move |e| e.src != node))
+        .map(|e| (&e.payload.label, false, e.src));
+    outgoing.chain(incoming)
+}
+
+/// The access path of `node`'s step once the nodes `bound` marks are
+/// bound, as EXPLAIN prints it.
+fn describe(pattern: &Pattern, node: NodeId, bound: &[bool]) -> String {
+    let class = pattern.node_label(node).expect("class node");
+    let mut filters = String::new();
+    if (pattern.graph().node(node)).is_some_and(|data| data.predicate.is_some()) {
+        filters.push_str(" + predicate filter");
+    }
+    if pattern.graph().out_edges(node).any(|e| e.dst == node) {
+        filters.push_str(" + self-loop filter");
+    }
+    let (anchors, open): (Vec<_>, Vec<_>) =
+        incident(pattern, node).partition(|(.., other)| bound[other.index()]);
+    let via = (anchors.iter()).map(|(label, outgoing, _)| match outgoing {
+        true => format!("-[{label}]->"),
+        false => format!("<-[{label}]-"),
+    });
+    match Access::of(pattern, node, bound) {
+        Access::Printable(value) => format!("printable probe ({class} = {value}){filters}"),
+        Access::Links => format!(
+            "index probe: ({class}, edge) postings of a bound neighbour via {}{filters}",
+            via.collect::<Vec<_>>().join(" / ")
+        ),
+        Access::Supports => format!(
+            "support intersection over {} incident edge label(s) on {class}{filters}",
+            open.len()
+        ),
+        Access::Extent => format!("label extent scan of {class}{filters}"),
     }
 }
 
@@ -472,12 +504,7 @@ impl<'a> Search<'a> {
         for node in prebound {
             bound[node.index()] = true;
         }
-        let class_of = |node: NodeId| match &graph.node(node).expect("live pattern node").kind {
-            PatternNodeKind::Class(class) => class,
-            PatternNodeKind::MethodHead(_) => {
-                unreachable!("method heads are rejected before compiling")
-            }
-        };
+        let class_of = |node| pattern.node_label(node).expect("method heads are rejected");
         let mut dead = false;
         let mut bound_edges = Vec::new();
         for e in graph.edges() {
@@ -491,52 +518,28 @@ impl<'a> Search<'a> {
         for &node in order {
             let data = graph.node(node).expect("live pattern node");
             let class = class_of(node);
-            let (mut links, mut loops, mut open) = (Vec::new(), Vec::new(), Vec::new());
-            let mut anchors = Vec::new();
-            for edge in graph.out_edges(node) {
-                let label = &edge.payload.label;
-                if edge.dst == node {
-                    let side = view.incoming(class, label);
-                    loops.extend(side);
-                    dead |= side.is_none();
-                } else if bound[edge.dst.index()] {
-                    let side = view.outgoing(class, label);
-                    links.extend(side.map(|side| (edge.dst, side)));
-                    anchors.push((label, true));
-                    dead |= side.is_none();
-                } else {
-                    open.push((label, true));
-                }
+            let access = Access::of(pattern, node, &bound);
+            let (mut links, mut loops, mut supports) = (Vec::new(), Vec::new(), Vec::new());
+            for edge in graph.out_edges(node).filter(|e| e.dst == node) {
+                let side = view.incoming(class, &edge.payload.label);
+                loops.extend(side);
+                dead |= side.is_none();
             }
-            // Self-loops were taken by the outgoing pass.
-            for edge in graph.in_edges(node).filter(|e| e.src != node) {
-                let label = &edge.payload.label;
-                if bound[edge.src.index()] {
-                    let side = view.incoming(class, label);
-                    links.extend(side.map(|side| (edge.src, side)));
-                    anchors.push((label, false));
-                    dead |= side.is_none();
-                } else {
-                    open.push((label, false));
-                }
-            }
-            let access = match &data.print {
-                Some(value) => Access::Printable(value),
-                None if !anchors.is_empty() => Access::Links(anchors),
-                None if !open.is_empty() => Access::Supports(open.len()),
-                None => Access::Extent,
-            };
             // Support sets are looked up only where `fill` reads them.
-            let mut supports = Vec::new();
-            if prune || matches!(access, Access::Supports(_)) {
-                for (label, outgoing) in open {
-                    let side = match outgoing {
-                        true => view.outgoing(class, label),
-                        false => view.incoming(class, label),
-                    };
-                    let support = side.map(Side::support);
-                    supports.extend(support);
-                    dead |= support.is_none();
+            let wants_supports = prune || matches!(access, Access::Supports);
+            for (label, outgoing, other) in incident(pattern, node) {
+                let linked = bound[other.index()];
+                if !linked && !wants_supports {
+                    continue;
+                }
+                let side = match outgoing {
+                    true => view.outgoing(class, label),
+                    false => view.incoming(class, label),
+                };
+                dead |= side.is_none();
+                match linked {
+                    true => links.extend(side.map(|side| (other, side))),
+                    false => supports.extend(side.map(Side::support)),
                 }
             }
             steps.push(Step {
@@ -589,7 +592,7 @@ impl<'a> Search<'a> {
         // The neighbour set to iterate; its members need no probe
         // against it.
         let base = (0..sets.len())
-            .filter(|_| matches!(step.access, Access::Links(_)))
+            .filter(|_| matches!(step.access, Access::Links))
             .min_by_key(|&at| sets[at].len());
         let admit = |candidate: &NodeId| {
             (step.data.predicate.is_none() || node_compatible(instance, step.data, *candidate))
@@ -605,8 +608,8 @@ impl<'a> Search<'a> {
             Access::Printable(value) => {
                 out.extend(instance.find_printable(step.class, value).filter(admit))
             }
-            Access::Links(_) => out.extend(sets[base.expect("links")].iter().filter(admit)),
-            Access::Supports(_) => {
+            Access::Links => out.extend(sets[base.expect("links")].iter().filter(admit)),
+            Access::Supports => {
                 let smallest = step.supports.iter().min_by_key(|set| set.len());
                 out.extend(smallest.expect("supports").iter().filter(admit))
             }
@@ -817,14 +820,15 @@ pub fn find_matchings_with(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanShape {
     /// The cost-based planner's order and strategy ([`planner::plan`]):
-    /// what [`find_matchings`] and every operation run.
+    /// what [`find_matchings`], every operation and EXPLAIN run.
     Planned,
     /// Pattern-node id order, no pruning: benchmark E1's ablation of
     /// the planner.
     IdOrder,
     /// The planner's order with pruning on whatever strategy it picked:
     /// the generic join's discipline (see [`planner::JoinStrategy`]),
-    /// benchmark E18's `wcoj` lane, and what EXPLAIN profiles.
+    /// benchmark E18's `wcoj` lane, and the differential suite's
+    /// forced-pruning coverage.
     GenericJoin,
 }
 
@@ -837,7 +841,7 @@ pub fn find_match_table<'a>(
     view: impl Into<View<'a>>,
     shape: PlanShape,
 ) -> Result<MatchTable> {
-    Ok(search(pattern, view.into(), Start::Shape(shape), false)?.table)
+    search(pattern, view.into(), Start::Shape(shape))
 }
 
 /// The matchings of `pattern` that map at least one positive pattern
@@ -859,7 +863,7 @@ pub(crate) fn matchings_using(
     if !delta.iter().any(|(label, _)| occurs(label)) {
         return Ok(MatchTable::new(Vec::new()));
     }
-    Ok(search(pattern, view, Start::Delta(delta), false)?.table)
+    search(pattern, view, Start::Delta(delta))
 }
 
 /// Where [`search`] starts enumerating.
@@ -871,20 +875,11 @@ enum Start<'d> {
     Delta(&'d [Delta]),
 }
 
-/// What one [`search`] found: the matchings, the planner's choice (for
-/// the shapes that take one) and, per step of a shaped search, the
-/// partial matchings that survived it and (when asked) its access path.
-struct Found {
-    table: MatchTable,
-    choice: Option<planner::PlanChoice>,
-    survivors: Vec<u64>,
-    access: Vec<String>,
-}
-
 /// The one way into the matcher: validate, take the positive part,
 /// order it, compile the steps, enumerate from `start`, canonicalize,
-/// filter crossed parts — with `explain`, also describing each step.
-fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>, explain: bool) -> Result<Found> {
+/// filter crossed parts. A planned search leaves its [`Profile`] in the
+/// table.
+fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>) -> Result<MatchTable> {
     check_matchable(pattern, view.instance)?;
 
     let mut find_span = good_trace::span("match", "match/find");
@@ -893,7 +888,7 @@ fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>, explain: bool) ->
 
     let positive = pattern.positive_part();
     let mut table = MatchTable::new(positive.graph().node_ids().collect());
-    let (mut choice, mut survivors, mut access) = (None, Vec::new(), Vec::new());
+    let mut profiled = None;
     match start {
         Start::Delta(delta) => enumerate_seeded(&positive, view, delta, &mut table),
         Start::Shape(shape) => {
@@ -909,11 +904,8 @@ fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>, explain: bool) ->
                 None => (table.domain(), false),
             };
             let compiled = Search::compile(&positive, view, &[], order, prune);
-            survivors = compiled.enumerate(&mut table);
-            if explain {
-                access = compiled.steps.iter().map(Step::describe).collect();
-            }
-            choice = planned;
+            let survivors = compiled.enumerate(&mut table);
+            profiled = planned.map(|choice| (choice, survivors));
         }
     }
     table.canonicalize();
@@ -923,7 +915,7 @@ fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>, explain: bool) ->
         find_span.arg("pattern_nodes", table.domain.len());
         find_span.arg("matchings", table.len());
         find_span.arg("negation", pattern.has_negation());
-        if let Some(choice) = &choice {
+        if let Some((choice, _)) = &profiled {
             find_span.arg("strategy", choice.strategy.name());
             find_span.arg("est_rows", choice.est_rows);
         }
@@ -939,15 +931,66 @@ fn search(pattern: &Pattern, view: View<'_>, start: Start<'_>, explain: bool) ->
     }
     LIVE_CALLS.incr();
     LIVE_NEGATION_FILTERED.add((positive_results - table.len()) as u64);
-    Ok(Found {
-        table,
+    table.profile = profiled.map(|(choice, survivors)| Profile {
+        positive,
         choice,
         survivors,
-        access,
-    })
+        negation: pattern.has_negation(),
+        matchings: table.len(),
+    });
+    Ok(table)
 }
 
 // ---- EXPLAIN -------------------------------------------------------------
+
+/// What one planned search chose and saw, kept in its [`MatchTable`]:
+/// the positive pattern, the planner's choice, the partial matchings
+/// that survived each step, and the final (negation-filtered) count.
+/// [`Profile::into_plan`] renders it for EXPLAIN and the slow-query
+/// log.
+#[derive(Debug, Clone)]
+pub struct Profile {
+    positive: Pattern,
+    choice: PlanChoice,
+    survivors: Vec<u64>,
+    negation: bool,
+    matchings: usize,
+}
+
+impl Profile {
+    /// The search as a [`Plan`]: per step, the planner's estimates, the
+    /// access path (rendered from the positive pattern and the binding
+    /// order, the inputs [`Search::compile`] decided it from) and the
+    /// partial matchings that survived it. Observes each step's
+    /// estimate error into the `match.plan.est_error_pct` histogram.
+    pub fn into_plan(self) -> Plan {
+        let positive = &self.positive;
+        let mut bound = vec![false; positive.graph().node_index_bound()];
+        let mut steps = Vec::new();
+        for (step, &actual) in self.choice.steps.iter().zip(&self.survivors) {
+            let estimated = step.est_rows.max(0.0);
+            // Against the estimate itself when nothing survived.
+            let error = (estimated - actual as f64).abs() / (actual as f64).max(1.0);
+            LIVE_EST_ERROR_PCT.observe((error * 100.0) as u64);
+            let label = positive.node_label(step.node).expect("class node");
+            steps.push(PlanStep {
+                node: step.node,
+                label: label.to_string(),
+                access: describe(positive, step.node, &bound),
+                estimate: step.est_scanned.round() as usize,
+                est_rows: step.est_rows,
+                actual_rows: actual,
+            });
+            bound[step.node.index()] = true;
+        }
+        Plan {
+            steps,
+            choice: self.choice,
+            negation: self.negation,
+            actual_matchings: self.matchings,
+        }
+    }
+}
 
 /// One step of an EXPLAIN plan: which pattern node the search binds
 /// next, and through which access path.
@@ -966,36 +1009,25 @@ pub struct PlanStep {
     /// Estimated partial matchings alive after this step, from the
     /// cost-based planner's cardinality propagation.
     pub est_rows: f64,
-    /// Actual partial matchings that survived this step — filled by
-    /// [`explain_plan_profiled`], `None` on unprofiled plans.
-    pub actual_rows: Option<u64>,
+    /// Actual partial matchings that survived this step.
+    pub actual_rows: u64,
 }
 
-/// A description of the plan [`find_matchings`] would run for a
-/// pattern against an instance, produced by [`explain_plan_profiled`]
-/// with per-step actual row counts.
+/// The plan a [`find_matchings`] search ran, with per-step actual row
+/// counts: what [`Profile::into_plan`] builds.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Binding steps in the cost-based planner's order — the order both
     /// strategies execute.
     pub steps: Vec<PlanStep>,
-    /// Candidate count for the root node: the first step's actual rows
-    /// (0 for the empty pattern).
-    pub root_candidates: usize,
+    /// The planner's choice the search ran: the strategy decision,
+    /// whether the pattern is cyclic, and the cost model's totals.
+    pub choice: PlanChoice,
     /// Whether matchings are post-filtered by the negation extension
     /// check.
     pub negation: bool,
-    /// The planner's evaluation strategy decision.
-    pub strategy: JoinStrategy,
-    /// Whether the positive pattern contains a (non-self-loop) cycle.
-    pub cyclic: bool,
-    /// Estimated final matching count.
-    pub est_rows: f64,
-    /// Estimated total cost (Σ rows-before × scan width).
-    pub est_cost: f64,
-    /// Final matching count measured by [`explain_plan_profiled`]
-    /// (after the negation post-filter), `None` on unprofiled plans.
-    pub actual_matchings: Option<usize>,
+    /// Final matching count (after the negation post-filter).
+    pub actual_matchings: usize,
 }
 
 impl Plan {
@@ -1020,51 +1052,44 @@ impl Plan {
         ));
         for (index, step) in self.steps.iter().enumerate() {
             let display = name(step.node).unwrap_or_else(|| format!("n{}", step.node.index()));
-            let actual = match step.actual_rows {
-                Some(rows) => format!(", actual {rows} rows"),
-                None => String::new(),
-            };
             out.push_str(&format!(
-                "  {}. bind {display} [{}] via {}  (est. {}, ~{:.0} rows{actual})\n",
+                "  {}. bind {display} [{}] via {}  (est. {}, ~{:.0} rows, actual {} rows)\n",
                 index + 1,
                 step.label,
                 step.access,
                 step.estimate,
                 step.est_rows,
+                step.actual_rows,
             ));
         }
-        let cyclic = if self.cyclic { "cyclic" } else { "acyclic" };
+        let choice = &self.choice;
+        let cyclic = if choice.cyclic { "cyclic" } else { "acyclic" };
         out.push_str(&format!(
-            "strategy: {} ({cyclic}, est. cost {:.0}, est. {:.0} matchings{})\n",
-            self.strategy.name(),
-            self.est_cost,
-            self.est_rows,
-            match self.actual_matchings {
-                Some(count) => format!(", actual {count}"),
-                None => String::new(),
-            },
+            "strategy: {} ({cyclic}, est. cost {:.0}, est. {:.0} matchings, actual {})\n",
+            choice.strategy.name(),
+            choice.est_cost,
+            choice.est_rows,
+            self.actual_matchings,
         ));
-        out.push_str(&format!("root candidates: {}\n", self.root_candidates));
+        // The root candidates: the first step's actual rows.
+        let root = self.steps.first().map_or(0, |step| step.actual_rows);
+        out.push_str(&format!("root candidates: {root}\n"));
         out
     }
 
     /// Render as a JSON object for the server's slow-query log and
     /// stats wire frame: strategy, cost model totals, and per-step
-    /// estimated-vs-actual rows. `actual_rows`/`actual_matchings` are
-    /// `null` on unprofiled plans.
+    /// estimated-vs-actual rows.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"strategy\":\"{}\",\"cyclic\":{},\"negation\":{},\"root_candidates\":{},\"est_cost\":{:.1},\"est_rows\":{:.1},\"actual_matchings\":{},\"steps\":[",
-            good_trace::escape_json_str(self.strategy.name()),
-            self.cyclic,
+            good_trace::escape_json_str(self.choice.strategy.name()),
+            self.choice.cyclic,
             self.negation,
-            self.root_candidates,
-            self.est_cost,
-            self.est_rows,
-            match self.actual_matchings {
-                Some(count) => count.to_string(),
-                None => "null".to_string(),
-            },
+            self.steps.first().map_or(0, |step| step.actual_rows),
+            self.choice.est_cost,
+            self.choice.est_rows,
+            self.actual_matchings,
         );
         for (index, step) in self.steps.iter().enumerate() {
             if index > 0 {
@@ -1077,10 +1102,7 @@ impl Plan {
                 good_trace::escape_json_str(&step.access),
                 step.estimate,
                 step.est_rows,
-                match step.actual_rows {
-                    Some(rows) => rows.to_string(),
-                    None => "null".to_string(),
-                },
+                step.actual_rows,
             ));
         }
         out.push_str("]}");
@@ -1088,48 +1110,12 @@ impl Plan {
     }
 }
 
-/// Describe the plan [`find_matchings`] would choose for `pattern`
-/// against `instance` — the cost-based binding order with per-step
-/// access paths and cardinality estimates and the expand-vs-generic-join
-/// strategy decision — and run the planned order once, with pruning on
-/// whatever the strategy (so a step's actual is what survives every
-/// constraint decidable at it). Each step's `actual_rows` is the number
-/// of partial matchings that survived it (the first step's is the root
-/// candidate count) and the plan's `actual_matchings` the final
-/// (negation-filtered) count, so per-step estimate error is visible.
-/// Observes the estimate error into the `match.plan.est_error_pct`
-/// histogram.
+/// Run the search [`find_matchings`] runs for `pattern` over `view`,
+/// once, and return its [`Plan`]: the planner's order, strategy and
+/// estimates beside each step's access path and actual rows.
 pub fn explain_plan_profiled<'a>(pattern: &Pattern, view: impl Into<View<'a>>) -> Result<Plan> {
-    let shape = Start::Shape(PlanShape::GenericJoin);
-    let found = search(pattern, view.into(), shape, true)?;
-    let choice = found.choice.expect("a planned shape");
-    let root_candidates = found.survivors.first().map_or(0, |&rows| rows as usize);
-    let mut steps = Vec::new();
-    for ((step, actual), access) in choice.steps.iter().zip(found.survivors).zip(found.access) {
-        let estimated = step.est_rows.max(0.0);
-        // Against the estimate itself when nothing survived.
-        let error = (estimated - actual as f64).abs() / (actual as f64).max(1.0);
-        LIVE_EST_ERROR_PCT.observe((error * 100.0) as u64);
-        let label = pattern.node_label(step.node).expect("class node");
-        steps.push(PlanStep {
-            node: step.node,
-            label: label.to_string(),
-            access,
-            estimate: step.est_scanned.round() as usize,
-            est_rows: step.est_rows,
-            actual_rows: Some(actual),
-        });
-    }
-    Ok(Plan {
-        steps,
-        root_candidates,
-        negation: pattern.has_negation(),
-        strategy: choice.strategy,
-        cyclic: choice.cyclic,
-        est_rows: choice.est_rows,
-        est_cost: choice.est_cost,
-        actual_matchings: Some(found.table.len()),
-    })
+    let table = find_match_table(pattern, view, PlanShape::Planned)?;
+    Ok(table.into_profile().expect("a planned search").into_plan())
 }
 
 /// Naive enumeration: per-node candidate lists, full cross product,
@@ -1637,8 +1623,8 @@ mod tests {
             "label extent scan of Info + self-loop filter"
         );
         // Eight Infos scanned, one kept: the self-linked one.
-        assert_eq!(plan.steps[0].actual_rows, Some(1));
-        assert_eq!(plan.actual_matchings, Some(1));
+        assert_eq!(plan.steps[0].actual_rows, 1);
+        assert_eq!(plan.actual_matchings, 1);
     }
 
     /// A node with a self-loop and one edge to a node bound after it
@@ -1658,6 +1644,6 @@ mod tests {
             first.access,
             "support intersection over 1 incident edge label(s) on Info + self-loop filter"
         );
-        assert_eq!(plan.actual_matchings, Some(0));
+        assert_eq!(plan.actual_matchings, 0);
     }
 }

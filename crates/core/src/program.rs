@@ -368,27 +368,6 @@ impl Program {
         Ok(total)
     }
 
-    /// PROFILE variant of [`Program::apply`]: runs the program with a
-    /// private span collector spliced in (teeing to any recorder that
-    /// was already installed, which is restored afterwards) and returns
-    /// the per-op cost tree alongside the report. Works whether or not
-    /// tracing was enabled before the call.
-    pub fn apply_profiled(&self, db: &mut Instance, env: &mut Env) -> Result<(OpReport, Profile)> {
-        use std::sync::Arc;
-        let collector = Arc::new(good_trace::Collector::new());
-        let previous = good_trace::current_recorder();
-        let recorder: Arc<dyn good_trace::Recorder> = match &previous {
-            Some(outer) => Arc::new(good_trace::Tee(collector.clone(), outer.clone())),
-            None => collector.clone(),
-        };
-        good_trace::swap_recorder(Some(recorder));
-        let result = self.apply(db, env);
-        good_trace::swap_recorder(previous);
-        let report = result?;
-        let tree = good_trace::SpanTree::build(&collector.take());
-        Ok((report, Profile { tree }))
-    }
-
     /// Run the program in **query mode** (Section 3's "whether this
     /// latter database graph is only a temporary entity or actually
     /// replaces the original database graph depends on whether the
@@ -399,22 +378,6 @@ impl Program {
         let mut temporary = db.clone();
         let report = self.apply(&mut temporary, env)?;
         Ok((temporary, report))
-    }
-}
-
-/// The cost tree captured by [`Program::apply_profiled`]: every span
-/// the program emitted (op, matcher, method, and — when the program
-/// runs inside a store — journal spans), nested and timed.
-#[derive(Debug, Clone)]
-pub struct Profile {
-    /// The captured span forest.
-    pub tree: good_trace::SpanTree,
-}
-
-impl Profile {
-    /// Indented per-op cost report with durations.
-    pub fn render(&self) -> String {
-        self.tree.render_with_times()
     }
 }
 
@@ -525,26 +488,6 @@ mod tests {
         program.apply(&mut db, &mut env).unwrap();
         assert_eq!(env.scope_context(), "");
         assert_eq!(env.method_depth(), 0);
-    }
-
-    #[test]
-    fn profiled_apply_captures_op_spans() {
-        let mut db = db();
-        let mut env = Env::new();
-        let mut p = Pattern::new();
-        let info = p.node("Info");
-        let program = Program::from_ops([Operation::NodeAdd(NodeAddition::new(
-            p,
-            "Tag",
-            [(crate::label::Label::new("of"), info)],
-        ))]);
-        let (report, profile) = program.apply_profiled(&mut db, &mut env).unwrap();
-        assert_eq!(report.created_nodes.len(), 1);
-        let rendered = profile.render();
-        assert!(rendered.contains("op/NA"), "{rendered}");
-        assert!(rendered.contains("match/find"), "{rendered}");
-        // The splice is restored: tracing is off again afterwards.
-        assert!(!good_trace::enabled());
     }
 
     #[test]

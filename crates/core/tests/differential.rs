@@ -108,7 +108,7 @@ proptest! {
             let table = find_match_table(&pattern, &db, shape).expect("valid pattern");
             if shape == PlanShape::Planned {
                 let plan = explain_plan_profiled(&pattern, &db).expect("valid pattern");
-                prop_assert_eq!(plan.actual_matchings, Some(table.len()), "EXPLAIN");
+                prop_assert_eq!(plan.actual_matchings, table.len(), "EXPLAIN");
             }
             prop_assert_eq!(&table.into_matchings(), &naive, "{:?} vs naive", shape);
         }

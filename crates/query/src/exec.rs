@@ -37,7 +37,7 @@ use crate::QueryError;
 use good_core::derived::{Derived, View, ViewMut};
 use good_core::instance::Instance;
 use good_core::label::Label;
-use good_core::matching::{explain_plan_profiled, find_match_table, Matching, Plan, PlanShape};
+use good_core::matching::{find_match_table, Matching, PlanShape, Profile};
 use good_core::ops::OpReport;
 use good_core::pattern::Pattern;
 use good_core::program::Env;
@@ -213,21 +213,22 @@ pub fn execute(
     compiled: &CompiledQuery,
     backend: Backend,
 ) -> Result<QueryOutput, QueryError> {
-    execute_rows(db, compiled, backend).map(RowSet::into_output)
-}
-
-/// [`execute`], stopping before the row `String`s are allocated.
-pub fn execute_rows(
-    db: &Instance,
-    compiled: &CompiledQuery,
-    backend: Backend,
-) -> Result<RowSet, QueryError> {
     let cells = match backend {
-        Backend::Core => core_cells(db, compiled)?,
+        Backend::Core => core_cells(db, compiled)?.0,
         Backend::Relational => returned(compiled, &relational_tuples(db, compiled)?),
         Backend::Tarski => returned(compiled, &tarski_tuples(db, compiled)?),
     };
-    Ok(project(db, compiled, &cells))
+    Ok(project(db, compiled, &cells).into_output())
+}
+
+/// The core lane's [`execute`] short of the row `String`s, with the
+/// [`Profile`] of its one search: what the slow-query log renders.
+pub fn execute_rows(
+    db: &Instance,
+    compiled: &CompiledQuery,
+) -> Result<(RowSet, Profile), QueryError> {
+    let (cells, profile) = core_cells(db, compiled)?;
+    Ok((project(db, compiled, &cells), profile))
 }
 
 /// Execute on all three backends and require bit-identical outputs —
@@ -251,12 +252,11 @@ pub fn run_differential(db: &Instance, text: &str) -> Result<QueryOutput, QueryE
     Ok(core)
 }
 
-/// Parse, compile, and render the compiled program plus its
-/// [`profile`]d match plan.
+/// Run `text` on the core lane and render its program and the plan it ran.
 pub fn explain(db: &Instance, text: &str) -> Result<String, QueryError> {
     let query = parse_query(text)?;
     let compiled = compile(&query, db.scheme())?;
-    let plan = profile(db, &compiled)?;
+    let plan = core_cells(db, &compiled)?.1.into_plan();
     let mut out = compiled.render_program(db.scheme());
     let by_node: BTreeMap<NodeId, String> = (compiled.pattern(true).1.into_iter())
         .map(|(var, node)| (node, var))
@@ -264,19 +264,6 @@ pub fn explain(db: &Instance, text: &str) -> Result<String, QueryError> {
     out.push('\n');
     out.push_str(&plan.render_with(|node| by_node.get(&node).cloned()));
     Ok(out)
-}
-
-/// The core lane's match plan for `compiled`, profiled: the query's
-/// path relations are [`derive`]d, then `explain_plan_profiled` walks
-/// the plan over that view, counting the actual rows of every step.
-/// [`explain`] renders it; the server's slow-query log records it.
-pub fn profile(db: &Instance, compiled: &CompiledQuery) -> Result<Plan, QueryError> {
-    let (scratch, derived, _) = derive(db, compiled)?;
-    let (pattern, _) = compiled.pattern(true);
-    Ok(explain_plan_profiled(
-        &pattern,
-        View::new(&scratch, &derived),
-    )?)
 }
 
 // ---- core lane ------------------------------------------------------------
@@ -308,9 +295,12 @@ pub fn derive(
     Ok((scratch, derived, reports))
 }
 
-/// The RETURN columns of the core lane's answer, row-major, read
-/// straight off the match table by column index.
-fn core_cells(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<NodeId>, QueryError> {
+/// The core lane's RETURN columns, row-major, read straight off the
+/// match table by column index, and its search's [`Profile`].
+fn core_cells(
+    db: &Instance,
+    compiled: &CompiledQuery,
+) -> Result<(Vec<NodeId>, Profile), QueryError> {
     let (scratch, derived, _) = derive(db, compiled)?;
     let (pattern, nodes) = compiled.pattern(true);
     let view = View::new(&scratch, &derived);
@@ -318,10 +308,10 @@ fn core_cells(db: &Instance, compiled: &CompiledQuery) -> Result<Vec<NodeId>, Qu
     let columns: Vec<usize> = (compiled.ast.returns.iter())
         .map(|var| table.column(nodes[var]).expect("variables are positive"))
         .collect();
-    Ok(table
-        .rows()
+    let cells = (table.rows())
         .flat_map(|row| columns.iter().map(|&column| row[column]))
-        .collect())
+        .collect();
+    Ok((cells, table.into_profile().expect("a planned search")))
 }
 
 // ---- relational lane ------------------------------------------------------
@@ -742,7 +732,7 @@ mod tests {
                 query.distinct = distinct;
                 query.limit = limit;
                 let compiled = compile(&query, db.scheme()).expect("compiles");
-                let cells = core_cells(db, &compiled).expect("executes");
+                let (cells, _) = core_cells(db, &compiled).expect("executes");
                 let projected = project(db, &compiled, &cells);
                 let expected = reference_project(db, &compiled, &cells);
                 let bytes: usize = expected.rows.iter().flatten().map(String::len).sum();

@@ -52,6 +52,7 @@ pub mod net;
 pub mod proto;
 
 use good_core::error::GoodError;
+use good_core::matching::Plan;
 use good_core::ops::OpReport;
 use good_core::program::Program;
 use good_core::snapshot::{RetentionPolicy, Snapshot, SnapshotCell};
@@ -221,9 +222,10 @@ pub struct SlowEntry {
     /// Human-readable description: the GOODQL text for queries, an
     /// op-count summary for commits.
     pub detail: String,
-    /// The profiled plan as a JSON object (strategy, per-step
-    /// estimated vs actual rows) — queries only.
-    pub plan_json: Option<String>,
+    /// The plan of the search that served the query (strategy,
+    /// per-step estimated vs actual rows) — queries only. Rendered as
+    /// JSON when a `Stats` frame is served.
+    pub plan: Option<Plan>,
     /// Named stage timings in nanoseconds (queue-wait, execute,
     /// publish for commits; parse/compile/execute plus the `rows`
     /// count for queries).
@@ -257,8 +259,8 @@ impl SlowEntry {
             out.push_str(&format!("\"{name}\":{ns}"));
         }
         out.push_str("},\"plan\":");
-        match &self.plan_json {
-            Some(plan) => out.push_str(plan),
+        match &self.plan {
+            Some(plan) => out.push_str(&plan.to_json()),
             None => out.push_str("null"),
         }
         out.push('}');
@@ -819,7 +821,7 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
                             total_ns,
                             epoch,
                             detail: format!("{} ops", req.program.len()),
-                            plan_json: None,
+                            plan: None,
                             stages: vec![
                                 ("queue_wait_ns", queue_wait_ns),
                                 ("execute_ns", exec_ns),

@@ -774,7 +774,7 @@ fn snapshot_for(shared: &NetShared, request: u64, at: Option<u64>) -> Result<Sna
 /// does not parse or compile as GOODQL is refused with `Err{BadRequest}`
 /// carrying the parser's caret render, and the session goes on. A query
 /// past `slow_query_ns` lands in the slow log with its stage timings and
-/// its profiled plan.
+/// the plan of the search that served it — it runs once either way.
 fn run_query(
     shared: &NetShared,
     session: u64,
@@ -791,8 +791,8 @@ fn run_query(
     let parsed = Instant::now();
     let compiled = good_query::compile(&query, snapshot.instance().scheme()).map_err(refuse)?;
     let compiled_at = Instant::now();
-    let rows = good_query::execute_rows(snapshot.instance(), &compiled, good_query::Backend::Core)
-        .map_err(refuse)?;
+    let (rows, profile) =
+        good_query::execute_rows(snapshot.instance(), &compiled).map_err(refuse)?;
     let executed = Instant::now();
     let total_ns = executed.duration_since(started).as_nanos() as u64;
     LIVE_QUERY_NS.observe(total_ns);
@@ -800,12 +800,6 @@ fn run_query(
     if total_ns >= slow_query_ns {
         let since =
             |later: Instant, earlier: Instant| later.duration_since(earlier).as_nanos() as u64;
-        // Already slow: re-running the plan profiled to capture
-        // per-step estimated-vs-actual rows costs one more execution
-        // of something that by definition happens rarely.
-        let plan_json = good_query::profile(snapshot.instance(), &compiled)
-            .ok()
-            .map(|plan| plan.to_json());
         shared.server.slow_log().push(SlowEntry {
             seq: 0, // assigned by the log
             kind: SlowKind::Query,
@@ -814,7 +808,7 @@ fn run_query(
             total_ns,
             epoch: snapshot.epoch,
             detail: text.to_string(),
-            plan_json,
+            plan: Some(profile.into_plan()),
             stages: vec![
                 ("parse_ns", since(parsed, started)),
                 ("compile_ns", since(compiled_at, parsed)),

@@ -5,7 +5,9 @@
 //! peers. The span-capture tests share one process-global recorder, so
 //! everything that needs a `Collector` lives in a single test.
 
+use good_core::derived::View;
 use good_core::gen::bench_scheme;
+use good_core::matching::explain_plan_profiled;
 use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
 use good_core::program::{Operation, Program};
@@ -16,10 +18,15 @@ use good_server::{Server, ServerConfig};
 use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
 use good_store::Store;
 use good_trace::{ArgValue, Collector, Span, SpanTree};
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+/// Held by the tests that run the matcher in-process and by the one
+/// that reads the matcher's process-global counters.
+static MATCHER: Mutex<()> = Mutex::new(());
 
 fn start_net(server_config: ServerConfig) -> NetServer {
     let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(23)));
@@ -284,6 +291,28 @@ fn stats_roundtrip_reports_slow_query_with_plan_rows() {
                 "profiled plan must carry actuals: {step:?}"
             );
         }
+        // The logged plan is EXPLAIN's on the same snapshot: steps,
+        // access paths, estimates and actuals.
+        let _serial = MATCHER.lock().unwrap_or_else(PoisonError::into_inner);
+        let epoch = slow_query["epoch"].as_u64().expect("epoch");
+        let snapshot = net.server().snapshot_at(epoch).expect("retained");
+        let query = good_query::parse_query(text).expect("parses");
+        let compiled = good_query::compile(&query, snapshot.instance().scheme()).expect("compiles");
+        let (scratch, derived, _) =
+            good_query::exec::derive(snapshot.instance(), &compiled).expect("derives");
+        let (pattern, nodes) = compiled.pattern(true);
+        let explained =
+            explain_plan_profiled(&pattern, View::new(&scratch, &derived)).expect("explains");
+        let explained_json: serde_json::Value =
+            serde_json::from_str(&explained.to_json()).expect("plan JSON");
+        assert_eq!(*plan, explained_json, "{text}");
+        let by_node: BTreeMap<_, _> = nodes.into_iter().map(|(var, node)| (node, var)).collect();
+        let rendered = explained.render_with(|node| by_node.get(&node).cloned());
+        let text_plan = good_query::explain(snapshot.instance(), text).expect("EXPLAIN");
+        assert!(
+            text_plan.ends_with(&rendered),
+            "{text_plan}\n---\n{rendered}"
+        );
     }
 
     client.goodbye().expect("goodbye");
@@ -554,4 +583,62 @@ fn match_find_ns_counts_every_matcher_call_without_a_recorder() {
     assert!(quiet, "match.find_ns never kept pace with match.calls");
     client.goodbye().expect("goodbye");
     net.shutdown().expect("shutdown");
+}
+
+/// A query past `slow_query_ns` executes once: the same closure query
+/// advances `fixpoint.rounds` and `match.calls` as far on a server that
+/// logs every query as slow as on one at the default threshold.
+#[test]
+fn a_slow_query_executes_once() {
+    let _serial = MATCHER.lock().unwrap_or_else(PoisonError::into_inner);
+    // The matcher's counters, then every server's query frames, submit
+    // frames and commits in this process.
+    let names = [
+        "fixpoint.rounds",
+        "match.calls",
+        "net/frames/query",
+        "net/frames/submit",
+        "server/committed",
+    ];
+    let counts = || {
+        let metrics = good_trace::metrics_snapshot();
+        names.map(|name| metrics.counter(name).unwrap_or(0))
+    };
+    let advance = |slow_query_ns| {
+        let net = start_net(ServerConfig {
+            slow_query_ns,
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(net.local_addr()).expect("connect");
+        client
+            .submit_wait(&labeled_program("Info"))
+            .expect("commit");
+        // Other tests in this binary serve requests concurrently: retry,
+        // for up to a minute, until two windows in a row serve only this
+        // query and advance the matcher's counters alike.
+        let started = std::time::Instant::now();
+        let mut attempts = (0..).take_while(|_| started.elapsed() < Duration::from_secs(60));
+        let mut last = None;
+        let quiet = attempts.any(|_| {
+            let before = counts();
+            let query = "MATCH (a:Info)-[:links-to*]->(b:Info) RETURN a, b";
+            client.query(query, None).expect("query");
+            let after = counts();
+            let [rounds, calls, queries, submits, commits] =
+                std::array::from_fn(|at| after[at] - before[at]);
+            if (queries, submits, commits) != (1, 0, 0) {
+                last = None;
+                return false;
+            }
+            last.replace((rounds, calls)) == Some((rounds, calls))
+        });
+        assert!(quiet, "no quiet window at slow_query_ns = {slow_query_ns}");
+        client.goodbye().expect("goodbye");
+        net.shutdown().expect("shutdown");
+        last.expect("measured")
+    };
+    let slow = advance(0);
+    let fast = advance(ServerConfig::default().slow_query_ns);
+    assert_eq!(slow, fast, "(fixpoint.rounds, match.calls) per query");
+    assert!(fast.0 >= 1 && fast.1 >= 1, "{fast:?}");
 }

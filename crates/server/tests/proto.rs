@@ -147,7 +147,7 @@ fn served_rows_bytes_equal_the_frame_encoding() {
         let Ok(compiled) = good_query::compile(&query, db.scheme()) else {
             continue;
         };
-        let rows = good_query::execute_rows(&db, &compiled, good_query::Backend::Core).unwrap();
+        let (rows, _) = good_query::execute_rows(&db, &compiled).unwrap();
         let bytes = encode_rows(request as u64, 9, &rows).expect("under the cap");
         let (columns, width) = (rows.columns().to_vec(), rows.columns().len());
         let predicted = rows_payload_len(&columns, rows.len(), width, rows.cell_bytes());

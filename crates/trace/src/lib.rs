@@ -75,8 +75,9 @@ pub fn uninstall() -> Option<Arc<dyn Recorder>> {
     swap_recorder(None)
 }
 
-/// Replace the installed recorder wholesale (used by profiled execution
-/// to splice a private collector in and out). `None` disables tracing.
+/// Replace the installed recorder wholesale, returning the previous
+/// one (the CLI's `--profile` splices its collector in this way).
+/// `None` disables tracing.
 pub fn swap_recorder(next: Option<Arc<dyn Recorder>>) -> Option<Arc<dyn Recorder>> {
     let mut slot = RECORDER.lock().expect("recorder registry poisoned");
     ENABLED.store(next.is_some(), Ordering::Relaxed);
@@ -84,7 +85,7 @@ pub fn swap_recorder(next: Option<Arc<dyn Recorder>>) -> Option<Arc<dyn Recorder
 }
 
 /// The currently installed recorder, if any.
-pub fn current_recorder() -> Option<Arc<dyn Recorder>> {
+fn current_recorder() -> Option<Arc<dyn Recorder>> {
     RECORDER.lock().expect("recorder registry poisoned").clone()
 }
 
@@ -269,7 +270,7 @@ impl Drop for SpanGuard {
         DEPTH.with(|depth| depth.set(depth.get().saturating_sub(1)));
         let dur_ns = now_ns().saturating_sub(active.start_ns);
         // The recorder may have been swapped out while the span was
-        // open (profiled sections do this); deliver to whatever is
+        // open (`swap_recorder` can do this); deliver to whatever is
         // installed now, or drop silently.
         if let Some(recorder) = current_recorder() {
             recorder.record(Span {
@@ -362,27 +363,11 @@ impl Recorder for Collector {
     }
 }
 
-/// A recorder that forwards every span to two sinks — used to capture a
-/// profiled section privately while an outer recorder keeps observing.
-pub struct Tee(
-    /// First sink.
-    pub Arc<dyn Recorder>,
-    /// Second sink.
-    pub Arc<dyn Recorder>,
-);
-
-impl Recorder for Tee {
-    fn record(&self, span: Span) {
-        self.0.record(span.clone());
-        self.1.record(span);
-    }
-}
-
 // ---- span trees ----------------------------------------------------------
 
 /// One node of a reconstructed span tree. Identity is `(cat, name,
-/// args, children)` — timestamps and durations are carried for display
-/// but excluded from [`SpanTree::render`] so trees of deterministic
+/// args, children)` — durations are carried but excluded from
+/// [`SpanTree::render`] so trees of deterministic
 /// workloads compare byte-for-byte across runs.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
@@ -392,7 +377,7 @@ pub struct SpanNode {
     pub name: String,
     /// Stringified arguments, in attachment order.
     pub args: Vec<(String, String)>,
-    /// Wall-clock duration (display only; not part of tree identity).
+    /// Wall-clock duration (not part of tree identity).
     pub dur_ns: u64,
     /// Child spans, in per-thread open order (or canonical order after
     /// [`SpanTree::canonicalize`]).
@@ -404,11 +389,11 @@ impl SpanNode {
     /// siblings scheduling-independently.
     fn key(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0, false);
+        self.render_into(&mut out, 0);
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize, with_times: bool) {
+    fn render_into(&self, out: &mut String, indent: usize) {
         for _ in 0..indent {
             out.push_str("  ");
         }
@@ -422,12 +407,9 @@ impl SpanNode {
             out.push('=');
             out.push_str(value);
         }
-        if with_times {
-            out.push_str(&format!("  ({})", format_ns(self.dur_ns)));
-        }
         out.push('\n');
         for child in &self.children {
-            child.render_into(out, indent + 1, with_times);
+            child.render_into(out, indent + 1);
         }
     }
 }
@@ -507,17 +489,7 @@ impl SpanTree {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for root in &self.roots {
-            root.render_into(&mut out, 0, false);
-        }
-        out
-    }
-
-    /// Indented text rendering with per-span durations (for PROFILE
-    /// reports; not deterministic across runs).
-    pub fn render_with_times(&self) -> String {
-        let mut out = String::new();
-        for root in &self.roots {
-            root.render_into(&mut out, 0, true);
+            root.render_into(&mut out, 0);
         }
         out
     }
@@ -1146,20 +1118,6 @@ mod tests {
         assert_eq!(snapshot.buckets[3], (u64::MAX, 1));
         assert_eq!((snapshot.count, snapshot.max), (4, u64::MAX));
         reset_metrics();
-    }
-
-    #[test]
-    fn tee_duplicates_spans() {
-        let _guard = lock();
-        let a = Arc::new(Collector::new());
-        let b = Arc::new(Collector::new());
-        install(Arc::new(Tee(a.clone(), b.clone())));
-        {
-            let _span = span("test", "tee");
-        }
-        uninstall();
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]
