@@ -2,9 +2,10 @@
 //! tree-based `serde` stand-in of PR 16 (generator: that directory's
 //! README) and are never regenerated. Each must read into its type and
 //! write back to exactly its bytes: old journals and frames stay current.
-//! The one exception is the instance snapshot, whose shape changed when
-//! edges became triples: `snapshot-triples.json` is the current shape,
-//! and the old `snapshot.json` must still open and write back as it.
+//! The exceptions are the documents holding an instance or a pattern,
+//! whose shape changed when edges, then pattern edges, became triples:
+//! each has a `*-triples.json` twin in the current shape, and the old
+//! file must still open and write back as its twin.
 
 use good_bench::harness::{workspace_root, Envelope};
 use good_core::macros::recursion::RecursiveEdgeAddition;
@@ -39,21 +40,27 @@ fn identical<T: Serialize + Deserialize>(file: &str) {
 
 #[test]
 fn every_golden_round_trips_byte_for_byte() {
-    let records =
-        "snapshot-triples register-method apply-na apply-ea apply-nd apply-ed apply-ab apply-call";
-    for record in records.split(' ') {
-        identical::<LogRecord>(&format!("{record}.json"));
-    }
-    identical::<Vec<LogRecord>>("batch.json");
-    identical::<RecursiveEdgeAddition>("star-ea.json");
     identical::<Scheme>("scheme.pretty.json");
     identical::<Vec<Value>>("values.json");
     identical::<Envelope>("bench-envelope.pretty.json");
 }
 
+/// `old` opens and writes back as its twin, which round-trips.
+fn opens_as_its_twin<T: Serialize + Deserialize>(old: &str) {
+    let twin = format!("{old}-triples.json");
+    let read: T = serde_json::from_str(&golden(&format!("{old}.json"))).expect(old);
+    let written = serde_json::to_string(&read).expect("writes");
+    assert!(written == golden(&twin), "{old}: {written}");
+    identical::<T>(&twin);
+}
+
 #[test]
 fn the_edge_arena_snapshot_opens_as_its_triples_document() {
-    let old: LogRecord = serde_json::from_str(&golden("snapshot.json")).expect("old shape opens");
-    let written = serde_json::to_string(&old).expect("writes");
-    assert!(written == golden("snapshot-triples.json"), "{written}");
+    let records =
+        "snapshot register-method apply-na apply-ea apply-nd apply-ed apply-ab apply-call";
+    for record in records.split(' ') {
+        opens_as_its_twin::<LogRecord>(record);
+    }
+    opens_as_its_twin::<Vec<LogRecord>>("batch");
+    opens_as_its_twin::<RecursiveEdgeAddition>("star-ea");
 }

@@ -314,8 +314,9 @@ impl Deserialize for Instance {
                 "nodes" => nodes = Some(de.value()?),
                 "triples" => triples = Some(de.value()?),
                 "graph" => {
-                    let graph: EdgeArenaGraph = de.value()?;
-                    let triple = |(_, e): (_, &EdgeSlot)| (e.src, e.payload.label.clone(), e.dst);
+                    let graph: EdgeArenaGraph<NodeData, EdgeLabel> = de.value()?;
+                    let triple =
+                        |(_, e): (_, &EdgeSlot<EdgeLabel>)| (e.src, e.payload.label.clone(), e.dst);
                     nodes = Some(graph.nodes.map(|slot| slot.payload.clone()));
                     triples = Some(graph.edges.iter().map(triple).collect());
                 }
@@ -340,24 +341,24 @@ impl Deserialize for Instance {
     }
 }
 
-/// The edge-arena document's graph: its node slots also carry incidence
-/// lists, which the reader skips.
+/// A `good_graph::Graph` as its derived serde wrote it, as instances and
+/// patterns once were: node slots also carry incidence lists, skipped.
 #[derive(Deserialize)]
-struct EdgeArenaGraph {
-    nodes: Arena<Payload<NodeData>>,
-    edges: Arena<EdgeSlot>,
+pub(crate) struct EdgeArenaGraph<N, E> {
+    pub nodes: Arena<Payload<N>>,
+    pub edges: Arena<EdgeSlot<E>>,
 }
 
 #[derive(Deserialize)]
-struct Payload<T> {
-    payload: T,
+pub(crate) struct Payload<T> {
+    pub payload: T,
 }
 
 #[derive(Deserialize)]
-struct EdgeSlot {
-    payload: EdgeLabel,
-    src: NodeId,
-    dst: NodeId,
+pub(crate) struct EdgeSlot<E> {
+    pub payload: E,
+    pub src: NodeId,
+    pub dst: NodeId,
 }
 
 #[derive(Deserialize)]

@@ -22,13 +22,16 @@
 //! class node by the method machinery before matching.
 
 use crate::error::{GoodError, Result};
+use crate::instance::{EdgeArenaGraph, EdgeSlot};
 use crate::label::{EdgeKind, Label, RECEIVER_EDGE};
 use crate::scheme::Scheme;
 use crate::value::Value;
 use good_graph::dot::{DotEdge, DotNode, Shape};
-use good_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use good_graph::{Arena, ArenaId, Graph, NodeId};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
+
+type SerdeResult<T> = std::result::Result<T, serde::Error>;
 
 /// A predicate over printable constants, attached to a pattern node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,10 +137,107 @@ pub struct PatternEdge {
 /// pattern.edge(info, "links-to", other);
 /// assert_eq!(pattern.node_count(), 4);
 /// ```
-/// A pattern over a scheme.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A pattern over a scheme, written like an instance's triples, as
+/// `{"nodes": [[id, node]…], "edges": [[src, edge, dst]…]}`. Ids survive:
+/// a vacant slot below a live node is written as `null`, so the node list
+/// is as long as the arena a reader rebuilds from it.
+#[derive(Debug, Clone, Default)]
 pub struct Pattern {
     graph: Graph<PatternNode, PatternEdge>,
+}
+
+/// A pattern node id as written: `index` at generation 0, else `[index, generation]`.
+#[derive(Clone)]
+struct Id(NodeId);
+
+impl Serialize for Id {
+    fn serialize(&self, out: &mut serde::Serializer) -> SerdeResult<()> {
+        match (self.0.index() as u32, self.0 .0.generation()) {
+            (index, 0) => index.serialize(out),
+            pair => pair.serialize(out),
+        }
+    }
+}
+
+impl Deserialize for Id {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> SerdeResult<Self> {
+        let id: Content = de.value()?;
+        let number = |n: &Content| u32::try_from(n.as_u64()?).ok();
+        let pair = match id.as_seq() {
+            Some([index, generation]) => number(index).zip(number(generation)),
+            _ => number(&id).zip(Some(0)),
+        };
+        let bad = || serde::Error::custom(format!("bad pattern node id {id:?}"));
+        let (index, generation) = pair.ok_or_else(bad)?;
+        Ok(Id(NodeId(ArenaId::new(index, generation))))
+    }
+}
+
+impl Serialize for Pattern {
+    fn serialize(&self, out: &mut serde::Serializer) -> SerdeResult<()> {
+        let graph = &self.graph;
+        let mut next = 0; // the first slot not yet written
+        let slots = graph.nodes().flat_map(|n| {
+            let holes = n.id.index() - next;
+            next = n.id.index() + 1;
+            std::iter::repeat_n(None, holes).chain([Some((Id(n.id), n.payload))])
+        });
+        out.begin_map()?;
+        out.name("nodes")?;
+        out.collect_seq(slots)?;
+        out.name("edges")?;
+        out.collect_seq(graph.edges().map(|e| (Id(e.src), e.payload, Id(e.dst))))?;
+        out.end_map()
+    }
+}
+
+/// Reads `{nodes, edges}` and, one way, the `{graph}` arena patterns were
+/// once written as (old journals, old clients), both from triples alone.
+impl Deserialize for Pattern {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> SerdeResult<Self> {
+        let (mut nodes, mut edges) = (None, None);
+        de.begin_map("Pattern")?;
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "nodes" => nodes = Some(de.value()?),
+                "edges" => edges = Some(de.value()?),
+                "graph" => {
+                    let graph: EdgeArenaGraph<PatternNode, PatternEdge> = de.value()?;
+                    let mut slots: Vec<_> = (0..graph.nodes.index_bound()).map(|_| None).collect();
+                    for (id, node) in graph.nodes.iter() {
+                        slots[id.index()] = Some((Id(NodeId(id)), node.payload.clone()));
+                    }
+                    let edge = |(_, e): (_, &EdgeSlot<PatternEdge>)| {
+                        (Id(e.src), e.payload.clone(), Id(e.dst))
+                    };
+                    nodes = Some(slots);
+                    edges = Some(graph.edges.iter().map(edge).collect());
+                }
+                _ => de.skip_value()?,
+            }
+        }
+        let nodes: Vec<Option<(Id, PatternNode)>> = serde::field(nodes, "nodes", "Pattern")?;
+        let mut slots = Vec::with_capacity(nodes.len());
+        for (at, slot) in nodes.into_iter().enumerate() {
+            match slot {
+                Some((Id(id), _)) if id.index() != at => {
+                    let message = format!("pattern node {id:?} written as slot {at}");
+                    return Err(serde::Error::custom(message));
+                }
+                slot => slots.push(slot.map(|(Id(id), node)| (id.0.generation(), node))),
+            }
+        }
+        let mut graph = Graph::with_nodes(&Arena::from_slots(slots));
+        let edges: Vec<(Id, PatternEdge, Id)> = serde::field(edges, "edges", "Pattern")?;
+        for (Id(src), edge, Id(dst)) in edges {
+            if !graph.contains_node(src) || !graph.contains_node(dst) {
+                let message = format!("pattern edge {src:?} -> {dst:?} ends at no node");
+                return Err(serde::Error::custom(message));
+            }
+            graph.add_edge(src, dst, edge);
+        }
+        Ok(Pattern { graph })
+    }
 }
 
 impl Pattern {
@@ -470,6 +570,7 @@ mod tests {
     use super::*;
 
     use crate::gen::bench_scheme as scheme;
+    use good_graph::{EdgeRef, NodeRef};
 
     /// The paper's Figure 4 pattern.
     fn figure4() -> Pattern {
@@ -649,12 +750,79 @@ mod tests {
         assert!(dot.contains("style=dashed"));
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        let p = figure4();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Pattern = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.node_count(), p.node_count());
-        back.validate(&scheme()).unwrap();
+    /// `p` in the `{graph}` arena shape patterns were once written in, with
+    /// a free list, counts and incidence lists for the reader to skip.
+    fn arena_json(p: &Pattern) -> String {
+        fn json(value: &impl Serialize) -> String {
+            serde_json::to_string(value).unwrap()
+        }
+        let slot = |generation: u32, value: String| {
+            format!(r#"{{"Occupied":{{"generation":{generation},"value":{value}}}}}"#)
+        };
+        let vacant = r#"{"Vacant":{"generation":9,"next_free":null}}"#.to_string();
+        let mut nodes = vec![vacant; p.graph.node_index_bound()];
+        for n in p.graph.nodes() {
+            let payload = json(n.payload);
+            let value = format!(r#"{{"payload":{payload},"out_edges":[],"in_edges":[]}}"#);
+            nodes[n.id.index()] = slot(n.id.0.generation(), value);
+        }
+        let edges = p.graph.edges().map(|e| {
+            let (payload, src, dst) = (json(e.payload), json(&e.src), json(&e.dst));
+            let value = format!(r#"{{"payload":{payload},"src":{src},"dst":{dst}}}"#);
+            slot(0, value)
+        });
+        let arena = |slots: Vec<String>| {
+            let slots = slots.join(",");
+            format!(r#"{{"slots":[{slots}],"free_head":7,"len":99}}"#)
+        };
+        let (nodes, edges) = (arena(nodes), arena(edges.collect()));
+        format!(r#"{{"graph":{{"nodes":{nodes},"edges":{edges}}}}}"#)
+    }
+
+    /// Node ids with payloads, and the multiset of edges.
+    fn parts(p: &Pattern) -> [Vec<String>; 2] {
+        let node = |n: NodeRef<'_, PatternNode>| format!("{:?}", (n.id, n.payload));
+        let edge = |e: EdgeRef<'_, PatternEdge>| format!("{:?}", (e.src, e.payload, e.dst));
+        let mut edges: Vec<_> = p.graph.edges().map(edge).collect();
+        edges.sort();
+        [p.graph.nodes().map(node).collect(), edges]
+    }
+
+    proptest::proptest! {
+        /// A random pattern — class, printable, predicate, crossed and
+        /// method-head nodes, edges plain and crossed, holes, generations —
+        /// reads back with the same ids, payloads and edges, both shapes.
+        #[test]
+        fn serde_roundtrip(
+            script in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 0..24),
+            texts in proptest::collection::vec(proptest::string::string_regex("[ -~]{0,12}").unwrap(), 4),
+        ) {
+            use ValuePredicate::{All, Contains, Ge};
+            let (mut p, labels) = (Pattern::new(), ["Info", "Date", "String", "Version"]);
+            for (step, a, b) in script {
+                let live: Vec<NodeId> = p.graph.node_ids().collect();
+                let pick = |at: usize| live.get(at % live.len().max(1)).copied();
+                let (label, text) = (labels[a % 4], texts[b % 4].as_str());
+                let values = [Value::str(text), Value::int(b as i64 - 32), Value::date(1990, 1, 14)];
+                let value = values[a % 3].clone();
+                match (step, pick(a), pick(b)) {
+                    (0, ..) => drop(p.node(label)),
+                    (1, ..) => drop(p.negated_node(label)),
+                    (2, ..) => drop(p.printable("String", value)),
+                    (3, ..) => drop(p.predicate_node("Date", All(vec![Ge(value), Contains(text.into())]))),
+                    (4, ..) => drop(p.method_head(text)),
+                    (5, Some(src), Some(dst)) => p.edge(src, label, dst),
+                    (6, Some(src), Some(dst)) => p.negated_edge(src, "links-to", dst),
+                    (7, Some(node), _) => drop(p.graph.remove_node(node)),
+                    _ => {}
+                }
+            }
+            let written = serde_json::to_string(&p).unwrap();
+            for text in [written.clone(), arena_json(&p)] {
+                let back: Pattern = serde_json::from_str(&text).unwrap();
+                proptest::prop_assert_eq!(parts(&back), parts(&p));
+                proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), written.clone());
+            }
+        }
     }
 }

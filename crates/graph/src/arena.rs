@@ -41,11 +41,21 @@ impl Ord for ArenaId {
 }
 
 impl ArenaId {
+    /// The id of slot `index` at `generation`, as a reader rebuilds it.
+    pub fn new(index: u32, generation: u32) -> Self {
+        ArenaId { index, generation }
+    }
+
     /// The slot index. Only meaningful to the arena that produced the id,
     /// but useful as a dense key for side tables.
     #[inline]
     pub fn index(self) -> usize {
         self.index as usize
+    }
+
+    /// How many times the slot was vacated before this id was issued.
+    pub fn generation(self) -> u32 {
+        self.generation
     }
 }
 
@@ -194,6 +204,26 @@ impl<T> Arena<T> {
 }
 
 impl<T: Clone> Arena<T> {
+    /// An arena of these slots in order: `Some((generation, value))` is
+    /// occupied, `None` vacant at generation 0 and free (highest first).
+    pub fn from_slots(slots: impl IntoIterator<Item = Option<(u32, T)>>) -> Self {
+        let mut arena = Arena::new();
+        for slot in slots {
+            let index = arena.slots.len() as u32;
+            arena.slots.push(match slot {
+                Some((generation, value)) => {
+                    arena.len += 1;
+                    Slot::Occupied { generation, value }
+                }
+                None => Slot::Vacant {
+                    generation: 0,
+                    next_free: arena.free_head.replace(index),
+                },
+            });
+        }
+        arena
+    }
+
     /// Insert a value, returning its id.
     pub fn insert(&mut self, value: T) -> ArenaId {
         self.len += 1;

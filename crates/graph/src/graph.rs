@@ -19,7 +19,7 @@ use std::fmt;
 pub struct NodeId(pub ArenaId);
 
 /// Identifier of an edge in a [`Graph`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub(crate) ArenaId);
 
 impl NodeId {
@@ -42,14 +42,14 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeSlot<N> {
     payload: N,
     out_edges: Vec<EdgeId>,
     in_edges: Vec<EdgeId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct EdgeSlot<E> {
     payload: E,
     src: NodeId,
@@ -91,7 +91,7 @@ pub struct EdgeRef<'g, E> {
 /// let info = graph.add_node("Info");
 /// let date = graph.add_node("Date");
 /// let edge = graph.add_edge(info, date, "created");
-/// assert_eq!(graph.endpoints(edge), Some((info, date)));
+/// assert_eq!(graph.edge_ref(edge).map(|e| (e.src, e.dst)), Some((info, date)));
 /// graph.remove_node(date);           // cascades to the edge
 /// assert_eq!(graph.edge_count(), 0);
 /// assert!(graph.contains_node(info));
@@ -100,7 +100,8 @@ pub struct EdgeRef<'g, E> {
 ///
 /// Both arenas live in persistent tries, so `clone()` is O(1) and a
 /// clone shares all storage with the original until either side writes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// It has no serialized form: `good-core` writes patterns as triples.
+#[derive(Debug, Clone)]
 pub struct Graph<N, E> {
     nodes: Arena<NodeSlot<N>>,
     edges: Arena<EdgeSlot<E>>,
@@ -243,12 +244,6 @@ impl<N, E> Graph<N, E> {
         self.nodes.get(id.0).map(|slot| &slot.payload)
     }
 
-    /// The `(src, dst)` endpoints of an edge.
-    #[inline]
-    pub fn endpoints(&self, id: EdgeId) -> Option<(NodeId, NodeId)> {
-        self.edges.get(id.0).map(|slot| (slot.src, slot.dst))
-    }
-
     /// Full borrowed view of an edge.
     pub fn edge_ref(&self, id: EdgeId) -> Option<EdgeRef<'_, E>> {
         self.edges.get(id.0).map(|slot| EdgeRef {
@@ -328,11 +323,6 @@ impl<N, E> Graph<N, E> {
     pub fn in_degree(&self, node: NodeId) -> usize {
         self.nodes.get(node.0).map_or(0, |slot| slot.in_edges.len())
     }
-
-    /// Successor node ids (with multiplicity, one per parallel edge).
-    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_edges(node).map(|edge| edge.dst)
-    }
 }
 
 #[cfg(test)]
@@ -359,7 +349,7 @@ mod tests {
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.out_degree(ids[0]), 2);
         assert_eq!(g.in_degree(ids[3]), 2);
-        let succ: Vec<_> = g.successors(ids[0]).collect();
+        let succ: Vec<_> = g.out_edges(ids[0]).map(|edge| edge.dst).collect();
         assert_eq!(succ.len(), 2);
         assert!(succ.contains(&ids[1]) && succ.contains(&ids[2]));
     }
@@ -438,22 +428,9 @@ mod tests {
         let a = g.add_node("a");
         let b = g.add_node("b");
         let e = g.add_edge(a, b, "ab");
-        assert_eq!(g.endpoints(e), Some((a, b)));
         let r = g.edge_ref(e).unwrap();
         assert_eq!((*r.payload, r.src, r.dst), ("ab", a, b));
         let n = g.node_ref(a).unwrap();
         assert_eq!((n.out_degree, n.in_degree), (1, 0));
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_ids() {
-        let (g, ids) = diamond();
-        let json = serde_json::to_string(&g).unwrap();
-        // Deserialize into owned payloads: borrowed (zero-copy) payload
-        // deserialization is not part of the supported surface.
-        let back: Graph<String, String> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.node_count(), 4);
-        assert_eq!(back.node(ids[0]).map(String::as_str), Some("a"));
-        assert_eq!(back.out_degree(ids[0]), 2);
     }
 }

@@ -5,12 +5,15 @@
 //! under `tests/corpus/` pins known-tricky inputs (regenerate with
 //! `UPDATE_CORPUS=1 cargo test -p good-server --test proto`).
 
-use good_core::gen::random_workload;
+use good_core::gen::{bench_scheme, random_workload};
 use good_server::proto::{
-    decode, encode, encode_rows, rows_payload_len, ErrCode, Frame, ProtoError, SnapshotInfo,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
+    decode, encode, encode_rows, read_frame, rows_payload_len, ErrCode, Frame, ProtoError,
+    SnapshotInfo, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
+use good_server::{net::NetConfig, net::NetServer, Server, ServerConfig};
+use good_store::{vfs::FaultPlan, vfs::FaultVfs, Store};
 use proptest::prelude::*;
+use std::{io::Write, net::TcpListener, net::TcpStream, sync::Arc, time::Duration};
 
 /// One representative of every frame type, parameterized by a seed so
 /// the proptests sweep field values too.
@@ -417,6 +420,60 @@ fn traced_submit_round_trips_and_zero_presence_byte_is_rejected() {
             ..
         })
     ));
+}
+
+/// Malformed patterns get `Err{BadRequest}` and a later commit is acked:
+/// an edge to slot 7 of a one-node pattern in the old arena shape and in
+/// the triples shape, a repeated and a descending id, an edge end whose
+/// generation names no node, a node past its slot (at index 4e9, which
+/// must not size an arena), two bad ids. Reads are bounded, so a writer
+/// that dies on one fails this test, not hangs it.
+#[test]
+fn a_pattern_edge_to_no_node_is_refused_and_commits_go_on() {
+    let vfs = Arc::new(FaultVfs::new(FaultPlan::reliable(38)));
+    let store = Store::create_with_vfs(vfs, "/proto/db.journal", bench_scheme()).expect("store");
+    let server = Server::start(store, ServerConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let net = NetServer::start(server, listener, NetConfig::default()).expect("net server");
+    let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
+    let timeout = Some(Duration::from_secs(10));
+    stream.set_read_timeout(timeout).expect("timeout");
+    let mut reply = |bytes: Vec<u8>| {
+        stream.write_all(&bytes).expect("send");
+        read_frame(&mut stream).expect("a reply within the timeout")
+    };
+    let hello = reply(encode(&Frame::Hello { session: 0 }));
+    assert!(matches!(hello, Some(Frame::Hello { .. })));
+    let node = r#"{"kind":{"Class":"Info"},"print":null,"predicate":null,"negated":false}"#;
+    let edge = r#"{"label":"links-to","negated":false}"#;
+    let at = |index: u8| format!(r#"{{"index":{index},"generation":0}}"#);
+    let (src, dst) = (at(0), at(7));
+    let slot = |value: String| format!(r#"{{"Occupied":{{"generation":0,"value":{value}}}}}"#);
+    let arena = |value| format!(r#"{{"slots":[{}],"free_head":null,"len":1}}"#, slot(value));
+    let node_slot = format!(r#"{{"payload":{node},"out_edges":[],"in_edges":[]}}"#);
+    let edge_slot = format!(r#"{{"payload":{edge},"src":{src},"dst":{dst}}}"#);
+    let (nodes, edges) = (arena(node_slot), arena(edge_slot));
+    let old = format!(r#"{{"graph":{{"nodes":{nodes},"edges":{edges}}}}}"#);
+    let mut patterns = vec![old];
+    let cases = "[0,N]/[0,E,7] [0,N],[0,N]/ [1,N],[0,N]/ [[0,1],N]/[0,E,0] [4000000000,N]/ [-1,N]/";
+    for case in cases.split(' ').chain(["[[0,1,2],N]/", "/"]) {
+        let (nodes, edges) = case.split_once('/').unwrap();
+        let (nodes, edges) = (nodes.replace('N', node), edges.replace('E', edge));
+        patterns.push(format!(r#"{{"nodes":[{nodes}],"edges":[{edges}]}}"#));
+    }
+    for (request, pattern) in (1..).zip(&patterns) {
+        let op = format!(r#"{{"NodeAdd":{{"pattern":{pattern},"label":"Info","edges":[]}}}}"#);
+        let reply = match reply(submit_with_text(request, &format!(r#"{{"ops":[{op}]}}"#))) {
+            Some(Frame::Err { code, detail, .. }) => format!("{code:?}: {detail}"),
+            Some(Frame::Ack { outcome, .. }) => format!("{outcome:?}"),
+            other => format!("{other:?}"),
+        };
+        let last = request == patterns.len() as u64;
+        let (start, needle) = [("BadRequest: ", "pattern"), ("Ok(", "+1 nodes")][last as usize];
+        let expected = reply.starts_with(start) && reply.contains(needle);
+        assert!(expected, "{reply}");
+        assert!(request > 2 || reply.contains("ends at no node"), "{reply}");
+    }
 }
 
 // ---------------------------------------------------------------- corpus

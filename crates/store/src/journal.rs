@@ -181,17 +181,22 @@ pub(crate) fn scan<R>(
     })
 }
 
-/// Serialize `record` as one newline-terminated JSON line and append
-/// it **without syncing** — the group-commit building block. A
-/// serialization failure happens before any byte reaches the file; an
-/// I/O failure may leave a torn record behind (the caller decides
-/// whether to poison).
-pub(crate) fn write_record(file: &mut dyn VfsFile, record: &LogRecord) -> Result<()> {
+/// Serialize `record` as one newline-terminated JSON line. Group
+/// commits encode every record before the first append, so a
+/// serialization failure never reaches the file.
+pub(crate) fn encode_record(record: &LogRecord) -> Result<String> {
     let mut line = serde_json::to_string(record).map_err(|err| StoreError::Corrupt {
         line: 0,
         message: err.to_string(),
     })?;
     line.push('\n');
+    Ok(line)
+}
+
+/// Append one encoded line **without syncing** — the group-commit
+/// building block. An I/O failure may leave a torn record behind (the
+/// caller decides whether to poison).
+pub(crate) fn write_line(file: &mut dyn VfsFile, line: &str) -> Result<()> {
     let mut append_span = good_trace::span("store", "store/append");
     append_span.arg("bytes", line.len());
     file.append(line.as_bytes())?;
@@ -212,9 +217,10 @@ pub(crate) fn sync_file(file: &mut dyn VfsFile) -> Result<()> {
     Ok(())
 }
 
-/// Append one self-committing record: [`write_record`] + [`sync_file`].
+/// Append one self-committing record: [`encode_record`] +
+/// [`write_line`] + [`sync_file`].
 pub(crate) fn append_record(file: &mut dyn VfsFile, record: &LogRecord) -> Result<()> {
-    write_record(file, record)?;
+    write_line(file, &encode_record(record)?)?;
     sync_file(file)
 }
 

@@ -435,17 +435,16 @@ impl Store {
     }
 
     /// Append a committed group: `BatchApply`* + `BatchCommit`, then
-    /// one fsync for the lot.
+    /// one fsync for the lot. Every record is encoded before the first
+    /// append, so a record that cannot be encoded writes nothing.
     fn write_group(file: &mut dyn VfsFile, programs: &[&Program]) -> Result<()> {
-        for program in programs {
-            journal::write_record(file, &LogRecord::BatchApply((*program).clone()))?;
+        let batch = programs.iter().map(|p| LogRecord::BatchApply((*p).clone()));
+        let count = programs.len();
+        let records = batch.chain([LogRecord::BatchCommit { count }]);
+        let lines = records.map(|record| journal::encode_record(&record));
+        for line in lines.collect::<Result<Vec<_>>>()? {
+            journal::write_line(file, &line)?;
         }
-        journal::write_record(
-            file,
-            &LogRecord::BatchCommit {
-                count: programs.len(),
-            },
-        )?;
         journal::sync_file(file)
     }
 

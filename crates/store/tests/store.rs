@@ -7,7 +7,7 @@ use good_core::label::Label;
 use good_core::method::{Method, MethodCall, MethodSpec};
 use good_core::ops::{EdgeAddition, EdgeDeletion, NodeAddition};
 use good_core::pattern::Pattern;
-use good_core::program::{Operation, Program, DEFAULT_FUEL};
+use good_core::program::{Env, Operation, Program, DEFAULT_FUEL};
 use good_core::scheme::Scheme;
 use good_store::{LogRecord, Store, StoreError};
 use std::io::Write;
@@ -77,6 +77,34 @@ fn replay_is_bit_identical() {
         assert_eq!(store.instance().node_label(node), before.node_label(node));
     }
     assert!(store.instance().isomorphic_to(&before));
+    std::fs::remove_file(&path).unwrap();
+
+    // A journal of serde goldens (Figures 2-3, 20, 6, 10, 14, 18, 21), its
+    // patterns first as graph arenas, then as triples, recovers to what its
+    // programs build in memory when every record is read as triples.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/serde");
+    let golden = |name: &str| std::fs::read_to_string(format!("{dir}/{name}.json")).unwrap();
+    let (mut journal, mut db, mut env) = (String::new(), None, Env::with_fuel(DEFAULT_FUEL));
+    let records =
+        "snapshot register-method apply-na apply-ea apply-nd apply-ed apply-ab apply-call";
+    for (at, name) in records.split(' ').enumerate() {
+        let triples = golden(&format!("{name}-triples"));
+        match serde_json::from_str(&triples).unwrap() {
+            LogRecord::Snapshot(instance) => db = Some(*instance),
+            LogRecord::RegisterMethod(method) => env.register(*method),
+            LogRecord::Apply(p) => drop(p.apply(db.as_mut().unwrap(), &mut env).unwrap()),
+            other => panic!("{other:?}"),
+        }
+        journal += &(if at < 4 { golden(name) } else { triples } + "\n");
+    }
+    std::fs::write(&path, journal).unwrap();
+    let (store, db) = (Store::open(&path).unwrap(), db.unwrap());
+    let tags = db.label_count(&"Rock-Tag".into());
+    assert_eq!((store.record_count(), tags), (8, 2));
+    for (node, _) in db.nodes() {
+        assert_eq!(store.instance().node_label(node), db.node_label(node));
+    }
+    assert!(store.instance().isomorphic_to(&db));
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -279,6 +307,41 @@ fn execute_group_commits_all_and_survives_reopen() {
     for tag in ["A", "B", "C"] {
         assert_eq!(store.instance().label_count(&tag.into()), 1);
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `expand_negation` puts a pattern's positive part, which keeps the ids
+/// of the crossed nodes it drops, into its NA: a pattern that starts with
+/// crossed nodes journals with holes, in a group and alone, and reopens.
+#[test]
+fn a_negation_program_with_leading_holes_commits_and_reopens() {
+    let path = journal_path("negation-holes");
+    let mut pattern = Pattern::new();
+    let crossed = [pattern.negated_node("Info"), pattern.negated_node("Info")];
+    let info = pattern.node("Info");
+    pattern.negated_edge(info, "links-to", crossed[0]);
+    pattern.negated_edge(crossed[1], "links-to", info);
+    let negation = good_core::macros::expand_negation(&pattern, "Lonely").unwrap();
+    let before = {
+        let mut store = Store::create(&path, scheme()).unwrap();
+        store.execute(&seed_program("Info")).unwrap();
+        let programs = [tag_program("A"), negation.program.clone()];
+        let outcomes = store.execute_group(&programs).unwrap();
+        assert!(
+            outcomes.iter().all(|outcome| outcome.is_ok()),
+            "{outcomes:?}"
+        );
+        store.execute(&negation.program).unwrap();
+        store.instance().clone()
+    };
+    assert_eq!(before.label_count(&"Lonely".into()), 1);
+    let store = Store::open(&path).unwrap();
+    // snapshot + apply + 2 batch records + 1 commit marker + apply.
+    assert_eq!(store.record_count(), 6);
+    for (node, _) in before.nodes() {
+        assert_eq!(store.instance().node_label(node), before.node_label(node));
+    }
+    assert!(store.instance().isomorphic_to(&before));
     std::fs::remove_file(&path).unwrap();
 }
 
