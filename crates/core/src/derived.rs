@@ -21,7 +21,7 @@ use good_graph::NodeId;
 type Pair = (NodeId, NodeId);
 
 /// One direction of a derived relation: keys and each key's run ascending.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Runs {
     keys: Vec<NodeId>,
     runs: Vec<Vec<NodeId>>,
@@ -84,16 +84,49 @@ fn seek(keys: &[NodeId], from: usize, key: NodeId) -> usize {
 
 /// One derived label's edges, all from `classes.0` to `classes.1` nodes:
 /// source → targets `forward`, target → sources `backward`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Relation {
     label: Label,
     classes: (Label, Label),
     forward: Runs,
     backward: Runs,
+    /// New `(target, source)` pairs not merged into `backward` yet.
+    pending: Vec<Pair>,
+}
+
+impl Relation {
+    /// Merge the pending pairs into `backward`, sorted, in one pass. A
+    /// queue at least a quarter as long as its targets' index span is
+    /// counting-sorted by target and each target's sources sorted, which
+    /// costs less than sorting the queue whole.
+    fn settle(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        let low = pending.iter().map(|pair| pair.0.index()).min().unwrap_or(0);
+        let at = |pair: &Pair| pair.0.index() - low;
+        let span = pending.iter().map(at).max().map_or(0, |last| last + 1);
+        if span > 4 * pending.len() {
+            pending.sort_unstable();
+        } else {
+            // Where each target's next source goes.
+            let mut next = vec![0; span + 1];
+            pending.iter().for_each(|pair| next[at(pair) + 1] += 1);
+            (1..=span).for_each(|target| next[target] += next[target - 1]);
+            let mut sorted = pending.clone();
+            for pair in &pending {
+                let slot = &mut next[at(pair)];
+                (sorted[*slot], *slot) = (*pair, *slot + 1);
+            }
+            for sources in sorted.chunk_by_mut(|a, b| a.0 == b.0) {
+                sources.sort_unstable();
+            }
+            pending = sorted;
+        }
+        self.backward.merge(&pending);
+    }
 }
 
 /// Transient derived relations, one per derived edge label.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Derived {
     relations: Vec<Relation>,
 }
@@ -112,34 +145,52 @@ impl Derived {
 
     /// Add sorted, distinct `λ` pairs; returns the new ones. A label's edges
     /// must all join one pair of classes, as the instance's `(class, λ)`
-    /// index keys them; a batch that does not is refused.
-    fn insert(&mut self, instance: &Instance, label: &Label, pairs: &[Pair]) -> Result<Vec<Pair>> {
+    /// index keys them; a batch that does not is refused whole, before
+    /// anything changes. A batch whose classes `joins` names is checked
+    /// once, any other pair by pair. With `defer` the new backward pairs
+    /// wait for [`ViewMut::settle`].
+    fn insert(
+        &mut self,
+        instance: &Instance,
+        label: &Label,
+        pairs: &[Pair],
+        joins: Option<(&Label, &Label)>,
+        defer: bool,
+    ) -> Result<Vec<Pair>> {
         let class = |node: NodeId| instance.node_label(node).expect("matched nodes are live");
         let Some(&(src, dst)) = pairs.first() else {
             return Ok(Vec::new());
         };
-        if self.relation(label).is_none() {
-            let (label, classes) = (label.clone(), (class(src).clone(), class(dst).clone()));
-            let (forward, backward) = Default::default();
-            (self.relations).push(Relation {
-                label,
-                classes,
-                forward,
-                backward,
-            });
-        }
         let at = self.relations.iter().position(|r| r.label == *label);
-        let relation = &mut self.relations[at.expect("pushed above")];
-        let (src, dst) = &relation.classes;
-        let mut joins = pairs.iter().map(|&(s, d)| (class(s), class(d)));
-        if let Some((s, d)) = joins.find(|joins| *joins != (src, dst)) {
+        let (src, dst) = match at {
+            Some(at) => self.relations[at].classes.clone(),
+            None => (class(src).clone(), class(dst).clone()),
+        };
+        let per_pair = pairs.iter().filter(|_| joins.is_none());
+        let per_pair = per_pair.map(|&(s, d)| (class(s), class(d)));
+        let mut batch = joins.into_iter().chain(per_pair);
+        if let Some((s, d)) = batch.find(|&(s, d)| (s, d) != (&src, &dst)) {
             let message = format!("derived label {label} joins {s} to {d} and {src} to {dst}");
             return Err(GoodError::InvariantViolation(message));
         }
+        let at = at.unwrap_or_else(|| {
+            let (forward, backward, pending) = Default::default();
+            (self.relations).push(Relation {
+                label: label.clone(),
+                classes: (src, dst),
+                forward,
+                backward,
+                pending,
+            });
+            self.relations.len() - 1
+        });
+        let relation = &mut self.relations[at];
         let fresh = relation.forward.merge(pairs);
-        let mut backward: Vec<_> = fresh.iter().map(|&(src, dst)| (dst, src)).collect();
-        backward.sort_unstable();
-        relation.backward.merge(&backward);
+        let reversed = fresh.iter().map(|&(src, dst)| (dst, src));
+        relation.pending.extend(reversed);
+        if !defer {
+            relation.settle();
+        }
         Ok(fresh)
     }
 }
@@ -200,6 +251,12 @@ impl<'a> View<'a> {
         ))
     }
 
+    /// The classes every `λ` edge joins, when `λ` is a derived label.
+    pub(crate) fn joins(self, label: &Label) -> Option<(&'a Label, &'a Label)> {
+        let relation = self.derived?.relation(label)?;
+        Some((&relation.classes.0, &relation.classes.1))
+    }
+
     /// One `λ`-successor of `src`, if it has any.
     pub(crate) fn first_target(self, src: NodeId, label: &Label) -> Option<NodeId> {
         match self.derived.and_then(|derived| derived.relation(label)) {
@@ -215,13 +272,20 @@ impl<'a> View<'a> {
 pub struct ViewMut<'a> {
     pub(crate) instance: &'a mut Instance,
     derived: Option<&'a mut Derived>,
+    /// Leave derived relations' new backward pairs for [`ViewMut::settle`]:
+    /// set for an addition whose matcher reads forward runs only.
+    pub(crate) defer: bool,
 }
 
 impl<'a> ViewMut<'a> {
     /// Edges go to `derived`, if given, `instance` taking only schemes.
     pub fn new(instance: &'a mut Instance, derived: impl Into<Option<&'a mut Derived>>) -> Self {
         let derived = derived.into();
-        ViewMut { instance, derived }
+        ViewMut {
+            instance,
+            derived,
+            defer: false,
+        }
     }
 
     /// The read half.
@@ -234,11 +298,23 @@ impl<'a> ViewMut<'a> {
         ViewMut::new(self.instance, self.derived.as_deref_mut())
     }
 
+    /// Merge the backward pairs that deferred additions left.
+    pub(crate) fn settle(&mut self) {
+        let relations = self.derived.iter_mut().flat_map(|d| &mut d.relations);
+        relations.for_each(Relation::settle);
+    }
+
     /// Add the `λ` edges `pairs`, sorted and deduplicated, unless
-    /// present; returns the new ones, in order.
-    pub(crate) fn add_edges(&mut self, label: &Label, pairs: &[Pair]) -> Result<Vec<Pair>> {
+    /// present; returns the new ones, in order. `joins`, when given, are
+    /// the classes every pair joins.
+    pub(crate) fn add_edges(
+        &mut self,
+        label: &Label,
+        pairs: &[Pair],
+        joins: Option<(&Label, &Label)>,
+    ) -> Result<Vec<Pair>> {
         if let Some(derived) = &mut self.derived {
-            return derived.insert(self.instance, label, pairs);
+            return derived.insert(self.instance, label, pairs, joins, self.defer);
         }
         let mut added = pairs.to_vec();
         added.retain(|&(src, dst)| !self.instance.has_edge(src, label, dst));
@@ -260,19 +336,26 @@ mod tests {
         let scheme = SchemeBuilder::new().object("A").object("B").build();
         let mut db = Instance::new(scheme);
         let [a0, a1] = [(); 2].map(|_| db.add_object("A").unwrap());
-        let b = db.add_object("B").unwrap();
+        let [b, b1] = [(); 2].map(|_| db.add_object("B").unwrap());
         let (mut derived, label) = (Derived::default(), Label::new("d"));
         let mut target = ViewMut::new(&mut db, &mut derived);
-        assert_eq!(target.add_edges(&label, &[(a1, a0)]).unwrap(), [(a1, a0)]);
-        assert_eq!(target.add_edges(&label, &[(a0, a1)]).unwrap(), [(a0, a1)]);
-        assert!(target.add_edges(&label, &[(a0, a1)]).unwrap().is_empty());
+        let mut add = |pairs: &[Pair]| target.add_edges(&label, pairs, None);
+        assert_eq!(add(&[(a1, a0)]).unwrap(), [(a1, a0)]);
+        assert_eq!(add(&[(a0, a1)]).unwrap(), [(a0, a1)]);
+        assert!(add(&[(a0, a1)]).unwrap().is_empty());
         // A batch joining another class pair is refused whole.
-        assert!(target.add_edges(&label, &[(a0, a0), (a0, b)]).is_err());
+        assert!(add(&[(a0, a0), (a0, b)]).is_err());
         let (class, view) = (Label::new("A"), target.view());
         assert_eq!(view.triple(&class, &label, &class), Some((2, 2, 2)));
         assert_eq!(view.first_target(a0, &label), Some(a1));
         assert!(view.outgoing(&class, &label).unwrap().get(a0).is_some());
         assert!(view.outgoing(&Label::new("B"), &label).is_none());
+        // A refused first batch leaves its label free for any class pair.
+        let free = Label::new("e");
+        assert!(target.add_edges(&free, &[(a0, a0), (b, b1)], None).is_err());
+        assert!(target.view().outgoing(&class, &free).is_none());
+        let added = target.add_edges(&free, &[(b, b1)], None);
+        assert_eq!(added.unwrap(), [(b, b1)]);
         assert_eq!(
             derived.pairs(&label).collect::<Vec<_>>(),
             [(a0, a1), (a1, a0)]
@@ -303,7 +386,7 @@ mod tests {
                 batch.sort_unstable();
                 batch.dedup();
                 let mut target = ViewMut::new(&mut db, &mut derived);
-                let added = target.add_edges(&label, &batch).unwrap();
+                let added = target.add_edges(&label, &batch, None).unwrap();
                 let expected = batch.iter().filter(|pair| !model.contains(*pair));
                 prop_assert!(added.iter().eq(expected));
                 model.extend(added);

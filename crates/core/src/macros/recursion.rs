@@ -18,7 +18,7 @@
 
 use crate::derived::ViewMut;
 use crate::error::Result;
-use crate::fixpoint::{fixpoint, FixRule};
+use crate::fixpoint::{fixpoint, FixRule, Linear};
 use crate::instance::Instance;
 use crate::label::{Label, RECEIVER_EDGE};
 use crate::method::{Method, MethodCall, MethodSpec};
@@ -61,7 +61,8 @@ impl RecursiveEdgeAddition {
     /// [`RecursiveEdgeAddition::apply`], adding the edges where `target`
     /// takes them — into derived relations for a query's property path.
     pub fn apply_to(&self, target: ViewMut<'_>, env: &mut Env) -> Result<OpReport> {
-        let mut outcome = fixpoint(&[FixRule::EdgeAdd(&self.base)], target, env)?;
+        let rule = FixRule::EdgeAdd(&self.base, Linear::of(&self.base));
+        let mut outcome = fixpoint(&[rule], target, env)?;
         Ok(outcome.reports.remove(0))
     }
 }

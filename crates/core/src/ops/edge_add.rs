@@ -166,12 +166,22 @@ impl EdgeAddition {
         // existing target stands for all of them: the instance
         // invariants (enforced by `Instance::add_edge`, and by this check
         // for derived edges) give a functional λ at most one target and
-        // all λ-successors of a node the same label.
+        // all λ-successors of a node the same label. A matched column's
+        // nodes all carry their pattern node's class, so when a label's
+        // bold edges agree on their classes no new target is looked up,
+        // and a derived label's existing targets all have its target
+        // class.
         let view = target.view();
         let db = view.instance;
         let class = |node: &NodeId| db.node_label(*node).expect("live");
         for (label, pairs) in &groups {
             let kind = db.scheme().edge_kind(label).expect("registered above");
+            let known = self.joins(label);
+            let held = view.joins(label).map(|(_, dst)| dst);
+            if kind == EdgeKind::Multivalued && known.is_some_and(|(_, dst)| held == Some(dst)) {
+                continue;
+            }
+            let known = known.map(|(_, dst)| dst);
             for run in pairs.chunk_by(|a, b| a.0 == b.0) {
                 let ((src, first), existing) = (run[0], view.first_target(run[0].0, label));
                 let targets = || run.iter().map(|pair| pair.1).chain(existing);
@@ -181,8 +191,9 @@ impl EdgeAddition {
                         src: format!("{src:?}"),
                     });
                 }
-                let first = class(&first);
-                if targets().skip(1).any(|node| class(&node) != first) {
+                let first = known.unwrap_or_else(|| class(&first));
+                let new = if known.is_some() { run.len() } else { 1 };
+                if targets().skip(new).any(|node| class(&node) != first) {
                     let mut labels = targets().map(|node| class(&node)).collect::<BTreeSet<_>>();
                     return Err(GoodError::TargetLabelConflict {
                         edge: (*label).clone(),
@@ -195,7 +206,8 @@ impl EdgeAddition {
 
         let mut added = Vec::with_capacity(groups.len());
         for (label, pairs) in &groups {
-            added.push(((*label).clone(), target.add_edges(label, pairs)?));
+            let joins = self.joins(label);
+            added.push(((*label).clone(), target.add_edges(label, pairs, joins)?));
         }
         target.instance.debug_assert_indexes();
         let report = OpReport {
@@ -204,6 +216,15 @@ impl EdgeAddition {
             ..OpReport::default()
         };
         Ok((report, added))
+    }
+
+    /// The classes every bold `label` edge joins, when they agree.
+    fn joins(&self, label: &Label) -> Option<(&Label, &Label)> {
+        let class = |node| self.pattern.positive_class(node).expect("validated above");
+        let mut joins = (self.edges.iter().filter(|edge| edge.label == *label))
+            .map(|edge| (class(edge.src), class(edge.dst)));
+        let first = joins.next()?;
+        joins.all(|other| other == first).then_some(first)
     }
 }
 

@@ -129,6 +129,11 @@ fn fixpoint_rounds_are_traced_deterministically_and_counted_live() {
     assert!(first.starts_with("op/EA"), "{first}");
     assert!(first.contains("\n  fixpoint/round"), "{first}");
     assert!(first.contains("\n    match/find"), "{first}");
+    // Rounds 2 on are swept: only round 1 runs a search.
+    let swept = rounds[1..]
+        .iter()
+        .all(|round| round.contains("seeded=1 swept=1"));
+    assert!(swept && first.matches("match/find").count() == 1, "{first}");
     let delta = good_trace::metrics_snapshot().counter("fixpoint.delta_edges");
     assert!(delta.is_some_and(|edges| edges >= 10), "{delta:?}");
 }
