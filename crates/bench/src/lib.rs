@@ -222,7 +222,7 @@ pub fn submit_all_in_process(server: Server, programs: Vec<Program>) -> Server {
         .map(|program| server.submit(session, program).expect("submit"))
         .collect();
     for ticket in tickets {
-        server.wait(ticket).expect("ack");
+        ticket.wait().expect("ack");
     }
     server
 }

@@ -58,9 +58,9 @@ use good_core::program::Program;
 use good_core::snapshot::{RetentionPolicy, Snapshot, SnapshotCell};
 use good_store::Store;
 use good_trace::{LiveCounter, LiveGauge, LiveHistogram};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -88,9 +88,88 @@ pub const STATS_SCHEMA: u32 = 1;
 /// Identifies one open session.
 pub type SessionId = u64;
 
-/// Identifies one submitted program; redeemed exactly once via
-/// [`Server::wait`].
-pub type Ticket = u64;
+/// One submitted program's pending ack: the receiving end of a
+/// one-shot mailbox whose sending end rides with the request to the
+/// writer. [`Ticket::wait`] consumes it, so an ack is redeemed exactly
+/// once and only from the server that issued it, and a ticket dropped
+/// unredeemed leaves nothing behind in the server.
+#[derive(Debug)]
+pub struct Ticket(Arc<AckSlot>);
+
+/// A ticket equals only itself: each one is a distinct pending ack.
+impl PartialEq for Ticket {
+    fn eq(&self, other: &Ticket) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Ticket {
+    /// Block until the writer acks the program: its [`Ack`], or the
+    /// store failure that refused its batch.
+    pub fn wait(self) -> Result<Ack, ServerError> {
+        let mut state = self.0.state.lock().expect("ack slot poisoned");
+        loop {
+            if let Some(ack) = state.ack.take() {
+                return ack;
+            }
+            state.waiting = true;
+            state = self.0.filled.wait(state).expect("ack slot poisoned");
+        }
+    }
+}
+
+/// The mailbox between a [`Ticket`] and its [`AckSender`]. A
+/// `sync_channel(1)` would do the same job at several times the cost
+/// per ticket: it allocates a cache-padded channel of some 400 bytes.
+#[derive(Debug, Default)]
+struct AckSlot {
+    state: Mutex<SlotState>,
+    filled: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct SlotState {
+    ack: Option<Result<Ack, ServerError>>,
+    /// A ticket sleeps on `filled`: only then is a wake-up needed.
+    waiting: bool,
+}
+
+impl AckSlot {
+    fn fill(&self, ack: Result<Ack, ServerError>) {
+        let waiting = {
+            // Runs in `AckSender::drop`, which must not panic; a slot is
+            // valid after every update, so a poisoned lock is taken as is.
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.ack = Some(ack);
+            state.waiting
+        };
+        if waiting {
+            self.filled.notify_one();
+        }
+    }
+}
+
+/// The writer's end of a [`Ticket`]. Dropped unsent, as when the writer
+/// dies mid-batch, it sends an error, so no wait blocks forever.
+struct AckSender(Option<Arc<AckSlot>>);
+
+impl AckSender {
+    fn send(mut self, ack: Result<Ack, ServerError>) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(ack);
+        }
+    }
+}
+
+impl Drop for AckSender {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(Err(ServerError::Store(
+                "writer exited without acking".into(),
+            )));
+        }
+    }
+}
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
@@ -337,7 +416,8 @@ impl SlowLog {
 }
 
 struct Request {
-    ticket: Ticket,
+    /// Where the writer sends this program's ack.
+    ack: AckSender,
     session: SessionId,
     program: Program,
     /// Wire-propagated trace id (None for untraced submissions).
@@ -351,8 +431,6 @@ struct State {
     queue: VecDeque<Request>,
     sessions: HashSet<SessionId>,
     next_session: SessionId,
-    next_ticket: Ticket,
-    completions: HashMap<Ticket, Result<Ack, String>>,
     shutdown: bool,
     paused: bool,
     failed: Option<String>,
@@ -362,8 +440,6 @@ struct Shared {
     state: Mutex<State>,
     /// Wakes the writer: work arrived, pause lifted, or shutdown.
     work: Condvar,
-    /// Wakes waiters: completions were posted.
-    done: Condvar,
     cell: SnapshotCell,
     config: ServerConfig,
     slow: SlowLog,
@@ -381,6 +457,7 @@ impl Shared {
         trace: Option<u64>,
     ) -> Result<Ticket, ServerError> {
         let mut span = good_trace::span("server", "server/enqueue");
+        let slot = Arc::<AckSlot>::default();
         let mut state = self.lock();
         if let Some(reason) = &state.failed {
             return Err(ServerError::Store(reason.clone()));
@@ -397,10 +474,8 @@ impl Shared {
                 capacity: self.config.queue_capacity,
             });
         }
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
         state.queue.push_back(Request {
-            ticket,
+            ack: AckSender(Some(Arc::clone(&slot))),
             session,
             program,
             trace,
@@ -416,21 +491,7 @@ impl Shared {
         }
         drop(state);
         self.work.notify_one();
-        Ok(ticket)
-    }
-
-    fn wait(&self, ticket: Ticket) -> Result<Ack, ServerError> {
-        let mut state = self.lock();
-        assert!(
-            ticket < state.next_ticket,
-            "ticket {ticket} was never issued"
-        );
-        loop {
-            if let Some(result) = state.completions.remove(&ticket) {
-                return result.map_err(ServerError::Store);
-            }
-            state = self.done.wait(state).expect("server state poisoned");
-        }
+        Ok(Ticket(slot))
     }
 }
 
@@ -485,14 +546,11 @@ impl Server {
                 queue: VecDeque::new(),
                 sessions: HashSet::new(),
                 next_session: 1,
-                next_ticket: 1,
-                completions: HashMap::new(),
                 shutdown: false,
                 paused: false,
                 failed: None,
             }),
             work: Condvar::new(),
-            done: Condvar::new(),
             // Shares the store's own handle: startup publishes epoch 0
             // with one `Arc` bump, not a graph copy.
             cell: SnapshotCell::new_shared(
@@ -575,8 +633,8 @@ impl Server {
         self.shared.cell.retained_epochs()
     }
 
-    /// Enqueue `program` for `session`. Returns a ticket redeemable
-    /// exactly once via [`Server::wait`].
+    /// Enqueue `program` for `session`. Returns the [`Ticket`] its ack
+    /// arrives on.
     pub fn submit(&self, session: SessionId, program: Program) -> Result<Ticket, ServerError> {
         self.shared.submit(session, program, None)
     }
@@ -662,16 +720,9 @@ impl Server {
         format!("{{\"schema\":{STATS_SCHEMA},{}}}", self.stats_sections())
     }
 
-    /// Block until the writer acks `ticket`. Each ticket may be waited
-    /// on exactly once.
-    pub fn wait(&self, ticket: Ticket) -> Result<Ack, ServerError> {
-        self.shared.wait(ticket)
-    }
-
-    /// [`Server::submit`] + [`Server::wait`] in one call.
+    /// [`Server::submit`] + [`Ticket::wait`] in one call.
     pub fn submit_wait(&self, session: SessionId, program: Program) -> Result<Ack, ServerError> {
-        let ticket = self.submit(session, program)?;
-        self.wait(ticket)
+        self.submit(session, program)?.wait()
     }
 
     /// Test support: hold the writer idle so submissions accumulate in
@@ -697,26 +748,12 @@ impl Server {
 
     /// Shut down: stop accepting new programs, let the writer drain
     /// everything already queued, join it, and hand back the store.
-    pub fn shutdown(self) -> Result<Store, ServerError> {
-        self.shutdown_impl()
-    }
-
-    /// [`Server::shutdown`] through a shared reference, for owners
-    /// that hold the server behind an `Arc` (the network front end):
-    /// drains the queue, joins the writer, returns the store. Every
-    /// accepted ticket has its completion posted before this returns,
-    /// so pending [`Server::wait`] calls cannot block forever. A
+    /// Every accepted program's ack is sent before this returns, so no
+    /// [`Ticket::wait`] can block forever. Takes `&self` for owners
+    /// that hold the server behind an `Arc` (the network front end); a
     /// second call returns [`ServerError::Shutdown`].
-    pub fn drain_shutdown(&self) -> Result<Store, ServerError> {
-        self.shutdown_impl()
-    }
-
-    fn shutdown_impl(&self) -> Result<Store, ServerError> {
-        {
-            let mut state = self.shared.lock();
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
+    pub fn shutdown(&self) -> Result<Store, ServerError> {
+        self.begin_shutdown();
         let handle = self
             .writer
             .lock()
@@ -731,7 +768,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let _ = self.shutdown_impl();
+        let _ = self.shutdown();
     }
 }
 
@@ -782,7 +819,7 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
                 batch_span.arg("epoch", epoch);
                 let exec_ns = duration_ns(drained, executed);
                 let publish_ns = duration_ns(executed, published);
-                let mut state = shared.lock();
+                let mut acks = Vec::with_capacity(batch.len());
                 for (req, outcome) in batch.into_iter().zip(outcomes) {
                     let seq = outcome.is_ok().then(|| {
                         commit_seq += 1;
@@ -829,18 +866,21 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
                             ],
                         });
                     }
-                    state.completions.insert(
-                        req.ticket,
-                        Ok(Ack {
-                            session: req.session,
-                            commit_seq: seq,
-                            epoch,
-                            outcome,
-                        }),
-                    );
+                    let ack = Ack {
+                        session: req.session,
+                        commit_seq: seq,
+                        epoch,
+                        outcome,
+                    };
+                    acks.push((req.ack, ack));
                 }
-                drop(state);
-                shared.done.notify_all();
+                // The batch's acks go out together and last first: a
+                // submitter waiting on its tickets in order is woken
+                // once, by its earliest, and finds the rest ready. One
+                // that dropped its ticket no longer listens.
+                for (sender, ack) in acks.into_iter().rev() {
+                    sender.send(Ok(ack));
+                }
             }
             Err(err) => {
                 // Journal I/O failure: the store is poisoned, nothing
@@ -849,17 +889,15 @@ fn writer_loop(shared: Arc<Shared>, mut store: Store) -> Store {
                 // stay readable.
                 let reason = err.to_string();
                 batch_span.arg("failed", reason.clone());
-                let mut state = shared.lock();
-                state.failed = Some(reason.clone());
-                for req in batch {
-                    state.completions.insert(req.ticket, Err(reason.clone()));
-                }
-                while let Some(req) = state.queue.pop_front() {
-                    state.completions.insert(req.ticket, Err(reason.clone()));
-                }
+                let queued = {
+                    let mut state = shared.lock();
+                    state.failed = Some(reason.clone());
+                    std::mem::take(&mut state.queue)
+                };
                 LIVE_QUEUE_DEPTH.set(0);
-                drop(state);
-                shared.done.notify_all();
+                for req in batch.into_iter().chain(queued) {
+                    req.ack.send(Err(ServerError::Store(reason.clone())));
+                }
             }
         }
     }

@@ -277,9 +277,9 @@ impl NetServer {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // Drain the writer: every accepted ticket gets its completion
-        // posted before this returns, so ack pumps can flush.
-        let store = self.shared.server.drain_shutdown()?;
+        // Drain the writer: every accepted submit has its ack sent
+        // before this returns, so ack pumps can flush.
+        let store = self.shared.server.shutdown()?;
         // Unblock connection readers parked in `read_frame`: a read
         // shutdown surfaces as EOF, the clean-close path. Ack pumps
         // flush their remaining (already-completed) tickets first —
@@ -325,9 +325,7 @@ impl std::fmt::Debug for NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         if self.accept.is_some() {
-            self.shared.draining.store(true, Ordering::SeqCst);
-            self.shared.server.begin_shutdown();
-            let _ = TcpStream::connect_timeout(&self.shared.addr, Duration::from_secs(1));
+            self.begin_shutdown();
             if let Some(accept) = self.accept.take() {
                 let _ = accept.join();
             }
@@ -379,6 +377,10 @@ fn accept_loop(shared: Arc<NetShared>, listener: TcpListener) {
             continue;
         };
         let conn_shared = Arc::clone(&shared);
+        // Registration holds the lock across the spawn: a handler that
+        // finishes at once must find itself registered, or its stream
+        // and handle would outlive it in the registry.
+        let mut registry = shared.registry.lock().expect("registry");
         let handle = std::thread::Builder::new()
             .name(format!("good-net-conn-{id}"))
             // Handlers are shallow; small stacks keep 500+ concurrent
@@ -387,7 +389,6 @@ fn accept_loop(shared: Arc<NetShared>, listener: TcpListener) {
             .spawn(move || handle_conn(conn_shared, id, stream));
         match handle {
             Ok(handle) => {
-                let mut registry = shared.registry.lock().expect("registry");
                 registry.streams.insert(id, registered);
                 registry.active.insert(id, handle);
                 shared.total_accepted.fetch_add(1, Ordering::Relaxed);
@@ -395,6 +396,7 @@ fn accept_loop(shared: Arc<NetShared>, listener: TcpListener) {
                 LIVE_ACCEPTED.incr();
             }
             Err(_) => {
+                drop(registry);
                 // Spawn failure is load: shed like a full house (the
                 // registered clone still points at the same socket).
                 LIVE_SHED.incr();
@@ -573,7 +575,7 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                     let mut pair = Some(first);
                     let mut batched = 0usize;
                     while let Some((request, trace, ticket)) = pair {
-                        let result = server_shared.server.wait(ticket);
+                        let result = ticket.wait();
                         pump_inflight.fetch_sub(1, Ordering::SeqCst);
                         LIVE_ACKS.incr();
                         // Mark the ack instant in the span capture —
@@ -615,8 +617,8 @@ fn handle_conn(shared: Arc<NetShared>, id: u64, stream: TcpStream) {
                         };
                     }
                     LIVE_INFLIGHT.set(pump_inflight.load(Ordering::SeqCst) as i64);
-                    // The client may already be gone; tickets must be
-                    // redeemed regardless so completions don't leak.
+                    // The client may already be gone; the pump drains
+                    // on regardless, so the in-flight count stays true.
                     let _ = pump_writer.send_bytes(&buffer);
                 }
             })

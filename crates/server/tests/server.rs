@@ -87,10 +87,7 @@ fn paused_writer_forms_one_batch_and_one_epoch() {
         .collect();
     assert_eq!(server.epoch(), 0, "nothing commits while paused");
     server.resume_writer();
-    let acks: Vec<_> = tickets
-        .into_iter()
-        .map(|t| server.wait(t).unwrap())
-        .collect();
+    let acks: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
     // All five were drained as one group: same published epoch,
     // consecutive commit sequence numbers.
     assert!(acks.iter().all(|ack| ack.epoch == acks[0].epoch));
@@ -121,9 +118,9 @@ fn model_failures_are_acked_without_breaking_the_batch() {
     let t2 = server.submit(session, bad).unwrap();
     let t3 = server.submit(session, tag_program("Tag1")).unwrap();
     server.resume_writer();
-    let a1 = server.wait(t1).unwrap();
-    let a2 = server.wait(t2).unwrap();
-    let a3 = server.wait(t3).unwrap();
+    let a1 = t1.wait().unwrap();
+    let a2 = t2.wait().unwrap();
+    let a3 = t3.wait().unwrap();
     assert!(a1.outcome.is_ok());
     assert!(a2.outcome.is_err());
     assert!(a3.outcome.is_ok());
@@ -169,7 +166,7 @@ fn submissions_after_begin_shutdown_are_rejected_but_queued_work_drains() {
         Err(ServerError::Shutdown)
     );
     // The queued program still commits: shutdown drains, never drops.
-    let ack = server.wait(ticket).unwrap();
+    let ack = ticket.wait().unwrap();
     assert_eq!(ack.commit_seq, Some(1));
     let store = server.shutdown().unwrap();
     assert_eq!(store.instance().node_count(), 1);
@@ -191,8 +188,8 @@ fn queue_full_backpressure_clears_once_the_writer_drains() {
         Err(ServerError::QueueFull { capacity: 2 })
     );
     server.resume_writer();
-    server.wait(t1).unwrap();
-    server.wait(t2).unwrap();
+    t1.wait().unwrap();
+    t2.wait().unwrap();
     // Backpressure is transient: the drained queue accepts again.
     let ack = server.submit_wait(session, seed_program()).unwrap();
     assert_eq!(ack.commit_seq, Some(3));

@@ -350,29 +350,17 @@ impl Store {
     /// the whole program succeeds *and* its record is durably logged.
     /// On an I/O failure the in-memory instance is left at the last
     /// committed state and the store is poisoned (see
-    /// [`StoreError::Poisoned`]).
+    /// [`StoreError::Poisoned`]). This is [`Store::execute_group`] on a
+    /// group of one, whose one outcome becomes the result.
     pub fn execute(&mut self, program: &Program) -> Result<OpReport> {
-        self.check_poisoned()?;
-        let mut execute_span = good_trace::span("store", "store/execute");
-        execute_span.arg("ops", program.len());
-        // Cheap: `Instance` is persistent, so this is a handful of
-        // `Arc` bumps, and the mutation below copies only the O(delta
-        // log n) trie nodes it actually touches.
-        let mut next = (*self.db).clone();
-        self.env.refuel();
-        let report = program.apply(&mut next, &mut self.env)?;
-        self.append_durably(&LogRecord::Apply(program.clone()))?;
-        self.db = Arc::new(next);
-        self.records += 1;
-        execute_span.arg("matchings", report.matchings);
-        Ok(report)
+        let mut outcomes = self.execute_group(std::slice::from_ref(program))?;
+        Ok(outcomes.remove(0)?)
     }
 
-    /// Execute a batch of programs as **one group commit**: every
-    /// successful program's record is appended, a commit marker closes
-    /// the group, and a single fsync makes the whole batch durable at
-    /// once — the journaling cost of one `execute` amortized over the
-    /// batch.
+    /// Execute a batch of programs as **one group commit** — the
+    /// store's only commit path: every successful program's record is
+    /// appended, a commit marker closes the group, and a single fsync
+    /// makes the whole batch durable at once.
     ///
     /// Per-program failures are isolated, not batch-aborting: a failing
     /// program contributes an `Err` outcome, writes nothing to the
@@ -390,8 +378,11 @@ impl Store {
         programs: &[Program],
     ) -> Result<Vec<std::result::Result<OpReport, GoodError>>> {
         self.check_poisoned()?;
-        let mut group_span = good_trace::span("store", "store/execute_group");
-        group_span.arg("programs", programs.len());
+        let mut span = good_trace::span("store", "store/execute");
+        span.arg("programs", programs.len());
+        // Cheap: `Instance` is persistent, so this is a handful of
+        // `Arc` bumps, and the mutations below copy only the O(delta
+        // log n) trie nodes they actually touch.
         let mut working = (*self.db).clone();
         let mut outcomes = Vec::with_capacity(programs.len());
         let mut committed: Vec<&Program> = Vec::new();
@@ -412,7 +403,7 @@ impl Store {
                 }
             }
         }
-        group_span.arg("committed", committed.len());
+        span.arg("committed", committed.len());
         match committed.len() {
             0 => return Ok(outcomes),
             1 => {

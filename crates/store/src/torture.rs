@@ -1,23 +1,30 @@
 //! The deterministic crash-recovery torture harness.
 //!
 //! The crate's durability claims ("a torn final record is detected and
-//! ignored", "checkpoint is atomic") are only worth anything if they
-//! hold under real fault schedules. This module enumerates them:
+//! ignored", "checkpoint is atomic", "a group commits all or nothing")
+//! are only worth anything if they hold under real fault schedules.
+//! This module enumerates them:
 //!
-//! * [`crash_sweep`] — run a seeded random workload once against a
-//!   fault-free [`FaultVfs`] to build an **oracle** (the committed
-//!   state after every acknowledged program) and count the I/O
-//!   operations; then re-run the workload once *per operation*,
-//!   crashing hard at that operation, rebooting the frozen disk image
-//!   (durable namespace only, un-synced tails torn at seed-chosen
-//!   offsets), reopening the store, and checking **prefix
-//!   consistency**: the recovered instance must be graph-isomorphic
-//!   (via `good-graph`'s labeled isomorphism, through
-//!   [`Instance::isomorphic_to`]) to `history[j]` for some `j` between
-//!   the acknowledged count and the attempted count at the moment of
-//!   the crash. The recovered store must then accept a probe append
-//!   and survive one more reopen, which catches truncation bugs that
-//!   only corrupt the *next* record.
+//! * [`crash_sweep`] — commit a seeded random workload in seed-drawn
+//!   batches of `1..=max_batch` programs through
+//!   [`Store::execute_group`], with checkpoints and a method
+//!   registration falling between batches. One run against a
+//!   fault-free [`FaultVfs`] builds an **oracle** (the committed state
+//!   at every batch boundary) and counts the I/O operations; then the
+//!   workload re-runs once *per operation*, crashing hard at that
+//!   operation, rebooting the frozen disk image (durable namespace
+//!   only, un-synced tails torn at seed-chosen offsets), reopening the
+//!   store, and checking **prefix consistency**: the recovered
+//!   instance must be graph-isomorphic (via `good-graph`'s labeled
+//!   isomorphism, through [`Instance::isomorphic_to`]) to `history[j]`
+//!   for some `j` between the committed and the attempted batch count
+//!   at the moment of the crash. The history holds only batch
+//!   boundaries, so a crash between the records of one group must
+//!   recover to a state before or after the whole group. The recovered
+//!   store must then accept a probe append and survive one more
+//!   reopen, which catches truncation bugs that only corrupt the
+//!   *next* record. With `max_batch: 1` (the default) every batch is
+//!   one program, journaled as a plain self-committing `Apply`.
 //! * [`fault_soak`] — run a workload under seeded random *non-fatal*
 //!   faults (torn writes, fsync failures, rename failures) and check
 //!   that every failure either leaves the store consistent or poisons
@@ -39,6 +46,8 @@ use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
 use good_core::program::{Env, Operation, Program, DEFAULT_FUEL};
 use good_core::scheme::Scheme;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,12 +57,18 @@ pub const JOURNAL_PATH: &str = "/torture/db.journal";
 /// Configuration for one torture sweep.
 #[derive(Debug, Clone)]
 pub struct TortureConfig {
-    /// Seed for the workload and every fault decision.
+    /// Seed for the workload, the batch sizes, and every fault
+    /// decision.
     pub seed: u64,
-    /// Number of workload programs.
+    /// Number of random workload programs (a method call is spliced in
+    /// after the first).
     pub programs: usize,
-    /// Checkpoint before every `n`-th program (0 disables).
+    /// Checkpoint before the batch holding every `n`-th program (0
+    /// disables).
     pub checkpoint_every: usize,
+    /// Largest group commit; batch sizes are seed-drawn in
+    /// `1..=max_batch`, so 1 commits every program on its own.
+    pub max_batch: usize,
 }
 
 impl Default for TortureConfig {
@@ -62,6 +77,7 @@ impl Default for TortureConfig {
             seed: 42,
             programs: 16,
             checkpoint_every: 6,
+            max_batch: 1,
         }
     }
 }
@@ -71,10 +87,11 @@ impl Default for TortureConfig {
 pub struct ScheduleOutcome {
     /// The I/O operation index the crash fired at.
     pub crash_at: u64,
-    /// Programs acknowledged before the crash.
+    /// Batches committed before the crash (programs, when `max_batch`
+    /// is 1).
     pub acked: usize,
-    /// `acked`, plus one if the crash interrupted an append whose
-    /// record may have partially reached the disk.
+    /// `acked`, plus one if the crash interrupted a batch whose records
+    /// may have partially reached the disk.
     pub attempted: usize,
     /// The oracle history index the recovered state matched, or `None`
     /// when the crash predated a durable store creation (no journal
@@ -146,9 +163,10 @@ impl std::error::Error for TortureFailure {}
 /// Result alias for torture runs.
 pub type TortureResult<T> = std::result::Result<T, TortureFailure>;
 
-/// A fixed method registered mid-workload so RegisterMethod records and
+/// The `Mark` method: one `Mark` node attached to the receiver `Info`.
+/// The sweep registers it mid-workload, so RegisterMethod records and
 /// checkpoint re-logging are on the torture path.
-fn mark_method() -> Method {
+pub fn mark_method() -> Method {
     let mut pattern = Pattern::new();
     let head = pattern.method_head("Mark");
     let receiver = pattern.node("Info");
@@ -168,11 +186,11 @@ fn mark_method() -> Method {
     )
 }
 
-/// A program calling [`mark_method`] on every `Info` object, spliced
-/// into the workload right after the registration so method execution
-/// (K-frame construction, fuel accounting, method spans) is on the
-/// torture path, not just the RegisterMethod record.
-fn mark_call_program() -> Program {
+/// A program calling [`mark_method`] on every `Info` object. The sweep
+/// splices it into the workload right after the registration, so
+/// method execution (K-frame construction, fuel accounting, method
+/// spans) is on the torture path, not just the RegisterMethod record.
+pub fn mark_call_program() -> Program {
     let mut pattern = Pattern::new();
     let receiver = pattern.node("Info");
     let call = MethodCall::new("Mark", pattern, receiver, []);
@@ -196,12 +214,7 @@ struct RunOutcome {
     attempted: usize,
 }
 
-fn failure_with_seed(
-    seed: u64,
-    crash_at: Option<u64>,
-    message: String,
-    vfs: &FaultVfs,
-) -> TortureFailure {
+fn failure(seed: u64, crash_at: Option<u64>, message: String, vfs: &FaultVfs) -> TortureFailure {
     TortureFailure {
         seed,
         crash_at,
@@ -210,112 +223,105 @@ fn failure_with_seed(
     }
 }
 
-fn failure(
-    config: &TortureConfig,
-    crash_at: Option<u64>,
-    message: String,
+/// Where a failed step leaves a run: a fired crash point ends it with
+/// `acked` batches committed and `attempted` possibly on disk; any
+/// other failure breaks the contract.
+fn stopped(
     vfs: &FaultVfs,
-) -> TortureFailure {
-    failure_with_seed(config.seed, crash_at, message, vfs)
+    seed: u64,
+    (acked, attempted): (usize, usize),
+    what: &str,
+    err: StoreError,
+) -> TortureResult<RunOutcome> {
+    if !vfs.crashed() {
+        let message = format!("{what} failed without a crash: {err}");
+        return Err(failure(seed, vfs.plan_crash_at(), message, vfs));
+    }
+    Ok(RunOutcome {
+        created: true,
+        acked,
+        attempted,
+    })
 }
 
-/// Drive the deterministic workload against `vfs` until completion or
-/// the first crash-induced error. `history`, when supplied, collects
-/// the committed state after creation and after every acknowledged
-/// program.
+/// The seeded workload, with the `Mark` call spliced in at index 1, cut
+/// into seed-drawn batches — the same cut for the golden run and every
+/// crash schedule.
+fn batches(config: &TortureConfig) -> Vec<Vec<Program>> {
+    let mut programs = random_workload(config.seed, config.programs);
+    programs.insert(1, mark_call_program());
+    // Decorrelate the cut from the workload's own seed stream.
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut batches = Vec::new();
+    let mut rest = programs.as_slice();
+    while !rest.is_empty() {
+        let take = rng.gen_range(1..=config.max_batch.clamp(1, rest.len()));
+        batches.push(rest[..take].to_vec());
+        rest = &rest[take..];
+    }
+    batches
+}
+
+/// Drive the batched workload against `vfs` until completion or the
+/// first crash-induced error. A checkpoint due before any program of a
+/// batch runs before the whole batch, and so does the `Mark`
+/// registration before the batch holding its call. `history`, when
+/// supplied, collects the committed state after creation and after
+/// every committed batch — deliberately *only* batch boundaries, so
+/// prefix-consistency checks against it reject any mid-batch state.
 fn run_workload(
     vfs: &FaultVfs,
     config: &TortureConfig,
     mut history: Option<&mut Vec<Instance>>,
 ) -> TortureResult<RunOutcome> {
-    let mut programs = random_workload(config.seed, config.programs);
-    // Registration happens before executing program 1 (below), so the
-    // call spliced in at index 1 runs immediately after it.
-    programs.insert(1, mark_call_program());
+    let seed = config.seed;
     let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let crash_at = vfs.plan_crash_at();
     let mut store = match Store::create_with_vfs(arc, JOURNAL_PATH, bench_scheme()) {
         Ok(store) => store,
         Err(err) => {
-            if vfs.crashed() {
-                return Ok(RunOutcome {
-                    created: false,
-                    acked: 0,
-                    attempted: 0,
-                });
-            }
-            return Err(failure(
-                config,
-                crash_at,
-                format!("store creation failed without a crash: {err}"),
-                vfs,
-            ));
+            let mut outcome = stopped(vfs, seed, (0, 0), "store creation", err)?;
+            outcome.created = false;
+            return Ok(outcome);
         }
     };
     if let Some(history) = history.as_deref_mut() {
         history.push(store.instance().clone());
     }
     let mut acked = 0usize;
-    for (step, program) in programs.iter().enumerate() {
-        if config.checkpoint_every > 0 && step > 0 && step % config.checkpoint_every == 0 {
+    let mut start = 0usize;
+    for (index, batch) in batches(config).iter().enumerate() {
+        let end = start + batch.len();
+        let every = config.checkpoint_every;
+        if every > 0 && (start.max(1)..end).any(|step| step % every == 0) {
             if let Err(err) = store.checkpoint() {
-                if vfs.crashed() {
-                    return Ok(RunOutcome {
-                        created: true,
-                        acked,
-                        attempted: acked,
-                    });
-                }
-                return Err(failure(
-                    config,
-                    crash_at,
-                    format!("checkpoint failed without a crash: {err}"),
-                    vfs,
-                ));
+                return stopped(vfs, seed, (acked, acked), "checkpoint", err);
             }
         }
-        if step == 1 {
+        if (start..end).contains(&1) {
             if let Err(err) = store.register_method(mark_method()) {
-                if vfs.crashed() {
-                    return Ok(RunOutcome {
-                        created: true,
-                        acked,
-                        attempted: acked,
-                    });
-                }
-                return Err(failure(
-                    config,
-                    crash_at,
-                    format!("method registration failed without a crash: {err}"),
-                    vfs,
-                ));
+                return stopped(vfs, seed, (acked, acked), "method registration", err);
             }
         }
-        match store.execute(program) {
-            Ok(_) => {
+        match store.execute_group(batch) {
+            Ok(outcomes) => {
+                if let Some(err) = outcomes.into_iter().find_map(Result::err) {
+                    let message = format!("batch {index} rejected a program: {err}");
+                    return Err(failure(seed, vfs.plan_crash_at(), message, vfs));
+                }
                 acked += 1;
                 if let Some(history) = history.as_deref_mut() {
                     history.push(store.instance().clone());
                 }
             }
+            // The crash interrupted this batch's records: some or all
+            // of them (and the group's commit marker) may have reached
+            // the disk.
             Err(err) => {
-                if vfs.crashed() {
-                    // The crash interrupted this program's append: the
-                    // record may have partially reached the disk.
-                    return Ok(RunOutcome {
-                        created: true,
-                        acked,
-                        attempted: acked + 1,
-                    });
-                }
-                return Err(failure(
-                    config,
-                    crash_at,
-                    format!("program {step} failed without a crash: {err}"),
-                    vfs,
-                ));
+                let what = format!("batch {index}");
+                return stopped(vfs, seed, (acked, acked + 1), &what, err);
             }
         }
+        start = end;
     }
     Ok(RunOutcome {
         created: true,
@@ -324,36 +330,28 @@ fn run_workload(
     })
 }
 
-/// The fault-free golden run: committed-state history plus the total
-/// I/O operation count (= the crash-point space).
+/// The fault-free golden run: the batch-boundary history plus the
+/// total I/O operation count (= the crash-point space).
 fn golden_run(config: &TortureConfig) -> TortureResult<(Vec<Instance>, u64)> {
     let vfs = FaultVfs::new(FaultPlan::reliable(config.seed));
-    let mut history = Vec::with_capacity(config.programs + 1);
+    let mut history = Vec::new();
     let outcome = run_workload(&vfs, config, Some(&mut history))?;
-    // The workload is `programs` random programs plus the spliced-in
-    // method call.
-    let expected = config.programs + 1;
+    let expected = batches(config).len();
     if outcome.acked != expected {
-        return Err(failure(
-            config,
-            None,
-            format!(
-                "golden run acknowledged {} of {} programs",
-                outcome.acked, expected
-            ),
-            &vfs,
-        ));
+        let message = format!(
+            "golden run committed {} of {expected} batches",
+            outcome.acked
+        );
+        return Err(failure(config.seed, None, message, &vfs));
     }
     Ok((history, vfs.op_count()))
 }
 
-/// Shared post-crash verification: reboot the frozen disk, reopen the
+/// Post-crash verification: reboot the frozen disk, reopen the
 /// journal, and check prefix consistency — the recovered instance must
-/// match `history[j]` for some `j` in `[acked, attempted]` (for the
-/// plain sweep the history is per-program; for the group sweep it is
-/// per-*batch*, so matching any entry **is** the batch-boundary
-/// invariant). Then prove the recovered journal accepts a probe append
-/// that survives one more reopen.
+/// match `history[j]` for some `j` in `[acked, attempted]`. Then prove
+/// the recovered journal accepts a probe append that survives one more
+/// reopen.
 fn verify_prefix_recovery(
     seed: u64,
     crash_at: u64,
@@ -361,13 +359,9 @@ fn verify_prefix_recovery(
     outcome: &RunOutcome,
     vfs: &FaultVfs,
 ) -> TortureResult<ScheduleOutcome> {
+    let fail = |message: String| failure(seed, Some(crash_at), message, vfs);
     if !vfs.crashed() {
-        return Err(failure_with_seed(
-            seed,
-            Some(crash_at),
-            format!("crash point {crash_at} never fired"),
-            vfs,
-        ));
+        return Err(fail(format!("crash point {crash_at} never fired")));
     }
     let disk = vfs.reboot();
     let arc: Arc<dyn Vfs> = Arc::new(disk.clone());
@@ -387,62 +381,35 @@ fn verify_prefix_recovery(
             });
         }
         Err(err) => {
-            return Err(failure_with_seed(
-                seed,
-                Some(crash_at),
-                format!(
-                    "recovery failed after crash (acked {}): {err}",
-                    outcome.acked
-                ),
-                vfs,
-            ));
+            let acked = outcome.acked;
+            return Err(fail(format!(
+                "recovery failed after crash (acked {acked}): {err}"
+            )));
         }
     };
     let recovered_to =
         (outcome.acked..=outcome.attempted).find(|&j| store.instance().isomorphic_to(&history[j]));
     let Some(recovered_to) = recovered_to else {
-        return Err(failure_with_seed(
-            seed,
-            Some(crash_at),
-            format!(
-                "recovered state ({} nodes) matches no committed prefix in [{}, {}]",
-                store.instance().node_count(),
-                outcome.acked,
-                outcome.attempted
-            ),
-            vfs,
-        ));
+        return Err(fail(format!(
+            "recovered state ({} nodes) matches no committed prefix in [{}, {}]",
+            store.instance().node_count(),
+            outcome.acked,
+            outcome.attempted
+        )));
     };
     // A recovered journal must accept new appends and survive another
     // open — this is what catches torn tails that were replayed but not
     // truncated (the next record would concatenate onto them).
     if let Err(err) = store.execute(&probe_program()) {
-        return Err(failure_with_seed(
-            seed,
-            Some(crash_at),
-            format!("recovered store rejected a probe append: {err}"),
-            vfs,
-        ));
+        return Err(fail(format!(
+            "recovered store rejected a probe append: {err}"
+        )));
     }
     drop(store);
     match Store::open_with_vfs(arc, JOURNAL_PATH) {
         Ok(reopened) if reopened.instance().label_count(&Label::new("Probe")) == 1 => {}
-        Ok(_) => {
-            return Err(failure_with_seed(
-                seed,
-                Some(crash_at),
-                "probe append did not survive a reopen".into(),
-                vfs,
-            ));
-        }
-        Err(err) => {
-            return Err(failure_with_seed(
-                seed,
-                Some(crash_at),
-                format!("reopen after probe append failed: {err}"),
-                vfs,
-            ));
-        }
+        Ok(_) => return Err(fail("probe append did not survive a reopen".into())),
+        Err(err) => return Err(fail(format!("reopen after probe append failed: {err}"))),
     }
     Ok(ScheduleOutcome {
         crash_at,
@@ -482,169 +449,15 @@ pub fn crash_schedule(config: &TortureConfig, crash_at: u64) -> TortureResult<Sc
     run_crash_schedule(config, &history, crash_at)
 }
 
-/// Enumerate every crash point of the seeded workload and verify that
-/// each one recovers to a committed prefix of the oracle history. See
-/// the module docs for the exact contract.
+/// Enumerate every crash point of the seeded workload — every point
+/// between the records of one group included — and verify that each
+/// one recovers to a committed batch boundary of the oracle history.
+/// See the module docs for the exact contract.
 pub fn crash_sweep(config: &TortureConfig) -> TortureResult<TortureReport> {
     let (history, total_ops) = golden_run(config)?;
     let mut outcomes = Vec::with_capacity(total_ops as usize);
     for crash_at in 0..total_ops {
         outcomes.push(run_crash_schedule(config, &history, crash_at)?);
-    }
-    Ok(TortureReport {
-        crash_points: total_ops,
-        outcomes,
-    })
-}
-
-/// Configuration for [`group_crash_sweep`].
-#[derive(Debug, Clone)]
-pub struct GroupTortureConfig {
-    /// Seed for the workload, the batch partition, and every fault
-    /// decision.
-    pub seed: u64,
-    /// Number of workload programs (partitioned into batches).
-    pub programs: usize,
-    /// Maximum batch size; actual sizes are seed-drawn in
-    /// `1..=max_batch`.
-    pub max_batch: usize,
-}
-
-impl Default for GroupTortureConfig {
-    fn default() -> Self {
-        GroupTortureConfig {
-            seed: 42,
-            programs: 12,
-            max_batch: 4,
-        }
-    }
-}
-
-/// Partition the seeded workload into seed-drawn batches — the same
-/// partition for the golden run and every crash schedule.
-fn group_batches(config: &GroupTortureConfig) -> Vec<Vec<Program>> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let programs = random_workload(config.seed, config.programs);
-    // Decorrelate the partition from the workload's own seed stream.
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut batches = Vec::new();
-    let mut rest = programs.as_slice();
-    while !rest.is_empty() {
-        let take = rng.gen_range(1..=config.max_batch.min(rest.len()));
-        batches.push(rest[..take].to_vec());
-        rest = &rest[take..];
-    }
-    batches
-}
-
-/// Drive the batched workload against `vfs` via [`Store::execute_group`]
-/// until completion or the first crash-induced error. `history`, when
-/// supplied, collects the committed state at every **batch boundary**
-/// (creation counts as boundary 0) — deliberately *only* boundaries, so
-/// prefix-consistency checks against it reject any mid-batch state.
-fn run_group_workload(
-    vfs: &FaultVfs,
-    config: &GroupTortureConfig,
-    mut history: Option<&mut Vec<Instance>>,
-) -> TortureResult<RunOutcome> {
-    let batches = group_batches(config);
-    let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let crash_at = vfs.plan_crash_at();
-    let mut store = match Store::create_with_vfs(arc, JOURNAL_PATH, bench_scheme()) {
-        Ok(store) => store,
-        Err(err) => {
-            if vfs.crashed() {
-                return Ok(RunOutcome {
-                    created: false,
-                    acked: 0,
-                    attempted: 0,
-                });
-            }
-            return Err(failure_with_seed(
-                config.seed,
-                crash_at,
-                format!("store creation failed without a crash: {err}"),
-                vfs,
-            ));
-        }
-    };
-    if let Some(history) = history.as_deref_mut() {
-        history.push(store.instance().clone());
-    }
-    let mut acked = 0usize;
-    for (index, batch) in batches.iter().enumerate() {
-        match store.execute_group(batch) {
-            Ok(_outcomes) => {
-                acked += 1;
-                if let Some(history) = history.as_deref_mut() {
-                    history.push(store.instance().clone());
-                }
-            }
-            Err(err) => {
-                if vfs.crashed() {
-                    // The crash interrupted this batch's record group:
-                    // some or all of its records (and possibly the
-                    // commit marker) may have reached the disk.
-                    return Ok(RunOutcome {
-                        created: true,
-                        acked,
-                        attempted: acked + 1,
-                    });
-                }
-                return Err(failure_with_seed(
-                    config.seed,
-                    crash_at,
-                    format!("batch {index} failed without a crash: {err}"),
-                    vfs,
-                ));
-            }
-        }
-    }
-    Ok(RunOutcome {
-        created: true,
-        acked,
-        attempted: acked,
-    })
-}
-
-/// Enumerate every crash point of the batched workload — including
-/// every point *between the records of one group* — and verify that
-/// recovery always lands on a **batch boundary**: graph-isomorphic to
-/// the oracle state after batch `j` for `j` in `[acked, acked+1]`,
-/// never a state in the middle of a group. `acked+1` is legal because
-/// a crash in the commit fsync may still have made the whole group
-/// durable; any proper subset of the group must be discarded by
-/// recovery.
-pub fn group_crash_sweep(config: &GroupTortureConfig) -> TortureResult<TortureReport> {
-    // Golden run: batch-boundary history + the crash-point space.
-    let vfs = FaultVfs::new(FaultPlan::reliable(config.seed));
-    let mut history = Vec::with_capacity(config.programs + 1);
-    let outcome = run_group_workload(&vfs, config, Some(&mut history))?;
-    let batches = group_batches(config).len();
-    if outcome.acked != batches {
-        return Err(failure_with_seed(
-            config.seed,
-            None,
-            format!(
-                "golden run committed {} of {batches} batches",
-                outcome.acked
-            ),
-            &vfs,
-        ));
-    }
-    let total_ops = vfs.op_count();
-    let mut outcomes = Vec::with_capacity(total_ops as usize);
-    for crash_at in 0..total_ops {
-        let vfs = FaultVfs::new(FaultPlan::crash_at(config.seed, crash_at));
-        let outcome = run_group_workload(&vfs, config, None)?;
-        outcomes.push(verify_prefix_recovery(
-            config.seed,
-            crash_at,
-            &history,
-            &outcome,
-            &vfs,
-        )?);
     }
     Ok(TortureReport {
         crash_points: total_ops,
@@ -701,12 +514,7 @@ pub struct SoakReport {
 /// that every failure either leaves the store consistent or poisons it
 /// into a reopen that recovers a state consistent with the oracle.
 pub fn fault_soak(config: &SoakConfig) -> TortureResult<SoakReport> {
-    let torture = TortureConfig {
-        seed: config.seed,
-        programs: config.programs,
-        checkpoint_every: config.checkpoint_every,
-    };
-    let fail = |message: String, vfs: &FaultVfs| failure(&torture, None, message, vfs);
+    let fail = |message: String, vfs: &FaultVfs| failure(config.seed, None, message, vfs);
 
     let programs = random_workload(config.seed, config.programs);
     let vfs = FaultVfs::new(FaultPlan::reliable(config.seed));

@@ -7,11 +7,10 @@
 use good_core::gen::bench_scheme;
 use good_core::instance::Instance;
 use good_core::label::Label;
-use good_core::method::{Method, MethodCall, MethodSpec};
 use good_core::ops::NodeAddition;
 use good_core::pattern::Pattern;
 use good_core::program::{Operation, Program};
-use good_core::scheme::Scheme;
+use good_store::torture::{mark_call_program, mark_method};
 use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
 use good_store::Store;
 use std::sync::Arc;
@@ -34,32 +33,6 @@ fn tag_program(tag: &str) -> Program {
         tag,
         [(Label::new("of"), info)],
     ))])
-}
-
-/// The `Mark` method: one `Mark` node attached to the receiver `Info`.
-fn mark_method() -> Method {
-    let mut pattern = Pattern::new();
-    let head = pattern.method_head("Mark");
-    let receiver = pattern.node("Info");
-    pattern.edge(head, good_core::label::receiver_label(), receiver);
-    let na = NodeAddition::new(pattern, "Mark", [(Label::new("on"), receiver)]);
-    let mut interface = Scheme::new();
-    interface.add_object_label("Mark").unwrap();
-    interface.add_functional_label("on").unwrap();
-    interface.add_object_label("Info").unwrap();
-    interface.add_triple("Mark", "on", "Info").unwrap();
-    Method::new(
-        MethodSpec::new("Mark", "Info", []),
-        vec![Operation::NodeAdd(na)],
-        interface,
-    )
-}
-
-fn mark_call_program() -> Program {
-    let mut pattern = Pattern::new();
-    let receiver = pattern.node("Info");
-    let call = MethodCall::new("Mark", pattern, receiver, []);
-    Program::from_ops([Operation::Call(call)])
 }
 
 /// Build a store with `setup` applied, on a fresh reliable FaultVfs.

@@ -4,11 +4,11 @@
 use good_core::error::GoodError;
 use good_core::gen::bench_scheme as scheme;
 use good_core::label::Label;
-use good_core::method::{Method, MethodCall, MethodSpec};
+use good_core::method::Method;
 use good_core::ops::{EdgeAddition, EdgeDeletion, NodeAddition};
 use good_core::pattern::Pattern;
 use good_core::program::{Env, Operation, Program, DEFAULT_FUEL};
-use good_core::scheme::Scheme;
+use good_store::torture::{mark_call_program, mark_method};
 use good_store::{LogRecord, Store, StoreError};
 use std::io::Write;
 use std::path::PathBuf;
@@ -198,24 +198,7 @@ fn checkpoint_compacts_and_preserves_state_and_methods() {
         store.execute(&tag_program(&format!("Tag{index}"))).unwrap();
     }
     // Register a method so we can check it survives.
-    let method = {
-        let mut p = Pattern::new();
-        let head = p.method_head("Mark");
-        let recv = p.node("Info");
-        p.edge(head, good_core::label::receiver_label(), recv);
-        let na = NodeAddition::new(p, "Mark", [(Label::new("on"), recv)]);
-        let mut interface = Scheme::new();
-        interface.add_object_label("Mark").unwrap();
-        interface.add_functional_label("on").unwrap();
-        interface.add_object_label("Info").unwrap();
-        interface.add_triple("Mark", "on", "Info").unwrap();
-        good_core::method::Method::new(
-            good_core::method::MethodSpec::new("Mark", "Info", []),
-            vec![Operation::NodeAdd(na)],
-            interface,
-        )
-    };
-    store.register_method(method).unwrap();
+    store.register_method(mark_method()).unwrap();
 
     let size_before = std::fs::metadata(&path).unwrap().len();
     let snapshot = store.instance().clone();
@@ -227,17 +210,7 @@ fn checkpoint_compacts_and_preserves_state_and_methods() {
     // Reopen: state and the method both survive; calling it works.
     let mut store = Store::open(&path).unwrap();
     assert!(store.instance().isomorphic_to(&snapshot));
-    let call_program = {
-        let mut p = Pattern::new();
-        let info = p.node("Info");
-        Program::from_ops([Operation::Call(good_core::method::MethodCall::new(
-            "Mark",
-            p,
-            info,
-            [],
-        ))])
-    };
-    store.execute(&call_program).unwrap();
+    store.execute(&mark_call_program()).unwrap();
     assert_eq!(store.instance().label_count(&"Mark".into()), 1);
     std::fs::remove_file(&path).unwrap();
 }
@@ -464,33 +437,52 @@ fn execute_group_rolls_back_a_method_call_that_ran_out_of_fuel() {
     // deletions before calling it, so the call runs dry in the body,
     // with its frames and `Mark` nodes in the working instance.
     let idle = || Operation::EdgeDel(EdgeDeletion::new(Pattern::new(), []));
-    let mut pattern = Pattern::new();
-    let head = pattern.method_head("Mark");
-    let receiver = pattern.node("Info");
-    pattern.edge(head, good_core::label::receiver_label(), receiver);
-    let mark = NodeAddition::new(pattern, "Mark", [(Label::new("on"), receiver)]);
-    let mut interface = Scheme::new();
-    interface.add_object_label("Mark").unwrap();
-    interface.add_functional_label("on").unwrap();
-    interface.add_object_label("Info").unwrap();
-    interface.add_triple("Mark", "on", "Info").unwrap();
-    let body = std::iter::once(Operation::NodeAdd(mark)).chain(std::iter::repeat_with(idle));
-    let method = Method::new(
-        MethodSpec::new("Mark", "Info", []),
-        body.take(17).collect(),
-        interface,
-    );
-    let mut pattern = Pattern::new();
-    let info = pattern.node("Info");
-    let call = Operation::Call(MethodCall::new("Mark", pattern, info, []));
+    let mut method = mark_method();
+    method.body.extend(std::iter::repeat_with(idle).take(16));
     let ops = std::iter::repeat_with(idle).take(DEFAULT_FUEL as usize - 10);
-    let bad = Program::from_ops(ops.chain([call]));
+    let bad = Program::from_ops(ops.chain(mark_call_program().ops().iter().cloned()));
     assert_failed_program_rolls_back(
         "group-fuel",
         &[method],
         bad,
         |err| matches!(err, GoodError::OutOfFuel { context, .. } if context.contains("method Mark")),
     );
+}
+
+/// `execute` is `execute_group` on a group of one: over a seeded
+/// workload with a refused program in it, twin stores driven one way
+/// and the other report the same outcomes and write the same journal
+/// bytes.
+#[test]
+fn execute_is_a_group_of_one() {
+    use good_store::vfs::{FaultPlan, FaultVfs, Vfs};
+    use std::sync::Arc;
+    let mut workload = good_core::gen::random_workload(11, 12);
+    let mut refused = Pattern::new();
+    let (a, b) = (refused.node("Nope"), refused.node("Info"));
+    let refused = EdgeAddition::multivalued(refused, a, "links-to", b);
+    workload.insert(5, Program::from_ops([Operation::EdgeAdd(refused)]));
+    let twin = || {
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultPlan::reliable(11)));
+        let store = Store::create_with_vfs(Arc::clone(&vfs), "/twin.journal", scheme()).unwrap();
+        (vfs, store)
+    };
+    let ((single_vfs, mut single), (group_vfs, mut group)) = (twin(), twin());
+    let mut refusals = 0;
+    for program in &workload {
+        let outcomes = group.execute_group(std::slice::from_ref(program)).unwrap();
+        match (single.execute(program), &outcomes[..]) {
+            (Ok(report), [Ok(grouped)]) => assert_eq!(&report, grouped),
+            (Err(StoreError::Model(err)), [Err(grouped)]) => {
+                assert_eq!(&err, grouped);
+                refusals += 1;
+            }
+            (single, grouped) => panic!("execute gave {single:?}, a group of one {grouped:?}"),
+        }
+    }
+    assert_eq!(refusals, 1);
+    let journal = |vfs: &Arc<dyn Vfs>| vfs.read(std::path::Path::new("/twin.journal")).unwrap();
+    assert_eq!(journal(&single_vfs), journal(&group_vfs));
 }
 
 #[test]

@@ -5,9 +5,7 @@
 //! ≥200 schedules) is `#[ignore]`d and runs in the nightly job via
 //! `cargo test --workspace --release -- --ignored`.
 
-use good_store::torture::{
-    crash_sweep, fault_soak, group_crash_sweep, GroupTortureConfig, SoakConfig, TortureConfig,
-};
+use good_store::torture::{crash_sweep, fault_soak, SoakConfig, TortureConfig};
 use proptest::prelude::*;
 
 #[test]
@@ -16,6 +14,7 @@ fn smoke_every_crash_point_recovers_to_a_committed_prefix() {
         seed: 7,
         programs: 6,
         checkpoint_every: 3,
+        max_batch: 1,
     };
     let report = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
     assert!(
@@ -51,6 +50,7 @@ fn same_seed_reproduces_identical_fault_sequences() {
         seed: 21,
         programs: 5,
         checkpoint_every: 2,
+        max_batch: 1,
     };
     let a = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
     let b = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
@@ -60,6 +60,35 @@ fn same_seed_reproduces_identical_fault_sequences() {
     let c = crash_sweep(&TortureConfig { seed: 22, ..config })
         .unwrap_or_else(|failure| panic!("{failure}"));
     assert!(a != c, "different seeds should differ somewhere");
+}
+
+/// A batch of one is a plain `execute`: at `max_batch: 1` the smoke
+/// sweep lands every schedule where the per-program sweep it replaced
+/// did — the `(crash_at, acked, attempted, recovered_to)` list below
+/// was recorded from that sweep.
+#[test]
+fn single_program_batches_reproduce_the_per_program_sweep() {
+    let config = TortureConfig {
+        seed: 7,
+        programs: 6,
+        checkpoint_every: 3,
+        max_batch: 1,
+    };
+    let report = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
+    let schedules: Vec<_> = (report.outcomes.iter())
+        .map(|o| (o.crash_at, o.acked, o.attempted, o.recovered_to))
+        .collect();
+    let recorded = "[(0, 0, 0, None), (1, 0, 0, None), (2, 0, 0, None), (3, 0, 0, None), \
+        (4, 0, 1, Some(0)), (5, 0, 1, Some(0)), (6, 1, 1, Some(1)), (7, 1, 1, Some(1)), \
+        (8, 1, 2, Some(1)), (9, 1, 2, Some(1)), (10, 2, 3, Some(2)), (11, 2, 3, Some(2)), \
+        (12, 3, 3, Some(3)), (13, 3, 3, Some(3)), (14, 3, 3, Some(3)), (15, 3, 3, Some(3)), \
+        (16, 3, 3, Some(3)), (17, 3, 3, Some(3)), (18, 3, 3, Some(3)), (19, 3, 3, Some(3)), \
+        (20, 3, 3, Some(3)), (21, 3, 4, Some(3)), (22, 3, 4, Some(3)), (23, 4, 5, Some(4)), \
+        (24, 4, 5, Some(4)), (25, 5, 6, Some(5)), (26, 5, 6, Some(5)), (27, 6, 6, Some(6)), \
+        (28, 6, 6, Some(6)), (29, 6, 6, Some(6)), (30, 6, 6, Some(6)), (31, 6, 6, Some(6)), \
+        (32, 6, 6, Some(6)), (33, 6, 6, Some(6)), (34, 6, 6, Some(6)), (35, 6, 6, Some(6)), \
+        (36, 6, 7, Some(6)), (37, 6, 7, Some(6))]";
+    assert_eq!(format!("{schedules:?}"), recorded);
 }
 
 #[test]
@@ -79,12 +108,13 @@ fn smoke_fault_soak_survives_injected_faults() {
 
 #[test]
 fn smoke_every_group_commit_crash_point_lands_on_a_batch_boundary() {
-    let config = GroupTortureConfig {
+    let config = TortureConfig {
         seed: 13,
         programs: 10,
         max_batch: 4,
+        ..TortureConfig::default()
     };
-    let report = group_crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
+    let report = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
     assert!(
         report.crash_points >= 15,
         "batched workload too small: {} crash points",
@@ -130,7 +160,7 @@ proptest! {
         programs in 3usize..7,
         checkpoint_every in 0usize..4,
     ) {
-        let config = TortureConfig { seed, programs, checkpoint_every };
+        let config = TortureConfig { seed, programs, checkpoint_every, max_batch: 1 };
         if let Err(failure) = crash_sweep(&config) {
             panic!("{failure}");
         }
@@ -142,8 +172,8 @@ proptest! {
         programs in 3usize..7,
         max_batch in 2usize..5,
     ) {
-        let config = GroupTortureConfig { seed, programs, max_batch };
-        if let Err(failure) = group_crash_sweep(&config) {
+        let config = TortureConfig { seed, programs, max_batch, ..TortureConfig::default() };
+        if let Err(failure) = crash_sweep(&config) {
             panic!("{failure}");
         }
     }
@@ -169,6 +199,7 @@ fn nightly_full_torture_matrix() {
             seed,
             programs: 20,
             checkpoint_every: 6,
+            max_batch: 1,
         };
         let report = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
         schedules += report.crash_points;
@@ -189,12 +220,13 @@ fn nightly_full_torture_matrix() {
 fn nightly_group_commit_torture_matrix() {
     let mut schedules = 0u64;
     for seed in [5u64, 6, 7, 8, 9, 10, 11, 12] {
-        let config = GroupTortureConfig {
+        let config = TortureConfig {
             seed,
             programs: 18,
             max_batch: 5,
+            ..TortureConfig::default()
         };
-        let report = group_crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
+        let report = crash_sweep(&config).unwrap_or_else(|failure| panic!("{failure}"));
         schedules += report.crash_points;
         println!("seed {seed}: {}", report.summary());
     }

@@ -42,6 +42,7 @@ fn crash_schedule_emits_store_span_timeline() {
         seed: 7,
         programs: 6,
         checkpoint_every: 3,
+        max_batch: 1,
     };
     let result = crash_schedule(&config, 9);
     good_trace::swap_recorder(previous);
